@@ -1,0 +1,134 @@
+"""Ideal and strong-ideal predicates plus exhaustive enumeration.
+
+The ideal conditions are evaluated against the raw table; no axiom label
+is required first, so the same predicate serves every algebra family.
+
+  (1)  zero is a member;
+  (2)  x*y in I and y in I  imply  x in I          (pairs);
+  (3)  (x*y)*z in I and y in I  imply  x*z in I    (triples).
+
+An ideal satisfies (1) and (2).  A strong ideal satisfies (1) and (3);
+condition (3) does not syntactically imply (2) on a raw table, so the two
+verdicts are kept independent and both are reported.
+"""
+
+import itertools
+from dataclasses import dataclass
+
+from .algebra import FiniteAlgebra
+from .errors import ValidationError
+from .sets import Subset, all_subsets
+
+
+@dataclass(frozen=True)
+class IdealReport:
+    """Per-condition verdicts for one subset, with violating tuples.
+
+    ``triple_closed`` is None when condition (3) was not evaluated (plain
+    is_ideal call).  Witness lists are lexicographically ordered and may
+    be capped; each flag always reflects the full exhaustive check.
+    """
+
+    subset: Subset
+    has_zero: bool
+    pair_closed: bool
+    triple_closed: bool | None
+    pair_witnesses: tuple[tuple[int, int], ...]
+    triple_witnesses: tuple[tuple[int, int, int], ...]
+
+    @property
+    def is_ideal(self) -> bool:
+        return self.has_zero and self.pair_closed
+
+    @property
+    def is_strong(self) -> bool | None:
+        if self.triple_closed is None:
+            return None
+        return self.has_zero and self.triple_closed
+
+
+def _collect(violations, max_witnesses):
+    holds = True
+    out = []
+    for w in violations:
+        holds = False
+        out.append(w)
+        if max_witnesses is not None and len(out) >= max_witnesses:
+            break
+    return holds, tuple(out)
+
+
+def _pair_violations(alg: FiniteAlgebra, ideal: Subset):
+    t, n = alg.table, alg.n
+    return (
+        (x, y)
+        for x, y in itertools.product(range(n), repeat=2)
+        if t[x][y] in ideal and y in ideal and x not in ideal
+    )
+
+
+def _triple_violations(alg: FiniteAlgebra, ideal: Subset):
+    t, n = alg.table, alg.n
+    return (
+        (x, y, z)
+        for x, y, z in itertools.product(range(n), repeat=3)
+        if t[t[x][y]][z] in ideal and y in ideal and t[x][z] not in ideal
+    )
+
+
+def _check_carrier(alg: FiniteAlgebra, ideal: Subset) -> None:
+    if ideal.n != alg.n:
+        raise ValidationError(f"subset carrier {ideal.n} does not match algebra carrier {alg.n}")
+
+
+def is_ideal(alg: FiniteAlgebra, ideal: Subset, max_witnesses: int | None = None) -> IdealReport:
+    """Conditions (1) and (2) only; condition (3) is left unevaluated."""
+    _check_carrier(alg, ideal)
+    pair_ok, pair_w = _collect(_pair_violations(alg, ideal), max_witnesses)
+    return IdealReport(
+        subset=ideal,
+        has_zero=alg.zero in ideal,
+        pair_closed=pair_ok,
+        triple_closed=None,
+        pair_witnesses=pair_w,
+        triple_witnesses=(),
+    )
+
+
+def is_strong_ideal(alg: FiniteAlgebra, ideal: Subset, max_witnesses: int | None = None) -> IdealReport:
+    """All three conditions, with witnesses per failed condition."""
+    _check_carrier(alg, ideal)
+    pair_ok, pair_w = _collect(_pair_violations(alg, ideal), max_witnesses)
+    triple_ok, triple_w = _collect(_triple_violations(alg, ideal), max_witnesses)
+    return IdealReport(
+        subset=ideal,
+        has_zero=alg.zero in ideal,
+        pair_closed=pair_ok,
+        triple_closed=triple_ok,
+        pair_witnesses=pair_w,
+        triple_witnesses=triple_w,
+    )
+
+
+def enumerate_ideals(alg: FiniteAlgebra, strong: bool = False, max_order: int = 20) -> list[Subset]:
+    """All ideals (or strong ideals) sorted by cardinality then elements.
+
+    Scans the 2^n subset lattice, pruning on condition (1) first; guarded
+    by ``max_order`` because of the exponential subset count.
+    """
+    if alg.n > max_order:
+        raise ValidationError(
+            f"carrier size {alg.n} exceeds enumeration limit {max_order}; raise max_order to override"
+        )
+    found = []
+    for s in all_subsets(alg.n):
+        if alg.zero not in s:
+            continue
+        if strong:
+            if next(iter(_triple_violations(alg, s)), None) is None:
+                found.append(s)
+        else:
+            if next(iter(_pair_violations(alg, s)), None) is None:
+                found.append(s)
+    found.sort(key=lambda s: s.sort_key)
+    return found
