@@ -52,6 +52,7 @@ from .relations import (
     to_partition,
 )
 from .rough import (
+    LAWS,
     ApproximationSpace,
     LawResult,
     ProductLawReport,
@@ -64,6 +65,7 @@ from .rough import (
     is_rough,
     lower,
     rough_pair,
+    sweep_laws,
     upper,
 )
 from .search import (
@@ -92,9 +94,9 @@ __all__ = [
     "CheckResult", "EquivalenceReport", "Partition", "RelationPairs",
     "class_product_inclusion", "is_complete_congruence", "is_congruence",
     "is_equivalence", "relation_from_ideal", "to_partition",
-    "ApproximationSpace", "LawResult", "ProductLawReport", "RoughPair", "boundary",
+    "LAWS", "ApproximationSpace", "LawResult", "ProductLawReport", "RoughPair", "boundary",
     "check_approx_laws", "check_basic_laws", "check_congruence_product_laws",
-    "is_definable", "is_rough", "lower", "rough_pair", "upper",
+    "is_definable", "is_rough", "lower", "rough_pair", "sweep_laws", "upper",
     "Finding", "SearchSpec", "TARGETS", "all_partitions", "canonical_subset_pairs",
     "enumerate_algebras", "enumerate_congruences", "find_counterexample",
     "Subset", "all_subsets", "canonical_subsets",

@@ -219,14 +219,19 @@ def find_identities(alg: FiniteAlgebra) -> IdentityReport:
     return IdentityReport(left=left, right=right, two_sided=left & right)
 
 
+def product_mask(alg: FiniteAlgebra, a: int, b: int) -> int:
+    """``product_set`` on bit masks of elements."""
+    ys = [y for y in range(alg.n) if b >> y & 1]
+    mask = 0
+    for x, row in enumerate(alg.table):
+        if a >> x & 1:
+            for y in ys:
+                mask |= 1 << row[y]
+    return mask
+
+
 def product_set(alg: FiniteAlgebra, a: Subset, b: Subset) -> Subset:
     """Elementwise product {x*y | x in a, y in b}; empty if either side is."""
     if a.n != alg.n or b.n != alg.n:
         raise ValidationError(f"subset carrier mismatch: algebra has n={alg.n}")
-    t = alg.table
-    mask = 0
-    for x in a:
-        row = t[x]
-        for y in b:
-            mask |= 1 << row[y]
-    return Subset._raw(alg.n, mask)
+    return Subset._raw(alg.n, product_mask(alg, a.mask, b.mask))

@@ -31,7 +31,6 @@ from .algebra import (
     check_axiom,
     classify,
     find_identities,
-    product_set,
 )
 from .errors import ParseError, PreconditionError, RoughAlgError, SearchLimitError, ValidationError
 from .generalized import SetValuedMap, is_strong_sv_morphism, is_sv_morphism
@@ -45,18 +44,21 @@ from .relations import (
     to_partition,
 )
 from .rough import (
+    MEASURED,
+    SUITES,
     ApproximationSpace,
     LawResult,
+    LawTally,
     check_approx_laws,
     check_basic_laws,
     check_congruence_product_laws,
     lower,
+    sweep_laws,
     upper,
 )
 from .search import (
     SearchSpec,
     all_partitions,
-    canonical_subset_pairs,
     enumerate_algebras,
     enumerate_congruences,
     find_counterexample,
@@ -253,16 +255,6 @@ def _witness_text(w) -> str:
         names = "xyz"[: len(w)]
         return ", ".join(f"{v}={val}" for v, val in zip(names, w))
     return str(w)
-
-
-def _law_result_json(r: LawResult) -> dict:
-    return {
-        "law": r.law,
-        "description": r.description,
-        "holds": r.holds,
-        "witness": _jsonable(r.witness),
-        "note": r.note,
-    }
 
 
 def _law_result_text(r: LawResult) -> str:
@@ -545,184 +537,84 @@ def _cmd_verify_claim(args, alg: FiniteAlgebra) -> tuple[int, dict, list[str]]:
     return (0 if eq.holds else 1), report, lines
 
 
-def _gate_laws(results, gate_ids) -> list[LawResult]:
-    return [r for r in results if r.law in gate_ids and r.holds is False]
-
-
 def _cmd_verify_prop_single(args, alg) -> tuple[int, dict, list[str]]:
     partition, info = _partition_from_args(args, alg)
     a = parse_subset(args.set, alg.n) if args.set is not None else Subset.empty(alg.n)
     b = parse_subset(args.set2, alg.n) if args.set2 is not None else a
-
+    report = {"command": "verify", "prop": args.prop, **info, "partition": _jsonable(partition),
+              "set_a": _jsonable(a), "set_b": _jsonable(b)}
     if args.prop == "3-2":
         prod = check_congruence_product_laws(alg, partition, a, b)
         results = [prod.upper_inclusion, prod.lower_inclusion]
-        failures = [r for r in results if r.holds is False]
-        lines = [_law_result_text(r) for r in results]
-        lines.append(f"congruence complete: {'yes' if prod.congruence_complete else 'no'}")
-        report = {
-            "command": "verify",
-            "prop": args.prop,
-            **info,
-            "partition": _jsonable(partition),
-            "set_a": _jsonable(a),
-            "set_b": _jsonable(b),
-            "congruence_complete": prod.congruence_complete,
-            "results": [_law_result_json(r) for r in results],
-            "verdict": "pass" if not failures else "fail",
-        }
-        return (0 if not failures else 1), report, lines
-
-    space = ApproximationSpace(partition=partition, algebra=alg)
-    if args.prop == "2-1":
-        results = check_approx_laws(space, a, b)
-        gate = {str(i) for i in range(1, 11)}
+        report["congruence_complete"] = prod.congruence_complete
     else:
-        results = check_basic_laws(space, a, b)
-        gate = {str(i) for i in range(1, 7)}
-    failures = _gate_laws(results, gate)
+        check = check_approx_laws if args.prop == "2-1" else check_basic_laws
+        results = check(ApproximationSpace(partition=partition, algebra=alg), a, b)
+    # a single pair fails on any law its suite does not only measure
+    ok = not any(r.holds is False and role != MEASURED
+                 for r, (_, role, _) in zip(results, SUITES[args.prop]))
     lines = [_law_result_text(r) for r in results]
-    report = {
-        "command": "verify",
-        "prop": args.prop,
-        **info,
-        "partition": _jsonable(partition),
-        "set_a": _jsonable(a),
-        "set_b": _jsonable(b),
-        "results": [_law_result_json(r) for r in results],
-        "verdict": "pass" if not failures else "fail",
-    }
-    return (0 if not failures else 1), report, lines
+    if args.prop == "3-2":
+        lines.append(f"congruence complete: {'yes' if prod.congruence_complete else 'no'}")
+    report.update(results=[vars(r) for r in results], verdict="pass" if ok else "fail")
+    return (0 if ok else 1), report, lines
+
+
+def _failure_json(f, witness) -> dict:
+    return {"partition": f.partition, "a": f.a, "b": f.b, "witness": witness}
 
 
 def _cmd_verify_prop_exhaustive(args, alg) -> tuple[int, dict, list[str]]:
-    n = alg.n
-    pairs = list(canonical_subset_pairs(n))
-
+    report = {"command": "verify", "prop": args.prop, "exhaustive": True}
     if args.prop == "3-2":
-        congs = enumerate_congruences(alg)
-        part1_violations = []
-        part2_complete_violations = []
-        incomplete_findings = []
-        guard_skips = 0
-        for p in congs:
-            complete = is_complete_congruence(alg, p).holds
-            space = ApproximationSpace(partition=p, algebra=alg)
-            for a, b in pairs:
-                ab = product_set(alg, a, b)
-                up_excess = product_set(alg, upper(space, a), upper(space, b)) - upper(space, ab)
-                if up_excess:
-                    part1_violations.append(
-                        {"partition": _jsonable(p), "a": _jsonable(a), "b": _jsonable(b),
-                         "witness": next(iter(up_excess))}
-                    )
-                lab = lower(space, ab)
-                if not lab:
-                    guard_skips += 1
-                    continue
-                low_excess = product_set(alg, lower(space, a), lower(space, b)) - lab
-                if low_excess:
-                    entry = {"partition": _jsonable(p), "a": _jsonable(a), "b": _jsonable(b),
-                             "witness": next(iter(low_excess))}
-                    if complete:
-                        part2_complete_violations.append(entry)
-                    else:
-                        incomplete_findings.append(entry)
-        ok = not part1_violations and not part2_complete_violations
+        sweep = sweep_laws("3-2", enumerate_congruences(alg), alg)
+        part1, part2 = ([_failure_json(f, f.witness[0]) for f in sweep.violations if f.law == law]
+                        for law in ("1", "2"))
+        found = sweep.measured.get("2", LawTally())
+        first = found.first_failure
+        ok = not sweep.violations
         lines = [
-            f"congruences: {len(congs)}, subset pairs: {len(pairs)}",
-            f"upper product law violations: {len(part1_violations)}",
-            f"lower product law violations under complete congruences: "
-            f"{len(part2_complete_violations)}",
+            f"congruences: {sweep.partitions}, subset pairs: {sweep.pairs}",
+            f"upper product law violations: {len(part1)}",
+            f"lower product law violations under complete congruences: {len(part2)}",
             f"lower product law findings under non-complete congruences: "
-            f"{len(incomplete_findings)} (informational)",
-            f"verdict: {'pass' if ok else 'fail'}",
+            f"{found.fails} (informational)",
         ]
-        report = {
-            "command": "verify",
-            "prop": args.prop,
-            "exhaustive": True,
-            "congruences": len(congs),
-            "pairs": len(pairs),
-            "guard_skips": guard_skips,
-            "part1_violations": part1_violations,
-            "part2_complete_violations": part2_complete_violations,
-            "part2_incomplete_findings": {
-                "count": len(incomplete_findings),
-                "first": incomplete_findings[0] if incomplete_findings else None,
-            },
-            "verdict": "pass" if ok else "fail",
-        }
-        return (0 if ok else 1), report, lines
-
-    if args.partition:
-        partitions = [parse_partition(args.partition, n)]
+        report.update(
+            congruences=sweep.partitions, pairs=sweep.pairs,
+            guard_skips=sweep.gated["2"].not_applicable + found.not_applicable,
+            part1_violations=part1, part2_complete_violations=part2,
+            part2_incomplete_findings={
+                "count": found.fails, "first": first and _failure_json(first, first.witness[0])},
+        )
     else:
-        if n > 6:
+        if args.partition:
+            partitions = [parse_partition(args.partition, alg.n)]
+        elif alg.n > 6:
             raise ValidationError("exhaustive partition sweep is limited to order <= 6; "
                                   "pass --partition to pin one")
-        partitions = list(all_partitions(n))
-
-    if args.prop == "2-1":
-        gate = {str(i) for i in range(1, 11)}
-        measured = {"11a", "11b", "12"}
-        checker = check_approx_laws
-    else:
-        gate = {str(i) for i in range(1, 7)}
-        measured = set()
-        checker = check_basic_laws
-
-    violations = []
-    measure_stats = {
-        law: {"holds": 0, "fails": 0, "not_applicable": 0, "first_failure": None}
-        for law in sorted(measured)
-    }
-    checked = 0
-    for p in partitions:
-        space = ApproximationSpace(partition=p, algebra=alg)
-        for a, b in pairs:
-            checked += 1
-            for r in checker(space, a, b):
-                if r.law in gate and r.holds is False:
-                    violations.append(
-                        {"partition": _jsonable(p), "a": _jsonable(a), "b": _jsonable(b),
-                         "law": r.law, "witness": _jsonable(r.witness)}
-                    )
-                elif r.law in measured:
-                    stats = measure_stats[r.law]
-                    if r.holds is None:
-                        stats["not_applicable"] += 1
-                    elif r.holds:
-                        stats["holds"] += 1
-                    else:
-                        stats["fails"] += 1
-                        if stats["first_failure"] is None:
-                            stats["first_failure"] = {
-                                "partition": _jsonable(p), "a": _jsonable(a),
-                                "b": _jsonable(b), "witness": _jsonable(r.witness),
-                                "note": r.note,
-                            }
-    ok = not violations
-    lines = [
-        f"partitions: {len(partitions)}, subset pairs: {len(pairs)}, evaluations: {checked}",
-        f"gated law violations: {len(violations)}",
-    ]
-    for law, stats in measure_stats.items():
-        lines.append(
-            f"measured law {law}: holds {stats['holds']}, fails {stats['fails']} "
-            f"(observational, not gated)"
-        )
+        else:
+            partitions = all_partitions(alg.n)
+        sweep = sweep_laws(args.prop, partitions, alg)
+        violations = [{**_failure_json(f, f.witness), "law": f.law} for f in sweep.violations]
+        ok = not violations
+        lines = [
+            f"partitions: {sweep.partitions}, subset pairs: {sweep.pairs}, "
+            f"evaluations: {sweep.partitions * sweep.pairs}",
+            f"gated law violations: {len(violations)}",
+        ]
+        measurements = {}
+        for law, t in sweep.measured.items():
+            f = t.first_failure
+            measurements[law] = {
+                "holds": t.holds, "fails": t.fails, "not_applicable": t.not_applicable,
+                "first_failure": f and {**_failure_json(f, f.witness), "note": f.note}}
+            lines.append(f"measured law {law}: holds {t.holds}, fails {t.fails} "
+                         f"(observational, not gated)")
+        report.update(partitions=sweep.partitions, pairs=sweep.pairs, violations=violations,
+                      measurements=measurements)
     lines.append(f"verdict: {'pass' if ok else 'fail'}")
-    report = {
-        "command": "verify",
-        "prop": args.prop,
-        "exhaustive": True,
-        "partitions": len(partitions),
-        "pairs": len(pairs),
-        "violations": violations,
-        "measurements": measure_stats,
-        "verdict": "pass" if ok else "fail",
-    }
+    report["verdict"] = "pass" if ok else "fail"
     return (0 if ok else 1), report, lines
 
 
@@ -743,36 +635,28 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_search(args) -> tuple[int, dict, list[str]]:
     label, axioms = _parse_axiom_spec(args.axioms)
-    spec = SearchSpec(
-        n=args.order,
-        axiom_set=axioms,
-        target=args.find,
-        model_cap=args.limit,
-        time_budget=args.budget,
-    )
+    try:
+        spec = SearchSpec(
+            n=args.order,
+            axiom_set=axioms,
+            target=args.find,
+            model_cap=args.limit,
+            time_budget=args.budget,
+        )
+    except ValidationError as e:  # only the two limits are checked here
+        flag = {"model_cap": "--limit", "time_budget": "--budget"}[e.field]
+        raise ValidationError(f"{flag}: {e}", e.field) from None
     header = label if label else ",".join(a.name for a in axioms)
 
     if args.find:
         finding = find_counterexample(spec)
+        report = {"command": "search", "order": args.order, "axioms": [a.name for a in axioms],
+                  "target": args.find, "finding": None, "verdict": "pass"}
         if finding is None:
-            report = {
-                "command": "search", "order": args.order, "axioms": [a.name for a in axioms],
-                "target": args.find, "finding": None, "verdict": "pass",
-            }
             return 0, report, [f"no counterexample to {args.find} over {header} of order {args.order}"]
-        report = {
-            "command": "search", "order": args.order, "axioms": [a.name for a in axioms],
-            "target": args.find,
-            "finding": {
-                "algebra": _jsonable(finding.algebra),
-                "partition": _jsonable(finding.partition),
-                "a": _jsonable(finding.subset_a),
-                "b": _jsonable(finding.subset_b),
-                "witness": _jsonable(finding.witness),
-                "note": finding.note,
-            },
-            "verdict": "fail",
-        }
+        report.update(verdict="fail", finding={
+            "algebra": finding.algebra, "partition": finding.partition, "a": finding.subset_a,
+            "b": finding.subset_b, "witness": finding.witness, "note": finding.note})
         lines = [
             f"counterexample to {args.find} found",
             f"  algebra: {_jsonable(finding.algebra)}",

@@ -6,7 +6,11 @@ class RoughAlgError(Exception):
 
 
 class ValidationError(RoughAlgError, ValueError):
-    """A value failed construction-time validation."""
+    """A value failed construction-time validation; ``field`` names the parameter, when known."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class ParseError(ValidationError):

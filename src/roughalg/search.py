@@ -9,14 +9,16 @@ flattened table, raw tables with no isomorphism rejection, and identical
 runs are bit-identical.
 """
 
+import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .algebra import AxiomId, FiniteAlgebra, product_set
+from .algebra import AxiomId, FiniteAlgebra
 from .errors import SearchLimitError, ValidationError
-from .relations import Partition, is_complete_congruence, is_congruence
-from .rough import ApproximationSpace, check_approx_laws, check_basic_laws, lower, upper
+from .relations import Partition, is_congruence
+from .rough import SUITES, sweep_laws
 from .sets import Subset, canonical_subsets
 
 
@@ -37,6 +39,13 @@ class SearchSpec:
     time_budget: float | None = None
     algebras: tuple[FiniteAlgebra, ...] | None = None
     max_order: int = 5
+
+    def __post_init__(self):
+        if self.model_cap is not None and self.model_cap < 1:
+            raise ValidationError(f"model cap must be at least 1, got {self.model_cap}", "model_cap")
+        if self.time_budget is not None and not 0 <= self.time_budget < math.inf:
+            raise ValidationError(f"time budget must be finite and >= 0, got {self.time_budget}",
+                                  "time_budget")
 
 
 def all_partitions(n: int) -> Iterator[Partition]:
@@ -257,77 +266,23 @@ class Finding:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class _Target:
-    needs_algebra: bool
-    # partition scope: "all", "congruence", "congruence-complete", "congruence-incomplete"
-    scope: str
-    law: str
-    suite: str  # "pawlak", "basic", or "product"
+# complete: sweep only the congruences with this completeness (None: all partitions in scope)
+_Target = namedtuple("_Target", "suite law complete needs_algebra")
+TARGETS = {f"{suite}:{number}": _Target(suite, number, None, law.needs_algebra)
+           for suite, members in SUITES.items() for number, _, law in members}
+TARGETS["3-2:2-complete"] = _Target("3-2", "2", True, True)
+TARGETS["3-2:2-incomplete"] = _Target("3-2", "2", False, True)
 
 
-def _law_targets() -> dict[str, _Target]:
-    targets = {}
-    for i in range(1, 11):
-        targets[f"2-1:{i}"] = _Target(False, "all", str(i), "pawlak")
-    for law in ("11a", "11b", "12"):
-        targets[f"2-1:{law}"] = _Target(True, "congruence", law, "pawlak")
-    for i in range(1, 7):
-        targets[f"3-1:{i}"] = _Target(False, "all", str(i), "basic")
-    targets["3-2:1"] = _Target(True, "congruence", "product-upper", "product")
-    targets["3-2:2"] = _Target(True, "congruence", "product-lower", "product")
-    targets["3-2:2-complete"] = _Target(True, "congruence-complete", "product-lower", "product")
-    targets["3-2:2-incomplete"] = _Target(True, "congruence-incomplete", "product-lower", "product")
-    return targets
-
-
-TARGETS = _law_targets()
-
-
-def _eval_product_law(alg, space, law, a, b):
-    """Witness for a product-law violation, honoring the part-2 guard."""
-    ab = product_set(alg, a, b)
-    if law == "product-upper":
-        excess = product_set(alg, upper(space, a), upper(space, b)) - upper(space, ab)
-        return (next(iter(excess)),) if excess else None
-    lab = lower(space, ab)
-    if not lab:
-        return None  # guard: the law only speaks when lower(A*B) is nonempty
-    excess = product_set(alg, lower(space, a), lower(space, b)) - lab
-    return (next(iter(excess)),) if excess else None
-
-
-def _eval_suite_law(space, suite, law, a, b):
-    results = check_approx_laws(space, a, b) if suite == "pawlak" else check_basic_laws(space, a, b)
-    for r in results:
-        if r.law == law:
-            return None if r.holds or r.holds is None else r.witness
-    raise ValidationError(f"law {law!r} not present in suite {suite!r}")
-
-
-def _sweep_partitions(alg, target_id, target, pairs, deadline):
-    """First finding over the congruences of one algebra, canonical order."""
-    for p in enumerate_congruences(alg):
-        complete = is_complete_congruence(alg, p).holds
-        if target.scope == "congruence-complete" and not complete:
-            continue
-        if target.scope == "congruence-incomplete" and complete:
-            continue
-        space = ApproximationSpace(partition=p, algebra=alg)
-        note = "complete congruence" if complete else "congruence, not complete"
-        for a, b in pairs:
-            if deadline is not None and time.monotonic() > deadline:
-                raise SearchLimitError("time budget exceeded", count=0, reason="time")
-            if target.suite == "product":
-                witness = _eval_product_law(alg, space, target.law, a, b)
-            else:
-                witness = _eval_suite_law(space, target.suite, target.law, a, b)
-            if witness is not None:
-                return Finding(
-                    target=target_id, witness=witness, algebra=alg, partition=p,
-                    subset_a=a, subset_b=b, note=note,
-                )
-    return None
+def _sweep_partitions(alg, spec, deadline):
+    """First finding over the congruences of alg, or over all partitions without one."""
+    suite, law, complete, _ = TARGETS[spec.target]
+    partitions = all_partitions(spec.n) if alg is None else enumerate_congruences(alg)
+    f = sweep_laws(suite, partitions, alg, hunt=law, complete=complete, deadline=deadline).first_failure
+    if f is None:
+        return None
+    note = "" if alg is None else "complete congruence" if f.complete else "congruence, not complete"
+    return Finding(spec.target, f.witness, alg, f.partition, f.a, f.b, note)
 
 
 class _FoundIt(Exception):
@@ -349,37 +304,21 @@ def find_counterexample(spec: SearchSpec) -> Finding | None:
         raise ValidationError(
             f"unknown target {spec.target!r}; known: {', '.join(sorted(TARGETS))}"
         )
-    target = TARGETS[spec.target]
     deadline = None if spec.time_budget is None else time.monotonic() + spec.time_budget
-    pairs = list(canonical_subset_pairs(spec.n))
-
-    if not target.needs_algebra:
+    if not TARGETS[spec.target].needs_algebra:
         # the algebra plays no role in these laws; sweep bare partitions
-        for p in all_partitions(spec.n):
-            space = ApproximationSpace(partition=p)
-            for a, b in pairs:
-                if deadline is not None and time.monotonic() > deadline:
-                    raise SearchLimitError("time budget exceeded", count=0, reason="time")
-                witness = _eval_suite_law(space, target.suite, target.law, a, b)
-                if witness is not None:
-                    return Finding(target=spec.target, witness=witness, partition=p,
-                                   subset_a=a, subset_b=b)
-        return None
-
-    def sweep(alg):
-        return _sweep_partitions(alg, spec.target, target, pairs, deadline)
-
+        return _sweep_partitions(None, spec, deadline)
     if spec.algebras is not None:
         for alg in spec.algebras:
             if alg.n != spec.n:
                 raise ValidationError(f"fixed algebra has order {alg.n}, spec says {spec.n}")
-            finding = sweep(alg)
+            finding = _sweep_partitions(alg, spec, deadline)
             if finding is not None:
                 return finding
         return None
 
     def sink(alg):
-        finding = sweep(alg)
+        finding = _sweep_partitions(alg, spec, deadline)
         if finding is not None:
             raise _FoundIt(finding)
 

@@ -169,3 +169,87 @@ def equivalence_properties(n, pairs):
         if y == y2
     )
     return reflexive, symmetric, transitive
+
+
+def naive_law(suite, number, table, classes, a, b):
+    """(holds, witness) of one suite law on the subsets a and b.
+
+    Straight from the suite definitions, on Python sets.  A witness names
+    the least offending element; ``holds`` is None where the law does not
+    speak (3-2 law 2 when lower(A*B) is empty), and monotonicity (3-1 law
+    4) holds vacuously when A is not inside B.
+    """
+    full = set(range(len(table)))
+    a, b = set(a), set(b)
+
+    def lo(s):
+        return naive_lower(classes, s)
+
+    def up(s):
+        return naive_upper(classes, s)
+
+    def prod(x, y):
+        return set_product(table, x, y)
+
+    def inclusion(x, y):
+        return (False, (min(x - y),)) if x - y else (True, None)
+
+    def equality(x, y):
+        if x - y:
+            return False, ("left-minus-right", min(x - y))
+        if y - x:
+            return False, ("right-minus-left", min(y - x))
+        return True, None
+
+    def bounds():
+        if lo(a) - a:
+            return False, ("lower-outside-set", min(lo(a) - a))
+        if a - up(a):
+            return False, ("set-outside-upper", min(a - up(a)))
+        return True, None
+
+    def extremes():
+        if lo(set()) or up(set()):
+            return False, ("empty",)
+        if lo(full) != full or up(full) != full:
+            return False, ("universe",)
+        return True, None
+
+    def fixed(x, first, second):
+        r = equality(first(x), x)
+        return r if not r[0] else equality(second(x), x)
+
+    def monotone():
+        if not a <= b:
+            return True, None
+        if lo(a) - lo(b):
+            return False, ("lower", min(lo(a) - lo(b)))
+        if up(a) - up(b):
+            return False, ("upper", min(up(a) - up(b)))
+        return True, None
+
+    laws = {
+        ("2-1", "1"): bounds,
+        ("2-1", "2"): extremes,
+        ("2-1", "3"): lambda: inclusion(lo(a) | lo(b), lo(a | b)),
+        ("2-1", "4"): lambda: equality(lo(a & b), lo(a) & lo(b)),
+        ("2-1", "5"): lambda: equality(up(a | b), up(a) | up(b)),
+        ("2-1", "6"): lambda: inclusion(up(a & b), up(a) & up(b)),
+        ("2-1", "7"): lambda: equality(up(full - a), full - lo(a)),
+        ("2-1", "8"): lambda: equality(lo(full - a), full - up(a)),
+        ("2-1", "9"): lambda: fixed(lo(a), lo, up),
+        ("2-1", "10"): lambda: fixed(up(a), up, lo),
+        ("2-1", "11a"): lambda: inclusion(prod(up(a), up(b)), up(prod(a, b))),
+        ("2-1", "11b"): lambda: inclusion(up(prod(a, b)), prod(up(a), up(b))),
+        ("2-1", "12"): lambda: inclusion(prod(lo(a), lo(b)), lo(prod(a, b))),
+        ("3-1", "1"): bounds,
+        ("3-1", "2"): lambda: equality(up(a | b), up(a) | up(b)),
+        ("3-1", "3"): lambda: equality(lo(a & b), lo(a) & lo(b)),
+        ("3-1", "4"): monotone,
+        ("3-1", "5"): lambda: inclusion(lo(a) | lo(b), lo(a | b)),
+        ("3-1", "6"): lambda: inclusion(up(a & b), up(a) & up(b)),
+        ("3-2", "1"): lambda: inclusion(prod(up(a), up(b)), up(prod(a, b))),
+        ("3-2", "2"): lambda: (inclusion(prod(lo(a), lo(b)), lo(prod(a, b)))
+                               if lo(prod(a, b)) else (None, None)),
+    }
+    return laws[suite, number]()

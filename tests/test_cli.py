@@ -290,6 +290,15 @@ def test_search_limits_exit_2(capsys):
     code = run(["search", "--order", "4", "--axioms", "bh", "--count", "--budget", "0"])
     assert code == 2
     capsys.readouterr()
+    # out-of-range limits are rejected before any search, naming the flag
+    for flag, value in (("--limit", "0"), ("--limit", "-1"), ("--budget", "-1"),
+                        ("--budget", "nan"), ("--budget", "inf")):
+        code = run(["search", "--order", "3", "--axioms", "bh", "--count", flag, value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag}: ")
+        assert "prefix count" not in captured.err
 
 
 def test_check_max_witnesses_flag(tables_dir, capsys):

@@ -136,12 +136,20 @@ def test_model_cap():
         enumerate_algebras(SearchSpec(n=3, axiom_set=BH_AXIOMS, model_cap=5))
     assert exc.value.count == 5
     assert exc.value.reason == "model-cap"
+    for cap in (0, -1):
+        with pytest.raises(ValidationError) as exc:
+            SearchSpec(n=3, axiom_set=BH_AXIOMS, model_cap=cap)
+        assert exc.value.field == "model_cap"
 
 
 def test_time_budget():
     with pytest.raises(SearchLimitError) as exc:
         enumerate_algebras(SearchSpec(n=4, axiom_set=BH_AXIOMS, time_budget=0.0))
     assert exc.value.reason == "time"
+    for budget in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError) as exc:
+            SearchSpec(n=3, axiom_set=BH_AXIOMS, time_budget=budget)
+        assert exc.value.field == "time_budget"
 
 
 def test_order_guard():
