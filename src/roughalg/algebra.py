@@ -4,10 +4,10 @@ Nothing here assumes any axiom; a ``FiniteAlgebra`` is a raw operation
 table with a distinguished element.  Axiom systems are data: each label
 (B, BH, BO, Z) names a conjunction of the seven axioms C1..C7, and
 ``check_axiom`` decides a single axiom exhaustively, collecting every
-violating tuple as a witness.
+violating tuple as a witness.  Each axiom is defined once, as a generator
+in ``AXIOM_VIOLATIONS`` that the model search also runs on partial tables.
 """
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -124,39 +124,100 @@ class AxiomReport:
     witnesses: tuple[tuple[int, ...], ...]
 
 
-def _violations(alg: FiniteAlgebra, axiom: AxiomId):
-    n, t, z = alg.n, alg.table, alg.zero
-    if axiom is AxiomId.C1:
-        return ((x,) for x in range(n) if t[x][x] != z)
-    if axiom is AxiomId.C2:
-        return ((x,) for x in range(n) if t[x][z] != x)
-    if axiom is AxiomId.C6:
-        return ((x,) for x in range(n) if t[x][x] != x)
-    if axiom is AxiomId.C4:
-        return (
-            (x, y)
-            for x, y in itertools.product(range(n), repeat=2)
-            if x != y and t[x][y] == z and t[y][x] == z
-        )
-    if axiom is AxiomId.C7:
-        return (
-            (x, y)
-            for x, y in itertools.product(range(n), repeat=2)
-            if x != z and y != z and t[x][y] != t[y][x]
-        )
-    if axiom is AxiomId.C3:
-        return (
-            (x, y, z3)
-            for x, y, z3 in itertools.product(range(n), repeat=3)
-            if t[t[x][y]][z3] != t[x][t[z3][t[z][y]]]
-        )
-    if axiom is AxiomId.C5:
-        return (
-            (x, y, z3)
-            for x, y, z3 in itertools.product(range(n), repeat=3)
-            if t[x][t[y][z3]] != t[t[x][y]][t[z][z3]]
-        )
-    raise ValidationError(f"unknown axiom {axiom!r}")
+def _c1(t, zero):
+    return ((x,) for x, row in enumerate(t) if row[x] >= 0 and row[x] != zero)
+
+
+def _c2(t, zero):
+    return ((x,) for x, row in enumerate(t) if row[zero] >= 0 and row[zero] != x)
+
+
+def _c3(t, zero):
+    rng = range(len(t))
+    tz = t[zero]
+    for x in rng:
+        tx = t[x]
+        for y in rng:
+            a = tx[y]
+            c = tz[y]
+            if a < 0 or c < 0:
+                continue
+            ta = t[a]
+            for z in rng:
+                left = ta[z]
+                if left < 0:
+                    continue
+                d = t[z][c]
+                if d < 0:
+                    continue
+                right = tx[d]
+                if right >= 0 and left != right:
+                    yield (x, y, z)
+
+
+def _c4(t, zero):
+    rng = range(len(t))
+    for x in rng:
+        for y in rng:
+            if x != y and t[x][y] == zero and t[y][x] == zero:
+                yield (x, y)
+
+
+def _c5(t, zero):
+    rng = range(len(t))
+    tz = t[zero]
+    for x in rng:
+        tx = t[x]
+        for y in rng:
+            c = tx[y]
+            ty = t[y]
+            for z in rng:
+                a = ty[z]
+                if a < 0:
+                    continue
+                left = tx[a]
+                if left < 0 or c < 0:
+                    continue
+                d = tz[z]
+                if d < 0:
+                    continue
+                right = t[c][d]
+                if right >= 0 and left != right:
+                    yield (x, y, z)
+
+
+def _c6(t, zero):
+    return ((x,) for x, row in enumerate(t) if row[x] >= 0 and row[x] != x)
+
+
+def _c7(t, zero):
+    rng = range(len(t))
+    for x in rng:
+        for y in rng:
+            a, b = t[x][y], t[y][x]
+            if x != zero and y != zero and a >= 0 and b >= 0 and a != b:
+                yield (x, y)
+
+
+# The one definition of each axiom: a generator of its violating instances
+# over table rows ``t`` (``t[x][y]`` = x*y, -1 for an undetermined cell),
+# in lexicographic order.  An instance that reads an undetermined cell is
+# skipped, so on a partial table only instances that every completion
+# violates are yielded; the model search prunes on exactly that.
+AXIOM_VIOLATIONS = {
+    AxiomId.C1: _c1, AxiomId.C2: _c2, AxiomId.C3: _c3, AxiomId.C4: _c4,
+    AxiomId.C5: _c5, AxiomId.C6: _c6, AxiomId.C7: _c7,
+}
+
+
+def collect_witnesses(violations, max_witnesses: int | None) -> tuple[bool, tuple]:
+    """(no violation at all, the violations up to the cap)."""
+    out = []
+    for w in violations:
+        out.append(w)
+        if max_witnesses is not None and len(out) >= max_witnesses:
+            break
+    return not out, tuple(out)
 
 
 def check_axiom(alg: FiniteAlgebra, axiom: AxiomId, max_witnesses: int | None = None) -> AxiomReport:
@@ -167,19 +228,15 @@ def check_axiom(alg: FiniteAlgebra, axiom: AxiomId, max_witnesses: int | None = 
     """
     if max_witnesses is not None and max_witnesses < 1:
         raise ValidationError("max_witnesses must be at least 1")
-    holds = True
-    witnesses = []
-    for w in _violations(alg, axiom):
-        holds = False
-        witnesses.append(w)
-        if max_witnesses is not None and len(witnesses) >= max_witnesses:
-            break
-    return AxiomReport(axiom=axiom, holds=holds, witnesses=tuple(witnesses))
+    if not isinstance(axiom, AxiomId):
+        raise ValidationError(f"unknown axiom {axiom!r}")
+    holds, witnesses = collect_witnesses(AXIOM_VIOLATIONS[axiom](alg.table, alg.zero), max_witnesses)
+    return AxiomReport(axiom=axiom, holds=holds, witnesses=witnesses)
 
 
 def axiom_holds(alg: FiniteAlgebra, axiom: AxiomId) -> bool:
     """Verdict only, with early exit on the first violation."""
-    return next(iter(_violations(alg, axiom)), None) is None
+    return check_axiom(alg, axiom, max_witnesses=1).holds
 
 
 def classify(alg: FiniteAlgebra, z_variant: str = "literal") -> frozenset[str]:
@@ -228,6 +285,30 @@ def product_mask(alg: FiniteAlgebra, a: int, b: int) -> int:
             for y in ys:
                 mask |= 1 << row[y]
     return mask
+
+
+def _low(m: int) -> int:
+    """The least element of a nonempty mask: the first one Subset iteration yields."""
+    return (m & -m).bit_length() - 1
+
+
+def image_product_mismatch(source: FiniteAlgebra, target: FiniteAlgebra, images: Sequence[int],
+                           strong: bool) -> tuple | None:
+    """First (x, y, direction, element) where images[x]*images[y] (a product in
+    target) differs from images[x*y], for element masks ``images`` indexed by
+    the source carrier.  Direction "extra": the least element of the product
+    outside the image; "missing", reported only when ``strong``: the least
+    element of the image outside the product.  None when no pair differs.
+    """
+    for x, row in enumerate(source.table):
+        fx = images[x]
+        for y, xy in enumerate(row):
+            prod, img = product_mask(target, fx, images[y]), images[xy]
+            if prod & ~img:
+                return x, y, "extra", _low(prod & ~img)
+            if strong and img & ~prod:
+                return x, y, "missing", _low(img & ~prod)
+    return None
 
 
 def product_set(alg: FiniteAlgebra, a: Subset, b: Subset) -> Subset:

@@ -41,6 +41,7 @@ from .relations import (
     is_congruence,
     is_equivalence,
     relation_from_ideal,
+    require_congruence,
     to_partition,
 )
 from .rough import (
@@ -301,11 +302,25 @@ def _parse_axiom_spec(spec: str) -> tuple[str | None, tuple[AxiomId, ...]]:
     return None, tuple(axioms)
 
 
+def _ideal_failures(r, zero: int) -> list[str]:
+    """One line per failed condition of an IdealReport, with its first witness."""
+    out = [] if r.has_zero else [f"zero element {zero} is missing"]
+    if not r.pair_closed:
+        out.append(f"membership closure fails at ({_witness_text(r.pair_witnesses[0])})")
+    if r.triple_closed is False:
+        out.append(f"strong closure fails at ({_witness_text(r.triple_witnesses[0])})")
+    return out
+
+
 def _partition_from_args(args, alg: FiniteAlgebra) -> tuple[Partition, dict]:
     """Resolve --partition / --ideal into a partition, with provenance info."""
     if getattr(args, "partition", None):
         return parse_partition(args.partition, alg.n), {"relation_source": "partition"}
     ideal_set = parse_subset(args.ideal, alg.n)
+    ideal = is_ideal(alg, ideal_set, max_witnesses=1)
+    if not ideal.is_ideal:
+        reasons = "; ".join(_ideal_failures(ideal, alg.zero))
+        raise PreconditionError(f"--ideal {_set_text(ideal_set)} is not an ideal: {reasons}", witness=ideal)
     rel = relation_from_ideal(alg, ideal_set)
     report = is_equivalence(rel)
     if not report.holds:
@@ -386,18 +401,13 @@ def _cmd_ideals(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_congruences(args) -> tuple[int, dict, list[str]]:
     _, alg = _load_algebra(args.file)
-    congs = enumerate_congruences(alg)
+    congs = [(p, is_complete_congruence(alg, p).holds) for p in enumerate_congruences(alg)]
     lines = [f"{len(congs)} congruences"]
-    for p in congs:
-        complete = is_complete_congruence(alg, p).holds
-        lines.append(f"{_partition_text(p)}{'  (complete)' if complete else ''}")
+    lines += [f"{_partition_text(p)}{'  (complete)' if complete else ''}" for p, complete in congs]
     report = {
         "command": "congruences",
         "count": len(congs),
-        "congruences": [
-            {"partition": _jsonable(p), "complete": is_complete_congruence(alg, p).holds}
-            for p in congs
-        ],
+        "congruences": [{"partition": _jsonable(p), "complete": complete} for p, complete in congs],
     }
     return 0, report, lines
 
@@ -474,14 +484,7 @@ def _cmd_verify_claim(args, alg: FiniteAlgebra) -> tuple[int, dict, list[str]]:
             }
         )
         lines.append(f"claim {args.claim} on {_set_text(subset)}: {'holds' if ok else 'FAILS'}")
-        if not r.has_zero:
-            lines.append(f"  zero element {alg.zero} is missing")
-        if not r.pair_closed:
-            w = r.pair_witnesses[0]
-            lines.append(f"  membership closure fails at ({_witness_text(w)})")
-        if r.triple_closed is False:
-            w = r.triple_witnesses[0]
-            lines.append(f"  strong closure fails at ({_witness_text(w)})")
+        lines += ["  " + reason for reason in _ideal_failures(r, alg.zero)]
         return (0 if ok else 1), report, lines
 
     if claim in ("congruence", "complete-congruence"):
@@ -566,8 +569,17 @@ def _failure_json(f, witness) -> dict:
 
 def _cmd_verify_prop_exhaustive(args, alg) -> tuple[int, dict, list[str]]:
     report = {"command": "verify", "prop": args.prop, "exhaustive": True}
+    if args.partition:
+        partitions = [parse_partition(args.partition, alg.n)]
+        if args.prop == "3-2":
+            require_congruence(alg, partitions[0])
+    elif alg.n > 6:
+        raise ValidationError("exhaustive partition sweep is limited to order <= 6; "
+                              "pass --partition to pin one")
+    else:
+        partitions = enumerate_congruences(alg) if args.prop == "3-2" else all_partitions(alg.n)
+    sweep = sweep_laws(args.prop, partitions, alg)
     if args.prop == "3-2":
-        sweep = sweep_laws("3-2", enumerate_congruences(alg), alg)
         part1, part2 = ([_failure_json(f, f.witness[0]) for f in sweep.violations if f.law == law]
                         for law in ("1", "2"))
         found = sweep.measured.get("2", LawTally())
@@ -582,20 +594,12 @@ def _cmd_verify_prop_exhaustive(args, alg) -> tuple[int, dict, list[str]]:
         ]
         report.update(
             congruences=sweep.partitions, pairs=sweep.pairs,
-            guard_skips=sweep.gated["2"].not_applicable + found.not_applicable,
+            guard_skips=sweep.gated.get("2", LawTally()).not_applicable + found.not_applicable,
             part1_violations=part1, part2_complete_violations=part2,
             part2_incomplete_findings={
                 "count": found.fails, "first": first and _failure_json(first, first.witness[0])},
         )
     else:
-        if args.partition:
-            partitions = [parse_partition(args.partition, alg.n)]
-        elif alg.n > 6:
-            raise ValidationError("exhaustive partition sweep is limited to order <= 6; "
-                                  "pass --partition to pin one")
-        else:
-            partitions = all_partitions(alg.n)
-        sweep = sweep_laws(args.prop, partitions, alg)
         violations = [{**_failure_json(f, f.witness), "law": f.law} for f in sweep.violations]
         ok = not violations
         lines = [
@@ -711,11 +715,13 @@ def _cmd_morphism(args) -> tuple[int, dict, list[str]]:
 
 # ---------------------------------------------------------------- entry point
 
+_FORMATS = ("text", "json")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--format", choices=("text", "json"),
-        default=os.environ.get("ROUGHALG_FORMAT", "text"),
+        "--format", choices=_FORMATS,
         help="report format (env ROUGHALG_FORMAT; the flag wins)",
     )
 
@@ -795,6 +801,9 @@ def run(argv=None) -> int:
     """Parse arguments, run one subcommand, print its report."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    fmt = args.format or os.environ.get("ROUGHALG_FORMAT", "text")
+    if fmt not in _FORMATS:
+        parser.error(f"ROUGHALG_FORMAT: invalid choice: {fmt!r} (choose from 'text', 'json')")
     try:
         code, report, lines = args.func(args)
     except SearchLimitError as e:
@@ -806,7 +815,7 @@ def run(argv=None) -> int:
     except RoughAlgError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.format == "json":
+    if fmt == "json":
         print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
     else:
         for line in lines:

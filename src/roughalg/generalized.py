@@ -10,7 +10,7 @@ for the (strong) morphism property: the image of a product must contain
 from dataclasses import dataclass
 from typing import Iterable
 
-from .algebra import FiniteAlgebra, classify, product_set
+from .algebra import FiniteAlgebra, classify, image_product_mismatch
 from .errors import ValidationError
 from .relations import Partition, RelationPairs
 from .sets import Subset
@@ -112,61 +112,34 @@ class MorphismReport:
     target_labels: frozenset[str]
 
 
-def _check_dimensions(f: SetValuedMap, source: FiniteAlgebra, target: FiniteAlgebra) -> None:
+def _morphism(f: SetValuedMap, source: FiniteAlgebra, target: FiniteAlgebra | None,
+              strong: bool) -> MorphismReport:
+    target = source if target is None else target
     if source.n != f.n_source:
         raise ValidationError(f"source algebra carrier {source.n} vs map source {f.n_source}")
     if target.n != f.n_target:
         raise ValidationError(f"target algebra carrier {target.n} vs map target {f.n_target}")
+    w = image_product_mismatch(source, target, [s.mask for s in f.images], strong)
+    if w is not None:
+        x, y, direction, element = w
+        w = (direction, x, y, element) if strong else (x, y, element)
+    return MorphismReport(
+        holds=w is None,
+        witness=w,
+        source_labels=classify(source),
+        target_labels=classify(target),
+    )
 
 
 def is_sv_morphism(
     f: SetValuedMap, source: FiniteAlgebra, target: FiniteAlgebra | None = None
 ) -> MorphismReport:
     """Check F(x)*F(y) <= F(x*y) for all pairs; products taken in the target."""
-    target = source if target is None else target
-    _check_dimensions(f, source, target)
-    witness = None
-    for x in range(source.n):
-        for y in range(source.n):
-            prod = product_set(target, f.images[x], f.images[y])
-            img = f.images[source.table[x][y]]
-            extra = prod - img
-            if extra:
-                witness = (x, y, next(iter(extra)))
-                break
-        if witness:
-            break
-    return MorphismReport(
-        holds=witness is None,
-        witness=witness,
-        source_labels=classify(source),
-        target_labels=classify(target),
-    )
+    return _morphism(f, source, target, strong=False)
 
 
 def is_strong_sv_morphism(
     f: SetValuedMap, source: FiniteAlgebra, target: FiniteAlgebra | None = None
 ) -> MorphismReport:
     """Check F(x)*F(y) = F(x*y) for all pairs (set equality)."""
-    target = source if target is None else target
-    _check_dimensions(f, source, target)
-    witness = None
-    for x in range(source.n):
-        for y in range(source.n):
-            prod = product_set(target, f.images[x], f.images[y])
-            img = f.images[source.table[x][y]]
-            if prod != img:
-                extra = prod - img
-                if extra:
-                    witness = ("extra", x, y, next(iter(extra)))
-                else:
-                    witness = ("missing", x, y, next(iter(img - prod)))
-                break
-        if witness:
-            break
-    return MorphismReport(
-        holds=witness is None,
-        witness=witness,
-        source_labels=classify(source),
-        target_labels=classify(target),
-    )
+    return _morphism(f, source, target, strong=True)

@@ -15,7 +15,7 @@ verdicts are kept independent and both are reported.
 import itertools
 from dataclasses import dataclass
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, collect_witnesses
 from .errors import ValidationError
 from .sets import Subset, all_subsets
 
@@ -47,17 +47,6 @@ class IdealReport:
         return self.has_zero and self.triple_closed
 
 
-def _collect(violations, max_witnesses):
-    holds = True
-    out = []
-    for w in violations:
-        holds = False
-        out.append(w)
-        if max_witnesses is not None and len(out) >= max_witnesses:
-            break
-    return holds, tuple(out)
-
-
 def _pair_violations(alg: FiniteAlgebra, ideal: Subset):
     t, n = alg.table, alg.n
     return (
@@ -76,30 +65,12 @@ def _triple_violations(alg: FiniteAlgebra, ideal: Subset):
     )
 
 
-def _check_carrier(alg: FiniteAlgebra, ideal: Subset) -> None:
+def _report(alg: FiniteAlgebra, ideal: Subset, max_witnesses: int | None, strong: bool) -> IdealReport:
     if ideal.n != alg.n:
         raise ValidationError(f"subset carrier {ideal.n} does not match algebra carrier {alg.n}")
-
-
-def is_ideal(alg: FiniteAlgebra, ideal: Subset, max_witnesses: int | None = None) -> IdealReport:
-    """Conditions (1) and (2) only; condition (3) is left unevaluated."""
-    _check_carrier(alg, ideal)
-    pair_ok, pair_w = _collect(_pair_violations(alg, ideal), max_witnesses)
-    return IdealReport(
-        subset=ideal,
-        has_zero=alg.zero in ideal,
-        pair_closed=pair_ok,
-        triple_closed=None,
-        pair_witnesses=pair_w,
-        triple_witnesses=(),
-    )
-
-
-def is_strong_ideal(alg: FiniteAlgebra, ideal: Subset, max_witnesses: int | None = None) -> IdealReport:
-    """All three conditions, with witnesses per failed condition."""
-    _check_carrier(alg, ideal)
-    pair_ok, pair_w = _collect(_pair_violations(alg, ideal), max_witnesses)
-    triple_ok, triple_w = _collect(_triple_violations(alg, ideal), max_witnesses)
+    pair_ok, pair_w = collect_witnesses(_pair_violations(alg, ideal), max_witnesses)
+    triple_ok, triple_w = (collect_witnesses(_triple_violations(alg, ideal), max_witnesses) if strong
+                           else (None, ()))
     return IdealReport(
         subset=ideal,
         has_zero=alg.zero in ideal,
@@ -108,6 +79,16 @@ def is_strong_ideal(alg: FiniteAlgebra, ideal: Subset, max_witnesses: int | None
         pair_witnesses=pair_w,
         triple_witnesses=triple_w,
     )
+
+
+def is_ideal(alg: FiniteAlgebra, ideal: Subset, max_witnesses: int | None = None) -> IdealReport:
+    """Conditions (1) and (2) only; condition (3) is left unevaluated."""
+    return _report(alg, ideal, max_witnesses, strong=False)
+
+
+def is_strong_ideal(alg: FiniteAlgebra, ideal: Subset, max_witnesses: int | None = None) -> IdealReport:
+    """All three conditions, with witnesses per failed condition."""
+    return _report(alg, ideal, max_witnesses, strong=True)
 
 
 def enumerate_ideals(alg: FiniteAlgebra, strong: bool = False, max_order: int = 20) -> list[Subset]:
@@ -120,15 +101,7 @@ def enumerate_ideals(alg: FiniteAlgebra, strong: bool = False, max_order: int = 
         raise ValidationError(
             f"carrier size {alg.n} exceeds enumeration limit {max_order}; raise max_order to override"
         )
-    found = []
-    for s in all_subsets(alg.n):
-        if alg.zero not in s:
-            continue
-        if strong:
-            if next(iter(_triple_violations(alg, s)), None) is None:
-                found.append(s)
-        else:
-            if next(iter(_pair_violations(alg, s)), None) is None:
-                found.append(s)
+    violations = _triple_violations if strong else _pair_violations
+    found = [s for s in all_subsets(alg.n) if alg.zero in s and next(violations(alg, s), None) is None]
     found.sort(key=lambda s: s.sort_key)
     return found

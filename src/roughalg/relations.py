@@ -9,7 +9,7 @@ repeated runs are bit-identical.
 from dataclasses import dataclass
 from typing import Iterable
 
-from .algebra import FiniteAlgebra, product_set
+from .algebra import FiniteAlgebra, image_product_mismatch
 from .errors import PreconditionError, ValidationError
 from .sets import Subset
 
@@ -226,49 +226,40 @@ def is_congruence(alg: FiniteAlgebra, p: Partition) -> CheckResult:
     return CheckResult(True)
 
 
-def is_complete_congruence(alg: FiniteAlgebra, p: Partition) -> CheckResult:
-    """Class products must equal the class of the product: [x]*[y] = [x*y].
-
-    Precondition: p is a congruence (PreconditionError otherwise).  The
-    witness is (x, y, direction, element) where direction "extra" means
-    the element lies in [x]*[y] but not [x*y], "missing" the converse.
-    """
+def require_congruence(alg: FiniteAlgebra, p: Partition) -> None:
+    """Raise PreconditionError (with the is_congruence witness) unless p is a congruence."""
     cong = is_congruence(alg, p)
     if not cong.holds:
         raise PreconditionError(
             f"partition is not a congruence (witness {cong.witness})", witness=cong.witness
         )
-    n = alg.n
-    for x in range(n):
-        for y in range(n):
-            prod = product_set(alg, p.class_of(x), p.class_of(y))
-            cls = p.class_of(alg.table[x][y])
-            if prod != cls:
-                extra = prod - cls
-                if extra:
-                    return CheckResult(False, (x, y, "extra", next(iter(extra))))
-                return CheckResult(False, (x, y, "missing", next(iter(cls - prod))))
-    return CheckResult(True)
+
+
+def is_complete_congruence(alg: FiniteAlgebra, p: Partition) -> CheckResult:
+    """Class products must equal the class of the product: [x]*[y] = [x*y],
+    i.e. the class map x -> [x] is a strong set-valued morphism.
+
+    Precondition: p is a congruence (PreconditionError otherwise).  The
+    witness is (x, y, direction, element) where direction "extra" means
+    the element lies in [x]*[y] but not [x*y], "missing" the converse.
+    """
+    require_congruence(alg, p)
+    w = image_product_mismatch(alg, alg, [p.classes[i].mask for i in p.class_index], strong=True)
+    return CheckResult(w is None, w)
 
 
 def class_product_inclusion(alg: FiniteAlgebra, p: Partition) -> CheckResult:
-    """Check [x]*[y] subset-of [x*y] for all pairs.
+    """Check [x]*[y] subset-of [x*y] for all pairs, i.e. that the class map
+    is a set-valued morphism; the witness is (x, y, least element of [x]*[y]
+    outside [x*y]).
 
     Deliberately independent of is_congruence so the two can be
     cross-checked against each other.
     """
     if p.n != alg.n:
         raise ValidationError(f"partition carrier {p.n} does not match algebra carrier {alg.n}")
-    n, t = alg.n, alg.table
-    for x in range(n):
-        for y in range(n):
-            target = p.class_of(t[x][y])
-            for a in p.class_of(x):
-                row = t[a]
-                for b in p.class_of(y):
-                    if row[b] not in target:
-                        return CheckResult(False, (x, y, row[b]))
-    return CheckResult(True)
+    w = image_product_mismatch(alg, alg, [p.classes[i].mask for i in p.class_index], strong=False)
+    return CheckResult(w is None, w and (w[0], w[1], w[3]))
 
 
 def relation_from_ideal(alg: FiniteAlgebra, ideal: Subset) -> RelationPairs:

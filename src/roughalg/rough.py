@@ -16,9 +16,9 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .algebra import FiniteAlgebra, product_mask
-from .errors import PreconditionError, SearchLimitError, ValidationError
-from .relations import Partition, is_complete_congruence, is_congruence
+from .algebra import FiniteAlgebra, _low, product_mask
+from .errors import SearchLimitError, ValidationError
+from .relations import Partition, is_complete_congruence, is_congruence, require_congruence
 from .sets import Subset, canonical_subsets
 
 
@@ -132,11 +132,6 @@ def _product_table(alg: FiniteAlgebra) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------- the registry
-
-def _low(m: int) -> int:
-    """The least element of a nonempty mask: the first one Subset iteration yields."""
-    return (m & -m).bit_length() - 1
-
 
 def _inclusion(x: int, y: int):
     d = x & ~y
@@ -333,9 +328,7 @@ def check_congruence_product_laws(
     Raises PreconditionError (with the compatibility witness) when p is
     not a congruence of alg.
     """
-    cong = is_congruence(alg, p)
-    if not cong.holds:
-        raise PreconditionError(f"partition is not a congruence (witness {cong.witness})", witness=cong.witness)
+    require_congruence(alg, p)
     for s in (a, b):
         _check_subset(ApproximationSpace(partition=p), s)
     ctx = _on_demand(p, alg)

@@ -2,9 +2,11 @@
 
 Table enumeration fixes every cell forced by the single-variable axioms
 (C1/C2/C6 pin the diagonal and column zero), then runs a depth-first
-search over the remaining cells in row-major order, re-checking the
-multi-variable axioms on all fully-determined instances after each
-assignment.  Models therefore come out in lexicographic order of the
+search over the remaining cells in row-major order.  After each
+assignment it runs the generators of the multi-variable axioms from
+``algebra.AXIOM_VIOLATIONS`` on the partial table (undetermined cells are
+-1); any instance they yield is violated by every completion, so the
+branch is pruned.  Models therefore come out in lexicographic order of the
 flattened table, raw tables with no isomorphism rejection, and identical
 runs are bit-identical.
 """
@@ -15,7 +17,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .algebra import AxiomId, FiniteAlgebra
+from .algebra import AXIOM_VIOLATIONS, AxiomId, FiniteAlgebra
 from .errors import SearchLimitError, ValidationError
 from .relations import Partition, is_congruence
 from .rough import SUITES, sweep_laws
@@ -96,90 +98,6 @@ def _forced_cells(n: int, axiom_set: tuple[AxiomId, ...], zero: int) -> dict | N
     return forced if ok else None
 
 
-def _partial_checkers(n: int, zero: int, axiom_set, t) -> list[Callable[[], bool]]:
-    """Axiom checkers tolerant of undetermined (-1) cells.
-
-    Each returns False only when some fully-determined instance is
-    violated, so they are safe to run after every partial assignment.
-    """
-    rng = range(n)
-    checkers = []
-
-    if AxiomId.C3 in axiom_set:
-        def check_c3():
-            tz = t[zero]
-            for x in rng:
-                tx = t[x]
-                for y in rng:
-                    a = tx[y]
-                    c = tz[y]
-                    if a < 0 or c < 0:
-                        continue
-                    ta = t[a]
-                    for z in rng:
-                        left = ta[z]
-                        if left < 0:
-                            continue
-                        d = t[z][c]
-                        if d < 0:
-                            continue
-                        right = tx[d]
-                        if right >= 0 and left != right:
-                            return False
-            return True
-        checkers.append(check_c3)
-
-    if AxiomId.C5 in axiom_set:
-        def check_c5():
-            tz = t[zero]
-            for x in rng:
-                tx = t[x]
-                for y in rng:
-                    c = tx[y]
-                    ty = t[y]
-                    for z in rng:
-                        a = ty[z]
-                        if a < 0:
-                            continue
-                        left = tx[a]
-                        if left < 0 or c < 0:
-                            continue
-                        d = tz[z]
-                        if d < 0:
-                            continue
-                        right = t[c][d]
-                        if right >= 0 and left != right:
-                            return False
-            return True
-        checkers.append(check_c5)
-
-    if AxiomId.C4 in axiom_set:
-        def check_c4():
-            for x in rng:
-                for y in rng:
-                    if x != y and t[x][y] == zero and t[y][x] == zero:
-                        return False
-            return True
-        checkers.append(check_c4)
-
-    if AxiomId.C7 in axiom_set:
-        def check_c7():
-            for x in rng:
-                if x == zero:
-                    continue
-                tx = t[x]
-                for y in rng:
-                    if y == zero:
-                        continue
-                    a, b = tx[y], t[y][x]
-                    if a >= 0 and b >= 0 and a != b:
-                        return False
-            return True
-        checkers.append(check_c7)
-
-    return checkers
-
-
 def enumerate_algebras(spec: SearchSpec, sink: Callable[[FiniteAlgebra], None] | None = None) -> int:
     """Count (and optionally emit) every table satisfying the axiom set.
 
@@ -204,13 +122,17 @@ def enumerate_algebras(spec: SearchSpec, sink: Callable[[FiniteAlgebra], None] |
     for (x, y), v in forced.items():
         t[x][y] = v
     cells = [(x, y) for x in range(n) for y in range(n) if (x, y) not in forced]
-    checkers = _partial_checkers(n, zero, spec.axiom_set, t)
+    # the one-variable axioms are settled by the forced cells
+    checks = [gen for a, gen in AXIOM_VIOLATIONS.items() if a in spec.axiom_set and a.arity > 1]
 
     deadline = None if spec.time_budget is None else time.monotonic() + spec.time_budget
     state = {"count": 0, "nodes": 0}
 
     def consistent() -> bool:
-        return all(c() for c in checkers)
+        for violations in checks:
+            for _ in violations(t, zero):
+                return False
+        return True
 
     def visit_leaf():
         state["count"] += 1

@@ -1,5 +1,7 @@
 """FiniteAlgebra construction, axiom checks, classification, set products."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from roughalg import (
     find_identities,
     product_set,
 )
+from roughalg.algebra import AXIOM_VIOLATIONS
 
 import oracles
 from conftest import algebras, subsets
@@ -106,6 +109,39 @@ def test_every_witness_reevaluates_to_a_violation(alg, axiom_name):
     report = check_axiom(alg, AxiomId[axiom_name])
     for w in report.witnesses:
         assert oracles.violates_axiom_at(alg.rows(), axiom_name, w, alg.zero)
+
+
+def _tables(n, values):
+    """Every n x n table with cells drawn from values, as row lists."""
+    for cells in itertools.product(values, repeat=n * n):
+        yield [list(cells[i * n:(i + 1) * n]) for i in range(n)]
+
+
+def test_axiom_generators_match_oracle_exhaustively():
+    # every table of order 1-2 with every zero, every order-3 table with zero 0
+    cases = [(t, z) for n in (1, 2) for t in _tables(n, range(n)) for z in range(n)]
+    cases += [(t, 0) for t in _tables(3, range(3))]
+    for t, zero in cases:
+        for axiom, violations in AXIOM_VIOLATIONS.items():
+            assert list(violations(t, zero)) == oracles.axiom_violations(t, axiom.name, zero), \
+                (t, zero, axiom)
+
+
+def test_axiom_generators_on_partial_tables_yield_only_forced_violations():
+    # the model search prunes a branch on any instance yielded for a table with
+    # undetermined (-1) cells, so every completion must violate that instance
+    for t in _tables(2, (-1, 0, 1)):
+        holes = [(x, y) for x in range(2) for y in range(2) if t[x][y] < 0]
+        completions = []
+        for fill in itertools.product(range(2), repeat=len(holes)):
+            full = [row[:] for row in t]
+            for (x, y), v in zip(holes, fill):
+                full[x][y] = v
+            completions.append(full)
+        for zero, (axiom, violations) in itertools.product(range(2), AXIOM_VIOLATIONS.items()):
+            for w in violations(t, zero):
+                assert all(oracles.violates_axiom_at(c, axiom.name, w, zero) for c in completions), \
+                    (t, zero, axiom, w)
 
 
 # ---------------------------------------------------------------- classify

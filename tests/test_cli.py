@@ -186,6 +186,11 @@ def test_approx_from_ideal(tables_dir, capsys):
     out = capsys.readouterr().out
     # the ideal {0} induces the identity relation: everything is definable
     assert "rough: no (definable)" in out
+    # a subset that is not an ideal is reported as such, before its induced relation
+    assert run(["approx", _fixture(tables_dir, "bo5"), "--ideal", "0,1", "--set", "0"]) == 2
+    assert "{0,1} is not an ideal: membership closure fails at (x=3, y=1)" in capsys.readouterr().err
+    assert run(["approx", _fixture(tables_dir, "bo5"), "--ideal", "1", "--set", "0"]) == 2
+    assert "{1} is not an ideal: zero element 0 is missing" in capsys.readouterr().err
 
 
 def test_approx_selective_flags(tables_dir, capsys):
@@ -254,6 +259,21 @@ def test_verify_prop_32_exhaustive(tables_dir, capsys):
     assert run(["verify", _fixture(tables_dir, "bh4"), "--prop", "3-2", "--exhaustive"]) == 0
     out = capsys.readouterr().out
     assert "upper product law violations: 0" in out
+
+
+def test_verify_prop_32_exhaustive_pinned_partition(tables_dir, capsys):
+    bh4 = _fixture(tables_dir, "bh4")
+    # the incomplete congruence alone: its 57 informational lower-law findings
+    assert run(["verify", bh4, "--prop", "3-2", "--exhaustive", "--partition", "0,1|2|3"]) == 0
+    out = capsys.readouterr().out
+    assert "congruences: 1, subset pairs: 256" in out
+    assert "non-complete congruences: 57" in out
+    # a pinned non-congruence is refused as by the single-pair check
+    assert run(["verify", bh4, "--prop", "3-2", "--exhaustive", "--partition", "0,2|1|3"]) == 2
+    err = capsys.readouterr().err
+    assert run(["verify", bh4, "--prop", "3-2", "--partition", "0,2|1|3", "--set", "0"]) == 2
+    assert err == capsys.readouterr().err
+    assert "error: partition is not a congruence (witness " in err
 
 
 def test_verify_prop_31_exhaustive(tables_dir, capsys):
@@ -352,6 +372,14 @@ def test_format_env_var(tables_dir, capsys, monkeypatch):
     # the flag wins over the environment
     assert run(["identities", _fixture(tables_dir, "b4"), "--format", "text"]) == 0
     assert "two-sided identities" in capsys.readouterr().out
+    # an unknown format in the environment is refused like one given by the flag
+    monkeypatch.setenv("ROUGHALG_FORMAT", "xml")
+    with pytest.raises(SystemExit) as exc:
+        run(["identities", _fixture(tables_dir, "b4")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ROUGHALG_FORMAT: invalid choice: 'xml'" in captured.err
 
 
 def test_json_reports_are_byte_identical(tables_dir, capsys):
