@@ -116,7 +116,7 @@ class AxiomReport:
 
     ``witnesses`` lists violating tuples in lexicographic order; it may be
     truncated by a caller-supplied cap, but the verdict always reflects the
-    full exhaustive check.
+    full exhaustive check.  The fields are keys of ``roughalg check``'s JSON.
     """
 
     axiom: AxiomId
@@ -257,7 +257,7 @@ def classify(alg: FiniteAlgebra, z_variant: str = "literal") -> frozenset[str]:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Left, right and two-sided identity elements of an algebra."""
+    """Left, right and two-sided identity elements; the JSON keys of ``roughalg identities``."""
 
     left: Subset
     right: Subset

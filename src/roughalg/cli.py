@@ -12,7 +12,9 @@ element exactly once, an empty image written as an empty string.
 
 Reports print as text by default or as canonical JSON with ``--format
 json`` (or ROUGHALG_FORMAT=json; the flag wins).  Identical inputs yield
-byte-identical JSON.
+byte-identical JSON.  A JSON report splices the library's own records
+(``AxiomReport``, ``IdentityReport``, ``IdealReport``, ``MorphismReport``):
+their field names are its keys, and ``run`` renders every value once.
 
 Exit codes: 0 all checks passed / query answered; 1 a property is violated
 or a counterexample was found; 2 bad input, bad usage, or exceeded limits.
@@ -37,7 +39,7 @@ from .generalized import SetValuedMap, is_strong_sv_morphism, is_sv_morphism
 from .ideals import is_ideal, is_strong_ideal, enumerate_ideals
 from .relations import (
     Partition,
-    is_complete_congruence,
+    _completeness,
     is_congruence,
     is_equivalence,
     relation_from_ideal,
@@ -314,23 +316,23 @@ def _ideal_failures(r, zero: int) -> list[str]:
 
 def _partition_from_args(args, alg: FiniteAlgebra) -> tuple[Partition, dict]:
     """Resolve --partition / --ideal into a partition, with provenance info."""
-    if getattr(args, "partition", None):
+    if args.partition:
         return parse_partition(args.partition, alg.n), {"relation_source": "partition"}
     ideal_set = parse_subset(args.ideal, alg.n)
     ideal = is_ideal(alg, ideal_set, max_witnesses=1)
     if not ideal.is_ideal:
         reasons = "; ".join(_ideal_failures(ideal, alg.zero))
         raise PreconditionError(f"--ideal {_set_text(ideal_set)} is not an ideal: {reasons}", witness=ideal)
-    rel = relation_from_ideal(alg, ideal_set)
-    report = is_equivalence(rel)
-    if not report.holds:
+    try:
+        partition = to_partition(relation_from_ideal(alg, ideal_set))
+    except PreconditionError as e:
+        r = e.witness
         raise PreconditionError(
             "the relation induced by the ideal is not an equivalence "
-            f"(reflexivity {report.reflexivity}, symmetry {report.symmetry}, "
-            f"transitivity {report.transitivity})",
-            witness=report,
-        )
-    return to_partition(rel), {"relation_source": "ideal", "ideal": sorted(ideal_set)}
+            f"(reflexivity {r.reflexivity}, symmetry {r.symmetry}, transitivity {r.transitivity})",
+            witness=r,
+        ) from None
+    return partition, {"relation_source": "ideal", "ideal": ideal_set}
 
 
 # ---------------------------------------------------------------- subcommands
@@ -351,18 +353,8 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
             more = "" if len(r.witnesses) <= 5 else f" (+{len(r.witnesses) - 5} more)"
             lines.append(f"  {r.axiom.name} [{r.axiom.formula}] fails at {shown}{more}")
     report = {
-        "command": "check",
-        "axioms": [a.name for a in axioms],
-        "label": label,
-        "results": [
-            {
-                "axiom": r.axiom.name,
-                "formula": r.axiom.formula,
-                "holds": r.holds,
-                "witnesses": _jsonable(r.witnesses),
-            }
-            for r in reports
-        ],
+        "command": "check", "axioms": axioms, "label": label,
+        "results": [{**vars(r), "formula": r.axiom.formula} for r in reports],
         "verdict": "pass" if ok else "fail",
     }
     return (0 if ok else 1), report, lines
@@ -376,13 +368,7 @@ def _cmd_identities(args) -> tuple[int, dict, list[str]]:
         f"right identities: {_set_text(ident.right)}",
         f"two-sided identities: {_set_text(ident.two_sided)}",
     ]
-    report = {
-        "command": "identities",
-        "left": _jsonable(ident.left),
-        "right": _jsonable(ident.right),
-        "two_sided": _jsonable(ident.two_sided),
-    }
-    return 0, report, lines
+    return 0, {"command": "identities", **vars(ident)}, lines
 
 
 def _cmd_ideals(args) -> tuple[int, dict, list[str]]:
@@ -390,25 +376,16 @@ def _cmd_ideals(args) -> tuple[int, dict, list[str]]:
     found = enumerate_ideals(alg, strong=args.strong)
     kind = "strong ideals" if args.strong else "ideals"
     lines = [f"{len(found)} {kind}"] + [_set_text(s) for s in found]
-    report = {
-        "command": "ideals",
-        "strong": args.strong,
-        "count": len(found),
-        "ideals": [_jsonable(s) for s in found],
-    }
-    return 0, report, lines
+    return 0, {"command": "ideals", "strong": args.strong, "count": len(found), "ideals": found}, lines
 
 
 def _cmd_congruences(args) -> tuple[int, dict, list[str]]:
     _, alg = _load_algebra(args.file)
-    congs = [(p, is_complete_congruence(alg, p).holds) for p in enumerate_congruences(alg)]
+    congs = [(p, _completeness(alg, p).holds) for p in enumerate_congruences(alg)]
     lines = [f"{len(congs)} congruences"]
     lines += [f"{_partition_text(p)}{'  (complete)' if complete else ''}" for p, complete in congs]
-    report = {
-        "command": "congruences",
-        "count": len(congs),
-        "congruences": [{"partition": _jsonable(p), "complete": complete} for p, complete in congs],
-    }
+    report = {"command": "congruences", "count": len(congs),
+              "congruences": [{"partition": p, "complete": complete} for p, complete in congs]}
     return 0, report, lines
 
 
@@ -431,16 +408,8 @@ def _cmd_approx(args) -> tuple[int, dict, list[str]]:
     if "boundary" in wanted:
         lines.append(f"boundary: {_set_text(bd)}")
     lines.append(f"rough: {'yes' if rough else 'no (definable)'}")
-    report = {
-        "command": "approx",
-        **info,
-        "partition": _jsonable(partition),
-        "set": _jsonable(a),
-        "lower": _jsonable(lo),
-        "upper": _jsonable(hi),
-        "boundary": _jsonable(bd),
-        "rough": rough,
-    }
+    report = {"command": "approx", **info, "partition": partition, "set": a,
+              "lower": lo, "upper": hi, "boundary": bd, "rough": rough}
     return 0, report, lines
 
 
@@ -472,17 +441,9 @@ def _cmd_verify_claim(args, alg: FiniteAlgebra) -> tuple[int, dict, list[str]]:
         subset = parse_subset(args.set, alg.n)
         r = is_strong_ideal(alg, subset) if claim == "strong-ideal" else is_ideal(alg, subset)
         ok = bool(r.is_strong) if claim == "strong-ideal" else r.is_ideal
-        report.update(
-            {
-                "set": _jsonable(subset),
-                "has_zero": r.has_zero,
-                "pair_closed": r.pair_closed,
-                "pair_witnesses": _jsonable(r.pair_witnesses),
-                "triple_closed": r.triple_closed,
-                "triple_witnesses": _jsonable(r.triple_witnesses),
-                "verdict": "pass" if ok else "fail",
-            }
-        )
+        fields = {**vars(r)}
+        fields["set"] = fields.pop("subset")
+        report.update(fields, verdict="pass" if ok else "fail")
         lines.append(f"claim {args.claim} on {_set_text(subset)}: {'holds' if ok else 'FAILS'}")
         lines += ["  " + reason for reason in _ideal_failures(r, alg.zero)]
         return (0 if ok else 1), report, lines
@@ -492,24 +453,18 @@ def _cmd_verify_claim(args, alg: FiniteAlgebra) -> tuple[int, dict, list[str]]:
             raise ParseError(f"--claim {args.claim} requires --partition")
         p = parse_partition(args.partition, alg.n)
         cong = is_congruence(alg, p)
-        report["partition"] = _jsonable(p)
+        report["partition"] = p
         if not cong.holds:
-            report.update({"congruence": False, "witness": _jsonable(cong.witness), "verdict": "fail"})
+            report.update(congruence=False, witness=cong.witness, verdict="fail")
             lines.append(f"claim {args.claim}: FAILS (not a congruence, witness {cong.witness})")
             return 1, report, lines
         if claim == "congruence":
-            report.update({"congruence": True, "verdict": "pass"})
+            report.update(congruence=True, verdict="pass")
             lines.append("claim congruence: holds")
             return 0, report, lines
-        comp = is_complete_congruence(alg, p)
-        report.update(
-            {
-                "congruence": True,
-                "complete": comp.holds,
-                "witness": _jsonable(comp.witness),
-                "verdict": "pass" if comp.holds else "fail",
-            }
-        )
+        comp = _completeness(alg, p)
+        report.update(congruence=True, complete=comp.holds, witness=comp.witness,
+                      verdict="pass" if comp.holds else "fail")
         lines.append(
             "claim complete-congruence: holds" if comp.holds
             else f"claim complete-congruence: FAILS (witness {comp.witness})"
@@ -522,17 +477,9 @@ def _cmd_verify_claim(args, alg: FiniteAlgebra) -> tuple[int, dict, list[str]]:
     subset = parse_subset(args.set, alg.n)
     rel = relation_from_ideal(alg, subset)
     eq = is_equivalence(rel)
-    report.update(
-        {
-            "set": _jsonable(subset),
-            "pairs": sorted(_jsonable(p) for p in rel.pairs),
-            "equivalence": eq.holds,
-            "reflexivity_witness": _jsonable(eq.reflexivity),
-            "symmetry_witness": _jsonable(eq.symmetry),
-            "transitivity_witness": _jsonable(eq.transitivity),
-            "verdict": "pass" if eq.holds else "fail",
-        }
-    )
+    report.update({"set": subset, "pairs": rel.pairs, "equivalence": eq.holds,
+                   "reflexivity_witness": eq.reflexivity, "symmetry_witness": eq.symmetry,
+                   "transitivity_witness": eq.transitivity, "verdict": "pass" if eq.holds else "fail"})
     lines.append(
         f"relation induced by {_set_text(subset)} is "
         + ("an equivalence" if eq.holds else "NOT an equivalence")
@@ -544,8 +491,8 @@ def _cmd_verify_prop_single(args, alg) -> tuple[int, dict, list[str]]:
     partition, info = _partition_from_args(args, alg)
     a = parse_subset(args.set, alg.n) if args.set is not None else Subset.empty(alg.n)
     b = parse_subset(args.set2, alg.n) if args.set2 is not None else a
-    report = {"command": "verify", "prop": args.prop, **info, "partition": _jsonable(partition),
-              "set_a": _jsonable(a), "set_b": _jsonable(b)}
+    report = {"command": "verify", "prop": args.prop, **info, "partition": partition,
+              "set_a": a, "set_b": b}
     if args.prop == "3-2":
         prod = check_congruence_product_laws(alg, partition, a, b)
         results = [prod.upper_inclusion, prod.lower_inclusion]
@@ -569,8 +516,8 @@ def _failure_json(f, witness) -> dict:
 
 def _cmd_verify_prop_exhaustive(args, alg) -> tuple[int, dict, list[str]]:
     report = {"command": "verify", "prop": args.prop, "exhaustive": True}
-    if args.partition:
-        partitions = [parse_partition(args.partition, alg.n)]
+    if args.partition or args.ideal:
+        partitions = [_partition_from_args(args, alg)[0]]
         if args.prop == "3-2":
             require_congruence(alg, partitions[0])
     elif alg.n > 6:
@@ -654,7 +601,7 @@ def _cmd_search(args) -> tuple[int, dict, list[str]]:
 
     if args.find:
         finding = find_counterexample(spec)
-        report = {"command": "search", "order": args.order, "axioms": [a.name for a in axioms],
+        report = {"command": "search", "order": args.order, "axioms": axioms,
                   "target": args.find, "finding": None, "verdict": "pass"}
         if finding is None:
             return 0, report, [f"no counterexample to {args.find} over {header} of order {args.order}"]
@@ -673,13 +620,10 @@ def _cmd_search(args) -> tuple[int, dict, list[str]]:
     models: list[FiniteAlgebra] = []
     sink = models.append if args.emit else None
     count = enumerate_algebras(spec, sink)
-    report = {
-        "command": "search", "order": args.order, "axioms": [a.name for a in axioms],
-        "count": count,
-    }
+    report = {"command": "search", "order": args.order, "axioms": axioms, "count": count}
     lines = [f"models of order {args.order} satisfying {header}: {count}"]
     if args.emit:
-        report["models"] = [_jsonable(m) for m in models]
+        report["models"] = models
         for m in models:
             lines.append("  " + "; ".join(" ".join(map(str, row)) for row in m.table))
     return 0, report, lines
@@ -701,15 +645,8 @@ def _cmd_morphism(args) -> tuple[int, dict, list[str]]:
     ]
     if r.witness is not None:
         lines.append(f"witness: {r.witness}")
-    report = {
-        "command": "morphism",
-        "strong": args.strong,
-        "holds": r.holds,
-        "witness": _jsonable(r.witness),
-        "source_labels": sorted(r.source_labels),
-        "target_labels": sorted(r.target_labels),
-        "verdict": "pass" if r.holds else "fail",
-    }
+    report = {"command": "morphism", "strong": args.strong, **vars(r),
+              "verdict": "pass" if r.holds else "fail"}
     return (0 if r.holds else 1), report, lines
 
 
@@ -806,14 +743,9 @@ def run(argv=None) -> int:
         parser.error(f"ROUGHALG_FORMAT: invalid choice: {fmt!r} (choose from 'text', 'json')")
     try:
         code, report, lines = args.func(args)
-    except SearchLimitError as e:
-        print(f"error: {e} (explored prefix count: {e.count})", file=sys.stderr)
-        return 2
-    except (ParseError, ValidationError, PreconditionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except RoughAlgError as e:
-        print(f"error: {e}", file=sys.stderr)
+        extra = f" (explored prefix count: {e.count})" if isinstance(e, SearchLimitError) else ""
+        print(f"error: {e}{extra}", file=sys.stderr)
         return 2
     if fmt == "json":
         print(json.dumps(_jsonable(report), indent=2, sort_keys=True))

@@ -103,7 +103,8 @@ class MorphismReport:
     For the plain check the witness is (x, y, element) with the element in
     F(x)*F(y) but not F(x*y).  For the strong check a fourth leading field
     names the failing direction: "extra" (product exceeds the image) or
-    "missing" (image exceeds the product).
+    "missing" (image exceeds the product).  The fields are keys of
+    ``roughalg morphism``'s JSON.
     """
 
     holds: bool

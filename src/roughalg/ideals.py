@@ -26,7 +26,8 @@ class IdealReport:
 
     ``triple_closed`` is None when condition (3) was not evaluated (plain
     is_ideal call).  Witness lists are lexicographically ordered and may
-    be capped; each flag always reflects the full exhaustive check.
+    be capped; each flag always reflects the full exhaustive check.  The
+    fields are keys of ``roughalg verify --claim``'s JSON (``subset`` as ``set``).
     """
 
     subset: Subset

@@ -244,6 +244,11 @@ def is_complete_congruence(alg: FiniteAlgebra, p: Partition) -> CheckResult:
     the element lies in [x]*[y] but not [x*y], "missing" the converse.
     """
     require_congruence(alg, p)
+    return _completeness(alg, p)
+
+
+def _completeness(alg: FiniteAlgebra, p: Partition) -> CheckResult:
+    """is_complete_congruence for a p already known to be a congruence of alg."""
     w = image_product_mismatch(alg, alg, [p.classes[i].mask for i in p.class_index], strong=True)
     return CheckResult(w is None, w)
 

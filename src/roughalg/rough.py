@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .algebra import FiniteAlgebra, _low, product_mask
 from .errors import SearchLimitError, ValidationError
-from .relations import Partition, is_complete_congruence, is_congruence, require_congruence
+from .relations import Partition, _completeness, is_congruence, require_congruence
 from .sets import Subset, canonical_subsets
 
 
@@ -267,7 +267,7 @@ def _congruence_note(alg: FiniteAlgebra, p: Partition) -> tuple[bool | None, str
     """(complete, note): completeness is None when p is no congruence of alg."""
     if not is_congruence(alg, p).holds:
         return None, "partition is not a congruence of the algebra"
-    if is_complete_congruence(alg, p).holds:
+    if _completeness(alg, p).holds:
         return True, "partition is a complete congruence of the algebra"
     return False, "partition is a congruence of the algebra, but not complete"
 
@@ -333,7 +333,7 @@ def check_congruence_product_laws(
         _check_subset(ApproximationSpace(partition=p), s)
     ctx = _on_demand(p, alg)
     up, low = (_result(law.id, law, ctx, a, b, None) for _, _, law in SUITES["3-2"])
-    return ProductLawReport(up, low, is_complete_congruence(alg, p).holds)
+    return ProductLawReport(up, low, _completeness(alg, p).holds)
 
 
 # ---------------------------------------------------------------- exhaustive sweeps

@@ -289,6 +289,60 @@ def test_verify_exhaustive_pinned_partition(tables_dir, capsys):
     assert "partitions: 1," in capsys.readouterr().out
 
 
+def test_verify_exhaustive_pinned_ideal(tables_dir, capsys):
+    bh4 = _fixture(tables_dir, "bh4")
+    # the ideal {0,1} induces 0,1|2|3 and pins the sweep to it, as --partition does
+    outs = []
+    for pin in (["--ideal", "0,1"], ["--partition", "0,1|2|3"]):
+        assert run(["verify", bh4, "--prop", "2-1", "--exhaustive", *pin]) == 0
+        outs.append(capsys.readouterr().out)
+    assert "partitions: 1, subset pairs: 256," in outs[0]
+    assert outs[0] == outs[1]
+    # --ideal is resolved as for a single pair: a bad element or a non-ideal exits 2
+    assert run(["verify", bh4, "--prop", "2-1", "--exhaustive", "--ideal", "7"]) == 2
+    assert capsys.readouterr().err == "error: element 7 outside carrier 0..3\n"
+    assert run(["verify", bh4, "--prop", "2-1", "--exhaustive", "--ideal", "1"]) == 2
+    assert "error: --ideal {1} is not an ideal: zero element 0 is missing" in capsys.readouterr().err
+    # for 3-2 the ideal's partition 0,1,2|3 must be a congruence, and it is not
+    assert run(["verify", bh4, "--prop", "3-2", "--exhaustive", "--ideal", "0,1,2"]) == 2
+    assert "error: partition is not a congruence (witness " in capsys.readouterr().err
+
+
+def test_ideal_relation_not_an_equivalence(tmp_path, capsys):
+    # a BH algebra of order 4 where the ideal {0,1,3} relates 1~0 and 0~3 but not 1~3
+    path = tmp_path / "bh4-intransitive.alg"
+    path.write_text("order 4\nzero 0\n0 0 0 0\n1 0 0 0\n2 2 0 2\n3 2 0 0\n")
+    assert run(["approx", str(path), "--ideal", "0,1,3", "--set", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the relation induced by the ideal is not an equivalence "
+        "(reflexivity None, symmetry None, transitivity (1, 0, 3))\n")
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["verify", "bh4", "--prop", "3-2", "--exhaustive"], 18),
+    (["congruences", "bh4"], 15),
+    (["verify", "bh4", "--prop", "3-2", "--partition", "0,1|2|3", "--set", "0"], 1),
+    (["verify", "bh4", "--prop", "2-1", "--exhaustive"], 15),
+    (["verify", "bh4", "--claim", "complete-congruence", "--partition", "0,1|2|3"], 1),
+])
+def test_each_partition_is_checked_for_congruence_once(tables_dir, monkeypatch, capsys, argv, calls):
+    # Bell(4) = 15 partitions of bh4, 3 of them congruences: enumeration checks all 15,
+    # and the 3-2 sweep's per-partition note checks the 3 it is given once more
+    from roughalg import cli, relations, rough, search
+
+    original, seen = relations.is_congruence, []
+
+    def counted(alg, p):
+        seen.append(p)
+        return original(alg, p)
+
+    for module in (relations, rough, search, cli):
+        monkeypatch.setattr(module, "is_congruence", counted)
+    run([argv[0], _fixture(tables_dir, argv[1]), *argv[2:]])
+    capsys.readouterr()
+    assert len(seen) == calls
+
+
 def test_search_count(capsys):
     assert run(["search", "--order", "2", "--axioms", "b", "--count"]) == 0
     assert "1" in capsys.readouterr().out

@@ -4,14 +4,16 @@ Every case is one ``roughalg`` command line; its golden file under
 ``tests/golden/`` holds the exit code on the first line (``exit N``) and
 the exact stdout bytes after it.  The cases cover every README command on
 every fixture in text and JSON, the exhaustive law sweeps (full and with
-one pinned partition), single-pair law suites and one hunt per suite.
+one pinned partition or ideal), single-pair law suites and one hunt per
+suite.
 
 To re-capture after a deliberate change of output, from the repository
 root:
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff of ``tests/golden/``.
+It prints the name of each golden it created, changed or deleted, and the
+number it left unchanged; review the diff of ``tests/golden/``.
 """
 
 import contextlib
@@ -65,6 +67,8 @@ def _fixture_cases(name, n, partition):
             for i, (a, b) in enumerate(_PAIRS):
                 cases[f"prop-{prop}-{part_name}-pair{i}"] = [
                     "verify", path, "--prop", prop, "--partition", part, "--set", a, "--set2", b]
+    cases["prop-2-1-exhaustive-ideal"] = ["verify", path, "--prop", "2-1", "--exhaustive",
+                                          "--ideal", "0"]
     cases["prop-3-1-ideal"] = ["verify", path, "--prop", "3-1", "--ideal", "0", "--set", "0,1",
                                "--set2", "1"]
     cases["prop-2-1-ideal-one-set"] = ["verify", path, "--prop", "2-1", "--ideal", "0", "--set", "1"]
@@ -111,13 +115,23 @@ def run_case(argv) -> str:
 
 
 def capture():
+    """Re-capture every golden; print each one created, changed or deleted."""
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for old in GOLDEN_DIR.glob("*.out"):
+    for old in sorted(GOLDEN_DIR.glob("*.out")):
         if old.stem not in CASES:
             old.unlink()
+            print(f"deleted {old.stem}")
+    unchanged = 0
     for name, argv in CASES.items():
-        (GOLDEN_DIR / f"{name}.out").write_bytes(run_case(argv).encode("utf-8"))
-    print(f"wrote {len(CASES)} golden files to {GOLDEN_DIR}")
+        path = GOLDEN_DIR / f"{name}.out"
+        new = run_case(argv).encode("utf-8")
+        old = path.read_bytes() if path.exists() else None
+        if old == new:
+            unchanged += 1
+            continue
+        path.write_bytes(new)
+        print(f"{'created' if old is None else 'changed'} {name}")
+    print(f"{unchanged} of {len(CASES)} golden files unchanged in {GOLDEN_DIR}")
 
 
 CASES = golden_cases()
