@@ -570,11 +570,11 @@ def _cmd_verify_prop_exhaustive(args, alg) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_verify(args) -> tuple[int, dict, list[str]]:
+    if args.claim and args.exhaustive:
+        raise ParseError("--exhaustive applies to --prop only")
     _, alg = _load_algebra(args.file)
     if args.claim:
         return _cmd_verify_claim(args, alg)
-    if not args.prop:
-        raise ParseError("verify needs either --prop or --claim")
     if args.exhaustive:
         return _cmd_verify_prop_exhaustive(args, alg)
     if not args.partition and not args.ideal:
@@ -585,6 +585,8 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_search(args) -> tuple[int, dict, list[str]]:
+    if args.find and (args.count or args.emit):
+        raise ParseError("--find cannot be combined with --count or --emit")
     label, axioms = _parse_axiom_spec(args.axioms)
     try:
         spec = SearchSpec(
@@ -618,8 +620,7 @@ def _cmd_search(args) -> tuple[int, dict, list[str]]:
         return 1, report, lines
 
     models: list[FiniteAlgebra] = []
-    sink = models.append if args.emit else None
-    count = enumerate_algebras(spec, sink)
+    count = enumerate_algebras(spec, models.append if args.emit else None)
     report = {"command": "search", "order": args.order, "axioms": axioms, "count": count}
     lines = [f"models of order {args.order} satisfying {header}: {count}"]
     if args.emit:
@@ -653,6 +654,12 @@ def _cmd_morphism(args) -> tuple[int, dict, list[str]]:
 # ---------------------------------------------------------------- entry point
 
 _FORMATS = ("text", "json")
+
+
+def _add_relation_args(p: argparse.ArgumentParser, required: bool) -> None:
+    group = p.add_mutually_exclusive_group(required=required)
+    group.add_argument("--partition")
+    group.add_argument("--ideal", help="derive the partition from an ideal-induced relation")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -690,9 +697,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx", parents=[common], help="lower/upper approximations of a set")
     p.add_argument("file")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--partition")
-    group.add_argument("--ideal", help="derive the partition from an ideal-induced relation")
+    _add_relation_args(p, required=True)
     p.add_argument("--set", required=True)
     p.add_argument("--lower", action="store_true")
     p.add_argument("--upper", action="store_true")
@@ -702,13 +707,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="verify law suites or named claims")
     p.add_argument("file")
-    p.add_argument("--prop", choices=("2-1", "3-1", "3-2"), help="law suite id")
-    p.add_argument("--claim", help="named claim: ideal (aliases bh-/bo-/z-ideal), "
-                                   "strong-ideal, congruence, complete-congruence, "
-                                   "equivalence-from-ideal")
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--partition")
-    p.add_argument("--ideal", help="derive the partition from an ideal-induced relation")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--prop", choices=("2-1", "3-1", "3-2"), help="law suite id")
+    group.add_argument("--claim", help="named claim: ideal (aliases bh-/bo-/z-ideal), "
+                                       "strong-ideal, congruence, complete-congruence, "
+                                       "equivalence-from-ideal")
+    p.add_argument("--exhaustive", action="store_true", help="sweep every partition and pair (--prop only)")
+    _add_relation_args(p, required=False)
     p.add_argument("--set")
     p.add_argument("--set2")
     p.set_defaults(func=_cmd_verify)

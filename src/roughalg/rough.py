@@ -381,7 +381,7 @@ def sweep_laws(suite: str, partitions: Sequence[Partition], algebra: FiniteAlgeb
     its first failure.  ``complete`` keeps the partitions whose
     complete-congruence verdict equals it.  ``deadline`` (a
     ``time.monotonic()`` value) is checked once per partition; past it the
-    sweep raises SearchLimitError.
+    sweep raises SearchLimitError counting the partitions swept to the end.
     """
     members = [m for m in SUITES.get(suite, ()) if hunt in (None, m[0])]
     partitions = list(partitions)
@@ -393,9 +393,9 @@ def sweep_laws(suite: str, partitions: Sequence[Partition], algebra: FiniteAlgeb
     sweep = LawSweep(pairs=len(order) ** 2)
     uses_algebra = algebra is not None and (complete is not None or any(m[2].needs_algebra for m in members))
     P = _product_table(algebra) if uses_algebra else None
-    for p in partitions:
+    for swept, p in enumerate(partitions):
         if deadline is not None and time.monotonic() >= deadline:
-            raise SearchLimitError("time budget exceeded", count=0, reason="time")
+            raise SearchLimitError("time budget exceeded", count=swept, reason="time")
         is_complete, note = _congruence_note(algebra, p) if uses_algebra else (None, None)
         if complete is not None and bool(is_complete) != complete:
             continue

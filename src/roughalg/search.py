@@ -1,14 +1,16 @@
 """Exhaustive model search, congruence enumeration, counterexample hunting.
 
-Table enumeration fixes every cell forced by the single-variable axioms
-(C1/C2/C6 pin the diagonal and column zero), then runs a depth-first
-search over the remaining cells in row-major order.  After each
-assignment it runs the generators of the multi-variable axioms from
-``algebra.AXIOM_VIOLATIONS`` on the partial table (undetermined cells are
--1); any instance they yield is violated by every completion, so the
-branch is pruned.  Models therefore come out in lexicographic order of the
-flattened table, raw tables with no isomorphism rejection, and identical
-runs are bit-identical.
+The model search is one stream of tables.  It fixes every cell forced by
+the single-variable axioms (C1/C2/C6 pin the diagonal and column zero),
+then runs a depth-first search over the other cells in row-major order.
+After each assignment it runs the generators of the multi-variable axioms
+from ``algebra.AXIOM_VIOLATIONS`` on the partial table (undetermined cells
+are -1); any instance they yield is violated by every completion, so the
+branch is pruned.  Models come out in lexicographic order of the flattened
+table, raw tables with no isomorphism rejection, and identical runs are
+bit-identical.  Counting, emitting and hunting are loops over the stream.
+A SearchLimitError counts the explored prefix: the models of a count, the
+algebras a hunt swept to the end.
 """
 
 import math
@@ -28,8 +30,8 @@ from .sets import Subset, canonical_subsets
 class SearchSpec:
     """What to search: order, axiom constraints, optional hunt target.
 
-    ``algebras`` bypasses model enumeration and sweeps the given tables
-    instead (used to hunt over fixed fixtures).  ``model_cap`` and
+    ``algebras`` bypasses model enumeration and sweeps the given tables,
+    each of order ``n``, instead (to hunt over fixtures).  ``model_cap`` and
     ``time_budget`` (seconds) stop the search early with a
     SearchLimitError carrying the exact count for the explored prefix.
     """
@@ -48,6 +50,9 @@ class SearchSpec:
         if self.time_budget is not None and not 0 <= self.time_budget < math.inf:
             raise ValidationError(f"time budget must be finite and >= 0, got {self.time_budget}",
                                   "time_budget")
+        for alg in self.algebras or ():
+            if alg.n != self.n:
+                raise ValidationError(f"fixed algebra has order {alg.n}, spec says {self.n}", "algebras")
 
 
 def all_partitions(n: int) -> Iterator[Partition]:
@@ -76,26 +81,74 @@ def canonical_subset_pairs(n: int) -> Iterator[tuple[Subset, Subset]]:
             yield a, b
 
 
-def _forced_cells(n: int, axiom_set: tuple[AxiomId, ...], zero: int) -> dict | None:
-    """Cells pinned by the one-variable axioms; None when they conflict."""
-    forced: dict[tuple[int, int], int] = {}
+def _forced_cells(n: int, axiom_set: tuple[AxiomId, ...], zero: int) -> list[list[int]] | None:
+    """The table with the cells pinned by the one-variable axioms, -1 elsewhere; None on a conflict."""
+    pins = []
+    if AxiomId.C1 in axiom_set:
+        pins += [((x, x), zero) for x in range(n)]
+    if AxiomId.C6 in axiom_set:
+        pins += [((x, x), x) for x in range(n)]
+    if AxiomId.C2 in axiom_set:
+        pins += [((x, zero), x) for x in range(n)]
+    t = [[-1] * n for _ in range(n)]
+    for (x, y), v in pins:
+        if t[x][y] not in (-1, v):
+            return None
+        t[x][y] = v
+    return t
 
-    def put(cell, v):
-        if forced.setdefault(cell, v) != v:
-            return False
+
+def _deadline(spec: SearchSpec) -> float | None:
+    return None if spec.time_budget is None else time.monotonic() + spec.time_budget
+
+
+def _tables(spec: SearchSpec, deadline: float | None) -> Iterator[list[list[int]]]:
+    """The live table at each model, in lexicographic order; it changes on the next step.  The
+    model cap and the deadline raise SearchLimitError counting the tables yielded."""
+    n = spec.n
+    if n < 1:
+        raise ValidationError(f"order must be at least 1, got {n}")
+    if not spec.axiom_set:
+        raise ValidationError("axiom_set must be nonempty for model search")
+    if n > spec.max_order:
+        raise ValidationError(f"order {n} exceeds search limit {spec.max_order}; raise max_order to override")
+    zero = 0
+    t = _forced_cells(n, spec.axiom_set, zero)
+    if t is None:
+        return
+    cells = [(x, y) for x in range(n) for y in range(n) if t[x][y] < 0]
+    # the one-variable axioms are settled by the forced cells
+    checks = [gen for a, gen in AXIOM_VIOLATIONS.items() if a in spec.axiom_set and a.arity > 1]
+
+    def consistent() -> bool:
+        for violations in checks:
+            for _ in violations(t, zero):
+                return False
         return True
 
-    ok = True
-    if AxiomId.C1 in axiom_set:
-        for x in range(n):
-            ok = put((x, x), zero) and ok
-    if AxiomId.C6 in axiom_set:
-        for x in range(n):
-            ok = put((x, x), x) and ok
-    if AxiomId.C2 in axiom_set:
-        for x in range(n):
-            ok = put((x, zero), x) and ok
-    return forced if ok else None
+    if not consistent():
+        return
+    count = nodes = i = 0
+    while i >= 0:  # cells[:i] are a consistent prefix, cells[i] resumes after its value, later cells are -1
+        if i == len(cells):
+            yield t
+            count += 1
+            if spec.model_cap is not None and count >= spec.model_cap:
+                raise SearchLimitError("model cap reached", count=count, reason="model-cap")
+            i -= 1
+            continue
+        x, y = cells[i]
+        for v in range(t[x][y] + 1, n):
+            nodes += 1
+            if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
+                raise SearchLimitError("time budget exceeded", count=count, reason="time")
+            t[x][y] = v
+            if consistent():
+                i += 1
+                break
+        else:
+            t[x][y] = -1
+            i -= 1
 
 
 def enumerate_algebras(spec: SearchSpec, sink: Callable[[FiniteAlgebra], None] | None = None) -> int:
@@ -104,62 +157,12 @@ def enumerate_algebras(spec: SearchSpec, sink: Callable[[FiniteAlgebra], None] |
     Emission order is lexicographic in the flattened table.  Every
     satisfying table is emitted exactly once; no isomorphism rejection.
     """
-    n = spec.n
-    if n < 1:
-        raise ValidationError(f"order must be at least 1, got {n}")
-    if not spec.axiom_set:
-        raise ValidationError("axiom_set must be nonempty for model search")
-    if n > spec.max_order:
-        raise ValidationError(
-            f"order {n} exceeds search limit {spec.max_order}; raise max_order to override"
-        )
-    zero = 0
-    forced = _forced_cells(n, spec.axiom_set, zero)
-    if forced is None:
-        return 0
-
-    t = [[-1] * n for _ in range(n)]
-    for (x, y), v in forced.items():
-        t[x][y] = v
-    cells = [(x, y) for x in range(n) for y in range(n) if (x, y) not in forced]
-    # the one-variable axioms are settled by the forced cells
-    checks = [gen for a, gen in AXIOM_VIOLATIONS.items() if a in spec.axiom_set and a.arity > 1]
-
-    deadline = None if spec.time_budget is None else time.monotonic() + spec.time_budget
-    state = {"count": 0, "nodes": 0}
-
-    def consistent() -> bool:
-        for violations in checks:
-            for _ in violations(t, zero):
-                return False
-        return True
-
-    def visit_leaf():
-        state["count"] += 1
+    count = 0
+    for t in _tables(spec, _deadline(spec)):
+        count += 1
         if sink is not None:
-            sink(FiniteAlgebra(n, [row[:] for row in t], zero))
-        if spec.model_cap is not None and state["count"] >= spec.model_cap:
-            raise SearchLimitError("model cap reached", count=state["count"], reason="model-cap")
-
-    if not consistent():
-        return 0
-
-    def dfs(i: int):
-        if i == len(cells):
-            visit_leaf()
-            return
-        x, y = cells[i]
-        for v in range(n):
-            state["nodes"] += 1
-            if deadline is not None and state["nodes"] % 256 == 0 and time.monotonic() > deadline:
-                raise SearchLimitError("time budget exceeded", count=state["count"], reason="time")
-            t[x][y] = v
-            if consistent():
-                dfs(i + 1)
-            t[x][y] = -1
-
-    dfs(0)
-    return state["count"]
+            sink(FiniteAlgebra(spec.n, t))
+    return count
 
 
 def enumerate_congruences(alg: FiniteAlgebra, max_order: int = 6) -> list[Partition]:
@@ -207,11 +210,6 @@ def _sweep_partitions(alg, spec, deadline):
     return Finding(spec.target, f.witness, alg, f.partition, f.a, f.b, note)
 
 
-class _FoundIt(Exception):
-    def __init__(self, finding):
-        self.finding = finding
-
-
 def find_counterexample(spec: SearchSpec) -> Finding | None:
     """First counterexample to the target property, or None.
 
@@ -220,32 +218,23 @@ def find_counterexample(spec: SearchSpec) -> Finding | None:
     pairs by cardinality then elements; identical specs therefore return
     identical findings.  Targets whose laws never touch the operation
     (the non-product laws) sweep bare partitions and ignore the axiom
-    set; the Finding then carries no algebra.
+    set; the Finding then carries no algebra.  A SearchLimitError counts
+    the algebras swept to the end.
     """
     if spec.target not in TARGETS:
-        raise ValidationError(
-            f"unknown target {spec.target!r}; known: {', '.join(sorted(TARGETS))}"
-        )
-    deadline = None if spec.time_budget is None else time.monotonic() + spec.time_budget
+        raise ValidationError(f"unknown target {spec.target!r}; known: {', '.join(sorted(TARGETS))}")
+    deadline = _deadline(spec)
     if not TARGETS[spec.target].needs_algebra:
-        # the algebra plays no role in these laws; sweep bare partitions
-        return _sweep_partitions(None, spec, deadline)
-    if spec.algebras is not None:
-        for alg in spec.algebras:
-            if alg.n != spec.n:
-                raise ValidationError(f"fixed algebra has order {alg.n}, spec says {spec.n}")
+        algebras = (None,)  # the algebra plays no role in these laws
+    elif spec.algebras is not None:
+        algebras = spec.algebras
+    else:
+        algebras = (FiniteAlgebra(spec.n, t) for t in _tables(spec, deadline))
+    for swept, alg in enumerate(algebras):
+        try:
             finding = _sweep_partitions(alg, spec, deadline)
-            if finding is not None:
-                return finding
-        return None
-
-    def sink(alg):
-        finding = _sweep_partitions(alg, spec, deadline)
+        except SearchLimitError as e:
+            raise SearchLimitError(str(e), count=swept, reason=e.reason) from None
         if finding is not None:
-            raise _FoundIt(finding)
-
-    try:
-        enumerate_algebras(spec, sink)
-    except _FoundIt as e:
-        return e.finding
+            return finding
     return None

@@ -222,6 +222,15 @@ def test_verify_claim_congruence(tables_dir, capsys):
     assert run(["verify", _fixture(tables_dir, "bh4"),
                 "--claim", "complete-congruence", "--partition", "0,1|2|3"]) == 1
     capsys.readouterr()
+    # a claim takes neither --prop nor --exhaustive
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", _fixture(tables_dir, "bh4"), "--claim", "congruence",
+             "--partition", "0,1|2|3", "--prop", "2-1", "--exhaustive"])
+    assert exc.value.code == 2
+    assert "argument --prop: not allowed with argument --claim" in capsys.readouterr().err
+    assert run(["verify", _fixture(tables_dir, "bh4"), "--claim", "congruence",
+                "--partition", "0,1|2|3", "--exhaustive"]) == 2
+    assert capsys.readouterr().err == "error: --exhaustive applies to --prop only\n"
 
 
 def test_verify_prop_single(tables_dir, capsys):
@@ -237,6 +246,12 @@ def test_verify_prop_single_via_ideal_relation(tables_dir, capsys):
                 "--ideal", "0", "--set", "0,1", "--set2", "1"])
     assert code == 0
     assert "law 1" in capsys.readouterr().out
+    # --partition and --ideal are one exclusive choice, as for approx
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", _fixture(tables_dir, "bh4"), "--prop", "2-1",
+             "--partition", "0,1|2|3", "--ideal", "7", "--set", "0"])
+    assert exc.value.code == 2
+    assert "argument --ideal: not allowed with argument --partition" in capsys.readouterr().err
 
 
 def test_verify_claim_json_reports_all_witnesses(tables_dir, capsys):
@@ -355,12 +370,24 @@ def test_search_find(capsys):
     code = run(["search", "--order", "3", "--axioms", "b", "--find", "2-1:1"])
     assert code == 0
     capsys.readouterr()
+    # a hunt neither counts nor emits models
+    for flag in ("--emit", "--count"):
+        assert run(["search", "--order", "3", "--axioms", "bh", "--find", "3-2:1", flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --find cannot be combined with --count or --emit\n"
 
 
 def test_search_limits_exit_2(capsys):
-    code = run(["search", "--order", "3", "--axioms", "bh", "--count", "--limit", "5"])
+    # the explored prefix counts models for --count and algebras swept to the end for --find
+    for argv, count in ((["--count", "--limit", "5"], 5), (["--find", "3-2:1", "--limit", "2"], 2)):
+        assert run(["search", "--order", "3", "--axioms", "bh", *argv]) == 2
+        assert f"prefix count: {count})" in capsys.readouterr().err
+    code = run(["search", "--order", "4", "--axioms", "bh", "--find", "3-2:2-complete", "--budget", "1"])
     assert code == 2
-    assert "prefix count: 5" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: time budget exceeded (explored prefix count: ")
+    assert int(err.split(": ")[-1].rstrip(")\n")) > 0
     code = run(["search", "--order", "4", "--axioms", "bh", "--count", "--budget", "0"])
     assert code == 2
     capsys.readouterr()

@@ -1,6 +1,8 @@
 """Model enumeration, congruence enumeration, counterexample hunts."""
 
 import itertools
+import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,10 @@ from roughalg import (
     enumerate_algebras,
     enumerate_congruences,
     find_counterexample,
+    sweep_laws,
 )
+from roughalg import search
+from roughalg.search import TARGETS
 
 import oracles
 from conftest import algebras
@@ -287,3 +292,49 @@ def test_hunt_time_budget(bh4):
 def test_fixed_algebra_order_mismatch(bh4):
     with pytest.raises(ValidationError):
         find_counterexample(SearchSpec(n=5, target="3-2:1", algebras=(bh4,)))
+    # the spec itself refuses it, for every target
+    with pytest.raises(ValidationError) as exc:
+        SearchSpec(n=5, target="2-1:1", algebras=(bh4,))
+    assert exc.value.field == "algebras"
+    assert str(exc.value) == "fixed algebra has order 4, spec says 5"
+
+
+# ------------------------------------------------------------- limit counts
+
+def test_sweep_laws_counts_the_partitions_swept(bh4, monkeypatch):
+    partitions = list(all_partitions(4))
+    with pytest.raises(SearchLimitError) as exc:
+        sweep_laws("2-1", partitions, bh4, deadline=time.monotonic() - 1)
+    assert (exc.value.count, exc.value.reason) == (0, "time")
+    # the clock reads 0, 1, 2, ... once per partition: it expires at the third
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: next(ticks))
+    with pytest.raises(SearchLimitError) as exc:
+        sweep_laws("2-1", partitions, bh4, deadline=2)
+    assert exc.value.count == 2
+
+
+def test_hunt_limit_counts_the_algebras_swept(bh4, monkeypatch):
+    # the clock expires once the third algebra's congruences are enumerated
+    original, sweeps = search.enumerate_congruences, []
+
+    def counted(alg):
+        sweeps.append(alg)
+        return original(alg)
+
+    monkeypatch.setattr(search, "enumerate_congruences", counted)
+    monkeypatch.setattr(time, "monotonic", lambda: 0.0 if len(sweeps) < 3 else 1e9)
+    spec = SearchSpec(n=4, target="3-2:1", algebras=(bh4,) * 4, time_budget=1.0)
+    with pytest.raises(SearchLimitError) as exc:
+        find_counterexample(spec)
+    assert (exc.value.count, exc.value.reason) == (2, "time")
+    assert len(sweeps) == 3
+
+
+@pytest.mark.parametrize("label", ["B", "BH"])
+def test_hunt_over_the_stream_equals_hunt_over_its_models(label):
+    spec = SearchSpec(n=3, axiom_set=LABEL_AXIOMS[label])
+    models = tuple(_collect(spec))
+    for target in TARGETS:
+        hunted = replace(spec, target=target)
+        assert find_counterexample(hunted) == find_counterexample(replace(hunted, algebras=models))
