@@ -227,7 +227,7 @@ def check_axiom(alg: FiniteAlgebra, axiom: AxiomId, max_witnesses: int | None = 
     the boolean verdict is always exhaustive.
     """
     if max_witnesses is not None and max_witnesses < 1:
-        raise ValidationError("max_witnesses must be at least 1")
+        raise ValidationError(f"max_witnesses must be at least 1, got {max_witnesses}", "max_witnesses")
     if not isinstance(axiom, AxiomId):
         raise ValidationError(f"unknown axiom {axiom!r}")
     holds, witnesses = collect_witnesses(AXIOM_VIOLATIONS[axiom](alg.table, alg.zero), max_witnesses)

@@ -24,6 +24,8 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
+from functools import partial
 
 from .algebra import (
     AxiomId,
@@ -272,13 +274,13 @@ def _law_result_text(r: LawResult) -> str:
 
 # ---------------------------------------------------------------- helpers
 
-def _load_algebra(path: str) -> tuple[str | None, FiniteAlgebra]:
+def _load_algebra(path: str) -> FiniteAlgebra:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
-    return parse_algebra_file(text)
+    return parse_algebra(text)
 
 
 _AXIOM_BY_NAME = {a.name.lower(): a for a in AxiomId}
@@ -316,9 +318,10 @@ def _ideal_failures(r, zero: int) -> list[str]:
 
 def _partition_from_args(args, alg: FiniteAlgebra) -> tuple[Partition, dict]:
     """Resolve --partition / --ideal into a partition, with provenance info."""
-    if args.partition:
-        return parse_partition(args.partition, alg.n), {"relation_source": "partition"}
-    ideal_set = parse_subset(args.ideal, alg.n)
+    source, text = args.relation
+    if source == "partition":
+        return parse_partition(text, alg.n), {"relation_source": source}
+    ideal_set = parse_subset(text, alg.n)
     ideal = is_ideal(alg, ideal_set, max_witnesses=1)
     if not ideal.is_ideal:
         reasons = "; ".join(_ideal_failures(ideal, alg.zero))
@@ -332,13 +335,15 @@ def _partition_from_args(args, alg: FiniteAlgebra) -> tuple[Partition, dict]:
             f"(reflexivity {r.reflexivity}, symmetry {r.symmetry}, transitivity {r.transitivity})",
             witness=r,
         ) from None
-    return partition, {"relation_source": "ideal", "ideal": ideal_set}
+    return partition, {"relation_source": source, "ideal": ideal_set}
 
 
 # ---------------------------------------------------------------- subcommands
+# Each takes the parsed arguments and the algebra of args.file (None for
+# search) and returns its report and its text lines; run() derives the exit
+# code from the report's verdict.
 
-def _cmd_check(args) -> tuple[int, dict, list[str]]:
-    _, alg = _load_algebra(args.file)
+def _cmd_check(args, alg) -> tuple[dict, list[str]]:
     label, axioms = _parse_axiom_spec(args.axioms)
     reports = [check_axiom(alg, a, max_witnesses=args.max_witnesses) for a in axioms]
     ok = all(r.holds for r in reports)
@@ -357,40 +362,36 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
         "results": [{**vars(r), "formula": r.axiom.formula} for r in reports],
         "verdict": "pass" if ok else "fail",
     }
-    return (0 if ok else 1), report, lines
+    return report, lines
 
 
-def _cmd_identities(args) -> tuple[int, dict, list[str]]:
-    _, alg = _load_algebra(args.file)
+def _cmd_identities(args, alg) -> tuple[dict, list[str]]:
     ident = find_identities(alg)
     lines = [
         f"left identities: {_set_text(ident.left)}",
         f"right identities: {_set_text(ident.right)}",
         f"two-sided identities: {_set_text(ident.two_sided)}",
     ]
-    return 0, {"command": "identities", **vars(ident)}, lines
+    return {"command": "identities", **vars(ident)}, lines
 
 
-def _cmd_ideals(args) -> tuple[int, dict, list[str]]:
-    _, alg = _load_algebra(args.file)
+def _cmd_ideals(args, alg) -> tuple[dict, list[str]]:
     found = enumerate_ideals(alg, strong=args.strong)
     kind = "strong ideals" if args.strong else "ideals"
     lines = [f"{len(found)} {kind}"] + [_set_text(s) for s in found]
-    return 0, {"command": "ideals", "strong": args.strong, "count": len(found), "ideals": found}, lines
+    return {"command": "ideals", "strong": args.strong, "count": len(found), "ideals": found}, lines
 
 
-def _cmd_congruences(args) -> tuple[int, dict, list[str]]:
-    _, alg = _load_algebra(args.file)
+def _cmd_congruences(args, alg) -> tuple[dict, list[str]]:
     congs = [(p, _completeness(alg, p).holds) for p in enumerate_congruences(alg)]
     lines = [f"{len(congs)} congruences"]
     lines += [f"{_partition_text(p)}{'  (complete)' if complete else ''}" for p, complete in congs]
     report = {"command": "congruences", "count": len(congs),
               "congruences": [{"partition": p, "complete": complete} for p, complete in congs]}
-    return 0, report, lines
+    return report, lines
 
 
-def _cmd_approx(args) -> tuple[int, dict, list[str]]:
-    _, alg = _load_algebra(args.file)
+def _cmd_approx(args, alg) -> tuple[dict, list[str]]:
     partition, info = _partition_from_args(args, alg)
     space = ApproximationSpace(partition=partition, algebra=alg)
     a = parse_subset(args.set, alg.n)
@@ -410,89 +411,52 @@ def _cmd_approx(args) -> tuple[int, dict, list[str]]:
     lines.append(f"rough: {'yes' if rough else 'no (definable)'}")
     report = {"command": "approx", **info, "partition": partition, "set": a,
               "lower": lo, "upper": hi, "boundary": bd, "rough": rough}
-    return 0, report, lines
+    return report, lines
 
 
-_CLAIM_ALIASES = {
-    "ideal": "ideal",
-    "bh-ideal": "ideal",
-    "bo-ideal": "ideal",
-    "z-ideal": "ideal",
-    "strong-ideal": "strong-ideal",
-    "congruence": "congruence",
-    "complete-congruence": "complete-congruence",
-    "equivalence-from-ideal": "equivalence-from-ideal",
-}
+def _verify_ideal(args, alg, strong=False) -> tuple[dict, list[str]]:
+    subset = parse_subset(args.set, alg.n)
+    r = is_strong_ideal(alg, subset) if strong else is_ideal(alg, subset)
+    ok = bool(r.is_strong) if strong else r.is_ideal
+    report = {**vars(r), "verdict": "pass" if ok else "fail"}
+    report["set"] = report.pop("subset")
+    lines = [f"claim {args.claim} on {_set_text(subset)}: {'holds' if ok else 'FAILS'}"]
+    lines += ["  " + reason for reason in _ideal_failures(r, alg.zero)]
+    return report, lines
 
 
-def _cmd_verify_claim(args, alg: FiniteAlgebra) -> tuple[int, dict, list[str]]:
-    claim = _CLAIM_ALIASES.get(args.claim)
-    if claim is None:
-        raise ParseError(
-            f"unknown claim {args.claim!r}; known: {', '.join(sorted(_CLAIM_ALIASES))}"
-        )
-    labels = sorted(classify(alg))
-    report: dict = {"command": "verify", "claim": args.claim, "algebra_labels": labels}
-    lines: list[str] = []
+def _verify_congruence(args, alg, complete=False) -> tuple[dict, list[str]]:
+    p = parse_partition(args.relation[1], alg.n)
+    cong = is_congruence(alg, p)
+    report = {"partition": p, "congruence": cong.holds}
+    if not cong.holds:
+        report.update(witness=cong.witness, verdict="fail")
+        return report, [f"claim {args.claim}: FAILS (not a congruence, witness {cong.witness})"]
+    if not complete:
+        report["verdict"] = "pass"
+        return report, [f"claim {args.claim}: holds"]
+    comp = _completeness(alg, p)
+    report.update(complete=comp.holds, witness=comp.witness, verdict="pass" if comp.holds else "fail")
+    return report, [f"claim {args.claim}: holds" if comp.holds
+                    else f"claim {args.claim}: FAILS (witness {comp.witness})"]
 
-    if claim in ("ideal", "strong-ideal"):
-        if args.set is None:
-            raise ParseError(f"--claim {args.claim} requires --set")
-        subset = parse_subset(args.set, alg.n)
-        r = is_strong_ideal(alg, subset) if claim == "strong-ideal" else is_ideal(alg, subset)
-        ok = bool(r.is_strong) if claim == "strong-ideal" else r.is_ideal
-        fields = {**vars(r)}
-        fields["set"] = fields.pop("subset")
-        report.update(fields, verdict="pass" if ok else "fail")
-        lines.append(f"claim {args.claim} on {_set_text(subset)}: {'holds' if ok else 'FAILS'}")
-        lines += ["  " + reason for reason in _ideal_failures(r, alg.zero)]
-        return (0 if ok else 1), report, lines
 
-    if claim in ("congruence", "complete-congruence"):
-        if args.partition is None:
-            raise ParseError(f"--claim {args.claim} requires --partition")
-        p = parse_partition(args.partition, alg.n)
-        cong = is_congruence(alg, p)
-        report["partition"] = p
-        if not cong.holds:
-            report.update(congruence=False, witness=cong.witness, verdict="fail")
-            lines.append(f"claim {args.claim}: FAILS (not a congruence, witness {cong.witness})")
-            return 1, report, lines
-        if claim == "congruence":
-            report.update(congruence=True, verdict="pass")
-            lines.append("claim congruence: holds")
-            return 0, report, lines
-        comp = _completeness(alg, p)
-        report.update(congruence=True, complete=comp.holds, witness=comp.witness,
-                      verdict="pass" if comp.holds else "fail")
-        lines.append(
-            "claim complete-congruence: holds" if comp.holds
-            else f"claim complete-congruence: FAILS (witness {comp.witness})"
-        )
-        return (0 if comp.holds else 1), report, lines
-
-    # equivalence-from-ideal
-    if args.set is None:
-        raise ParseError("--claim equivalence-from-ideal requires --set")
+def _verify_equivalence(args, alg) -> tuple[dict, list[str]]:
     subset = parse_subset(args.set, alg.n)
     rel = relation_from_ideal(alg, subset)
     eq = is_equivalence(rel)
-    report.update({"set": subset, "pairs": rel.pairs, "equivalence": eq.holds,
-                   "reflexivity_witness": eq.reflexivity, "symmetry_witness": eq.symmetry,
-                   "transitivity_witness": eq.transitivity, "verdict": "pass" if eq.holds else "fail"})
-    lines.append(
-        f"relation induced by {_set_text(subset)} is "
-        + ("an equivalence" if eq.holds else "NOT an equivalence")
-    )
-    return (0 if eq.holds else 1), report, lines
+    report = {"set": subset, "pairs": rel.pairs, "equivalence": eq.holds,
+              "reflexivity_witness": eq.reflexivity, "symmetry_witness": eq.symmetry,
+              "transitivity_witness": eq.transitivity, "verdict": "pass" if eq.holds else "fail"}
+    return report, [f"relation induced by {_set_text(subset)} is "
+                    + ("an equivalence" if eq.holds else "NOT an equivalence")]
 
 
-def _cmd_verify_prop_single(args, alg) -> tuple[int, dict, list[str]]:
+def _verify_prop(args, alg) -> tuple[dict, list[str]]:
     partition, info = _partition_from_args(args, alg)
-    a = parse_subset(args.set, alg.n) if args.set is not None else Subset.empty(alg.n)
+    a = parse_subset(args.set, alg.n)
     b = parse_subset(args.set2, alg.n) if args.set2 is not None else a
-    report = {"command": "verify", "prop": args.prop, **info, "partition": partition,
-              "set_a": a, "set_b": b}
+    report = {**info, "partition": partition, "set_a": a, "set_b": b}
     if args.prop == "3-2":
         prod = check_congruence_product_laws(alg, partition, a, b)
         results = [prod.upper_inclusion, prod.lower_inclusion]
@@ -507,16 +471,16 @@ def _cmd_verify_prop_single(args, alg) -> tuple[int, dict, list[str]]:
     if args.prop == "3-2":
         lines.append(f"congruence complete: {'yes' if prod.congruence_complete else 'no'}")
     report.update(results=[vars(r) for r in results], verdict="pass" if ok else "fail")
-    return (0 if ok else 1), report, lines
+    return report, lines
 
 
 def _failure_json(f, witness) -> dict:
     return {"partition": f.partition, "a": f.a, "b": f.b, "witness": witness}
 
 
-def _cmd_verify_prop_exhaustive(args, alg) -> tuple[int, dict, list[str]]:
-    report = {"command": "verify", "prop": args.prop, "exhaustive": True}
-    if args.partition or args.ideal:
+def _verify_prop_exhaustive(args, alg) -> tuple[dict, list[str]]:
+    report = {"exhaustive": True}
+    if args.relation:
         partitions = [_partition_from_args(args, alg)[0]]
         if args.prop == "3-2":
             require_congruence(alg, partitions[0])
@@ -566,39 +530,60 @@ def _cmd_verify_prop_exhaustive(args, alg) -> tuple[int, dict, list[str]]:
                       measurements=measurements)
     lines.append(f"verdict: {'pass' if ok else 'fail'}")
     report["verdict"] = "pass" if ok else "fail"
-    return (0 if ok else 1), report, lines
+    return report, lines
 
 
-def _cmd_verify(args) -> tuple[int, dict, list[str]]:
+# verify's modes: each claim (with its aliases), --prop on one pair and --prop
+# --exhaustive -> its handler, the flags it requires (one of each group) and
+# the flags it may also read.  It reads no other --partition/--ideal/--set/--set2.
+_VerifyMode = namedtuple("_VerifyMode", "handler required optional")
+_IDEAL = _VerifyMode(_verify_ideal, [("--set",)], ())
+_VERIFY_MODES = {
+    "--claim ideal": _IDEAL,
+    "--claim bh-ideal": _IDEAL,
+    "--claim bo-ideal": _IDEAL,
+    "--claim z-ideal": _IDEAL,
+    "--claim strong-ideal": _VerifyMode(partial(_verify_ideal, strong=True), [("--set",)], ()),
+    "--claim congruence": _VerifyMode(_verify_congruence, [("--partition",)], ()),
+    "--claim complete-congruence": _VerifyMode(partial(_verify_congruence, complete=True),
+                                               [("--partition",)], ()),
+    "--claim equivalence-from-ideal": _VerifyMode(_verify_equivalence, [("--set",)], ()),
+    "--prop": _VerifyMode(_verify_prop, [("--partition", "--ideal"), ("--set",)], ("--set2",)),
+    "--prop --exhaustive": _VerifyMode(_verify_prop_exhaustive, [], ("--partition", "--ideal")),
+}
+
+
+def _cmd_verify(args, alg) -> tuple[dict, list[str]]:
     if args.claim and args.exhaustive:
         raise ParseError("--exhaustive applies to --prop only")
-    _, alg = _load_algebra(args.file)
+    name = f"--claim {args.claim}" if args.claim else "--prop --exhaustive" if args.exhaustive else "--prop"
+    handler, required, optional = _VERIFY_MODES[name]
+    given = {f"--{args.relation[0]}"} if args.relation else set()
+    given |= {flag for flag in ("--set", "--set2") if getattr(args, flag[2:]) is not None}
+    unread = sorted(given.difference(optional, *required))
+    if unread:
+        raise ParseError(f"{name} does not read {', '.join(unread)}")
+    for group in required:
+        if given.isdisjoint(group):
+            raise ParseError(f"{name} requires {' or '.join(group)}")
+    report, lines = handler(args, alg)
     if args.claim:
-        return _cmd_verify_claim(args, alg)
-    if args.exhaustive:
-        return _cmd_verify_prop_exhaustive(args, alg)
-    if not args.partition and not args.ideal:
-        raise ParseError("verify --prop without --exhaustive needs --partition or --ideal")
-    if args.set is None:
-        raise ParseError("verify --prop without --exhaustive needs --set (and optionally --set2)")
-    return _cmd_verify_prop_single(args, alg)
+        return {"command": "verify", "claim": args.claim, "algebra_labels": sorted(classify(alg)),
+                **report}, lines
+    return {"command": "verify", "prop": args.prop, **report}, lines
 
 
-def _cmd_search(args) -> tuple[int, dict, list[str]]:
+def _cmd_search(args, _) -> tuple[dict, list[str]]:
     if args.find and (args.count or args.emit):
         raise ParseError("--find cannot be combined with --count or --emit")
     label, axioms = _parse_axiom_spec(args.axioms)
-    try:
-        spec = SearchSpec(
-            n=args.order,
-            axiom_set=axioms,
-            target=args.find,
-            model_cap=args.limit,
-            time_budget=args.budget,
-        )
-    except ValidationError as e:  # only the two limits are checked here
-        flag = {"model_cap": "--limit", "time_budget": "--budget"}[e.field]
-        raise ValidationError(f"{flag}: {e}", e.field) from None
+    spec = SearchSpec(
+        n=args.order,
+        axiom_set=axioms,
+        target=args.find,
+        model_cap=args.limit,
+        time_budget=args.budget,
+    )
     header = label if label else ",".join(a.name for a in axioms)
 
     if args.find:
@@ -606,7 +591,7 @@ def _cmd_search(args) -> tuple[int, dict, list[str]]:
         report = {"command": "search", "order": args.order, "axioms": axioms,
                   "target": args.find, "finding": None, "verdict": "pass"}
         if finding is None:
-            return 0, report, [f"no counterexample to {args.find} over {header} of order {args.order}"]
+            return report, [f"no counterexample to {args.find} over {header} of order {args.order}"]
         report.update(verdict="fail", finding={
             "algebra": finding.algebra, "partition": finding.partition, "a": finding.subset_a,
             "b": finding.subset_b, "witness": finding.witness, "note": finding.note})
@@ -617,7 +602,7 @@ def _cmd_search(args) -> tuple[int, dict, list[str]]:
             f"  A={_set_text(finding.subset_a)} B={_set_text(finding.subset_b)}",
             f"  witness: {finding.witness}" + (f"  [{finding.note}]" if finding.note else ""),
         ]
-        return 1, report, lines
+        return report, lines
 
     models: list[FiniteAlgebra] = []
     count = enumerate_algebras(spec, models.append if args.emit else None)
@@ -627,14 +612,11 @@ def _cmd_search(args) -> tuple[int, dict, list[str]]:
         report["models"] = models
         for m in models:
             lines.append("  " + "; ".join(" ".join(map(str, row)) for row in m.table))
-    return 0, report, lines
+    return report, lines
 
 
-def _cmd_morphism(args) -> tuple[int, dict, list[str]]:
-    _, source = _load_algebra(args.file)
-    target = source
-    if args.target:
-        _, target = _load_algebra(args.target)
+def _cmd_morphism(args, source) -> tuple[dict, list[str]]:
+    target = _load_algebra(args.target) if args.target else source
     f = parse_svmap(args.map, source.n, target.n)
     check = is_strong_sv_morphism if args.strong else is_sv_morphism
     r = check(f, source, target)
@@ -648,7 +630,7 @@ def _cmd_morphism(args) -> tuple[int, dict, list[str]]:
         lines.append(f"witness: {r.witness}")
     report = {"command": "morphism", "strong": args.strong, **vars(r),
               "verdict": "pass" if r.holds else "fail"}
-    return (0 if r.holds else 1), report, lines
+    return report, lines
 
 
 # ---------------------------------------------------------------- entry point
@@ -657,9 +639,12 @@ _FORMATS = ("text", "json")
 
 
 def _add_relation_args(p: argparse.ArgumentParser, required: bool) -> None:
+    # either flag stores (its name, its text) as args.relation
     group = p.add_mutually_exclusive_group(required=required)
-    group.add_argument("--partition")
-    group.add_argument("--ideal", help="derive the partition from an ideal-induced relation")
+    group.add_argument("--partition", dest="relation", metavar="PARTITION",
+                       type=lambda text: ("partition", text))
+    group.add_argument("--ideal", dest="relation", metavar="IDEAL", type=lambda text: ("ideal", text),
+                       help="derive the partition from an ideal-induced relation")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -708,10 +693,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="verify law suites or named claims")
     p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--prop", choices=("2-1", "3-1", "3-2"), help="law suite id")
-    group.add_argument("--claim", help="named claim: ideal (aliases bh-/bo-/z-ideal), "
-                                       "strong-ideal, congruence, complete-congruence, "
-                                       "equivalence-from-ideal")
+    group.add_argument("--prop", choices=tuple(SUITES), help="law suite id")
+    claims = [mode.removeprefix("--claim ") for mode in _VERIFY_MODES if mode.startswith("--claim ")]
+    group.add_argument("--claim", choices=claims, help="named claim")
     p.add_argument("--exhaustive", action="store_true", help="sweep every partition and pair (--prop only)")
     _add_relation_args(p, required=False)
     p.add_argument("--set")
@@ -739,25 +723,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the library fields a flag sets, to name the flag in an error message
+_FLAG_OF_FIELD = {"n": "--order", "model_cap": "--limit", "time_budget": "--budget",
+                  "max_witnesses": "--max-witnesses"}
+
+
 def run(argv=None) -> int:
-    """Parse arguments, run one subcommand, print its report."""
+    """Parse arguments, load the algebra file, run one subcommand, print its report.
+
+    Returns 2 on any RoughAlgError, else 1 exactly when the verdict is "fail".
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
     fmt = args.format or os.environ.get("ROUGHALG_FORMAT", "text")
     if fmt not in _FORMATS:
         parser.error(f"ROUGHALG_FORMAT: invalid choice: {fmt!r} (choose from 'text', 'json')")
     try:
-        code, report, lines = args.func(args)
+        report, lines = args.func(args, _load_algebra(args.file) if "file" in args else None)
     except RoughAlgError as e:
+        flag = _FLAG_OF_FIELD.get(getattr(e, "field", None))
+        where = f"{flag}: " if flag else ""
         extra = f" (explored prefix count: {e.count})" if isinstance(e, SearchLimitError) else ""
-        print(f"error: {e}{extra}", file=sys.stderr)
+        print(f"error: {where}{e}{extra}", file=sys.stderr)
         return 2
     if fmt == "json":
         print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
     else:
         for line in lines:
             print(line)
-    return code
+    return 1 if report.get("verdict") == "fail" else 0
 
 
 def main(argv=None) -> int:

@@ -31,7 +31,8 @@ class SearchSpec:
     """What to search: order, axiom constraints, optional hunt target.
 
     ``algebras`` bypasses model enumeration and sweeps the given tables,
-    each of order ``n``, instead (to hunt over fixtures).  ``model_cap`` and
+    each of order ``n``, instead (to hunt over fixtures).  ``max_order``
+    bounds ``n`` unless such a hunt reads only those tables.  ``model_cap`` and
     ``time_budget`` (seconds) stop the search early with a
     SearchLimitError carrying the exact count for the explored prefix.
     """
@@ -45,6 +46,11 @@ class SearchSpec:
     max_order: int = 5
 
     def __post_init__(self):
+        # only a hunt whose laws read the fixed algebras enumerates nothing of order n
+        fixed = self.algebras is not None and self.target in TARGETS and TARGETS[self.target].needs_algebra
+        if not fixed and not 1 <= self.n <= self.max_order:
+            raise ValidationError(f"order {self.n} is outside the search limit 1..{self.max_order}; "
+                                  "raise max_order to override", "n")
         if self.model_cap is not None and self.model_cap < 1:
             raise ValidationError(f"model cap must be at least 1, got {self.model_cap}", "model_cap")
         if self.time_budget is not None and not 0 <= self.time_budget < math.inf:
@@ -106,12 +112,8 @@ def _tables(spec: SearchSpec, deadline: float | None) -> Iterator[list[list[int]
     """The live table at each model, in lexicographic order; it changes on the next step.  The
     model cap and the deadline raise SearchLimitError counting the tables yielded."""
     n = spec.n
-    if n < 1:
-        raise ValidationError(f"order must be at least 1, got {n}")
     if not spec.axiom_set:
         raise ValidationError("axiom_set must be nonempty for model search")
-    if n > spec.max_order:
-        raise ValidationError(f"order {n} exceeds search limit {spec.max_order}; raise max_order to override")
     zero = 0
     t = _forced_cells(n, spec.axiom_set, zero)
     if t is None:

@@ -1,6 +1,7 @@
 """File formats, parsing errors, subcommand behavior, exit codes, reports."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -178,6 +179,9 @@ def test_approx_subcommand(tables_dir, capsys):
     assert "upper: {0,1}" in out
     assert "boundary: {0,1}" in out
     assert "rough: yes" in out
+    # "" is a partition with one empty class: refused, not a crash
+    assert run(["approx", _fixture(tables_dir, "bo5"), "--partition", "", "--set", "0"]) == 2
+    assert capsys.readouterr().err == "error: bad partition '': empty class is not allowed\n"
 
 
 def test_approx_from_ideal(tables_dir, capsys):
@@ -214,6 +218,14 @@ def test_verify_claim_regressions(tables_dir, capsys):
     assert "x=3, y=1" in out
     assert run(["verify", _fixture(tables_dir, "bh4"),
                 "--claim", "ideal", "--set", "0,1"]) == 0
+    capsys.readouterr()
+    # an unknown claim is a usage error
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", _fixture(tables_dir, "bh4"), "--claim", "bh-ideals", "--set", "0,1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --claim: invalid choice: 'bh-ideals'" in captured.err
 
 
 def test_verify_claim_congruence(tables_dir, capsys):
@@ -252,6 +264,45 @@ def test_verify_prop_single_via_ideal_relation(tables_dir, capsys):
              "--partition", "0,1|2|3", "--ideal", "7", "--set", "0"])
     assert exc.value.code == 2
     assert "argument --ideal: not allowed with argument --partition" in capsys.readouterr().err
+
+
+# each verify mode: the flags of a minimal call, then the other flags it reads
+_VERIFY_MODES = {
+    "--claim ideal": (["--set"], []),
+    "--claim bh-ideal": (["--set"], []),
+    "--claim bo-ideal": (["--set"], []),
+    "--claim z-ideal": (["--set"], []),
+    "--claim strong-ideal": (["--set"], []),
+    "--claim equivalence-from-ideal": (["--set"], []),
+    "--claim congruence": (["--partition"], []),
+    "--claim complete-congruence": (["--partition"], []),
+    "--prop 2-1": (["--partition", "--set"], ["--ideal", "--set2"]),
+    "--prop 2-1 --exhaustive": ([], ["--partition", "--ideal"]),
+}
+_FLAG_VALUES = {"--partition": "0,1|2|3", "--ideal": "0,1", "--set": "0", "--set2": "1"}
+
+
+@pytest.mark.parametrize("flag", list(_FLAG_VALUES))
+@pytest.mark.parametrize("mode", list(_VERIFY_MODES))
+def test_verify_mode_reads_only_its_flags(tables_dir, capsys, mode, flag):
+    minimal, optional = _VERIFY_MODES[mode]
+
+    def call(flags):
+        argv = ["verify", _fixture(tables_dir, "bh4"), *mode.split()]
+        for f in flags:
+            argv += [f, _FLAG_VALUES[f]]
+        return run(argv), capsys.readouterr()
+
+    # --ideal takes the place of --partition, which argparse refuses beside it
+    others = [f for f in minimal if f != flag and (f, flag) != ("--partition", "--ideal")]
+    if flag in optional:
+        assert call(others + [flag])[0] in (0, 1)
+        return
+    # a required flag left out, or a flag the mode does not read, exits 2 naming the flag
+    code, captured = call(others if flag in minimal else others + [flag])
+    assert code == 2
+    assert captured.out == ""
+    assert re.search(rf"{flag}\b", captured.err)
 
 
 def test_verify_claim_json_reports_all_witnesses(tables_dir, capsys):
@@ -302,6 +353,12 @@ def test_verify_exhaustive_pinned_partition(tables_dir, capsys):
                 "--exhaustive", "--partition", "0,1|2|3|4"])
     assert code == 0
     assert "partitions: 1," in capsys.readouterr().out
+    # an empty --partition pins the sweep like any other, and is refused
+    assert run(["verify", _fixture(tables_dir, "bo5"), "--prop", "2-1", "--exhaustive",
+                "--partition", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad partition '': empty class is not allowed\n"
 
 
 def test_verify_exhaustive_pinned_ideal(tables_dir, capsys):
@@ -400,12 +457,23 @@ def test_search_limits_exit_2(capsys):
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flag}: ")
         assert "prefix count" not in captured.err
+    # the order guard holds for hunts that sweep partitions alone: refused before the budget starts
+    code = run(["search", "--order", "9", "--axioms", "b", "--find", "3-1:3", "--budget", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --order: order 9 ")
 
 
 def test_check_max_witnesses_flag(tables_dir, capsys):
     code = run(["check", _fixture(tables_dir, "z4"), "--axioms", "c1", "--max-witnesses", "1"])
     assert code == 1
     capsys.readouterr()
+    code = run(["check", _fixture(tables_dir, "z4"), "--axioms", "c1", "--max-witnesses", "0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-witnesses: max_witnesses must be at least 1, got 0\n"
 
 
 def test_morphism_subcommand(tables_dir, capsys):

@@ -18,6 +18,7 @@ number it left unchanged; review the diff of ``tests/golden/``.
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,19 @@ def test_golden(name):
     argv = CASES[name]
     want = (GOLDEN_DIR / f"{name}.out").read_bytes()
     assert run_case(argv).encode("utf-8") == want
+
+
+@pytest.mark.parametrize("name", sorted({name.rsplit("-", 1)[0] for name in CASES}))
+def test_exit_code_follows_the_verdict(name):
+    # exit 1 exactly on a "fail" verdict, exit 2 with nothing on stdout, one code for both formats
+    (code, json_out), (text_code, text_out) = (
+        (GOLDEN_DIR / f"{name}-{fmt}.out").read_text(encoding="utf-8").split("\n", 1)
+        for fmt in ("json", "text"))
+    assert code == text_code
+    if code == "exit 2":
+        assert json_out == text_out == ""
+    else:
+        assert code == ("exit 1" if json.loads(json_out).get("verdict") == "fail" else "exit 0")
 
 
 def test_every_golden_file_has_a_case():

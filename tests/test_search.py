@@ -162,6 +162,21 @@ def test_order_guard():
         enumerate_algebras(SearchSpec(n=6, axiom_set=B_AXIOMS))
     with pytest.raises(ValidationError):
         enumerate_algebras(SearchSpec(n=2, axiom_set=()))
+    # hunts whose laws ignore the algebra sweep every partition of order n: Bell(9) x 4^9 pairs
+    for target in ("2-1:1", "3-1:3"):
+        with pytest.raises(ValidationError) as exc:
+            find_counterexample(SearchSpec(n=9, axiom_set=B_AXIOMS, target=target, time_budget=1))
+        assert exc.value.field == "n"
+    for n in (0, 6):
+        with pytest.raises(ValidationError) as exc:
+            SearchSpec(n=n, axiom_set=B_AXIOMS)
+        assert exc.value.field == "n"
+    # a hunt over fixed algebras sweeps their congruences and enumerates nothing of order n
+    z6 = FiniteAlgebra(6, [[(x - y) % 6 for y in range(6)] for x in range(6)])
+    assert find_counterexample(SearchSpec(n=6, target="3-2:1", algebras=(z6,))) is None
+    with pytest.raises(ValidationError) as exc:
+        SearchSpec(n=6, target="2-1:1", algebras=(z6,))
+    assert exc.value.field == "n"
 
 
 # ------------------------------------------------------------- congruences
