@@ -13,8 +13,9 @@ element exactly once, an empty image written as an empty string.
 Reports print as text by default or as canonical JSON with ``--format
 json`` (or ROUGHALG_FORMAT=json; the flag wins).  Identical inputs yield
 byte-identical JSON.  A JSON report splices the library's own records
-(``AxiomReport``, ``IdentityReport``, ``IdealReport``, ``MorphismReport``):
-their field names are its keys, and ``run`` renders every value once.
+(``AxiomReport``, ``IdentityReport``, ``IdealReport``, ``MorphismReport``,
+``Finding``): their field names are its keys, and ``run`` adds the
+``command`` key and renders every value once.
 
 Exit codes: 0 all checks passed / query answered; 1 a property is violated
 or a counterexample was found; 2 bad input, bad usage, or exceeded limits.
@@ -82,54 +83,46 @@ def _significant_lines(text: str):
         yield lineno, raw
 
 
+def _int(token: str, context: str, line: int | None = None, column: int | None = None) -> int:
+    """The integer a token spells; ``context`` (" in order header", or "") ends the error message."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"bad integer {token!r}{context}", line=line, column=column) from None
+
+
+def _header(lines: list, expect: str) -> tuple[int, int]:
+    """Take the ``expect`` header line ("order <n>", "zero <z>") off lines: (line number, value)."""
+    if not lines:
+        raise ParseError(f"missing '{expect}' header")
+    lineno, raw = lines.pop(0)
+    parts, key = raw.split(), expect.split()[0]
+    if parts[0] != key or len(parts) != 2:
+        raise ParseError(f"expected '{expect}' header", line=lineno)
+    return lineno, _int(parts[1], f" in {key} header", line=lineno)
+
+
 def parse_algebra_file(text: str) -> tuple[str | None, FiniteAlgebra]:
     """Parse the algebra file format; returns (name, algebra)."""
     lines = list(_significant_lines(text))
-    pos = 0
-
-    def take(expect: str):
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError(f"missing '{expect}' header")
-        return lines[pos]
-
     name = None
-    lineno, raw = take("order <n>")
-    parts = raw.split()
-    if parts[0] == "algebra":
-        if len(parts) < 2:
+    if lines and lines[0][1].split()[0] == "algebra":
+        lineno, raw = lines.pop(0)
+        name = " ".join(raw.split()[1:])
+        if not name:
             raise ParseError("'algebra' header needs a name", line=lineno)
-        name = " ".join(parts[1:])
-        pos += 1
-        lineno, raw = take("order <n>")
-        parts = raw.split()
-    if parts[0] != "order" or len(parts) != 2:
-        raise ParseError("expected 'order <n>' header", line=lineno)
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad integer {parts[1]!r} in order header", line=lineno) from None
+    lineno, n = _header(lines, "order <n>")
     if n < 1:
         raise ParseError(f"order must be at least 1, got {n}", line=lineno)
-    pos += 1
-
-    lineno, raw = take("zero <z>")
-    parts = raw.split()
-    if parts[0] != "zero" or len(parts) != 2:
-        raise ParseError("expected 'zero <z>' header", line=lineno)
-    try:
-        zero = int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad integer {parts[1]!r} in zero header", line=lineno) from None
+    lineno, zero = _header(lines, "zero <z>")
     if not 0 <= zero < n:
         raise ParseError(f"zero element {zero} outside carrier 0..{n - 1}", line=lineno)
-    pos += 1
 
     rows = []
     for _ in range(n):
-        if pos >= len(lines):
+        if not lines:
             raise ParseError(f"expected {n} table rows, found {len(rows)}")
-        lineno, raw = lines[pos]
+        lineno, raw = lines.pop(0)
         tokens = raw.split()
         if len(tokens) != n:
             raise ParseError(f"row has {len(tokens)} entries, expected {n}", line=lineno)
@@ -138,19 +131,15 @@ def parse_algebra_file(text: str) -> tuple[str | None, FiniteAlgebra]:
         for tok in tokens:
             col = raw.index(tok, cursor) + 1
             cursor = col - 1 + len(tok)
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ParseError(f"bad integer {tok!r}", line=lineno, column=col) from None
+            v = _int(tok, "", line=lineno, column=col)
             if not 0 <= v < n:
                 raise ParseError(
                     f"entry {v} outside carrier 0..{n - 1}", line=lineno, column=col
                 )
             row.append(v)
         rows.append(row)
-        pos += 1
-    if pos < len(lines):
-        lineno, raw = lines[pos]
+    if lines:
+        lineno, raw = lines[0]
         raise ParseError(f"unexpected content after table: {raw.strip()!r}", line=lineno)
     return name, FiniteAlgebra(n, rows, zero)
 
@@ -172,23 +161,18 @@ def render_algebra(alg: FiniteAlgebra, name: str | None = None) -> str:
 
 def parse_subset(text: str, n: int) -> Subset:
     text = text.strip()
-    if not text:
-        return Subset.empty(n)
-    elems = []
-    for tok in text.split(","):
+    mask = 0
+    for tok in text.split(",") if text else ():
         tok = tok.strip()
         if not tok:
             raise ParseError(f"malformed subset {text!r}: empty element between separators")
-        try:
-            e = int(tok)
-        except ValueError:
-            raise ParseError(f"bad integer {tok!r} in subset {text!r}") from None
+        e = _int(tok, f" in subset {text!r}")
         if not 0 <= e < n:
             raise ParseError(f"element {e} outside carrier 0..{n - 1}")
-        if e in elems:
+        if mask >> e & 1:
             raise ParseError(f"duplicate element {e} in subset {text!r}")
-        elems.append(e)
-    return Subset.from_elements(n, elems)
+        mask |= 1 << e
+    return Subset._raw(n, mask)
 
 
 def parse_partition(text: str, n: int) -> Partition:
@@ -205,11 +189,7 @@ def parse_svmap(text: str, n_source: int, n_target: int) -> SetValuedMap:
         if ":" not in entry:
             raise ParseError(f"malformed map entry {entry!r}: expected 'x:image'")
         left, _, right = entry.partition(":")
-        left = left.strip()
-        try:
-            x = int(left)
-        except ValueError:
-            raise ParseError(f"bad integer {left!r} in map entry {entry!r}") from None
+        x = _int(left.strip(), f" in map entry {entry!r}")
         if not 0 <= x < n_source:
             raise ParseError(f"source element {x} outside carrier 0..{n_source - 1}")
         if x in images:
@@ -254,8 +234,6 @@ def _partition_text(p: Partition) -> str:
 
 
 def _witness_text(w) -> str:
-    if w is None:
-        return ""
     if isinstance(w, tuple) and all(isinstance(x, int) for x in w) and 1 <= len(w) <= 3:
         names = "xyz"[: len(w)]
         return ", ".join(f"{v}={val}" for v, val in zip(names, w))
@@ -286,13 +264,14 @@ def _load_algebra(path: str) -> FiniteAlgebra:
 _AXIOM_BY_NAME = {a.name.lower(): a for a in AxiomId}
 
 
-def _parse_axiom_spec(spec: str) -> tuple[str | None, tuple[AxiomId, ...]]:
-    """A label name (b, bh, bo, z, z-relaxed) or a comma list like c1,c5."""
+def _parse_axiom_spec(spec: str) -> tuple[str | None, str, tuple[AxiomId, ...]]:
+    """(label or None, display header, axioms) for a label name (b, bh, bo, z,
+    z-relaxed) or a comma list like c1,c5, whose header is C1,C5."""
     key = spec.strip().lower()
     if key in ("b", "bh", "bo", "z"):
-        return key.upper(), LABEL_AXIOMS[key.upper()]
+        return key.upper(), key.upper(), LABEL_AXIOMS[key.upper()]
     if key in ("z-relaxed", "zrelaxed"):
-        return "Z(relaxed)", Z_AXIOM_VARIANTS["relaxed"]
+        return "Z(relaxed)", "Z(relaxed)", Z_AXIOM_VARIANTS["relaxed"]
     axioms = []
     for tok in key.split(","):
         tok = tok.strip()
@@ -301,9 +280,7 @@ def _parse_axiom_spec(spec: str) -> tuple[str | None, tuple[AxiomId, ...]]:
                 f"unknown axiom or label {tok!r}; use b, bh, bo, z, z-relaxed or c1..c7"
             )
         axioms.append(_AXIOM_BY_NAME[tok])
-    if not axioms:
-        raise ParseError("empty axiom spec")
-    return None, tuple(axioms)
+    return None, ",".join(a.name for a in axioms), tuple(axioms)
 
 
 def _ideal_failures(r, zero: int) -> list[str]:
@@ -340,14 +317,13 @@ def _partition_from_args(args, alg: FiniteAlgebra) -> tuple[Partition, dict]:
 
 # ---------------------------------------------------------------- subcommands
 # Each takes the parsed arguments and the algebra of args.file (None for
-# search) and returns its report and its text lines; run() derives the exit
-# code from the report's verdict.
+# search) and returns its report and its text lines; run() adds the command
+# name to the report and derives the exit code from its verdict.
 
 def _cmd_check(args, alg) -> tuple[dict, list[str]]:
-    label, axioms = _parse_axiom_spec(args.axioms)
+    label, header, axioms = _parse_axiom_spec(args.axioms)
     reports = [check_axiom(alg, a, max_witnesses=args.max_witnesses) for a in axioms]
     ok = all(r.holds for r in reports)
-    header = label if label else ",".join(a.name for a in axioms)
     marks = " ".join(
         r.axiom.name + " " + (_CHECKMARK if r.holds else _CROSSMARK) for r in reports
     )
@@ -357,11 +333,8 @@ def _cmd_check(args, alg) -> tuple[dict, list[str]]:
             shown = ", ".join(f"({_witness_text(w)})" for w in r.witnesses[:5])
             more = "" if len(r.witnesses) <= 5 else f" (+{len(r.witnesses) - 5} more)"
             lines.append(f"  {r.axiom.name} [{r.axiom.formula}] fails at {shown}{more}")
-    report = {
-        "command": "check", "axioms": axioms, "label": label,
-        "results": [{**vars(r), "formula": r.axiom.formula} for r in reports],
-        "verdict": "pass" if ok else "fail",
-    }
+    report = {"axioms": axioms, "label": label, "verdict": "pass" if ok else "fail",
+              "results": [{**vars(r), "formula": r.axiom.formula} for r in reports]}
     return report, lines
 
 
@@ -372,21 +345,21 @@ def _cmd_identities(args, alg) -> tuple[dict, list[str]]:
         f"right identities: {_set_text(ident.right)}",
         f"two-sided identities: {_set_text(ident.two_sided)}",
     ]
-    return {"command": "identities", **vars(ident)}, lines
+    return vars(ident), lines
 
 
 def _cmd_ideals(args, alg) -> tuple[dict, list[str]]:
     found = enumerate_ideals(alg, strong=args.strong)
     kind = "strong ideals" if args.strong else "ideals"
     lines = [f"{len(found)} {kind}"] + [_set_text(s) for s in found]
-    return {"command": "ideals", "strong": args.strong, "count": len(found), "ideals": found}, lines
+    return {"strong": args.strong, "count": len(found), "ideals": found}, lines
 
 
 def _cmd_congruences(args, alg) -> tuple[dict, list[str]]:
     congs = [(p, _completeness(alg, p).holds) for p in enumerate_congruences(alg)]
     lines = [f"{len(congs)} congruences"]
     lines += [f"{_partition_text(p)}{'  (complete)' if complete else ''}" for p, complete in congs]
-    report = {"command": "congruences", "count": len(congs),
+    report = {"count": len(congs),
               "congruences": [{"partition": p, "complete": complete} for p, complete in congs]}
     return report, lines
 
@@ -398,18 +371,16 @@ def _cmd_approx(args, alg) -> tuple[dict, list[str]]:
     lo, hi = lower(space, a), upper(space, a)
     bd = hi - lo
     rough = bool(bd)
-    wanted = [k for k in ("lower", "upper", "boundary", "pair") if getattr(args, k)]
-    if not wanted:
-        wanted = ["lower", "upper", "boundary", "pair"]
+    every = not (args.lower or args.upper or args.boundary or args.pair)
     lines = [f"partition: {_partition_text(partition)}", f"set: {_set_text(a)}"]
-    if "lower" in wanted or "pair" in wanted:
+    if every or args.lower or args.pair:
         lines.append(f"lower: {_set_text(lo)}")
-    if "upper" in wanted or "pair" in wanted:
+    if every or args.upper or args.pair:
         lines.append(f"upper: {_set_text(hi)}")
-    if "boundary" in wanted:
+    if every or args.boundary:
         lines.append(f"boundary: {_set_text(bd)}")
     lines.append(f"rough: {'yes' if rough else 'no (definable)'}")
-    report = {"command": "approx", **info, "partition": partition, "set": a,
+    report = {**info, "partition": partition, "set": a,
               "lower": lo, "upper": hi, "boundary": bd, "rough": rough}
     return report, lines
 
@@ -568,15 +539,14 @@ def _cmd_verify(args, alg) -> tuple[dict, list[str]]:
             raise ParseError(f"{name} requires {' or '.join(group)}")
     report, lines = handler(args, alg)
     if args.claim:
-        return {"command": "verify", "claim": args.claim, "algebra_labels": sorted(classify(alg)),
-                **report}, lines
-    return {"command": "verify", "prop": args.prop, **report}, lines
+        return {"claim": args.claim, "algebra_labels": sorted(classify(alg)), **report}, lines
+    return {"prop": args.prop, **report}, lines
 
 
 def _cmd_search(args, _) -> tuple[dict, list[str]]:
     if args.find and (args.count or args.emit):
         raise ParseError("--find cannot be combined with --count or --emit")
-    label, axioms = _parse_axiom_spec(args.axioms)
+    _, header, axioms = _parse_axiom_spec(args.axioms)
     spec = SearchSpec(
         n=args.order,
         axiom_set=axioms,
@@ -584,29 +554,25 @@ def _cmd_search(args, _) -> tuple[dict, list[str]]:
         model_cap=args.limit,
         time_budget=args.budget,
     )
-    header = label if label else ",".join(a.name for a in axioms)
 
     if args.find:
         finding = find_counterexample(spec)
-        report = {"command": "search", "order": args.order, "axioms": axioms,
-                  "target": args.find, "finding": None, "verdict": "pass"}
+        report = {"order": args.order, "axioms": axioms, "target": args.find,
+                  "finding": finding and vars(finding), "verdict": "fail" if finding else "pass"}
         if finding is None:
             return report, [f"no counterexample to {args.find} over {header} of order {args.order}"]
-        report.update(verdict="fail", finding={
-            "algebra": finding.algebra, "partition": finding.partition, "a": finding.subset_a,
-            "b": finding.subset_b, "witness": finding.witness, "note": finding.note})
         lines = [
             f"counterexample to {args.find} found",
             f"  algebra: {_jsonable(finding.algebra)}",
-            f"  partition: {_partition_text(finding.partition) if finding.partition else '-'}",
-            f"  A={_set_text(finding.subset_a)} B={_set_text(finding.subset_b)}",
+            f"  partition: {_partition_text(finding.partition)}",
+            f"  A={_set_text(finding.a)} B={_set_text(finding.b)}",
             f"  witness: {finding.witness}" + (f"  [{finding.note}]" if finding.note else ""),
         ]
         return report, lines
 
     models: list[FiniteAlgebra] = []
     count = enumerate_algebras(spec, models.append if args.emit else None)
-    report = {"command": "search", "order": args.order, "axioms": axioms, "count": count}
+    report = {"order": args.order, "axioms": axioms, "count": count}
     lines = [f"models of order {args.order} satisfying {header}: {count}"]
     if args.emit:
         report["models"] = models
@@ -628,7 +594,7 @@ def _cmd_morphism(args, source) -> tuple[dict, list[str]]:
     ]
     if r.witness is not None:
         lines.append(f"witness: {r.witness}")
-    report = {"command": "morphism", "strong": args.strong, **vars(r),
+    report = {"strong": args.strong, **vars(r),
               "verdict": "pass" if r.holds else "fail"}
     return report, lines
 
@@ -747,7 +713,7 @@ def run(argv=None) -> int:
         print(f"error: {where}{e}{extra}", file=sys.stderr)
         return 2
     if fmt == "json":
-        print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+        print(json.dumps(_jsonable({"command": args.command, **report}), indent=2, sort_keys=True))
     else:
         for line in lines:
             print(line)

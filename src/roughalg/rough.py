@@ -379,10 +379,12 @@ def sweep_laws(suite: str, partitions: Sequence[Partition], algebra: FiniteAlgeb
     algebra the laws that need one are not applicable.  ``hunt`` names one
     law by its local number: only it is evaluated, and the sweep stops at
     its first failure.  ``complete`` keeps the partitions whose
-    complete-congruence verdict equals it.  ``deadline`` (a
+    complete-congruence verdict equals it, and needs an algebra.  ``deadline`` (a
     ``time.monotonic()`` value) is checked once per partition; past it the
     sweep raises SearchLimitError counting the partitions swept to the end.
     """
+    if complete is not None and algebra is None:
+        raise ValidationError("complete= needs the algebra whose congruences it filters", "complete")
     members = [m for m in SUITES.get(suite, ()) if hunt in (None, m[0])]
     partitions = list(partitions)
     n = partitions[0].n if partitions else 0

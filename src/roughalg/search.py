@@ -158,7 +158,11 @@ def enumerate_algebras(spec: SearchSpec, sink: Callable[[FiniteAlgebra], None] |
 
     Emission order is lexicographic in the flattened table.  Every
     satisfying table is emitted exactly once; no isomorphism rejection.
+    The hunt fields ``target`` and ``algebras`` must be unset.
     """
+    for field in ("target", "algebras"):
+        if getattr(spec, field) is not None:
+            raise ValidationError(f"model search reads no {field}; hunt with find_counterexample", field)
     count = 0
     for t in _tables(spec, _deadline(spec)):
         count += 1
@@ -182,14 +186,14 @@ def enumerate_congruences(alg: FiniteAlgebra, max_order: int = 6) -> list[Partit
 
 @dataclass(frozen=True)
 class Finding:
-    """A concrete counterexample: where it happened and the witness tuple."""
+    """A concrete counterexample to the hunted law: the algebra (None when the law
+    ignores it), the partition, the subset pair, the witness tuple and the partition's note."""
 
-    target: str
     witness: tuple
-    algebra: FiniteAlgebra | None = None
-    partition: Partition | None = None
-    subset_a: Subset | None = None
-    subset_b: Subset | None = None
+    algebra: FiniteAlgebra | None
+    partition: Partition
+    a: Subset
+    b: Subset
     note: str = ""
 
 
@@ -209,7 +213,7 @@ def _sweep_partitions(alg, spec, deadline):
     if f is None:
         return None
     note = "" if alg is None else "complete congruence" if f.complete else "congruence, not complete"
-    return Finding(spec.target, f.witness, alg, f.partition, f.a, f.b, note)
+    return Finding(f.witness, alg, f.partition, f.a, f.b, note)
 
 
 def find_counterexample(spec: SearchSpec) -> Finding | None:

@@ -6,7 +6,7 @@ import re
 import pytest
 from hypothesis import given
 
-from roughalg import ParseError, SetValuedMap, Subset
+from roughalg import FiniteAlgebra, ParseError, SetValuedMap, Subset
 from roughalg.cli import (
     main,
     parse_algebra,
@@ -64,18 +64,33 @@ def test_out_of_range_entry_reports_position():
     assert "7" in str(exc.value)
 
 
+def _parse_error(parse, *args):
+    with pytest.raises(ParseError) as exc:
+        parse(*args)
+    return str(exc.value), exc.value.line, exc.value.column
+
+
 def test_bad_integer_in_row():
-    with pytest.raises(ParseError, match="bad integer"):
-        parse_algebra("order 2\nzero 0\n0 x\n1 0\n")
+    assert _parse_error(parse_algebra, "order 2\nzero 0\n0  x\n1 0\n") == (
+        "bad integer 'x' (line 3, column 4)", 3, 4)
 
 
 def test_missing_headers():
-    with pytest.raises(ParseError, match="order"):
-        parse_algebra("zero 0\n0\n")
-    with pytest.raises(ParseError, match="zero"):
-        parse_algebra("order 1\n0\n")
-    with pytest.raises(ParseError, match="missing"):
-        parse_algebra("")
+    for text, message, line in [
+        ("", "missing 'order <n>' header", None),
+        ("algebra a\n", "missing 'order <n>' header", None),
+        ("order 1\n", "missing 'zero <z>' header", None),
+        ("zero 0\n0\n", "expected 'order <n>' header (line 1)", 1),
+        ("order 1\n0\n", "expected 'zero <z>' header (line 2)", 2),
+        ("order 1 2\nzero 0\n0\n", "expected 'order <n>' header (line 1)", 1),
+        ("order 1\nzero\n0\n", "expected 'zero <z>' header (line 2)", 2),
+        ("algebra\norder 1\nzero 0\n0\n", "'algebra' header needs a name (line 1)", 1),
+        ("# c\norder x\nzero 0\n0\n", "bad integer 'x' in order header (line 2)", 2),
+        ("order 0\nzero 0\n", "order must be at least 1, got 0 (line 1)", 1),
+        ("order 1\nzero z\n0\n", "bad integer 'z' in zero header (line 2)", 2),
+        ("order 2\n\nzero 2\n0 1\n1 0\n", "zero element 2 outside carrier 0..1 (line 3)", 3),
+    ]:
+        assert _parse_error(parse_algebra, text) == (message, line, None), text
 
 
 def test_trailing_content_rejected():
@@ -97,14 +112,13 @@ def test_parse_subset():
 
 
 def test_parse_subset_errors():
-    with pytest.raises(ParseError, match="duplicate"):
-        parse_subset("1,1", 3)
-    with pytest.raises(ParseError, match="outside"):
-        parse_subset("5", 3)
-    with pytest.raises(ParseError, match="empty element"):
-        parse_subset("0,,1", 3)
-    with pytest.raises(ParseError, match="bad integer"):
-        parse_subset("a", 3)
+    for text, message in [("1,1", "duplicate element 1 in subset '1,1'"),
+                          ("5", "element 5 outside carrier 0..2"),
+                          ("0, 5", "element 5 outside carrier 0..2"),
+                          ("a", "bad integer 'a' in subset 'a'"),
+                          ("0,,1", "malformed subset '0,,1': empty element between separators"),
+                          (" 0,a ", "bad integer 'a' in subset '0,a'")]:
+        assert _parse_error(parse_subset, text, 3) == (message, None, None)
 
 
 def test_parse_partition(worked_partition):
@@ -112,10 +126,11 @@ def test_parse_partition(worked_partition):
 
 
 def test_parse_partition_errors():
-    with pytest.raises(ParseError):
-        parse_partition("0,1|1,2", 3)
-    with pytest.raises(ParseError):
-        parse_partition("0|1", 3)
+    for text, message in [("0,1|1,2", "bad partition '0,1|1,2': element 1 appears in two classes"),
+                          ("0|1", "bad partition '0|1': element 2 is not covered by any class"),
+                          ("0||1", "bad partition '0||1': empty class is not allowed"),
+                          ("a|b", "bad integer 'a' in subset 'a'")]:
+        assert _parse_error(parse_partition, text, 3) == (message, None, None)
 
 
 def test_parse_svmap():
@@ -124,12 +139,14 @@ def test_parse_svmap():
 
 
 def test_parse_svmap_errors():
-    with pytest.raises(ParseError, match="twice"):
-        parse_svmap("0:0;0:1", 2, 2)
-    with pytest.raises(ParseError, match="not total"):
-        parse_svmap("0:0", 2, 2)
-    with pytest.raises(ParseError, match="expected 'x:image'"):
-        parse_svmap("nonsense", 1, 1)
+    for text, message in [("nonsense", "malformed map entry 'nonsense': expected 'x:image'"),
+                          ("x:0;1:1", "bad integer 'x' in map entry 'x:0'"),
+                          ("0:0; :1", "bad integer '' in map entry ' :1'"),
+                          ("0:0;2:1", "source element 2 outside carrier 0..1"),
+                          ("0:0;1:3", "element 3 outside carrier 0..1"),
+                          ("0:0;0:1", "source element 0 appears twice in map"),
+                          ("0:0", "map is not total: no image for 1")]:
+        assert _parse_error(parse_svmap, text, 2, 2) == (message, None, None)
 
 
 # ------------------------------------------------------------- subcommands
@@ -149,6 +166,14 @@ def test_check_pass_and_fail(tables_dir, capsys):
 def test_check_explicit_axiom_list(tables_dir, capsys):
     assert run(["check", _fixture(tables_dir, "bh4"), "--axioms", "c1,c4"]) == 0
     assert "C1 ✓ C4 ✓" in capsys.readouterr().out
+    # a spec that is neither a label nor a comma list of C1..C7 exits 2 on check and search alike
+    for spec, bad in (("c1,c9", "c9"), ("", ""), ("c1,", "")):
+        for argv in (["check", _fixture(tables_dir, "bh4")], ["search", "--order", "2"]):
+            assert run([*argv, "--axioms", spec]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: unknown axiom or label {bad!r}; "
+                                    "use b, bh, bo, z, z-relaxed or c1..c7\n")
 
 
 def test_identities_subcommand(tables_dir, capsys):
@@ -359,6 +384,17 @@ def test_verify_exhaustive_pinned_partition(tables_dir, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: bad partition '': empty class is not allowed\n"
+
+
+def test_verify_exhaustive_order_guard(tmp_path, capsys):
+    z7 = FiniteAlgebra(7, [[(x - y) % 7 for y in range(7)] for x in range(7)])
+    path = tmp_path / "z7.alg"
+    path.write_text(render_algebra(z7))
+    assert run(["verify", str(path), "--prop", "2-1", "--exhaustive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: exhaustive partition sweep is limited to order <= 6; "
+                            "pass --partition to pin one\n")
 
 
 def test_verify_exhaustive_pinned_ideal(tables_dir, capsys):

@@ -13,6 +13,7 @@ from roughalg import (
     LAWS,
     ApproximationSpace,
     Subset,
+    ValidationError,
     all_partitions,
     check_approx_laws,
     check_basic_laws,
@@ -101,3 +102,21 @@ def test_registry_matches_naive_evaluator(name, suite):
                 if (t.holds, t.fails, t.not_applicable) != (0, 0, 0):
                     got[gated, number] = [t.holds, t.fails, t.not_applicable, first]
         assert got == tallies, (name, suite, classes)
+
+
+@pytest.mark.parametrize("suite", ["2-1", "3-2"])
+def test_sweep_without_algebra(suite):
+    partitions = list(all_partitions(3))
+    sweep = sweep_laws(suite, partitions, None)
+    assert (sweep.partitions, sweep.pairs, sweep.violations) == (5, 64, [])
+    product_laws = [number for number, _, law in SUITES[suite] if law.needs_algebra]
+    assert product_laws
+    for number in product_laws:
+        tally = sweep.gated.get(number) or sweep.measured[number]
+        assert (tally.holds, tally.fails, tally.not_applicable) == (0, 0, 5 * 64)
+        assert tally.first_failure is None
+    # completeness is a property of a congruence of an algebra: without one it cannot filter
+    for complete in (True, False):
+        with pytest.raises(ValidationError) as exc:
+            sweep_laws(suite, partitions, complete=complete)
+        assert exc.value.field == "complete"

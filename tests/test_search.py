@@ -177,6 +177,14 @@ def test_order_guard():
     with pytest.raises(ValidationError) as exc:
         SearchSpec(n=6, target="2-1:1", algebras=(z6,))
     assert exc.value.field == "n"
+    # a model search reads neither hunt field, so a spec carrying one is refused, not run unguarded
+    z7 = FiniteAlgebra(7, [[(x - y) % 7 for y in range(7)] for x in range(7)])
+    for fields, field in [({"n": 7, "target": "3-2:1", "algebras": (z7,)}, "target"),
+                          ({"n": 4, "target": "3-2:1"}, "target"),
+                          ({"n": 4, "algebras": (FiniteAlgebra(4, [[0] * 4] * 4),)}, "algebras")]:
+        with pytest.raises(ValidationError) as exc:
+            enumerate_algebras(SearchSpec(axiom_set=B_AXIOMS, model_cap=3, time_budget=1, **fields))
+        assert exc.value.field == field
 
 
 # ------------------------------------------------------------- congruences
@@ -244,8 +252,8 @@ def test_lower_product_law_fails_under_incomplete_congruence(bh4):
     finding = find_counterexample(SearchSpec(n=4, target="3-2:2-incomplete", algebras=(bh4,)))
     assert finding is not None
     assert finding.partition == Partition(4, [[0, 1], [2], [3]])
-    assert finding.subset_a == Subset.from_elements(4, [2])
-    assert finding.subset_b == Subset.from_elements(4, [0, 2])
+    assert finding.a == Subset.from_elements(4, [2])
+    assert finding.b == Subset.from_elements(4, [0, 2])
     assert finding.witness == (0,)
     assert finding.note == "congruence, not complete"
 
@@ -264,8 +272,8 @@ def test_upper_equality_reverse_direction_fails_on_bh4(b4, bo5, bh4):
     finding = find_counterexample(SearchSpec(n=4, target="2-1:11b", algebras=(bh4,)))
     assert finding is not None
     assert finding.partition == Partition(4, [[0, 1], [2], [3]])
-    assert finding.subset_a == Subset.from_elements(4, [0])
-    assert finding.subset_b == Subset.from_elements(4, [2])
+    assert finding.a == Subset.from_elements(4, [0])
+    assert finding.b == Subset.from_elements(4, [2])
     assert finding.witness == (1,)
 
 
@@ -277,10 +285,10 @@ def test_hunt_over_enumerated_models():
     from roughalg import ApproximationSpace, lower, product_set
 
     space = ApproximationSpace(partition=finding.partition, algebra=finding.algebra)
-    ab = product_set(finding.algebra, finding.subset_a, finding.subset_b)
+    ab = product_set(finding.algebra, finding.a, finding.b)
     lab = lower(space, ab)
     prod = product_set(
-        finding.algebra, lower(space, finding.subset_a), lower(space, finding.subset_b)
+        finding.algebra, lower(space, finding.a), lower(space, finding.b)
     )
     assert lab
     assert finding.witness[0] in prod
