@@ -84,11 +84,11 @@ def _significant_lines(text: str):
 
 
 def _int(token: str, context: str, line: int | None = None, column: int | None = None) -> int:
-    """The integer a token spells; ``context`` (" in order header", or "") ends the error message."""
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"bad integer {token!r}{context}", line=line, column=column) from None
+    """The integer a token spells: an optional '-', then ASCII digits; ``context`` ends the error message."""
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"bad integer {token!r}{context}", line=line, column=column)
+    return int(token)
 
 
 def _header(lines: list, expect: str) -> tuple[int, int]:
@@ -613,40 +613,22 @@ def _add_relation_args(p: argparse.ArgumentParser, required: bool) -> None:
                        help="derive the partition from an ideal-induced relation")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=_FORMATS,
-        help="report format (env ROUGHALG_FORMAT; the flag wins)",
-    )
+def _file_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
 
-    parser = argparse.ArgumentParser(
-        prog="roughalg",
-        description="Axiom, ideal, congruence and rough-approximation checks "
-                    "for small finite algebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common], help="check an axiom system against a table")
+def _check_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--axioms", required=True, help="b, bh, bo, z, z-relaxed, or c1,c2,...")
     p.add_argument("--max-witnesses", type=int, default=None)
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("identities", parents=[common], help="list identity elements")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_identities)
 
-    p = sub.add_parser("ideals", parents=[common], help="enumerate (strong) ideals")
+def _ideals_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--strong", action="store_true")
-    p.set_defaults(func=_cmd_ideals)
 
-    p = sub.add_parser("congruences", parents=[common], help="enumerate congruence partitions")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_congruences)
 
-    p = sub.add_parser("approx", parents=[common], help="lower/upper approximations of a set")
+def _approx_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     _add_relation_args(p, required=True)
     p.add_argument("--set", required=True)
@@ -654,9 +636,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upper", action="store_true")
     p.add_argument("--boundary", action="store_true")
     p.add_argument("--pair", action="store_true")
-    p.set_defaults(func=_cmd_approx)
 
-    p = sub.add_parser("verify", parents=[common], help="verify law suites or named claims")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--prop", choices=tuple(SUITES), help="law suite id")
@@ -666,26 +648,52 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_relation_args(p, required=False)
     p.add_argument("--set")
     p.add_argument("--set2")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("search", parents=[common], help="model counting and counterexample hunts")
+
+def _search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--axioms", required=True)
     p.add_argument("--count", action="store_true", help="count models (default action)")
-    p.add_argument("--find", help=f"hunt a counterexample to a property id "
-                                  f"({', '.join(sorted(TARGETS))})")
+    p.add_argument("--find", help=f"hunt a counterexample to a property id ({', '.join(sorted(TARGETS))})")
     p.add_argument("--limit", type=int, default=None, help="model cap")
     p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
     p.add_argument("--emit", action="store_true", help="include the models in the report")
-    p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("morphism", parents=[common], help="set-valued morphism checks")
+
+def _morphism_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--map", required=True)
     p.add_argument("--target", help="target algebra file (defaults to the source)")
     p.add_argument("--strong", action="store_true")
-    p.set_defaults(func=_cmd_morphism)
 
+
+# subcommand -> its help line, its handler, and what adds its arguments after --format
+_COMMANDS = {
+    "check": ("check an axiom system against a table", _cmd_check, _check_args),
+    "identities": ("list identity elements", _cmd_identities, _file_args),
+    "ideals": ("enumerate (strong) ideals", _cmd_ideals, _ideals_args),
+    "congruences": ("enumerate congruence partitions", _cmd_congruences, _file_args),
+    "approx": ("lower/upper approximations of a set", _cmd_approx, _approx_args),
+    "verify": ("verify law suites or named claims", _cmd_verify, _verify_args),
+    "search": ("model counting and counterexample hunts", _cmd_search, _search_args),
+    "morphism": ("set-valued morphism checks", _cmd_morphism, _morphism_args),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """Only the subparser argv[0] names, or all eight: the top-level help and its errors list each."""
+    parser = argparse.ArgumentParser(prog="roughalg", description="Axiom, ideal, congruence and "
+                                     "rough-approximation checks for small finite algebras.")
+    chosen = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    # with one subparser the metavar keeps the usage line; with all it would rename "argument command:"
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(chosen) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in chosen:
+        help_line, handler, add_arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("--format", choices=_FORMATS, help="report format (env ROUGHALG_FORMAT; the flag wins)")
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -699,7 +707,8 @@ def run(argv=None) -> int:
 
     Returns 2 on any RoughAlgError, else 1 exactly when the verdict is "fail".
     """
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     args = parser.parse_args(argv)
     fmt = args.format or os.environ.get("ROUGHALG_FORMAT", "text")
     if fmt not in _FORMATS:

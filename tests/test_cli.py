@@ -73,6 +73,8 @@ def _parse_error(parse, *args):
 def test_bad_integer_in_row():
     assert _parse_error(parse_algebra, "order 2\nzero 0\n0  x\n1 0\n") == (
         "bad integer 'x' (line 3, column 4)", 3, 4)
+    assert _parse_error(parse_algebra, "order 2\nzero 0\n0 1\n+1 0\n") == (
+        "bad integer '+1' (line 4, column 1)", 4, 1)
 
 
 def test_missing_headers():
@@ -88,6 +90,11 @@ def test_missing_headers():
         ("# c\norder x\nzero 0\n0\n", "bad integer 'x' in order header (line 2)", 2),
         ("order 0\nzero 0\n", "order must be at least 1, got 0 (line 1)", 1),
         ("order 1\nzero z\n0\n", "bad integer 'z' in zero header (line 2)", 2),
+        # an integer is an optional '-' and ASCII digits: no sign '+', no '_', no other digits
+        ("order \u0662\nzero 0\n0 1\n1 0\n", "bad integer '\u0662' in order header (line 1)", 1),
+        ("order 2\nzero +0\n0 1\n1 0\n", "bad integer '+0' in zero header (line 2)", 2),
+        ("order 1_0\nzero 0\n", "bad integer '1_0' in order header (line 1)", 1),
+        ("order 2\nzero -1\n0 1\n1 0\n", "zero element -1 outside carrier 0..1 (line 2)", 2),
         ("order 2\n\nzero 2\n0 1\n1 0\n", "zero element 2 outside carrier 0..1 (line 3)", 3),
     ]:
         assert _parse_error(parse_algebra, text) == (message, line, None), text
@@ -117,7 +124,13 @@ def test_parse_subset_errors():
                           ("0, 5", "element 5 outside carrier 0..2"),
                           ("a", "bad integer 'a' in subset 'a'"),
                           ("0,,1", "malformed subset '0,,1': empty element between separators"),
-                          (" 0,a ", "bad integer 'a' in subset '0,a'")]:
+                          (" 0,a ", "bad integer 'a' in subset '0,a'"),
+                          ("+1", "bad integer '+1' in subset '+1'"),
+                          ("1_0", "bad integer '1_0' in subset '1_0'"),
+                          ("\u0663", "bad integer '\u0663' in subset '\u0663'"),
+                          ("0,\uff11", "bad integer '\uff11' in subset '0,\uff11'"),
+                          ("--1", "bad integer '--1' in subset '--1'"),
+                          ("-1", "element -1 outside carrier 0..2")]:
         assert _parse_error(parse_subset, text, 3) == (message, None, None)
 
 
@@ -142,6 +155,7 @@ def test_parse_svmap_errors():
     for text, message in [("nonsense", "malformed map entry 'nonsense': expected 'x:image'"),
                           ("x:0;1:1", "bad integer 'x' in map entry 'x:0'"),
                           ("0:0; :1", "bad integer '' in map entry ' :1'"),
+                          ("+0:0;1:1", "bad integer '+0' in map entry '+0:0'"),
                           ("0:0;2:1", "source element 2 outside carrier 0..1"),
                           ("0:0;1:3", "element 3 outside carrier 0..1"),
                           ("0:0;0:1", "source element 0 appears twice in map"),
@@ -526,6 +540,9 @@ def test_parse_error_exits_2(tmp_path, capsys):
     bad.write_text("order 2\nzero 0\n0 7\n1 0\n")
     assert run(["check", str(bad), "--axioms", "b"]) == 2
     assert "error" in capsys.readouterr().err
+    bad.write_text("order ٢\nzero +0\n0 1\n1 0\n", encoding="utf-8")
+    assert run(["check", str(bad), "--axioms", "b"]) == 2
+    assert capsys.readouterr().err == "error: bad integer '٢' in order header (line 1)\n"
     assert run(["check", str(tmp_path / "missing.alg"), "--axioms", "b"]) == 2
     capsys.readouterr()
 
