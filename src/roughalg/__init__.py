@@ -1,10 +1,10 @@
 """Verification toolkit for small finite algebras and rough-set approximations.
 
 Check axiom systems (B, BH, BO, Z) against operation tables, enumerate
-ideals and congruences, compute lower/upper approximations (classic over a
-partition, generalized via set-valued maps), evaluate the standard
-approximation laws, and exhaustively search small orders for models and
-counterexamples.  Everything reports concrete witnesses and is
+ideals and congruences, compute lower/upper approximations (generalized
+via set-valued maps; a partition's are those of its class map), evaluate
+the standard approximation laws, and exhaustively search small orders for
+models and counterexamples.  Everything reports concrete witnesses and is
 deterministic: identical inputs give identical outputs.
 """
 
@@ -31,10 +31,8 @@ from .errors import (
 )
 from .generalized import (
     MorphismReport,
-    SetValuedMap,
     gen_lower,
     gen_upper,
-    induced_relation,
     is_strong_sv_morphism,
     is_sv_morphism,
 )
@@ -43,7 +41,7 @@ from .relations import (
     CheckResult,
     EquivalenceReport,
     Partition,
-    RelationPairs,
+    SetValuedMap,
     class_product_inclusion,
     is_complete_congruence,
     is_congruence,
@@ -88,10 +86,9 @@ __all__ = [
     "find_identities", "product_set",
     "ParseError", "PreconditionError", "RoughAlgError", "SearchLimitError",
     "ValidationError",
-    "MorphismReport", "SetValuedMap", "gen_lower", "gen_upper", "induced_relation",
-    "is_strong_sv_morphism", "is_sv_morphism",
+    "MorphismReport", "gen_lower", "gen_upper", "is_strong_sv_morphism", "is_sv_morphism",
     "IdealReport", "enumerate_ideals", "is_ideal", "is_strong_ideal",
-    "CheckResult", "EquivalenceReport", "Partition", "RelationPairs",
+    "CheckResult", "EquivalenceReport", "Partition", "SetValuedMap",
     "class_product_inclusion", "is_complete_congruence", "is_congruence",
     "is_equivalence", "relation_from_ideal", "to_partition",
     "LAWS", "ApproximationSpace", "LawResult", "ProductLawReport", "RoughPair", "boundary",

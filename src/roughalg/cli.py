@@ -38,10 +38,11 @@ from .algebra import (
     find_identities,
 )
 from .errors import ParseError, PreconditionError, RoughAlgError, SearchLimitError, ValidationError
-from .generalized import SetValuedMap, is_strong_sv_morphism, is_sv_morphism
+from .generalized import is_strong_sv_morphism, is_sv_morphism
 from .ideals import is_ideal, is_strong_ideal, enumerate_ideals
 from .relations import (
     Partition,
+    SetValuedMap,
     _completeness,
     is_congruence,
     is_equivalence,
@@ -322,7 +323,8 @@ def _partition_from_args(args, alg: FiniteAlgebra) -> tuple[Partition, dict]:
 
 def _cmd_check(args, alg) -> tuple[dict, list[str]]:
     label, header, axioms = _parse_axiom_spec(args.axioms)
-    reports = [check_axiom(alg, a, max_witnesses=args.max_witnesses) for a in axioms]
+    cap = None if args.max_witnesses is None else _int(args.max_witnesses, " in --max-witnesses")
+    reports = [check_axiom(alg, a, max_witnesses=cap) for a in axioms]
     ok = all(r.holds for r in reports)
     marks = " ".join(
         r.axiom.name + " " + (_CHECKMARK if r.holds else _CROSSMARK) for r in reports
@@ -416,7 +418,8 @@ def _verify_equivalence(args, alg) -> tuple[dict, list[str]]:
     subset = parse_subset(args.set, alg.n)
     rel = relation_from_ideal(alg, subset)
     eq = is_equivalence(rel)
-    report = {"set": subset, "pairs": rel.pairs, "equivalence": eq.holds,
+    report = {"set": subset, "pairs": [(x, y) for x in range(alg.n) for y in rel.image(x)],
+              "equivalence": eq.holds,
               "reflexivity_witness": eq.reflexivity, "symmetry_witness": eq.symmetry,
               "transitivity_witness": eq.transitivity, "verdict": "pass" if eq.holds else "fail"}
     return report, [f"relation induced by {_set_text(subset)} is "
@@ -547,20 +550,21 @@ def _cmd_search(args, _) -> tuple[dict, list[str]]:
     if args.find and (args.count or args.emit):
         raise ParseError("--find cannot be combined with --count or --emit")
     _, header, axioms = _parse_axiom_spec(args.axioms)
+    order = _int(args.order, " in --order")
     spec = SearchSpec(
-        n=args.order,
+        n=order,
         axiom_set=axioms,
         target=args.find,
-        model_cap=args.limit,
+        model_cap=None if args.limit is None else _int(args.limit, " in --limit"),
         time_budget=args.budget,
     )
 
     if args.find:
         finding = find_counterexample(spec)
-        report = {"order": args.order, "axioms": axioms, "target": args.find,
+        report = {"order": order, "axioms": axioms, "target": args.find,
                   "finding": finding and vars(finding), "verdict": "fail" if finding else "pass"}
         if finding is None:
-            return report, [f"no counterexample to {args.find} over {header} of order {args.order}"]
+            return report, [f"no counterexample to {args.find} over {header} of order {order}"]
         lines = [
             f"counterexample to {args.find} found",
             f"  algebra: {_jsonable(finding.algebra)}",
@@ -572,8 +576,8 @@ def _cmd_search(args, _) -> tuple[dict, list[str]]:
 
     models: list[FiniteAlgebra] = []
     count = enumerate_algebras(spec, models.append if args.emit else None)
-    report = {"order": args.order, "axioms": axioms, "count": count}
-    lines = [f"models of order {args.order} satisfying {header}: {count}"]
+    report = {"order": order, "axioms": axioms, "count": count}
+    lines = [f"models of order {order} satisfying {header}: {count}"]
     if args.emit:
         report["models"] = models
         for m in models:
@@ -620,7 +624,7 @@ def _file_args(p: argparse.ArgumentParser) -> None:
 def _check_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--axioms", required=True, help="b, bh, bo, z, z-relaxed, or c1,c2,...")
-    p.add_argument("--max-witnesses", type=int, default=None)
+    p.add_argument("--max-witnesses")
 
 
 def _ideals_args(p: argparse.ArgumentParser) -> None:
@@ -651,11 +655,11 @@ def _verify_args(p: argparse.ArgumentParser) -> None:
 
 
 def _search_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", required=True)
     p.add_argument("--axioms", required=True)
     p.add_argument("--count", action="store_true", help="count models (default action)")
     p.add_argument("--find", help=f"hunt a counterexample to a property id ({', '.join(sorted(TARGETS))})")
-    p.add_argument("--limit", type=int, default=None, help="model cap")
+    p.add_argument("--limit", help="model cap")
     p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
     p.add_argument("--emit", action="store_true", help="include the models in the report")
 

@@ -1,15 +1,21 @@
-"""Equivalence relations, partitions, congruence tests, ideal-induced relations.
+"""Relations, partitions, congruence tests, ideal-induced relations.
 
-A ``Partition`` and a square ``RelationPairs`` are two views of the same
-thing; ``to_partition`` and ``Partition.to_pairs`` convert between them.
-Every check returns the lexicographically first violating tuple so that
-repeated runs are bit-identical.
+A relation between two carriers is a ``SetValuedMap``: it assigns each
+source element x its image R(x), a subset of the target carrier, and
+relates x to exactly the elements of R(x).  The relation an ideal induces
+is one (``relation_from_ideal``), and so is a partition: its class map
+x -> [x] (``SetValuedMap.from_partition``).  ``is_equivalence`` and
+``to_partition`` read an equivalence's images as its classes.  A
+partition's lower and upper approximations are the generalized ones of
+its class map (see ``generalized``).  Every check returns the
+lexicographically first violating tuple so that repeated runs are
+bit-identical.
 """
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from .algebra import FiniteAlgebra, image_product_mismatch
+from .algebra import FiniteAlgebra, _low, image_product_mismatch
 from .errors import PreconditionError, ValidationError
 from .sets import Subset
 
@@ -25,58 +31,56 @@ class CheckResult:
         return self.holds
 
 
-class RelationPairs:
-    """A relation as an explicit set of ordered pairs.
+class SetValuedMap:
+    """Total map from {0..n_source-1} to subsets of {0..n_target-1}.
 
-    Square by default; ``n_cols`` may differ for relations between two
-    carriers (e.g. the graph of a set-valued map).
+    Empty images are allowed by default; F-lower of any set then contains
+    the empty-image elements vacuously.  Pass require_nonempty=True to
+    reject empty images at construction.  ``masks[x]`` is the element mask
+    of ``images[x]``.
     """
 
-    __slots__ = ("n_rows", "n_cols", "pairs")
+    __slots__ = ("n_source", "n_target", "images", "masks")
 
-    def __init__(self, n_rows: int, pairs: Iterable[tuple[int, int]] = (), n_cols: int | None = None):
-        n_cols = n_rows if n_cols is None else n_cols
-        if n_rows < 0 or n_cols < 0:
-            raise ValidationError("carrier sizes must be non-negative")
-        frozen = frozenset((int(x), int(y)) for x, y in pairs)
-        for x, y in frozen:
-            if not (0 <= x < n_rows and 0 <= y < n_cols):
-                raise ValidationError(f"pair ({x}, {y}) outside {n_rows}x{n_cols} domain")
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self.pairs = frozen
-
-    @property
-    def n(self) -> int:
-        if self.n_rows != self.n_cols:
-            raise ValidationError("relation is not square")
-        return self.n_rows
-
-    @classmethod
-    def identity(cls, n: int) -> "RelationPairs":
-        return cls(n, ((x, x) for x in range(n)))
+    def __init__(self, n_source: int, n_target: int, images: Iterable, require_nonempty: bool = False):
+        if n_source < 1 or n_target < 1:
+            raise ValidationError("carrier sizes must be at least 1")
+        normalized = []
+        for x, img in enumerate(images):
+            img = img if isinstance(img, Subset) else Subset.from_elements(n_target, img)
+            if img.n != n_target:
+                raise ValidationError(f"image of {x} lives in carrier {img.n}, expected {n_target}")
+            if require_nonempty and not img:
+                raise ValidationError(f"image of {x} is empty")
+            normalized.append(img)
+        if len(normalized) != n_source:
+            raise ValidationError(f"expected {n_source} images, got {len(normalized)}")
+        self.n_source = n_source
+        self.n_target = n_target
+        self.images = tuple(normalized)
+        self.masks = tuple(img.mask for img in normalized)
 
     @classmethod
-    def full(cls, n: int) -> "RelationPairs":
-        return cls(n, ((x, y) for x in range(n) for y in range(n)))
+    def from_partition(cls, p: "Partition") -> "SetValuedMap":
+        """The class map x -> [x]; its generalized approximations are the partition's classic ones."""
+        return cls(p.n, p.n, (p.classes[i] for i in p.class_index))
 
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
-
-    def __len__(self) -> int:
-        return len(self.pairs)
+    def image(self, x: int) -> Subset:
+        return self.images[x]
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, RelationPairs)
-            and (self.n_rows, self.n_cols, self.pairs) == (other.n_rows, other.n_cols, other.pairs)
+            isinstance(other, SetValuedMap)
+            and (self.n_source, self.n_target, self.images)
+            == (other.n_source, other.n_target, other.images)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n_rows, self.n_cols, self.pairs))
+        return hash((self.n_source, self.n_target, self.images))
 
     def __repr__(self) -> str:
-        return f"RelationPairs({self.n_rows}x{self.n_cols}, {sorted(self.pairs)})"
+        body = "; ".join(f"{x}:{','.join(map(str, img))}" for x, img in enumerate(self.images))
+        return f"SetValuedMap({self.n_source}->{self.n_target}, {body})"
 
 
 class Partition:
@@ -129,13 +133,6 @@ class Partition:
     def class_of(self, x: int) -> Subset:
         return self.classes[self.class_index[x]]
 
-    def to_pairs(self) -> RelationPairs:
-        return RelationPairs(
-            self.n,
-            ((x, y) for x in range(self.n) for y in range(self.n)
-             if self.class_index[x] == self.class_index[y]),
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.n == other.n and self.classes == other.classes
 
@@ -151,9 +148,11 @@ class Partition:
 class EquivalenceReport:
     """Which equivalence properties hold, with the first witness per failure.
 
-    ``reflexivity`` is a 1-tuple (x,), ``symmetry`` a pair (x, y) present
-    without its mirror, ``transitivity`` a triple (x, y, z) with (x,y) and
-    (y,z) present but (x,z) absent.  None means the property holds.
+    ``reflexivity`` is a 1-tuple (x,) with x outside R(x), ``symmetry`` a
+    pair (x, y) with y in R(x) but x outside R(y), ``transitivity`` a
+    triple (x, y, z) with y in R(x) and z in R(y) but z outside R(x).
+    Pairs (x, y) are scanned in lexicographic order, z from the least.
+    None means the property holds.
     """
 
     holds: bool
@@ -162,19 +161,14 @@ class EquivalenceReport:
     transitivity: tuple | None
 
 
-def is_equivalence(rel: RelationPairs) -> EquivalenceReport:
-    n = rel.n
-    pairs = rel.pairs
-    refl = next(((x,) for x in range(n) if (x, x) not in pairs), None)
-    sym = next(((x, y) for x, y in sorted(pairs) if (y, x) not in pairs), None)
-    trans = None
-    for x, y in sorted(pairs):
-        for z in range(n):
-            if (y, z) in pairs and (x, z) not in pairs:
-                trans = (x, y, z)
-                break
-        if trans:
-            break
+def is_equivalence(rel: SetValuedMap) -> EquivalenceReport:
+    if rel.n_source != rel.n_target:
+        raise ValidationError("relation is not square")
+    R = rel.masks
+    related = [(x, y) for x, img in enumerate(rel.images) for y in img]
+    refl = next(((x,) for x in range(rel.n_source) if not R[x] >> x & 1), None)
+    sym = next(((x, y) for x, y in related if not R[y] >> x & 1), None)
+    trans = next(((x, y, _low(R[y] & ~R[x])) for x, y in related if R[y] & ~R[x]), None)
     return EquivalenceReport(
         holds=refl is None and sym is None and trans is None,
         reflexivity=refl,
@@ -183,8 +177,8 @@ def is_equivalence(rel: RelationPairs) -> EquivalenceReport:
     )
 
 
-def to_partition(rel: RelationPairs) -> Partition:
-    """Classes of an equivalence relation.
+def to_partition(rel: SetValuedMap) -> Partition:
+    """Classes of an equivalence relation: its distinct images.
 
     Raises PreconditionError (carrying the EquivalenceReport) when the
     relation is not an equivalence.
@@ -192,16 +186,7 @@ def to_partition(rel: RelationPairs) -> Partition:
     report = is_equivalence(rel)
     if not report.holds:
         raise PreconditionError(f"relation is not an equivalence: {report}", witness=report)
-    n = rel.n
-    seen = set()
-    classes = []
-    for x in range(n):
-        if x in seen:
-            continue
-        cls = [y for y in range(n) if (x, y) in rel.pairs]
-        seen.update(cls)
-        classes.append(cls)
-    return Partition(n, classes)
+    return Partition(rel.n_source, dict.fromkeys(rel.images))
 
 
 def is_congruence(alg: FiniteAlgebra, p: Partition) -> CheckResult:
@@ -248,8 +233,9 @@ def is_complete_congruence(alg: FiniteAlgebra, p: Partition) -> CheckResult:
 
 
 def _completeness(alg: FiniteAlgebra, p: Partition) -> CheckResult:
-    """is_complete_congruence for a p already known to be a congruence of alg."""
-    w = image_product_mismatch(alg, alg, [p.classes[i].mask for i in p.class_index], strong=True)
+    """is_complete_congruence without its precondition, which completeness implies:
+    for x' ~ x, x'*z lies in [x]*[z] = [x*z], and the same holds on the left."""
+    w = image_product_mismatch(alg, alg, SetValuedMap.from_partition(p).masks, strong=True)
     return CheckResult(w is None, w)
 
 
@@ -263,12 +249,12 @@ def class_product_inclusion(alg: FiniteAlgebra, p: Partition) -> CheckResult:
     """
     if p.n != alg.n:
         raise ValidationError(f"partition carrier {p.n} does not match algebra carrier {alg.n}")
-    w = image_product_mismatch(alg, alg, [p.classes[i].mask for i in p.class_index], strong=False)
+    w = image_product_mismatch(alg, alg, SetValuedMap.from_partition(p).masks, strong=False)
     return CheckResult(w is None, w and (w[0], w[1], w[3]))
 
 
-def relation_from_ideal(alg: FiniteAlgebra, ideal: Subset) -> RelationPairs:
-    """Pairs (x, y) with both x*y and y*x inside the given subset.
+def relation_from_ideal(alg: FiniteAlgebra, ideal: Subset) -> SetValuedMap:
+    """The relation x ~ y iff both x*y and y*x lie inside the given subset.
 
     Symmetric by construction.  No equivalence guarantee: transitivity can
     fail even for genuine ideals, so callers must run is_equivalence before
@@ -276,9 +262,7 @@ def relation_from_ideal(alg: FiniteAlgebra, ideal: Subset) -> RelationPairs:
     """
     if ideal.n != alg.n:
         raise ValidationError(f"subset carrier {ideal.n} does not match algebra carrier {alg.n}")
-    t = alg.table
-    n = alg.n
-    return RelationPairs(
-        n,
-        ((x, y) for x in range(n) for y in range(n) if t[x][y] in ideal and t[y][x] in ideal),
+    t, n = alg.table, alg.n
+    return SetValuedMap(
+        n, n, ([y for y in range(n) if t[x][y] in ideal and t[y][x] in ideal] for x in range(n))
     )

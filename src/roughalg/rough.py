@@ -1,7 +1,8 @@
 """Approximation operators over a partition, and the law registry.
 
 ``lower(space, A)`` collects the elements whose class sits inside A;
-``upper(space, A)`` those whose class meets A.  The boundary is their
+``upper(space, A)`` those whose class meets A: the generalized
+approximations of the class map x -> [x].  The boundary is their
 difference; A is rough when the boundary is nonempty and definable
 otherwise.  Each law of the suites 2-1, 3-1 and 3-2 is defined once, in
 ``LAWS``, as a predicate on integer masks that reads ``L[m]``, ``U[m]``
@@ -18,7 +19,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from .algebra import FiniteAlgebra, _low, product_mask
 from .errors import SearchLimitError, ValidationError
-from .relations import Partition, _completeness, is_congruence, require_congruence
+from .generalized import _lower_mask, _upper_mask, gen_lower, gen_upper
+from .relations import Partition, SetValuedMap, _completeness, is_congruence, require_congruence
 from .sets import Subset, canonical_subsets
 
 
@@ -51,29 +53,16 @@ def _check_subset(space: ApproximationSpace, a: Subset) -> None:
         raise ValidationError(f"subset carrier {a.n} does not match space carrier {space.n}")
 
 
-def _upper_mask(p: Partition, m: int) -> int:
-    out = 0
-    for c in p.classes:
-        if c.mask & m:
-            out |= c.mask
-    return out
-
-
-def _lower_mask(p: Partition, m: int) -> int:
-    full = (1 << p.n) - 1
-    return full ^ _upper_mask(p, full ^ m)
-
-
 def lower(space: ApproximationSpace, a: Subset) -> Subset:
     """Union of the classes entirely inside a."""
     _check_subset(space, a)
-    return Subset._raw(space.n, _lower_mask(space.partition, a.mask))
+    return gen_lower(SetValuedMap.from_partition(space.partition), a)
 
 
 def upper(space: ApproximationSpace, a: Subset) -> Subset:
     """Union of the classes meeting a."""
     _check_subset(space, a)
-    return Subset._raw(space.n, _upper_mask(space.partition, a.mask))
+    return gen_upper(SetValuedMap.from_partition(space.partition), a)
 
 
 def boundary(space: ApproximationSpace, a: Subset) -> Subset:
@@ -108,15 +97,19 @@ class _OnDemand(dict):
         return self.setdefault(key, self.fn(key))
 
 
-def _on_demand(p: Partition, alg: FiniteAlgebra | None) -> _Masks:
-    return _Masks(_OnDemand(lambda m: _lower_mask(p, m)), _OnDemand(lambda m: _upper_mask(p, m)),
-                  _OnDemand(lambda a: _OnDemand(lambda b: product_mask(alg, a, b))), (1 << p.n) - 1)
+# Both contexts read the approximations of a square map f; a partition's are its class map's.
+def _on_demand(f: SetValuedMap, alg: FiniteAlgebra | None) -> _Masks:
+    images, full = f.masks, (1 << f.n_target) - 1
+    return _Masks(_OnDemand(lambda m: _lower_mask(images, m, full)),
+                  _OnDemand(lambda m: _upper_mask(images, m)),
+                  _OnDemand(lambda a: _OnDemand(lambda b: product_mask(alg, a, b))), full)
 
 
-def _tables(p: Partition, P: list[list[int]] | None) -> _Masks:
-    """Context of a sweep: L[m] and U[m] of p for every mask m, and products P."""
-    masks = range(1 << p.n)
-    return _Masks([_lower_mask(p, m) for m in masks], [_upper_mask(p, m) for m in masks], P, len(masks) - 1)
+def _tables(f: SetValuedMap, P: list[list[int]] | None) -> _Masks:
+    """Context of a sweep: L[m] and U[m] of f for every mask m, and products P."""
+    images, masks = f.masks, range(1 << f.n_target)
+    L = [_lower_mask(images, m, masks[-1]) for m in masks]
+    return _Masks(L, [_upper_mask(images, m) for m in masks], P, masks[-1])
 
 
 def _product_table(alg: FiniteAlgebra) -> list[list[int]]:
@@ -279,7 +272,7 @@ def _suite_view(suite: str, space: ApproximationSpace, a: Subset, b: Subset) -> 
     note = None
     if alg is not None and any(law.needs_algebra for _, _, law in SUITES[suite]):
         note = _congruence_note(alg, p)[1]
-    ctx = _on_demand(p, alg)
+    ctx = _on_demand(SetValuedMap.from_partition(p), alg)
     return tuple(
         LawResult(number, law.description, None, note="needs an algebra")
         if law.needs_algebra and alg is None
@@ -331,7 +324,7 @@ def check_congruence_product_laws(
     require_congruence(alg, p)
     for s in (a, b):
         _check_subset(ApproximationSpace(partition=p), s)
-    ctx = _on_demand(p, alg)
+    ctx = _on_demand(SetValuedMap.from_partition(p), alg)
     up, low = (_result(law.id, law, ctx, a, b, None) for _, _, law in SUITES["3-2"])
     return ProductLawReport(up, low, _completeness(alg, p).holds)
 
@@ -395,17 +388,21 @@ def sweep_laws(suite: str, partitions: Sequence[Partition], algebra: FiniteAlgeb
     sweep = LawSweep(pairs=len(order) ** 2)
     uses_algebra = algebra is not None and (complete is not None or any(m[2].needs_algebra for m in members))
     P = _product_table(algebra) if uses_algebra else None
+    # completeness alone gates: a partition with [x]*[y] = [x*y] for all x, y is a congruence
+    gates_complete = uses_algebra and (complete is not None
+                                       or any(m[1] == GATED_IF_COMPLETE for m in members))
     for swept, p in enumerate(partitions):
         if deadline is not None and time.monotonic() >= deadline:
             raise SearchLimitError("time budget exceeded", count=swept, reason="time")
-        is_complete, note = _congruence_note(algebra, p) if uses_algebra else (None, None)
-        if complete is not None and bool(is_complete) != complete:
+        is_complete = gates_complete and _completeness(algebra, p).holds
+        if complete is not None and is_complete != complete:
             continue
         sweep.partitions += 1
-        ctx = _tables(p, P)
+        ctx = _tables(SetValuedMap.from_partition(p), P)
+        described = None  # (complete, note) of p, from its first recorded failure on
         active = []
         for number, role, law in members:
-            gated = role == GATED or (role == GATED_IF_COMPLETE and bool(is_complete))
+            gated = role == GATED or (role == GATED_IF_COMPLETE and is_complete)
             tally = (sweep.gated if gated else sweep.measured).setdefault(number, LawTally())
             if law.needs_algebra and algebra is None:
                 tally.not_applicable += sweep.pairs
@@ -413,14 +410,14 @@ def sweep_laws(suite: str, partitions: Sequence[Partition], algebra: FiniteAlgeb
             tally.holds += sweep.pairs  # taken back for each pair the law does not hold on
             if law.per_partition and law.check(ctx, 0, 0) is None:
                 continue  # holds on every pair of this partition
-            active.append((law.check, number, law, tally, gated, note if law.needs_algebra else None))
+            active.append((law.check, number, law, tally, gated))
         for a in order if active else ():
             for b in order:
                 for entry in active:
                     w = entry[0](ctx, a, b)
                     if w is None:
                         continue
-                    _, number, law, tally, gated, law_note = entry
+                    _, number, law, tally, gated = entry
                     if w is _UNMET and law.unmet[0]:
                         continue
                     tally.holds -= 1
@@ -429,8 +426,10 @@ def sweep_laws(suite: str, partitions: Sequence[Partition], algebra: FiniteAlgeb
                         continue
                     tally.fails += 1
                     if gated or tally.first_failure is None:
+                        if described is None:
+                            described = _congruence_note(algebra, p) if uses_algebra else (None, None)
                         failure = LawFailure(number, p, Subset._raw(n, a), Subset._raw(n, b), w,
-                                             law_note, is_complete)
+                                             described[1] if law.needs_algebra else None, described[0])
                         tally.first_failure = tally.first_failure or failure
                         if gated:
                             sweep.violations.append(failure)

@@ -120,6 +120,16 @@ def naive_upper(classes, a):
     return out
 
 
+def naive_gen_lower(images, a):
+    """{x : F(x) <= a} for the images F(x) listed by source element."""
+    return {x for x, img in enumerate(images) if set(img) <= set(a)}
+
+
+def naive_gen_upper(images, a):
+    """{x : F(x) meets a}."""
+    return {x for x, img in enumerate(images) if set(img) & set(a)}
+
+
 def is_congruence(table, classes):
     n = len(table)
     label = {}
@@ -171,25 +181,35 @@ def equivalence_properties(n, pairs):
     return reflexive, symmetric, transitive
 
 
+def equivalence_witnesses(n, pairs):
+    """(reflexivity, symmetry, transitivity) first witnesses of a pair set,
+    None where the property holds: pairs scanned in sorted order, z upward."""
+    refl = next(((x,) for x in range(n) if (x, x) not in pairs), None)
+    sym = next(((x, y) for x, y in sorted(pairs) if (y, x) not in pairs), None)
+    trans = next(((x, y, z) for x, y in sorted(pairs) for z in range(n)
+                  if (y, z) in pairs and (x, z) not in pairs), None)
+    return refl, sym, trans
+
+
 def naive_law(suite, number, table, classes, a, b):
-    """(holds, witness) of one suite law on the subsets a and b.
+    """``naive_law_of`` for the approximations of a partition's classes and
+    the set product of a table."""
+    return naive_law_of(suite, number, len(table), lambda s: naive_lower(classes, s),
+                        lambda s: naive_upper(classes, s), lambda x, y: set_product(table, x, y), a, b)
 
-    Straight from the suite definitions, on Python sets.  A witness names
-    the least offending element; ``holds`` is None where the law does not
-    speak (3-2 law 2 when lower(A*B) is empty), and monotonicity (3-1 law
-    4) holds vacuously when A is not inside B.
+
+def naive_law_of(suite, number, n, lo, up, prod, a, b):
+    """(holds, witness) of one suite law on the subsets a and b of {0..n-1}.
+
+    Straight from the suite definitions, on Python sets, for any operators
+    lo and up (lower and upper approximation) and prod (set product) given
+    as functions of sets.  A witness names the least offending element;
+    ``holds`` is None where the law does not speak (3-2 law 2 when
+    lower(A*B) is empty), and monotonicity (3-1 law 4) holds vacuously
+    when A is not inside B.
     """
-    full = set(range(len(table)))
+    full = set(range(n))
     a, b = set(a), set(b)
-
-    def lo(s):
-        return naive_lower(classes, s)
-
-    def up(s):
-        return naive_upper(classes, s)
-
-    def prod(x, y):
-        return set_product(table, x, y)
 
     def inclusion(x, y):
         return (False, (min(x - y),)) if x - y else (True, None)

@@ -7,20 +7,19 @@ from hypothesis import strategies as st
 from roughalg import (
     ApproximationSpace,
     FiniteAlgebra,
-    RelationPairs,
     SetValuedMap,
     Subset,
     ValidationError,
     classify,
     gen_lower,
     gen_upper,
-    induced_relation,
     is_strong_sv_morphism,
     is_sv_morphism,
     lower,
     upper,
 )
 
+import oracles
 from conftest import partitions, subsets
 
 XOR2 = FiniteAlgebra(2, [[0, 1], [1, 0]])
@@ -71,28 +70,25 @@ def test_gen_upper_of_empty_is_empty(three_to_two):
     assert gen_upper(three_to_two, Subset.empty(2)) == Subset.empty(3)
 
 
-def test_induced_relation_examples():
-    ident = SetValuedMap(3, 3, [[0], [1], [2]])
-    assert induced_relation(ident) == RelationPairs.identity(3)
-    empty = SetValuedMap(2, 2, [[], []])
-    assert induced_relation(empty) == RelationPairs(2, [])
-    f = SetValuedMap(2, 2, [[0], [0, 1]])
-    assert induced_relation(f) == RelationPairs(2, [(0, 0), (1, 0), (1, 1)])
-
-
-def test_induced_relation_rectangular(three_to_two):
-    rel = induced_relation(three_to_two)
-    assert (rel.n_rows, rel.n_cols) == (3, 2)
-    assert rel.pairs == {(0, 0), (1, 0), (1, 1)}
-
-
 @given(st.integers(1, 4).flatmap(partitions), st.data())
 def test_reduction_to_classic_approximations(p, data):
     f = SetValuedMap.from_partition(p)
     space = ApproximationSpace(partition=p)
     a = data.draw(subsets(p.n))
-    assert gen_lower(f, a) == lower(space, a)
-    assert gen_upper(f, a) == upper(space, a)
+    classes = [list(c) for c in p.classes]
+    assert set(gen_lower(f, a)) == oracles.naive_lower(classes, list(a)) == set(lower(space, a))
+    assert set(gen_upper(f, a)) == oracles.naive_upper(classes, list(a)) == set(upper(space, a))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.integers(1, 4).flatmap(
+    lambda m: svmaps(n, m)), st.data())))
+def test_generalized_approximations_match_their_definitions(case):
+    # any map, rectangular, with empty images allowed
+    f, data = case
+    a = data.draw(subsets(f.n_target))
+    images = [list(img) for img in f.images]
+    assert set(gen_lower(f, a)) == oracles.naive_gen_lower(images, list(a))
+    assert set(gen_upper(f, a)) == oracles.naive_gen_upper(images, list(a))
 
 
 @given(svmaps(3, 4), st.data())

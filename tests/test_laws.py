@@ -1,26 +1,36 @@
 """The law registry and its mask kernel, checked against the naive evaluator.
 
-Every law of every suite is evaluated on every partition (2-1, 3-1) or
-congruence (3-2) of the fixtures and every subset pair, three ways: the
-registry predicate on the full mask tables the sweep uses, the single-pair
-view, and the tallies of ``sweep_laws``.  All must agree with
+Every law of every suite is evaluated on every partition of the fixtures
+and every subset pair, three ways: the registry predicate on the full mask
+tables the sweep uses, the single-pair view (for 3-2 on congruences only),
+and the tallies of ``sweep_laws``.  All must agree with
 ``oracles.naive_law`` on the verdict and the witness.
+
+On partitions most laws are theorems, so the registry predicates are also
+evaluated where they fail: on the generalized approximations of seeded
+set-valued maps that are not equivalences, and on seeded random lower and
+upper tables.  There they must agree with ``oracles.naive_law_of``.
 """
+
+import random
 
 import pytest
 
 from roughalg import (
     LAWS,
     ApproximationSpace,
+    FiniteAlgebra,
+    SetValuedMap,
     Subset,
     ValidationError,
     all_partitions,
     check_approx_laws,
     check_basic_laws,
     check_congruence_product_laws,
+    is_equivalence,
     sweep_laws,
 )
-from roughalg.rough import GATED, GATED_IF_COMPLETE, SUITES, _UNMET, _product_table, _tables
+from roughalg.rough import GATED, GATED_IF_COMPLETE, SUITES, _UNMET, _Masks, _product_table, _tables
 from roughalg.tables import BUNDLED
 
 import oracles
@@ -62,25 +72,23 @@ def test_registry_matches_naive_evaluator(name, suite):
     n = alg.n
     order = _canonical_masks(n)
     products = _product_table(alg)
-    partitions = list(all_partitions(n))
-    if suite == "3-2":
-        partitions = [p for p in partitions
-                      if oracles.is_congruence(table, [list(c) for c in p.classes])]
     members = SUITES[suite]
-    for p in partitions:
+    for p in all_partitions(n):
         classes = [list(c) for c in p.classes]
         complete = suite == "3-2" and oracles.is_complete_congruence(table, classes)
-        ctx = _tables(p, products)
+        # the 3-2 single-pair view requires a congruence
+        viewed = suite != "3-2" or oracles.is_congruence(table, classes)
+        ctx = _tables(SetValuedMap.from_partition(p), products)
         tallies = {}
         violations = []
         for a, elems_a in order:
             for b, elems_b in order:
-                view = _view(suite, alg, p, a, b)
+                view = _view(suite, alg, p, a, b) if viewed else [None] * len(members)
                 for (number, role, law), result in zip(members, view):
                     want = oracles.naive_law(suite, number, table, classes, elems_a, elems_b)
                     where = (name, suite, number, classes, elems_a, elems_b)
                     assert _kernel(law, ctx, a, b) == want, where
-                    assert (result.holds, result.witness) == want, where
+                    assert result is None or (result.holds, result.witness) == want, where
                     gated = role == GATED or (role == GATED_IF_COMPLETE and complete)
                     tally = tallies.setdefault((gated, number), [0, 0, 0, None])
                     holds, witness = want
@@ -120,3 +128,76 @@ def test_sweep_without_algebra(suite):
         with pytest.raises(ValidationError) as exc:
             sweep_laws(suite, partitions, complete=complete)
         assert exc.value.field == "complete"
+
+
+# ---------------------------------------------------------------- contexts where the laws fail
+
+N = 3
+FULL = (1 << N) - 1
+TABLE = [[0, 2, 1], [1, 0, 0], [2, 2, 0]]  # any operation: the product laws read only its products
+# every witness shape a registry predicate can report, by its first field
+SHAPES = {"left-minus-right", "right-minus-left", "lower-outside-set", "set-outside-upper",
+          "empty", "universe", "lower", "upper", "element"}
+
+
+def _elements(m):
+    return {x for x in range(N) if m >> x & 1}
+
+
+def _mask(s):
+    return sum(1 << x for x in s)
+
+
+def _registry_matches(ctx, lo, up):
+    """Every law of every suite on every pair of ctx against naive_law_of with lo and up;
+    returns the witness shapes seen."""
+    shapes = set()
+    for suite, members in SUITES.items():
+        for number, _, law in members:
+            for a in range(FULL + 1):
+                for b in range(FULL + 1):
+                    want = oracles.naive_law_of(suite, number, N, lo, up,
+                                                lambda x, y: oracles.set_product(TABLE, x, y),
+                                                _elements(a), _elements(b))
+                    got = _kernel(law, ctx, a, b)
+                    assert got == want, (suite, number, a, b)
+                    if got[1] is not None:
+                        shapes.add(got[1][0] if isinstance(got[1][0], str) else "element")
+    return shapes
+
+
+def _seeded_maps():
+    rng = random.Random(2023)
+    return [SetValuedMap(N, N, [_elements(rng.randrange(FULL + 1)) for _ in range(N)]) for _ in range(40)]
+
+
+def test_registry_on_set_valued_maps_that_are_not_equivalences():
+    # the kernel's own approximations of relations that are not reflexive, symmetric or transitive
+    products = _product_table(FiniteAlgebra(N, TABLE))
+    failing = set()
+    shapes = set()
+    for f in _seeded_maps():
+        report = is_equivalence(f)
+        failing |= {name for name in ("reflexivity", "symmetry", "transitivity") if getattr(report, name)}
+        images = [list(img) for img in f.images]
+        shapes |= _registry_matches(_tables(f, products),
+                                    lambda s: oracles.naive_gen_lower(images, s),
+                                    lambda s: oracles.naive_gen_upper(images, s))
+    assert failing == {"reflexivity", "symmetry", "transitivity"}
+    # a map's approximations are monotone, and fix the universe unless L[0] already fails
+    assert shapes == SHAPES - {"universe", "lower", "upper"}
+
+
+def test_registry_on_random_lower_and_upper_tables():
+    products = _product_table(FiniteAlgebra(N, TABLE))
+    rng = random.Random(11)
+    shapes = set()
+    for _ in range(40):
+        L = [rng.randrange(FULL + 1) for _ in range(FULL + 1)]
+        U = [rng.randrange(FULL + 1) for _ in range(FULL + 1)]
+        if rng.random() < 0.5:  # these fix the empty set, so the universe is checked too
+            L[0] = U[0] = 0
+        shapes |= _registry_matches(_Masks(L, U, products, FULL),
+                                    lambda s, L=L: _elements(L[_mask(s)]),
+                                    lambda s, U=U: _elements(U[_mask(s)]))
+    assert shapes == SHAPES

@@ -1,5 +1,7 @@
 """Partitions, equivalence relations, congruences, ideal-induced relations."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,10 +9,14 @@ from hypothesis import strategies as st
 from roughalg import (
     Partition,
     PreconditionError,
-    RelationPairs,
+    SetValuedMap,
     Subset,
     ValidationError,
+    LABEL_AXIOMS,
+    SearchSpec,
+    all_partitions,
     class_product_inclusion,
+    enumerate_algebras,
     is_complete_congruence,
     is_congruence,
     is_equivalence,
@@ -20,6 +26,25 @@ from roughalg import (
 
 import oracles
 from conftest import algebras, partitions
+from roughalg.relations import _completeness
+from roughalg.tables import BUNDLED
+
+
+def _relation(n, pairs):
+    """The relation relating exactly the given pairs, as a map x -> {y : (x, y) in pairs}."""
+    return SetValuedMap(n, n, ([y for y in range(n) if (x, y) in pairs] for x in range(n)))
+
+
+def _identity(n):
+    return _relation(n, {(x, x) for x in range(n)})
+
+
+def _full(n):
+    return _relation(n, set(itertools.product(range(n), repeat=2)))
+
+
+def _pairs(rel):
+    return {(x, y) for x in range(rel.n_source) for y in rel.image(x)}
 
 
 # ---------------------------------------------------------------- Partition
@@ -60,11 +85,11 @@ def test_classes_sorted_by_least_element():
 # ---------------------------------------------------------------- equivalences
 
 def test_identity_relation_is_equivalence():
-    assert is_equivalence(RelationPairs.identity(4)).holds
+    assert is_equivalence(_identity(4)).holds
 
 
 def test_symmetry_witness():
-    rel = RelationPairs(2, [(0, 0), (1, 1), (0, 1)])
+    rel = _relation(2, {(0, 0), (1, 1), (0, 1)})
     report = is_equivalence(rel)
     assert not report.holds
     assert report.symmetry == (0, 1)
@@ -72,13 +97,13 @@ def test_symmetry_witness():
 
 
 def test_reflexivity_witness():
-    rel = RelationPairs(3, [(0, 0), (1, 1)])
+    rel = _relation(3, {(0, 0), (1, 1)})
     assert is_equivalence(rel).reflexivity == (2,)
 
 
 def test_transitivity_witness():
     pairs = {(x, x) for x in range(3)} | {(0, 1), (1, 0), (1, 2), (2, 1)}
-    report = is_equivalence(RelationPairs(3, pairs))
+    report = is_equivalence(_relation(3, pairs))
     assert not report.holds
     assert report.transitivity == (0, 1, 2)
 
@@ -86,22 +111,22 @@ def test_transitivity_witness():
 def test_relation_from_ideal_zero_is_identity(bo5):
     # only diagonal entries of bo5 are zero
     rel = relation_from_ideal(bo5, Subset.from_elements(5, [0]))
-    assert rel == RelationPairs.identity(5)
+    assert rel == _identity(5)
     assert is_equivalence(rel).holds
 
 
 def test_to_partition_identity_and_full():
-    assert to_partition(RelationPairs.identity(3)) == Partition.discrete(3)
-    assert to_partition(RelationPairs.full(3)) == Partition.single(3)
+    assert to_partition(_identity(3)) == Partition.discrete(3)
+    assert to_partition(_full(3)) == Partition.single(3)
 
 
 def test_to_partition_one_link(worked_partition):
     pairs = {(x, x) for x in range(5)} | {(0, 1), (1, 0)}
-    assert to_partition(RelationPairs(5, pairs)) == worked_partition
+    assert to_partition(_relation(5, pairs)) == worked_partition
 
 
 def test_to_partition_rejects_non_equivalence():
-    rel = RelationPairs(2, [(0, 0), (1, 1), (0, 1)])
+    rel = _relation(2, {(0, 0), (1, 1), (0, 1)})
     with pytest.raises(PreconditionError) as exc:
         to_partition(rel)
     assert exc.value.witness.symmetry == (0, 1)
@@ -109,18 +134,39 @@ def test_to_partition_rejects_non_equivalence():
 
 @given(st.integers(1, 5).flatmap(partitions))
 def test_pairs_roundtrip_is_identity(p):
-    assert to_partition(p.to_pairs()) == p
+    # the class map x -> [x] is the partition's equivalence relation
+    rel = SetValuedMap.from_partition(p)
+    assert _pairs(rel) == {(x, y) for x in range(p.n) for y in range(p.n)
+                           if p.class_index[x] == p.class_index[y]}
+    assert to_partition(rel) == p
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.sets(
-    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))).map(lambda s: RelationPairs(n, s))))
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))).map(lambda s: _relation(n, s))))
 def test_is_equivalence_matches_oracle(rel):
     report = is_equivalence(rel)
-    refl, sym, trans = oracles.equivalence_properties(rel.n, rel.pairs)
+    refl, sym, trans = oracles.equivalence_properties(rel.n_source, _pairs(rel))
     assert (report.reflexivity is None) == refl
     assert (report.symmetry is None) == sym
     assert (report.transitivity is None) == trans
     assert report.holds == (refl and sym and trans)
+
+
+def test_equivalence_witnesses_are_the_pair_scans_exhaustively():
+    # every relation on at most 3 elements: the image-mask scan reports the
+    # first witnesses of a scan over the sorted pairs
+    for n in (1, 2, 3):
+        cells = list(itertools.product(range(n), repeat=2))
+        for bits in range(1 << len(cells)):
+            pairs = {cell for i, cell in enumerate(cells) if bits >> i & 1}
+            report = is_equivalence(_relation(n, pairs))
+            assert (report.reflexivity, report.symmetry, report.transitivity) == \
+                oracles.equivalence_witnesses(n, pairs), pairs
+
+
+def test_is_equivalence_needs_a_square_relation():
+    with pytest.raises(ValidationError, match="not square"):
+        is_equivalence(SetValuedMap(2, 3, [[0], [1]]))
 
 
 # ---------------------------------------------------------------- congruences
@@ -208,8 +254,8 @@ def test_class_product_inclusion_failure(bo5, worked_partition):
 def test_relation_from_ideal_01_on_bo5_is_identity(bo5):
     # the induced relation does NOT link 0 and 1: 0*1 = 2 lands outside {0,1}
     rel = relation_from_ideal(bo5, Subset.from_elements(5, [0, 1]))
-    assert (0, 1) not in rel
-    assert rel == RelationPairs.identity(5)
+    assert 1 not in rel.image(0)
+    assert rel == _identity(5)
 
 
 @given(algebras(4), st.data())
@@ -218,8 +264,8 @@ def test_relation_from_ideal_is_symmetric(alg, data):
 
     members = data.draw(subsets(alg.n))
     rel = relation_from_ideal(alg, members)
-    for x, y in rel.pairs:
-        assert (y, x) in rel
+    for x, y in _pairs(rel):
+        assert x in rel.image(y)
 
 
 def test_relation_from_ideal_reflexive_under_c1(b4, bo5, bh4):
@@ -228,4 +274,22 @@ def test_relation_from_ideal_reflexive_under_c1(b4, bo5, bh4):
         for mask in range(1 << alg.n):
             members = Subset(alg.n, mask | 1)
             rel = relation_from_ideal(alg, members)
-            assert all((x, x) in rel for x in range(alg.n))
+            assert all(x in rel.image(x) for x in range(alg.n))
+
+
+# ------------------------------------------------- completeness implies congruence
+
+def test_complete_partitions_are_congruences_exhaustively():
+    # [x]*[y] = [x*y] for all x, y: for x' ~ x, x'*z lies in [x]*[z] = [x*z], and
+    # likewise on the left, so the sweeps gate on completeness alone
+    algs = list(BUNDLED[name] for name in ("b4", "bo5", "bh4", "z4"))
+    for label, axioms in LABEL_AXIOMS.items():
+        for n in (1, 2, 3):
+            enumerate_algebras(SearchSpec(n=n, axiom_set=axioms), algs.append)
+    complete = 0
+    for alg in algs:
+        for p in all_partitions(alg.n):
+            if _completeness(alg, p).holds:
+                complete += 1
+                assert is_congruence(alg, p).holds, (alg, p)
+    assert len(algs) > 4 and complete > len(algs)

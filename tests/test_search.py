@@ -295,6 +295,23 @@ def test_hunt_over_enumerated_models():
     assert finding.witness[0] not in lab
 
 
+def test_hunt_checks_each_partition_for_congruence_once(monkeypatch):
+    # 72 BH3 models x 5 partitions, filtered by enumerate_congruences; the sweep gates
+    # on completeness alone and records no failure of a theorem, so it checks none again
+    from roughalg import relations, rough
+
+    original, seen = relations.is_congruence, []
+
+    def counted(alg, p):
+        seen.append(p)
+        return original(alg, p)
+
+    for module in (relations, rough, search):
+        monkeypatch.setattr(module, "is_congruence", counted)
+    assert find_counterexample(SearchSpec(n=3, axiom_set=BH_AXIOMS, target="3-2:1")) is None
+    assert len(seen) == 72 * 5 == 360
+
+
 def test_hunts_are_deterministic(bh4):
     spec = SearchSpec(n=4, target="2-1:11b", algebras=(bh4,))
     assert find_counterexample(spec) == find_counterexample(spec)
