@@ -71,7 +71,6 @@ from .search import (
     SearchSpec,
     TARGETS,
     all_partitions,
-    canonical_subset_pairs,
     enumerate_algebras,
     enumerate_congruences,
     find_counterexample,
@@ -94,7 +93,7 @@ __all__ = [
     "LAWS", "ApproximationSpace", "LawResult", "ProductLawReport", "RoughPair", "boundary",
     "check_approx_laws", "check_basic_laws", "check_congruence_product_laws",
     "is_definable", "is_rough", "lower", "rough_pair", "sweep_laws", "upper",
-    "Finding", "SearchSpec", "TARGETS", "all_partitions", "canonical_subset_pairs",
+    "Finding", "SearchSpec", "TARGETS", "all_partitions",
     "enumerate_algebras", "enumerate_congruences", "find_counterexample",
     "Subset", "all_subsets", "canonical_subsets",
     "__version__",

@@ -64,6 +64,7 @@ from .rough import (
     upper,
 )
 from .search import (
+    PARTITION_ORDER_LIMIT,
     SearchSpec,
     all_partitions,
     enumerate_algebras,
@@ -90,6 +91,16 @@ def _int(token: str, context: str, line: int | None = None, column: int | None =
     if not (digits.isascii() and digits.isdigit()):
         raise ParseError(f"bad integer {token!r}{context}", line=line, column=column)
     return int(token)
+
+
+def _number(token: str, context: str) -> float:
+    """The float a token spells in ASCII, with no '_' and no surrounding whitespace."""
+    if token.isascii() and "_" not in token and token == token.strip():
+        try:
+            return float(token)
+        except ValueError:
+            pass
+    raise ParseError(f"bad number {token!r}{context}")
 
 
 def _header(lines: list, expect: str) -> tuple[int, int]:
@@ -257,7 +268,7 @@ def _load_algebra(path: str) -> FiniteAlgebra:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from None
     return parse_algebra(text)
 
@@ -458,8 +469,8 @@ def _verify_prop_exhaustive(args, alg) -> tuple[dict, list[str]]:
         partitions = [_partition_from_args(args, alg)[0]]
         if args.prop == "3-2":
             require_congruence(alg, partitions[0])
-    elif alg.n > 6:
-        raise ValidationError("exhaustive partition sweep is limited to order <= 6; "
+    elif alg.n > PARTITION_ORDER_LIMIT:
+        raise ValidationError(f"exhaustive partition sweep is limited to order <= {PARTITION_ORDER_LIMIT}; "
                               "pass --partition to pin one")
     else:
         partitions = enumerate_congruences(alg) if args.prop == "3-2" else all_partitions(alg.n)
@@ -554,13 +565,12 @@ def _cmd_search(args, _) -> tuple[dict, list[str]]:
     spec = SearchSpec(
         n=order,
         axiom_set=axioms,
-        target=args.find,
         model_cap=None if args.limit is None else _int(args.limit, " in --limit"),
-        time_budget=args.budget,
+        time_budget=None if args.budget is None else _number(args.budget, " in --budget"),
     )
 
     if args.find:
-        finding = find_counterexample(spec)
+        finding = find_counterexample(spec, args.find)
         report = {"order": order, "axioms": axioms, "target": args.find,
                   "finding": finding and vars(finding), "verdict": "fail" if finding else "pass"}
         if finding is None:
@@ -660,7 +670,7 @@ def _search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--count", action="store_true", help="count models (default action)")
     p.add_argument("--find", help=f"hunt a counterexample to a property id ({', '.join(sorted(TARGETS))})")
     p.add_argument("--limit", help="model cap")
-    p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
+    p.add_argument("--budget", help="time budget in seconds")
     p.add_argument("--emit", action="store_true", help="include the models in the report")
 
 

@@ -23,32 +23,26 @@ from .algebra import AXIOM_VIOLATIONS, AxiomId, FiniteAlgebra
 from .errors import SearchLimitError, ValidationError
 from .relations import Partition, is_congruence
 from .rough import SUITES, sweep_laws
-from .sets import Subset, canonical_subsets
+from .sets import Subset
 
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """What to search: order, axiom constraints, optional hunt target.
+    """What the model search reads: order, axiom constraints, limits.
 
-    ``algebras`` bypasses model enumeration and sweeps the given tables,
-    each of order ``n``, instead (to hunt over fixtures).  ``max_order``
-    bounds ``n`` unless such a hunt reads only those tables.  ``model_cap`` and
-    ``time_budget`` (seconds) stop the search early with a
-    SearchLimitError carrying the exact count for the explored prefix.
+    ``max_order`` bounds ``n``.  ``model_cap`` and ``time_budget`` (seconds)
+    stop the search early with a SearchLimitError carrying the exact count
+    for the explored prefix.
     """
 
     n: int
     axiom_set: tuple[AxiomId, ...] = ()
-    target: str | None = None
     model_cap: int | None = None
     time_budget: float | None = None
-    algebras: tuple[FiniteAlgebra, ...] | None = None
     max_order: int = 5
 
     def __post_init__(self):
-        # only a hunt whose laws read the fixed algebras enumerates nothing of order n
-        fixed = self.algebras is not None and self.target in TARGETS and TARGETS[self.target].needs_algebra
-        if not fixed and not 1 <= self.n <= self.max_order:
+        if not 1 <= self.n <= self.max_order:
             raise ValidationError(f"order {self.n} is outside the search limit 1..{self.max_order}; "
                                   "raise max_order to override", "n")
         if self.model_cap is not None and self.model_cap < 1:
@@ -56,9 +50,10 @@ class SearchSpec:
         if self.time_budget is not None and not 0 <= self.time_budget < math.inf:
             raise ValidationError(f"time budget must be finite and >= 0, got {self.time_budget}",
                                   "time_budget")
-        for alg in self.algebras or ():
-            if alg.n != self.n:
-                raise ValidationError(f"fixed algebra has order {alg.n}, spec says {self.n}", "algebras")
+
+
+# the partition count grows like the Bell numbers: no carrier above this is swept partition by partition
+PARTITION_ORDER_LIMIT = 6
 
 
 def all_partitions(n: int) -> Iterator[Partition]:
@@ -77,14 +72,6 @@ def all_partitions(n: int) -> Iterator[Partition]:
             yield from rec(i + 1, max(mx, v))
 
     yield from rec(1, 0)
-
-
-def canonical_subset_pairs(n: int) -> Iterator[tuple[Subset, Subset]]:
-    """All subset pairs ordered by cardinality then elements, A before B."""
-    subs = canonical_subsets(n)
-    for a in subs:
-        for b in subs:
-            yield a, b
 
 
 def _forced_cells(n: int, axiom_set: tuple[AxiomId, ...], zero: int) -> list[list[int]] | None:
@@ -158,11 +145,7 @@ def enumerate_algebras(spec: SearchSpec, sink: Callable[[FiniteAlgebra], None] |
 
     Emission order is lexicographic in the flattened table.  Every
     satisfying table is emitted exactly once; no isomorphism rejection.
-    The hunt fields ``target`` and ``algebras`` must be unset.
     """
-    for field in ("target", "algebras"):
-        if getattr(spec, field) is not None:
-            raise ValidationError(f"model search reads no {field}; hunt with find_counterexample", field)
     count = 0
     for t in _tables(spec, _deadline(spec)):
         count += 1
@@ -171,15 +154,15 @@ def enumerate_algebras(spec: SearchSpec, sink: Callable[[FiniteAlgebra], None] |
     return count
 
 
-def enumerate_congruences(alg: FiniteAlgebra, max_order: int = 6) -> list[Partition]:
+def enumerate_congruences(alg: FiniteAlgebra) -> list[Partition]:
     """All congruence partitions, in canonical partition order.
 
     Always contains the single-class and discrete partitions.  Guarded by
-    ``max_order`` because the partition count grows like the Bell numbers.
+    ``PARTITION_ORDER_LIMIT``.
     """
-    if alg.n > max_order:
+    if alg.n > PARTITION_ORDER_LIMIT:
         raise ValidationError(
-            f"carrier size {alg.n} exceeds congruence enumeration limit {max_order}"
+            f"carrier size {alg.n} exceeds congruence enumeration limit {PARTITION_ORDER_LIMIT}"
         )
     return [p for p in all_partitions(alg.n) if is_congruence(alg, p).holds]
 
@@ -205,9 +188,9 @@ TARGETS["3-2:2-complete"] = _Target("3-2", "2", True, True)
 TARGETS["3-2:2-incomplete"] = _Target("3-2", "2", False, True)
 
 
-def _sweep_partitions(alg, spec, deadline):
+def _sweep_partitions(alg, spec, target, deadline):
     """First finding over the congruences of alg, or over all partitions without one."""
-    suite, law, complete, _ = TARGETS[spec.target]
+    suite, law, complete, _ = TARGETS[target]
     partitions = all_partitions(spec.n) if alg is None else enumerate_congruences(alg)
     f = sweep_laws(suite, partitions, alg, hunt=law, complete=complete, deadline=deadline).first_failure
     if f is None:
@@ -216,29 +199,27 @@ def _sweep_partitions(alg, spec, deadline):
     return Finding(f.witness, alg, f.partition, f.a, f.b, note)
 
 
-def find_counterexample(spec: SearchSpec) -> Finding | None:
-    """First counterexample to the target property, or None.
+def find_counterexample(spec: SearchSpec, target: str) -> Finding | None:
+    """First counterexample to the target property over the models of spec, or None.
 
-    Search order is canonical throughout: algebras lexicographic (or the
-    given fixed list in order), partitions in canonical order, subset
-    pairs by cardinality then elements; identical specs therefore return
-    identical findings.  Targets whose laws never touch the operation
-    (the non-product laws) sweep bare partitions and ignore the axiom
-    set; the Finding then carries no algebra.  A SearchLimitError counts
-    the algebras swept to the end.
+    Search order is canonical throughout: algebras lexicographic,
+    partitions in canonical order, subset pairs by cardinality then
+    elements; identical calls therefore return identical findings.
+    Targets whose laws never touch the operation (the non-product laws)
+    sweep bare partitions and ignore the axiom set; the Finding then
+    carries no algebra.  A SearchLimitError counts the algebras swept to
+    the end.
     """
-    if spec.target not in TARGETS:
-        raise ValidationError(f"unknown target {spec.target!r}; known: {', '.join(sorted(TARGETS))}")
+    if target not in TARGETS:
+        raise ValidationError(f"unknown target {target!r}; known: {', '.join(sorted(TARGETS))}")
     deadline = _deadline(spec)
-    if not TARGETS[spec.target].needs_algebra:
-        algebras = (None,)  # the algebra plays no role in these laws
-    elif spec.algebras is not None:
-        algebras = spec.algebras
-    else:
+    if TARGETS[target].needs_algebra:
         algebras = (FiniteAlgebra(spec.n, t) for t in _tables(spec, deadline))
+    else:
+        algebras = (None,)  # the algebra plays no role in these laws
     for swept, alg in enumerate(algebras):
         try:
-            finding = _sweep_partitions(alg, spec, deadline)
+            finding = _sweep_partitions(alg, spec, target, deadline)
         except SearchLimitError as e:
             raise SearchLimitError(str(e), count=swept, reason=e.reason) from None
         if finding is not None:

@@ -273,3 +273,52 @@ def naive_law_of(suite, number, n, lo, up, prod, a, b):
                                if lo(prod(a, b)) else (None, None)),
     }
     return laws[suite, number]()
+
+
+# the suite laws that read the operation; a hunt for one of them sweeps congruences
+PRODUCT_LAWS = {("2-1", "11a"), ("2-1", "11b"), ("2-1", "12"), ("3-2", "1"), ("3-2", "2")}
+
+
+def rgs_partitions(n):
+    """Every partition of {0..n-1} as a tuple of class tuples, in lexicographic
+    order of the restricted-growth string (each label at most one above the
+    largest label before it)."""
+    for rgs in itertools.product(range(n), repeat=n):
+        if all(rgs[i] <= max(rgs[:i], default=-1) + 1 for i in range(n)):
+            yield tuple(tuple(x for x in range(n) if rgs[x] == c) for c in range(max(rgs) + 1))
+
+
+def naive_hunt(table_models, n, target):
+    """(witness, algebra, classes, a, b, note) of the first counterexample to a
+    hunt target, or None.
+
+    ``target`` reads "suite:number", optionally with "-complete" or
+    "-incomplete" after the number.  A law that reads the operation is
+    hunted over the models in the given order, and for each over its
+    congruences (only those of that completeness, with a suffix); any
+    other law once over every partition of {0..n-1}, with no algebra.
+    Partitions come in restricted-growth order, subset pairs A outer, B
+    inner, each by cardinality then elements.
+    """
+    suite, law = target.split(":")
+    number, _, scope = law.partition("-")
+    complete = {"": None, "complete": True, "incomplete": False}[scope]
+    product = (suite, number) in PRODUCT_LAWS
+    subsets = [c for k in range(n + 1) for c in itertools.combinations(range(n), k)]
+    for model in table_models if product else (None,):
+        table = model.table if product else [[0] * n] * n  # the laws that take no model never read it
+        for classes in rgs_partitions(n):
+            note = ""
+            if product:
+                if not is_congruence(table, classes):
+                    continue
+                is_complete = is_complete_congruence(table, classes)
+                if complete is not None and is_complete != complete:
+                    continue
+                note = "complete congruence" if is_complete else "congruence, not complete"
+            for a in subsets:
+                for b in subsets:
+                    holds, witness = naive_law(suite, number, table, classes, a, b)
+                    if holds is False:
+                        return witness, model, classes, a, b, note
+    return None

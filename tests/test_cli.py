@@ -517,6 +517,13 @@ def test_search_limits_exit_2(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: bad integer {value!r} in {flag}\n"
+    # --budget reads an ASCII number with no '_' and no surrounding whitespace
+    for value in ("1_0", "٣", " 2", "2 ", "abc"):
+        code = run(["search", "--order", "2", "--axioms", "b", "--count", "--budget", value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad number {value!r} in --budget\n"
     # the order guard holds for hunts that sweep partitions alone: refused before the budget starts
     code = run(["search", "--order", "9", "--axioms", "b", "--find", "3-1:3", "--budget", "1"])
     assert code == 2
@@ -549,6 +556,21 @@ def test_morphism_subcommand(tables_dir, capsys):
     code = run(["morphism", _fixture(tables_dir, "b4"), "--map", "0:1;1:0;2:2;3:3"])
     assert code == 1
     assert "witness" in capsys.readouterr().out
+
+
+def test_unreadable_algebra_file_exits_2(tables_dir, tmp_path, capsys):
+    # a file that is not UTF-8, or not there, is refused as the source and as the --target
+    bad = tmp_path / "bad.alg"
+    bad.write_bytes(b"order 2\nzero 0\n0 1\n1 \xff\n")
+    missing = str(tmp_path / "missing.alg")
+    b4 = _fixture(tables_dir, "b4")
+    for path, argv in ((str(bad), ["check", str(bad), "--axioms", "b"]),
+                       (str(bad), ["morphism", b4, "--map", "0:0;1:1;2:2;3:3", "--target", str(bad)]),
+                       (missing, ["check", missing, "--axioms", "b"])):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: ")
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

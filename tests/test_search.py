@@ -2,7 +2,6 @@
 
 import itertools
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +16,6 @@ from roughalg import (
     ValidationError,
     Z_AXIOM_VARIANTS,
     all_partitions,
-    canonical_subset_pairs,
     classify,
     enumerate_algebras,
     enumerate_congruences,
@@ -43,6 +41,11 @@ def _collect(spec):
     return models
 
 
+def _fixture_hunt(alg, suite, law, complete=None):
+    """The first failure of one law over the congruences of one algebra."""
+    return sweep_laws(suite, enumerate_congruences(alg), alg, hunt=law, complete=complete).first_failure
+
+
 # ------------------------------------------------------------- partitions
 
 def test_partition_counts_match_bell_numbers():
@@ -62,13 +65,6 @@ def test_partitions_match_oracle_set():
         frozenset(frozenset(c) for c in p.classes) for p in all_partitions(4)
     }
     assert got == oracles.all_partitions(4)
-
-
-def test_canonical_subset_pairs_order():
-    pairs = list(canonical_subset_pairs(2))
-    heads = [(a.elements(), b.elements()) for a, b in pairs[:4]]
-    assert heads == [((), ()), ((), (0,)), ((), (1,)), ((), (0, 1))]
-    assert len(pairs) == 16
 
 
 # ------------------------------------------------------------- enumeration
@@ -165,26 +161,15 @@ def test_order_guard():
     # hunts whose laws ignore the algebra sweep every partition of order n: Bell(9) x 4^9 pairs
     for target in ("2-1:1", "3-1:3"):
         with pytest.raises(ValidationError) as exc:
-            find_counterexample(SearchSpec(n=9, axiom_set=B_AXIOMS, target=target, time_budget=1))
+            find_counterexample(SearchSpec(n=9, axiom_set=B_AXIOMS, time_budget=1), target)
         assert exc.value.field == "n"
     for n in (0, 6):
         with pytest.raises(ValidationError) as exc:
             SearchSpec(n=n, axiom_set=B_AXIOMS)
         assert exc.value.field == "n"
-    # a hunt over fixed algebras sweeps their congruences and enumerates nothing of order n
+    # an algebra above the search limit is swept over its congruences directly
     z6 = FiniteAlgebra(6, [[(x - y) % 6 for y in range(6)] for x in range(6)])
-    assert find_counterexample(SearchSpec(n=6, target="3-2:1", algebras=(z6,))) is None
-    with pytest.raises(ValidationError) as exc:
-        SearchSpec(n=6, target="2-1:1", algebras=(z6,))
-    assert exc.value.field == "n"
-    # a model search reads neither hunt field, so a spec carrying one is refused, not run unguarded
-    z7 = FiniteAlgebra(7, [[(x - y) % 7 for y in range(7)] for x in range(7)])
-    for fields, field in [({"n": 7, "target": "3-2:1", "algebras": (z7,)}, "target"),
-                          ({"n": 4, "target": "3-2:1"}, "target"),
-                          ({"n": 4, "algebras": (FiniteAlgebra(4, [[0] * 4] * 4),)}, "algebras")]:
-        with pytest.raises(ValidationError) as exc:
-            enumerate_algebras(SearchSpec(axiom_set=B_AXIOMS, model_cap=3, time_budget=1, **fields))
-        assert exc.value.field == field
+    assert _fixture_hunt(z6, "3-2", "1") is None
 
 
 # ------------------------------------------------------------- congruences
@@ -223,53 +208,51 @@ def test_congruences_contain_trivial_partitions(alg):
 
 def test_congruence_guard():
     big = FiniteAlgebra(7, [[0] * 7] * 7)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as exc:
         enumerate_congruences(big)
+    assert str(exc.value) == f"carrier size 7 exceeds congruence enumeration limit {search.PARTITION_ORDER_LIMIT}"
 
 
 # ------------------------------------------------------------- hunts
 
 def test_theorem_targets_yield_no_finding():
-    assert find_counterexample(SearchSpec(n=3, axiom_set=B_AXIOMS, target="2-1:1")) is None
-    assert find_counterexample(SearchSpec(n=3, axiom_set=B_AXIOMS, target="2-1:7")) is None
-    assert find_counterexample(SearchSpec(n=3, axiom_set=B_AXIOMS, target="3-1:4")) is None
+    spec = SearchSpec(n=3, axiom_set=B_AXIOMS)
+    assert find_counterexample(spec, "2-1:1") is None
+    assert find_counterexample(spec, "2-1:7") is None
+    assert find_counterexample(spec, "3-1:4") is None
 
 
 def test_upper_product_law_has_no_counterexample_over_fixtures(b4, bo5, bh4):
     for alg in (b4, bo5, bh4):
-        spec = SearchSpec(n=alg.n, target="3-2:1", algebras=(alg,))
-        assert find_counterexample(spec) is None
+        assert _fixture_hunt(alg, "3-2", "1") is None
 
 
 def test_lower_product_law_safe_under_complete_congruences(b4, bo5, bh4):
     for alg in (b4, bo5, bh4):
-        spec = SearchSpec(n=alg.n, target="3-2:2-complete", algebras=(alg,))
-        assert find_counterexample(spec) is None
+        assert _fixture_hunt(alg, "3-2", "2", complete=True) is None
 
 
 def test_lower_product_law_fails_under_incomplete_congruence(bh4):
     # frozen first finding of the fixture sweep
-    finding = find_counterexample(SearchSpec(n=4, target="3-2:2-incomplete", algebras=(bh4,)))
+    finding = _fixture_hunt(bh4, "3-2", "2", complete=False)
     assert finding is not None
     assert finding.partition == Partition(4, [[0, 1], [2], [3]])
     assert finding.a == Subset.from_elements(4, [2])
     assert finding.b == Subset.from_elements(4, [0, 2])
     assert finding.witness == (0,)
-    assert finding.note == "congruence, not complete"
+    assert finding.complete is False
 
 
 def test_no_incomplete_congruences_on_group_like_fixtures(b4, bo5):
     for alg in (b4, bo5):
-        spec = SearchSpec(n=alg.n, target="3-2:2-incomplete", algebras=(alg,))
-        assert find_counterexample(spec) is None
+        assert _fixture_hunt(alg, "3-2", "2", complete=False) is None
 
 
 def test_upper_equality_reverse_direction_fails_on_bh4(b4, bo5, bh4):
     # item 11 as an equality is NOT a theorem: the reverse inclusion breaks
     for alg in (b4, bo5):
-        assert find_counterexample(
-            SearchSpec(n=alg.n, target="2-1:11b", algebras=(alg,))) is None
-    finding = find_counterexample(SearchSpec(n=4, target="2-1:11b", algebras=(bh4,)))
+        assert _fixture_hunt(alg, "2-1", "11b") is None
+    finding = _fixture_hunt(bh4, "2-1", "11b")
     assert finding is not None
     assert finding.partition == Partition(4, [[0, 1], [2], [3]])
     assert finding.a == Subset.from_elements(4, [0])
@@ -278,7 +261,7 @@ def test_upper_equality_reverse_direction_fails_on_bh4(b4, bo5, bh4):
 
 
 def test_hunt_over_enumerated_models():
-    finding = find_counterexample(SearchSpec(n=3, axiom_set=BH_AXIOMS, target="3-2:2-incomplete"))
+    finding = find_counterexample(SearchSpec(n=3, axiom_set=BH_AXIOMS), "3-2:2-incomplete")
     assert finding is not None
     assert "not complete" in finding.note
     # the finding must reproduce: re-evaluate the law at the witness site
@@ -308,35 +291,23 @@ def test_hunt_checks_each_partition_for_congruence_once(monkeypatch):
 
     for module in (relations, rough, search):
         monkeypatch.setattr(module, "is_congruence", counted)
-    assert find_counterexample(SearchSpec(n=3, axiom_set=BH_AXIOMS, target="3-2:1")) is None
+    assert find_counterexample(SearchSpec(n=3, axiom_set=BH_AXIOMS), "3-2:1") is None
     assert len(seen) == 72 * 5 == 360
 
 
-def test_hunts_are_deterministic(bh4):
-    spec = SearchSpec(n=4, target="2-1:11b", algebras=(bh4,))
-    assert find_counterexample(spec) == find_counterexample(spec)
+def test_hunts_are_deterministic():
+    spec = SearchSpec(n=4, axiom_set=BH_AXIOMS)
+    assert find_counterexample(spec, "2-1:11b") == find_counterexample(spec, "2-1:11b")
 
 
 def test_unknown_target_rejected():
     with pytest.raises(ValidationError):
-        find_counterexample(SearchSpec(n=3, axiom_set=B_AXIOMS, target="9-9:1"))
+        find_counterexample(SearchSpec(n=3, axiom_set=B_AXIOMS), "9-9:1")
 
 
-def test_hunt_time_budget(bh4):
+def test_hunt_time_budget():
     with pytest.raises(SearchLimitError):
-        find_counterexample(
-            SearchSpec(n=4, target="2-1:11b", algebras=(bh4,), time_budget=0.0)
-        )
-
-
-def test_fixed_algebra_order_mismatch(bh4):
-    with pytest.raises(ValidationError):
-        find_counterexample(SearchSpec(n=5, target="3-2:1", algebras=(bh4,)))
-    # the spec itself refuses it, for every target
-    with pytest.raises(ValidationError) as exc:
-        SearchSpec(n=5, target="2-1:1", algebras=(bh4,))
-    assert exc.value.field == "algebras"
-    assert str(exc.value) == "fixed algebra has order 4, spec says 5"
+        find_counterexample(SearchSpec(n=4, axiom_set=BH_AXIOMS, time_budget=0.0), "2-1:11b")
 
 
 # ------------------------------------------------------------- limit counts
@@ -354,7 +325,7 @@ def test_sweep_laws_counts_the_partitions_swept(bh4, monkeypatch):
     assert exc.value.count == 2
 
 
-def test_hunt_limit_counts_the_algebras_swept(bh4, monkeypatch):
+def test_hunt_limit_counts_the_algebras_swept(monkeypatch):
     # the clock expires once the third algebra's congruences are enumerated
     original, sweeps = search.enumerate_congruences, []
 
@@ -364,17 +335,20 @@ def test_hunt_limit_counts_the_algebras_swept(bh4, monkeypatch):
 
     monkeypatch.setattr(search, "enumerate_congruences", counted)
     monkeypatch.setattr(time, "monotonic", lambda: 0.0 if len(sweeps) < 3 else 1e9)
-    spec = SearchSpec(n=4, target="3-2:1", algebras=(bh4,) * 4, time_budget=1.0)
+    spec = SearchSpec(n=3, axiom_set=BH_AXIOMS, time_budget=1.0)
     with pytest.raises(SearchLimitError) as exc:
-        find_counterexample(spec)
+        find_counterexample(spec, "3-2:1")
     assert (exc.value.count, exc.value.reason) == (2, "time")
     assert len(sweeps) == 3
 
 
-@pytest.mark.parametrize("label", ["B", "BH"])
-def test_hunt_over_the_stream_equals_hunt_over_its_models(label):
-    spec = SearchSpec(n=3, axiom_set=LABEL_AXIOMS[label])
-    models = tuple(_collect(spec))
+@pytest.mark.parametrize("n,label", [(n, label) for n in (1, 2, 3) for label in LABEL_AXIOMS]
+                         + [(4, "B"), (4, "BO")])
+def test_hunt_matches_naive_hunt(n, label):
+    spec = SearchSpec(n=n, axiom_set=LABEL_AXIOMS[label])
+    models = _collect(spec)
     for target in TARGETS:
-        hunted = replace(spec, target=target)
-        assert find_counterexample(hunted) == find_counterexample(replace(hunted, algebras=models))
+        f = find_counterexample(spec, target)
+        got = f and (f.witness, f.algebra, tuple(c.elements() for c in f.partition.classes),
+                     f.a.elements(), f.b.elements(), f.note)
+        assert got == oracles.naive_hunt(models, n, target), target
