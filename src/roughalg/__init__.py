@@ -1,10 +1,10 @@
 """Verification toolkit for small finite algebras and rough-set approximations.
 
 Check axiom systems (B, BH, BO, Z) against operation tables, enumerate
-ideals and congruences, compute lower/upper approximations (generalized
-via set-valued maps; a partition's are those of its class map), evaluate
-the standard approximation laws, and exhaustively search small orders for
-models and counterexamples.  Everything reports concrete witnesses and is
+ideals and congruences, compute lower/upper approximations of set-valued
+maps (a partition is its class map x -> [x]), evaluate the standard
+approximation laws, and exhaustively search small orders for models and
+counterexamples.  Everything reports concrete witnesses and is
 deterministic: identical inputs give identical outputs.
 """
 
@@ -31,10 +31,10 @@ from .errors import (
 )
 from .generalized import (
     MorphismReport,
-    gen_lower,
-    gen_upper,
     is_strong_sv_morphism,
     is_sv_morphism,
+    lower,
+    upper,
 )
 from .ideals import IdealReport, enumerate_ideals, is_ideal, is_strong_ideal
 from .relations import (
@@ -51,20 +51,12 @@ from .relations import (
 )
 from .rough import (
     LAWS,
-    ApproximationSpace,
     LawResult,
     ProductLawReport,
-    RoughPair,
-    boundary,
     check_approx_laws,
     check_basic_laws,
     check_congruence_product_laws,
-    is_definable,
-    is_rough,
-    lower,
-    rough_pair,
     sweep_laws,
-    upper,
 )
 from .search import (
     Finding,
@@ -85,14 +77,13 @@ __all__ = [
     "find_identities", "product_set",
     "ParseError", "PreconditionError", "RoughAlgError", "SearchLimitError",
     "ValidationError",
-    "MorphismReport", "gen_lower", "gen_upper", "is_strong_sv_morphism", "is_sv_morphism",
+    "MorphismReport", "is_strong_sv_morphism", "is_sv_morphism", "lower", "upper",
     "IdealReport", "enumerate_ideals", "is_ideal", "is_strong_ideal",
     "CheckResult", "EquivalenceReport", "Partition", "SetValuedMap",
     "class_product_inclusion", "is_complete_congruence", "is_congruence",
     "is_equivalence", "relation_from_ideal", "to_partition",
-    "LAWS", "ApproximationSpace", "LawResult", "ProductLawReport", "RoughPair", "boundary",
-    "check_approx_laws", "check_basic_laws", "check_congruence_product_laws",
-    "is_definable", "is_rough", "lower", "rough_pair", "sweep_laws", "upper",
+    "LAWS", "LawResult", "ProductLawReport",
+    "check_approx_laws", "check_basic_laws", "check_congruence_product_laws", "sweep_laws",
     "Finding", "SearchSpec", "TARGETS", "all_partitions",
     "enumerate_algebras", "enumerate_congruences", "find_counterexample",
     "Subset", "all_subsets", "canonical_subsets",

@@ -60,7 +60,7 @@ class FiniteAlgebra:
     """Operation table over {0..n-1} with a distinguished zero element.
 
     ``table[x][y]`` is the product x*y.  Construction validates closure
-    (every entry inside the carrier) and nothing else.
+    (every entry an int inside the carrier, and the zero too) and nothing else.
     """
 
     __slots__ = ("n", "table", "zero")
@@ -76,14 +76,14 @@ class FiniteAlgebra:
             if len(row) != n:
                 raise ValidationError(f"row {x} has {len(row)} entries, expected {n}")
             for y, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
+                if type(v) is not int or not 0 <= v < n:
                     raise ValidationError(
-                        f"closure violation at row {x}, column {y}: entry {v} "
-                        f"outside carrier 0..{n - 1}"
+                        f"closure violation at row {x}, column {y}: entry {v!r} "
+                        f"is not an int in the carrier 0..{n - 1}", "table"
                     )
             rows.append(row)
-        if not 0 <= zero < n:
-            raise ValidationError(f"zero element {zero} outside carrier 0..{n - 1}")
+        if type(zero) is not int or not 0 <= zero < n:
+            raise ValidationError(f"zero element {zero!r} is not an int in the carrier 0..{n - 1}", "zero")
         self.n = n
         self.table = tuple(rows)
         self.zero = zero

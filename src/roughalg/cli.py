@@ -38,7 +38,7 @@ from .algebra import (
     find_identities,
 )
 from .errors import ParseError, PreconditionError, RoughAlgError, SearchLimitError, ValidationError
-from .generalized import is_strong_sv_morphism, is_sv_morphism
+from .generalized import is_strong_sv_morphism, is_sv_morphism, lower, upper
 from .ideals import is_ideal, is_strong_ideal, enumerate_ideals
 from .relations import (
     Partition,
@@ -53,15 +53,12 @@ from .relations import (
 from .rough import (
     MEASURED,
     SUITES,
-    ApproximationSpace,
     LawResult,
     LawTally,
     check_approx_laws,
     check_basic_laws,
     check_congruence_product_laws,
-    lower,
     sweep_laws,
-    upper,
 )
 from .search import (
     PARTITION_ORDER_LIMIT,
@@ -379,9 +376,8 @@ def _cmd_congruences(args, alg) -> tuple[dict, list[str]]:
 
 def _cmd_approx(args, alg) -> tuple[dict, list[str]]:
     partition, info = _partition_from_args(args, alg)
-    space = ApproximationSpace(partition=partition, algebra=alg)
     a = parse_subset(args.set, alg.n)
-    lo, hi = lower(space, a), upper(space, a)
+    lo, hi = lower(partition, a), upper(partition, a)
     bd = hi - lo
     rough = bool(bd)
     every = not (args.lower or args.upper or args.boundary or args.pair)
@@ -446,9 +442,10 @@ def _verify_prop(args, alg) -> tuple[dict, list[str]]:
         prod = check_congruence_product_laws(alg, partition, a, b)
         results = [prod.upper_inclusion, prod.lower_inclusion]
         report["congruence_complete"] = prod.congruence_complete
+    elif args.prop == "2-1":
+        results = check_approx_laws(partition, a, b, alg)
     else:
-        check = check_approx_laws if args.prop == "2-1" else check_basic_laws
-        results = check(ApproximationSpace(partition=partition, algebra=alg), a, b)
+        results = check_basic_laws(partition, a, b)
     # a single pair fails on any law its suite does not only measure
     ok = not any(r.holds is False and role != MEASURED
                  for r, (_, role, _) in zip(results, SUITES[args.prop]))

@@ -1,14 +1,14 @@
-"""Generalized approximations and morphism checks of set-valued maps.
+"""Approximations and morphism checks of set-valued maps.
 
 A ``SetValuedMap`` (a relation between two carriers, see ``relations``)
 assigns every source element a subset of the target carrier.  It induces
 the lower approximation {x : F(x) <= A} and the upper approximation
 {x : F(x) meets A} of target subsets back in the source.  One mask kernel
-computes both, for every map; ``rough`` computes a partition's classic
-approximations with it, on the class map x -> [x].  When both carriers
-carry an operation the map can be tested for the (strong) morphism
-property: the image of a product must contain (equal, for strong) the
-product of the images.
+computes both, for every map; a ``Partition`` is its class map x -> [x],
+so ``lower`` and ``upper`` are also Pawlak's approximations.  When both
+carriers carry an operation the map can be tested for the (strong)
+morphism property: the image of a product must contain (equal, for
+strong) the product of the images.
 """
 
 from dataclasses import dataclass
@@ -41,13 +41,13 @@ def _lower_mask(images: Sequence[int], m: int, full_target: int) -> int:
     return ((1 << len(images)) - 1) ^ _upper_mask(images, full_target ^ m)
 
 
-def gen_lower(f: SetValuedMap, a: Subset) -> Subset:
+def lower(f: SetValuedMap, a: Subset) -> Subset:
     """Source elements whose image sits inside a (vacuously so when empty)."""
     _check_target_subset(f, a)
     return Subset._raw(f.n_source, _lower_mask(f.masks, a.mask, (1 << f.n_target) - 1))
 
 
-def gen_upper(f: SetValuedMap, a: Subset) -> Subset:
+def upper(f: SetValuedMap, a: Subset) -> Subset:
     """Source elements whose image meets a; empty images never qualify."""
     _check_target_subset(f, a)
     return Subset._raw(f.n_source, _upper_mask(f.masks, a.mask))

@@ -92,16 +92,18 @@ def is_strong_ideal(alg: FiniteAlgebra, ideal: Subset, max_witnesses: int | None
     return _report(alg, ideal, max_witnesses, strong=True)
 
 
-def enumerate_ideals(alg: FiniteAlgebra, strong: bool = False, max_order: int = 20) -> list[Subset]:
+# the subset count doubles with each element: no carrier above this is scanned
+IDEAL_ORDER_LIMIT = 20
+
+
+def enumerate_ideals(alg: FiniteAlgebra, strong: bool = False) -> list[Subset]:
     """All ideals (or strong ideals) sorted by cardinality then elements.
 
     Scans the 2^n subset lattice, pruning on condition (1) first; guarded
-    by ``max_order`` because of the exponential subset count.
+    by ``IDEAL_ORDER_LIMIT`` because of the exponential subset count.
     """
-    if alg.n > max_order:
-        raise ValidationError(
-            f"carrier size {alg.n} exceeds enumeration limit {max_order}; raise max_order to override"
-        )
+    if alg.n > IDEAL_ORDER_LIMIT:
+        raise ValidationError(f"carrier size {alg.n} exceeds enumeration limit {IDEAL_ORDER_LIMIT}")
     violations = _triple_violations if strong else _pair_violations
     found = [s for s in all_subsets(alg.n) if alg.zero in s and next(violations(alg, s), None) is None]
     found.sort(key=lambda s: s.sort_key)

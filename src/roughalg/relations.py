@@ -3,12 +3,11 @@
 A relation between two carriers is a ``SetValuedMap``: it assigns each
 source element x its image R(x), a subset of the target carrier, and
 relates x to exactly the elements of R(x).  The relation an ideal induces
-is one (``relation_from_ideal``), and so is a partition: its class map
-x -> [x] (``SetValuedMap.from_partition``).  ``is_equivalence`` and
-``to_partition`` read an equivalence's images as its classes.  A
-partition's lower and upper approximations are the generalized ones of
-its class map (see ``generalized``).  Every check returns the
-lexicographically first violating tuple so that repeated runs are
+is one (``relation_from_ideal``), and so is a ``Partition``: it is its
+class map x -> [x].  ``is_equivalence`` and ``to_partition`` read an
+equivalence's images as its classes.  ``generalized.lower`` and ``upper``
+approximate along any map, a partition included.  Every check returns
+the lexicographically first violating tuple so that repeated runs are
 bit-identical.
 """
 
@@ -34,15 +33,14 @@ class CheckResult:
 class SetValuedMap:
     """Total map from {0..n_source-1} to subsets of {0..n_target-1}.
 
-    Empty images are allowed by default; F-lower of any set then contains
-    the empty-image elements vacuously.  Pass require_nonempty=True to
-    reject empty images at construction.  ``masks[x]`` is the element mask
-    of ``images[x]``.
+    Empty images are allowed; the lower approximation of any set then
+    contains the empty-image elements vacuously.  ``masks[x]`` is the
+    element mask of ``images[x]``.
     """
 
     __slots__ = ("n_source", "n_target", "images", "masks")
 
-    def __init__(self, n_source: int, n_target: int, images: Iterable, require_nonempty: bool = False):
+    def __init__(self, n_source: int, n_target: int, images: Iterable):
         if n_source < 1 or n_target < 1:
             raise ValidationError("carrier sizes must be at least 1")
         normalized = []
@@ -50,8 +48,6 @@ class SetValuedMap:
             img = img if isinstance(img, Subset) else Subset.from_elements(n_target, img)
             if img.n != n_target:
                 raise ValidationError(f"image of {x} lives in carrier {img.n}, expected {n_target}")
-            if require_nonempty and not img:
-                raise ValidationError(f"image of {x} is empty")
             normalized.append(img)
         if len(normalized) != n_source:
             raise ValidationError(f"expected {n_source} images, got {len(normalized)}")
@@ -59,11 +55,6 @@ class SetValuedMap:
         self.n_target = n_target
         self.images = tuple(normalized)
         self.masks = tuple(img.mask for img in normalized)
-
-    @classmethod
-    def from_partition(cls, p: "Partition") -> "SetValuedMap":
-        """The class map x -> [x]; its generalized approximations are the partition's classic ones."""
-        return cls(p.n, p.n, (p.classes[i] for i in p.class_index))
 
     def image(self, x: int) -> Subset:
         return self.images[x]
@@ -83,11 +74,12 @@ class SetValuedMap:
         return f"SetValuedMap({self.n_source}->{self.n_target}, {body})"
 
 
-class Partition:
+class Partition(SetValuedMap):
     """Pairwise-disjoint nonempty classes covering {0..n-1} exactly once.
 
-    Classes are stored sorted by their least element, which fixes class
-    ids and makes equal partitions compare equal.
+    A partition is its class map x -> [x]: ``image(x)`` is the class of x,
+    and two partitions are equal when their class maps are.  Classes are
+    stored sorted by their least element, which fixes class ids.
     """
 
     __slots__ = ("n", "classes", "class_index")
@@ -103,23 +95,23 @@ class Partition:
             if not c:
                 raise ValidationError("empty class is not allowed")
             normalized.append(c)
-        seen = Subset.empty(n)
+        seen = 0
         for c in normalized:
-            if (seen & c).mask != 0:
-                dup = next(iter(seen & c))
-                raise ValidationError(f"element {dup} appears in two classes")
-            seen = seen | c
-        if seen != Subset.universe(n):
-            missing = next(iter(seen.complement()))
-            raise ValidationError(f"element {missing} is not covered by any class")
-        normalized.sort(key=lambda c: next(iter(c)))
+            if seen & c.mask:
+                raise ValidationError(f"element {_low(seen & c.mask)} appears in two classes")
+            seen |= c.mask
+        if seen != (1 << n) - 1:
+            raise ValidationError(f"element {_low(~seen)} is not covered by any class")
+        normalized.sort(key=lambda c: _low(c.mask))
         index = [0] * n
         for ci, c in enumerate(normalized):
             for x in c:
                 index[x] = ci
-        self.n = n
+        self.n = self.n_source = self.n_target = n
         self.classes = tuple(normalized)
         self.class_index = tuple(index)
+        self.images = tuple(normalized[i] for i in index)
+        self.masks = tuple(c.mask for c in self.images)
 
     @classmethod
     def discrete(cls, n: int) -> "Partition":
@@ -129,15 +121,6 @@ class Partition:
     def single(cls, n: int) -> "Partition":
         """One class containing the whole carrier."""
         return cls(n, [range(n)])
-
-    def class_of(self, x: int) -> Subset:
-        return self.classes[self.class_index[x]]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.n == other.n and self.classes == other.classes
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.classes))
 
     def __repr__(self) -> str:
         body = " | ".join(",".join(map(str, c)) for c in self.classes)
@@ -235,7 +218,7 @@ def is_complete_congruence(alg: FiniteAlgebra, p: Partition) -> CheckResult:
 def _completeness(alg: FiniteAlgebra, p: Partition) -> CheckResult:
     """is_complete_congruence without its precondition, which completeness implies:
     for x' ~ x, x'*z lies in [x]*[z] = [x*z], and the same holds on the left."""
-    w = image_product_mismatch(alg, alg, SetValuedMap.from_partition(p).masks, strong=True)
+    w = image_product_mismatch(alg, alg, p.masks, strong=True)
     return CheckResult(w is None, w)
 
 
@@ -249,7 +232,7 @@ def class_product_inclusion(alg: FiniteAlgebra, p: Partition) -> CheckResult:
     """
     if p.n != alg.n:
         raise ValidationError(f"partition carrier {p.n} does not match algebra carrier {alg.n}")
-    w = image_product_mismatch(alg, alg, SetValuedMap.from_partition(p).masks, strong=False)
+    w = image_product_mismatch(alg, alg, p.masks, strong=False)
     return CheckResult(w is None, w and (w[0], w[1], w[3]))
 
 

@@ -1,14 +1,12 @@
-"""Approximation operators over a partition, and the law registry.
+"""The law registry of the approximation suites, and its views.
 
-``lower(space, A)`` collects the elements whose class sits inside A;
-``upper(space, A)`` those whose class meets A: the generalized
-approximations of the class map x -> [x].  The boundary is their
-difference; A is rough when the boundary is nonempty and definable
-otherwise.  Each law of the suites 2-1, 3-1 and 3-2 is defined once, in
-``LAWS``, as a predicate on integer masks that reads ``L[m]``, ``U[m]``
-(lower and upper approximation) and ``P[a][b]`` (set product): from full
-tables in the exhaustive ``sweep_laws``, and computed on demand in the
-single-pair views ``check_approx_laws``, ``check_basic_laws`` and
+A partition's lower and upper approximations are those of its class map
+x -> [x], computed by ``generalized``'s one mask kernel.  Each law of the
+suites 2-1, 3-1 and 3-2 is defined once, in ``LAWS``, as a predicate on
+integer masks that reads ``L[m]``, ``U[m]`` (lower and upper
+approximation) and ``P[a][b]`` (set product): from full tables in the
+exhaustive ``sweep_laws``, and computed on demand in the single-pair views
+``check_approx_laws``, ``check_basic_laws`` and
 ``check_congruence_product_laws``.
 """
 
@@ -19,66 +17,9 @@ from typing import Callable, NamedTuple, Sequence
 
 from .algebra import FiniteAlgebra, _low, product_mask
 from .errors import SearchLimitError, ValidationError
-from .generalized import _lower_mask, _upper_mask, gen_lower, gen_upper
+from .generalized import _lower_mask, _upper_mask
 from .relations import Partition, SetValuedMap, _completeness, is_congruence, require_congruence
 from .sets import Subset, canonical_subsets
-
-
-@dataclass(frozen=True)
-class ApproximationSpace:
-    """A partitioned carrier; the algebra is only needed for product laws."""
-
-    partition: Partition
-    algebra: FiniteAlgebra | None = None
-
-    def __post_init__(self):
-        if self.algebra is not None and self.algebra.n != self.partition.n:
-            raise ValidationError(
-                f"algebra carrier {self.algebra.n} does not match partition carrier {self.partition.n}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.partition.n
-
-
-@dataclass(frozen=True)
-class RoughPair:
-    lower: Subset
-    upper: Subset
-
-
-def _check_subset(space: ApproximationSpace, a: Subset) -> None:
-    if a.n != space.n:
-        raise ValidationError(f"subset carrier {a.n} does not match space carrier {space.n}")
-
-
-def lower(space: ApproximationSpace, a: Subset) -> Subset:
-    """Union of the classes entirely inside a."""
-    _check_subset(space, a)
-    return gen_lower(SetValuedMap.from_partition(space.partition), a)
-
-
-def upper(space: ApproximationSpace, a: Subset) -> Subset:
-    """Union of the classes meeting a."""
-    _check_subset(space, a)
-    return gen_upper(SetValuedMap.from_partition(space.partition), a)
-
-
-def boundary(space: ApproximationSpace, a: Subset) -> Subset:
-    return upper(space, a) - lower(space, a)
-
-
-def is_rough(space: ApproximationSpace, a: Subset) -> bool:
-    return bool(boundary(space, a))
-
-
-def is_definable(space: ApproximationSpace, a: Subset) -> bool:
-    return not is_rough(space, a)
-
-
-def rough_pair(space: ApproximationSpace, a: Subset) -> RoughPair:
-    return RoughPair(lower=lower(space, a), upper=upper(space, a))
 
 
 # ---------------------------------------------------------------- mask contexts
@@ -97,9 +38,14 @@ class _OnDemand(dict):
         return self.setdefault(key, self.fn(key))
 
 
-# Both contexts read the approximations of a square map f; a partition's are its class map's.
-def _on_demand(f: SetValuedMap, alg: FiniteAlgebra | None) -> _Masks:
-    images, full = f.masks, (1 << f.n_target) - 1
+def _on_demand(p: Partition, alg: FiniteAlgebra | None, a: Subset, b: Subset) -> _Masks:
+    """Context of a single-pair view; ValidationError unless alg, a and b live on p's carrier."""
+    if alg is not None and alg.n != p.n:
+        raise ValidationError(f"algebra carrier {alg.n} does not match partition carrier {p.n}")
+    for s in (a, b):
+        if s.n != p.n:
+            raise ValidationError(f"subset carrier {s.n} does not match partition carrier {p.n}")
+    images, full = p.masks, (1 << p.n) - 1
     return _Masks(_OnDemand(lambda m: _lower_mask(images, m, full)),
                   _OnDemand(lambda m: _upper_mask(images, m)),
                   _OnDemand(lambda a: _OnDemand(lambda b: product_mask(alg, a, b))), full)
@@ -265,14 +211,12 @@ def _congruence_note(alg: FiniteAlgebra, p: Partition) -> tuple[bool | None, str
     return False, "partition is a congruence of the algebra, but not complete"
 
 
-def _suite_view(suite: str, space: ApproximationSpace, a: Subset, b: Subset) -> tuple[LawResult, ...]:
-    _check_subset(space, a)
-    _check_subset(space, b)
-    p, alg = space.partition, space.algebra
+def _suite_view(suite: str, p: Partition, a: Subset, b: Subset,
+                alg: FiniteAlgebra | None) -> tuple[LawResult, ...]:
+    ctx = _on_demand(p, alg, a, b)
     note = None
     if alg is not None and any(law.needs_algebra for _, _, law in SUITES[suite]):
         note = _congruence_note(alg, p)[1]
-    ctx = _on_demand(SetValuedMap.from_partition(p), alg)
     return tuple(
         LawResult(number, law.description, None, note="needs an algebra")
         if law.needs_algebra and alg is None
@@ -281,7 +225,8 @@ def _suite_view(suite: str, space: ApproximationSpace, a: Subset, b: Subset) -> 
     )
 
 
-def check_approx_laws(space: ApproximationSpace, a: Subset, b: Subset) -> tuple[LawResult, ...]:
+def check_approx_laws(p: Partition, a: Subset, b: Subset,
+                      algebra: FiniteAlgebra | None = None) -> tuple[LawResult, ...]:
     """Suite 2-1: the twelve classic laws evaluated on (a, b).
 
     Laws 1-10 involve only the approximation operators and are theorems;
@@ -290,12 +235,12 @@ def check_approx_laws(space: ApproximationSpace, a: Subset, b: Subset) -> tuple[
     direction at a time.  Without an algebra they come back as
     not-applicable.
     """
-    return _suite_view("2-1", space, a, b)
+    return _suite_view("2-1", p, a, b, algebra)
 
 
-def check_basic_laws(space: ApproximationSpace, a: Subset, b: Subset) -> tuple[LawResult, ...]:
-    """Suite 3-1: bounds, union/intersection laws, monotonicity."""
-    return _suite_view("3-1", space, a, b)
+def check_basic_laws(p: Partition, a: Subset, b: Subset) -> tuple[LawResult, ...]:
+    """Suite 3-1: bounds, union/intersection laws, monotonicity; none reads an algebra."""
+    return _suite_view("3-1", p, a, b, None)
 
 
 @dataclass(frozen=True)
@@ -322,9 +267,7 @@ def check_congruence_product_laws(
     not a congruence of alg.
     """
     require_congruence(alg, p)
-    for s in (a, b):
-        _check_subset(ApproximationSpace(partition=p), s)
-    ctx = _on_demand(SetValuedMap.from_partition(p), alg)
+    ctx = _on_demand(p, alg, a, b)
     up, low = (_result(law.id, law, ctx, a, b, None) for _, _, law in SUITES["3-2"])
     return ProductLawReport(up, low, _completeness(alg, p).holds)
 
@@ -398,7 +341,7 @@ def sweep_laws(suite: str, partitions: Sequence[Partition], algebra: FiniteAlgeb
         if complete is not None and is_complete != complete:
             continue
         sweep.partitions += 1
-        ctx = _tables(SetValuedMap.from_partition(p), P)
+        ctx = _tables(p, P)
         described = None  # (complete, note) of p, from its first recorded failure on
         active = []
         for number, role, law in members:

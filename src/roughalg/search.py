@@ -42,6 +42,9 @@ class SearchSpec:
     max_order: int = 5
 
     def __post_init__(self):
+        for name, v in (("n", self.n), ("max_order", self.max_order), ("model_cap", self.model_cap)):
+            if type(v) is not int and not (v is None and name == "model_cap"):
+                raise ValidationError(f"{name} must be an int, got {v!r}", name)
         if not 1 <= self.n <= self.max_order:
             raise ValidationError(f"order {self.n} is outside the search limit 1..{self.max_order}; "
                                   "raise max_order to override", "n")

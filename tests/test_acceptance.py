@@ -9,7 +9,6 @@ import json
 import time
 
 from roughalg import (
-    ApproximationSpace,
     AxiomId,
     FiniteAlgebra,
     LABEL_AXIOMS,
@@ -26,14 +25,13 @@ from roughalg import (
     enumerate_congruences,
     enumerate_ideals,
     find_identities,
-    gen_lower,
-    gen_upper,
     is_ideal,
     lower,
     upper,
 )
 from roughalg.cli import run
-from roughalg.tables import B4, BH4, BO5, Z4
+
+from conftest import BUNDLED
 
 
 def _passed(num, name):
@@ -41,30 +39,30 @@ def _passed(num, name):
 
 
 def test_criterion_1_fixture_classification():
-    assert "B" in classify(B4)
-    assert find_identities(B4).two_sided == Subset.from_elements(4, [0])
-    assert "BO" in classify(BO5)
-    assert "BH" in classify(BH4)
+    assert "B" in classify(BUNDLED["b4"])
+    assert find_identities(BUNDLED["b4"]).two_sided == Subset.from_elements(4, [0])
+    assert "BO" in classify(BUNDLED["bo5"])
+    assert "BH" in classify(BUNDLED["bh4"])
     _passed(1, "fixture classification")
 
 
 def test_criterion_2_inconsistency_regressions():
     # the z4 table fails the literal Z axioms, first witnesses pinned
-    c1 = check_axiom(Z4, AxiomId.C1)
+    c1 = check_axiom(BUNDLED["z4"], AxiomId.C1)
     assert not c1.holds and c1.witnesses[0] == (2,)
-    c6 = check_axiom(Z4, AxiomId.C6)
+    c6 = check_axiom(BUNDLED["z4"], AxiomId.C6)
     assert not c6.holds and c6.witnesses == ((1,),)
 
     # {0,1,2} is not an ideal of z4; (3,1) is among the reported witnesses
     # and the full canonical list is pinned (z4's failing column 0 also
     # yields the earlier witness (3,0))
-    report = is_ideal(Z4, Subset.from_elements(4, [0, 1, 2]))
+    report = is_ideal(BUNDLED["z4"], Subset.from_elements(4, [0, 1, 2]))
     assert not report.is_ideal
     assert (3, 1) in report.pair_witnesses
     assert report.pair_witnesses == ((3, 0), (3, 1), (3, 2))
 
     # {0,1} is not an ideal of bo5; (3,1) is the one and only witness
-    report = is_ideal(BO5, Subset.from_elements(5, [0, 1]))
+    report = is_ideal(BUNDLED["bo5"], Subset.from_elements(5, [0, 1]))
     assert not report.is_ideal
     assert report.pair_witnesses == ((3, 1),)
     _passed(2, "inconsistency regressions")
@@ -79,10 +77,9 @@ def test_criterion_3_approximation_law_suite():
     subsets = list(all_subsets(4))
     assert len(subsets) == 16
     for p in partitions:
-        space = ApproximationSpace(partition=p)
         for a in subsets:
             for b in subsets:
-                for r in check_approx_laws(space, a, b):
+                for r in check_approx_laws(p, a, b):
                     if r.law in gate and r.holds is False:
                         violations += 1
     elapsed = time.perf_counter() - started
@@ -94,7 +91,7 @@ def test_criterion_3_approximation_law_suite():
 def test_criterion_4_congruence_product_laws():
     part1_violations = 0
     part2_complete_violations = 0
-    for alg in (B4, BO5, BH4):
+    for alg in (BUNDLED["b4"], BUNDLED["bo5"], BUNDLED["bh4"]):
         subsets = list(all_subsets(alg.n))
         for p in enumerate_congruences(alg):
             for a in subsets:
@@ -113,7 +110,7 @@ def test_criterion_4_congruence_product_laws():
 
 
 def test_criterion_5_ideal_enumeration():
-    got = [s.elements() for s in enumerate_ideals(BH4)]
+    got = [s.elements() for s in enumerate_ideals(BUNDLED["bh4"])]
     assert got == [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)]
     _passed(5, "ideal enumeration")
 
@@ -131,20 +128,23 @@ def test_criterion_6_model_search():
     emitted = []
     count5 = enumerate_algebras(SearchSpec(n=5, axiom_set=LABEL_AXIOMS["BO"]), emitted.append)
     assert count5 == 6
-    assert BO5 in emitted
+    assert BUNDLED["bo5"] in emitted
     _passed(6, "model search")
 
 
 def test_criterion_7_generalized_reduction():
+    # a partition is its class map x -> [x]: its approximations are those of that map
+    # built by hand, and Pawlak's unions of the classes inside and meeting the set
     violations = 0
     for n in range(1, 5):
         for p in all_partitions(n):
-            f = SetValuedMap.from_partition(p)
-            space = ApproximationSpace(partition=p)
+            f = SetValuedMap(n, n, [next(c for c in p.classes if x in c) for x in range(n)])
             for a in all_subsets(n):
-                if gen_lower(f, a) != lower(space, a):
+                inside = Subset.from_elements(n, (x for c in p.classes if c.issubset(a) for x in c))
+                meeting = Subset.from_elements(n, (x for c in p.classes if not c.isdisjoint(a) for x in c))
+                if not lower(p, a) == lower(f, a) == inside:
                     violations += 1
-                if gen_upper(f, a) != upper(space, a):
+                if not upper(p, a) == upper(f, a) == meeting:
                     violations += 1
     assert violations == 0
     _passed(7, "generalized reduction")
@@ -154,12 +154,11 @@ def test_criterion_8_duality_and_idempotence():
     violations = 0
     for n in range(1, 5):
         for p in all_partitions(n):
-            space = ApproximationSpace(partition=p)
             for a in all_subsets(n):
-                lo, hi = lower(space, a), upper(space, a)
-                if upper(space, a.complement()) != lo.complement():
+                lo, hi = lower(p, a), upper(p, a)
+                if upper(p, a.complement()) != lo.complement():
                     violations += 1
-                if lower(space, lo) != lo or upper(space, hi) != hi:
+                if lower(p, lo) != lo or upper(p, hi) != hi:
                     violations += 1
     assert violations == 0
     _passed(8, "duality and idempotence")

@@ -49,6 +49,22 @@ def test_zero_out_of_range():
         FiniteAlgebra(2, [[0, 1], [1, 0]], zero=2)
 
 
+def test_zero_must_be_an_int():
+    # a float or bool zero used to be accepted, and check_axiom then failed on indexing
+    for zero in (1.0, True):
+        with pytest.raises(ValidationError) as exc:
+            FiniteAlgebra(2, [[0, 1], [1, 0]], zero=zero)
+        assert exc.value.field == "zero"
+
+
+def test_table_entries_must_be_ints():
+    # a bool is an int subclass, but no carrier element; floats were refused before too
+    for v in (True, 1.0):
+        with pytest.raises(ValidationError, match=r"row 0, column 1") as exc:
+            FiniteAlgebra(2, [[0, v], [v, 0]])
+        assert exc.value.field == "table"
+
+
 def test_wrong_row_count_and_length():
     with pytest.raises(ValidationError):
         FiniteAlgebra(2, [[0, 1]])

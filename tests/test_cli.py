@@ -10,30 +10,20 @@ from roughalg import FiniteAlgebra, ParseError, SetValuedMap, Subset
 from roughalg.cli import (
     main,
     parse_algebra,
-    parse_algebra_file,
     parse_partition,
     parse_subset,
     parse_svmap,
     render_algebra,
     run,
 )
-from roughalg.tables import B4, BH4, BO5, Z4, BUNDLED
 
-from conftest import algebras
+from conftest import BUNDLED, algebras
 
 
 # ------------------------------------------------------------- file format
 
-def test_fixture_files_match_bundled_constants(tables_dir):
-    for name, alg in BUNDLED.items():
-        text = (tables_dir / f"{name}.alg").read_text()
-        parsed_name, parsed = parse_algebra_file(text)
-        assert parsed_name == name
-        assert parsed == alg
-
-
 def test_render_parse_roundtrip_fixtures():
-    for alg in (B4, BO5, BH4, Z4):
+    for alg in BUNDLED.values():
         assert parse_algebra(render_algebra(alg)) == alg
 
 

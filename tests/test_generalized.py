@@ -5,14 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from roughalg import (
-    ApproximationSpace,
     FiniteAlgebra,
     SetValuedMap,
     Subset,
     ValidationError,
     classify,
-    gen_lower,
-    gen_upper,
     is_strong_sv_morphism,
     is_sv_morphism,
     lower,
@@ -42,42 +39,40 @@ def test_construction_validates():
         SetValuedMap(2, 2, [[0]])  # not total
     with pytest.raises(ValidationError):
         SetValuedMap(1, 2, [[2]])  # image outside the target
-    with pytest.raises(ValidationError):
-        SetValuedMap(2, 2, [[0], []], require_nonempty=True)
+    assert SetValuedMap(2, 2, [[0], []]).masks == (1, 0)  # empty images are allowed
 
 
 def test_gen_lower_example(three_to_two):
-    assert gen_lower(three_to_two, Subset.from_elements(2, [0])).elements() == (0, 2)
+    assert lower(three_to_two, Subset.from_elements(2, [0])).elements() == (0, 2)
 
 
 def test_gen_upper_example(three_to_two):
-    assert gen_upper(three_to_two, Subset.from_elements(2, [1])).elements() == (1,)
+    assert upper(three_to_two, Subset.from_elements(2, [1])).elements() == (1,)
 
 
 def test_empty_image_is_always_in_gen_lower(three_to_two):
     # vacuous inclusion: even the empty target set contains the empty image
-    assert 2 in gen_lower(three_to_two, Subset.empty(2))
-    assert 2 not in gen_upper(three_to_two, Subset.universe(2))
+    assert 2 in lower(three_to_two, Subset.empty(2))
+    assert 2 not in upper(three_to_two, Subset.universe(2))
 
 
 def test_constant_full_map_lower():
     f = SetValuedMap(3, 3, [Subset.universe(3)] * 3)
-    assert gen_lower(f, Subset.from_elements(3, [0, 1])) == Subset.empty(3)
-    assert gen_lower(f, Subset.universe(3)) == Subset.universe(3)
+    assert lower(f, Subset.from_elements(3, [0, 1])) == Subset.empty(3)
+    assert lower(f, Subset.universe(3)) == Subset.universe(3)
 
 
 def test_gen_upper_of_empty_is_empty(three_to_two):
-    assert gen_upper(three_to_two, Subset.empty(2)) == Subset.empty(3)
+    assert upper(three_to_two, Subset.empty(2)) == Subset.empty(3)
 
 
 @given(st.integers(1, 4).flatmap(partitions), st.data())
 def test_reduction_to_classic_approximations(p, data):
-    f = SetValuedMap.from_partition(p)
-    space = ApproximationSpace(partition=p)
+    f = SetValuedMap(p.n, p.n, p.images)
     a = data.draw(subsets(p.n))
     classes = [list(c) for c in p.classes]
-    assert set(gen_lower(f, a)) == oracles.naive_lower(classes, list(a)) == set(lower(space, a))
-    assert set(gen_upper(f, a)) == oracles.naive_upper(classes, list(a)) == set(upper(space, a))
+    assert set(lower(f, a)) == oracles.naive_lower(classes, list(a)) == set(lower(p, a))
+    assert set(upper(f, a)) == oracles.naive_upper(classes, list(a)) == set(upper(p, a))
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.integers(1, 4).flatmap(
@@ -87,17 +82,17 @@ def test_generalized_approximations_match_their_definitions(case):
     f, data = case
     a = data.draw(subsets(f.n_target))
     images = [list(img) for img in f.images]
-    assert set(gen_lower(f, a)) == oracles.naive_gen_lower(images, list(a))
-    assert set(gen_upper(f, a)) == oracles.naive_gen_upper(images, list(a))
+    assert set(lower(f, a)) == oracles.naive_gen_lower(images, list(a))
+    assert set(upper(f, a)) == oracles.naive_gen_upper(images, list(a))
 
 
 @given(svmaps(3, 4), st.data())
 def test_duality_and_monotonicity(f, data):
     a = data.draw(subsets(4))
-    assert gen_upper(f, a.complement()) == gen_lower(f, a).complement()
+    assert upper(f, a.complement()) == lower(f, a).complement()
     b = data.draw(subsets(4))
-    assert gen_lower(f, a).issubset(gen_lower(f, a | b))
-    assert gen_upper(f, a).issubset(gen_upper(f, a | b))
+    assert lower(f, a).issubset(lower(f, a | b))
+    assert upper(f, a).issubset(upper(f, a | b))
 
 
 # ------------------------------------------------------------- morphisms

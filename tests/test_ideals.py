@@ -112,9 +112,9 @@ def test_singleton_algebra_ideals():
 def test_enumeration_guard():
     from roughalg import FiniteAlgebra
 
-    big = FiniteAlgebra(3, [[0] * 3] * 3)
-    with pytest.raises(ValidationError):
-        enumerate_ideals(big, max_order=2)
+    big = FiniteAlgebra(21, [[0] * 21] * 21)
+    with pytest.raises(ValidationError, match="carrier size 21 exceeds enumeration limit 20"):
+        enumerate_ideals(big)
 
 
 def test_witness_cap(z4):

@@ -25,9 +25,8 @@ from roughalg import (
 )
 
 import oracles
-from conftest import algebras, partitions
+from conftest import BUNDLED, algebras, partitions
 from roughalg.relations import _completeness
-from roughalg.tables import BUNDLED
 
 
 def _relation(n, pairs):
@@ -52,8 +51,8 @@ def _pairs(rel):
 def test_worked_partition_is_valid(worked_partition):
     assert worked_partition.n == 5
     assert [c.elements() for c in worked_partition.classes] == [(0, 1), (2,), (3,), (4,)]
-    assert worked_partition.class_of(1).elements() == (0, 1)
-    assert worked_partition.class_of(4).elements() == (4,)
+    assert worked_partition.image(1).elements() == (0, 1)
+    assert worked_partition.image(4).elements() == (4,)
 
 
 def test_overlap_error_names_element():
@@ -135,10 +134,9 @@ def test_to_partition_rejects_non_equivalence():
 @given(st.integers(1, 5).flatmap(partitions))
 def test_pairs_roundtrip_is_identity(p):
     # the class map x -> [x] is the partition's equivalence relation
-    rel = SetValuedMap.from_partition(p)
-    assert _pairs(rel) == {(x, y) for x in range(p.n) for y in range(p.n)
-                           if p.class_index[x] == p.class_index[y]}
-    assert to_partition(rel) == p
+    assert _pairs(p) == {(x, y) for x in range(p.n) for y in range(p.n)
+                         if p.class_index[x] == p.class_index[y]}
+    assert to_partition(p) == p
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.sets(
@@ -244,9 +242,9 @@ def test_class_product_inclusion_failure(bo5, worked_partition):
     result = class_product_inclusion(bo5, worked_partition)
     assert not result.holds
     x, y, elem = result.witness
-    prod = {bo5.op(a, b) for a in worked_partition.class_of(x) for b in worked_partition.class_of(y)}
+    prod = {bo5.op(a, b) for a in worked_partition.image(x) for b in worked_partition.image(y)}
     assert elem in prod
-    assert elem not in worked_partition.class_of(bo5.op(x, y))
+    assert elem not in worked_partition.image(bo5.op(x, y))
 
 
 # ------------------------------------------------- relation_from_ideal

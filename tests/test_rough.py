@@ -5,29 +5,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from roughalg import (
-    ApproximationSpace,
     Partition,
     PreconditionError,
+    SetValuedMap,
     Subset,
+    ValidationError,
     all_partitions,
-    boundary,
     check_approx_laws,
     check_basic_laws,
     check_congruence_product_laws,
-    is_definable,
-    is_rough,
+    is_equivalence,
     lower,
-    rough_pair,
+    to_partition,
     upper,
 )
 
 import oracles
 from conftest import algebras, partitions, subsets
-
-
-@pytest.fixture
-def worked_space(worked_partition):
-    return ApproximationSpace(partition=worked_partition)
 
 
 def _s(*elems, n=5):
@@ -36,116 +30,126 @@ def _s(*elems, n=5):
 
 # ------------------------------------------------------------- lower / upper
 
-def test_lower_examples(worked_space):
-    assert lower(worked_space, _s(0, 1)) == _s(0, 1)
-    assert lower(worked_space, _s()) == _s()
-    assert lower(worked_space, _s(0, 1, 2, 3)) == _s(0, 1, 2, 3)
-    assert lower(worked_space, _s(0, 2)) == _s(2)
-    assert lower(worked_space, _s(0, 3)) == _s(3)
+def test_lower_examples(worked_partition):
+    assert lower(worked_partition, _s(0, 1)) == _s(0, 1)
+    assert lower(worked_partition, _s()) == _s()
+    assert lower(worked_partition, _s(0, 1, 2, 3)) == _s(0, 1, 2, 3)
+    assert lower(worked_partition, _s(0, 2)) == _s(2)
+    assert lower(worked_partition, _s(0, 3)) == _s(3)
 
 
-def test_upper_examples(worked_space):
-    assert upper(worked_space, _s(0)) == _s(0, 1)
-    assert upper(worked_space, _s(1, 2, 3)) == _s(0, 1, 2, 3)
-    assert upper(worked_space, Subset.universe(5)) == Subset.universe(5)
-    assert upper(worked_space, _s(0, 2, 3)) == _s(0, 1, 2, 3)
-    assert upper(worked_space, _s(1, 2, 3, 4)) == Subset.universe(5)
+def test_upper_examples(worked_partition):
+    assert upper(worked_partition, _s(0)) == _s(0, 1)
+    assert upper(worked_partition, _s(1, 2, 3)) == _s(0, 1, 2, 3)
+    assert upper(worked_partition, Subset.universe(5)) == Subset.universe(5)
+    assert upper(worked_partition, _s(0, 2, 3)) == _s(0, 1, 2, 3)
+    assert upper(worked_partition, _s(1, 2, 3, 4)) == Subset.universe(5)
 
 
-def test_upper_of_single_whole_class_is_itself(worked_space):
+def test_upper_of_single_whole_class_is_itself(worked_partition):
     # regression fixture: {2} is a whole class, so both approximations fix it
-    assert upper(worked_space, _s(2)) == _s(2)
-    assert lower(worked_space, _s(2)) == _s(2)
+    assert upper(worked_partition, _s(2)) == _s(2)
+    assert lower(worked_partition, _s(2)) == _s(2)
 
 
-def test_boundary_and_roughness(worked_space):
-    # lower({0}) is empty since the class {0,1} is not inside {0}
-    assert boundary(worked_space, _s(0)) == _s(0, 1)
-    assert is_rough(worked_space, _s(0))
-    assert is_definable(worked_space, _s(0, 1))
+def test_boundary_and_roughness(worked_partition):
+    # lower({0}) is empty since the class {0,1} is not inside {0}: {0} is rough
+    p = worked_partition
+    assert upper(p, _s(0)) - lower(p, _s(0)) == _s(0, 1)
+    assert upper(p, _s(0, 1)) - lower(p, _s(0, 1)) == _s()
 
 
-def test_union_of_classes_is_definable(worked_space):
-    assert boundary(worked_space, _s(0, 1, 3)) == _s()
-    assert is_definable(worked_space, _s(0, 1, 3))
+def test_union_of_classes_is_definable(worked_partition):
+    p = worked_partition
+    assert upper(p, _s(0, 1, 3)) - lower(p, _s(0, 1, 3)) == _s()
 
 
 def test_discrete_partition_makes_everything_definable():
-    space = ApproximationSpace(partition=Partition.discrete(4))
+    p = Partition.discrete(4)
     for mask in range(16):
-        assert is_definable(space, Subset(4, mask))
+        a = Subset(4, mask)
+        assert lower(p, a) == upper(p, a) == a
 
 
-def test_rough_pair_examples(worked_space):
-    pair = rough_pair(worked_space, _s(0, 1))
-    assert (pair.lower, pair.upper) == (_s(0, 1), _s(0, 1))
-    pair = rough_pair(worked_space, _s())
-    assert (pair.lower, pair.upper) == (_s(), _s())
-    pair = rough_pair(worked_space, _s(2))
-    assert (pair.lower, pair.upper) == (_s(2), _s(2))
+def test_rough_pair_examples(worked_partition):
+    p = worked_partition
+    assert (lower(p, _s(0, 1)), upper(p, _s(0, 1))) == (_s(0, 1), _s(0, 1))
+    assert (lower(p, _s()), upper(p, _s())) == (_s(), _s())
+    assert (lower(p, _s(2)), upper(p, _s(2))) == (_s(2), _s(2))
 
 
 def test_space_validates_carriers(bh4):
-    from roughalg import ValidationError
+    s3 = Subset.empty(3)
+    with pytest.raises(ValidationError, match="algebra carrier 4 does not match partition carrier 3"):
+        check_approx_laws(Partition.discrete(3), s3, s3, bh4)
+    with pytest.raises(ValidationError, match="subset carrier 4 does not match partition carrier 3"):
+        check_approx_laws(Partition.discrete(3), s3, Subset.empty(4))
+    with pytest.raises(ValidationError, match="subset carrier 3 does not match partition carrier 4"):
+        check_basic_laws(Partition.discrete(4), s3, s3)
+    with pytest.raises(ValidationError, match="subset carrier 3 does not match partition carrier 4"):
+        check_congruence_product_laws(bh4, Partition.single(4), Subset.empty(4), s3)
 
-    with pytest.raises(ValidationError):
-        ApproximationSpace(partition=Partition.discrete(3), algebra=bh4)
 
-
-@given(st.integers(1, 5).flatmap(partitions), st.data())
-def test_lower_upper_match_oracle(p, data):
-    a = data.draw(subsets(p.n))
-    space = ApproximationSpace(partition=p)
-    classes = [set(c) for c in p.classes]
-    assert set(lower(space, a)) == oracles.naive_lower(classes, set(a))
-    assert set(upper(space, a)) == oracles.naive_upper(classes, set(a))
+def test_lower_upper_match_oracle():
+    # every partition of order <= 5 is its class map, and every subset's approximations are Pawlak's
+    for n in range(1, 6):
+        for classes in oracles.rgs_partitions(n):
+            p = Partition(n, classes)
+            class_masks = tuple(sum(1 << y for y in oracles.class_of(classes, x)) for x in range(n))
+            assert p.masks == class_masks
+            f = SetValuedMap(n, n, p.images)
+            assert p == f and f == p and hash(p) == hash(f)
+            assert is_equivalence(p).holds
+            assert to_partition(p) == p
+            for mask in range(1 << n):
+                a = Subset(n, mask)
+                assert set(lower(p, a)) == oracles.naive_lower(classes, set(a)), (classes, mask)
+                assert set(upper(p, a)) == oracles.naive_upper(classes, set(a)), (classes, mask)
 
 
 @given(st.integers(1, 5).flatmap(partitions), st.data())
 def test_bounds_duality_idempotence(p, data):
     a = data.draw(subsets(p.n))
-    space = ApproximationSpace(partition=p)
-    lo, hi = lower(space, a), upper(space, a)
+    lo, hi = lower(p, a), upper(p, a)
     assert lo.issubset(a) and a.issubset(hi)
-    assert upper(space, a.complement()) == lo.complement()
-    assert lower(space, a.complement()) == hi.complement()
-    assert lower(space, lo) == lo and upper(space, lo) == lo
-    assert upper(space, hi) == hi and lower(space, hi) == hi
+    assert upper(p, a.complement()) == lo.complement()
+    assert lower(p, a.complement()) == hi.complement()
+    assert lower(p, lo) == lo and upper(p, lo) == lo
+    assert upper(p, hi) == hi and lower(p, hi) == hi
 
 
 def test_definable_iff_union_of_classes():
     for p in all_partitions(4):
-        space = ApproximationSpace(partition=p)
         for mask in range(16):
             a = Subset(4, mask)
             union_of_classes = all(c.issubset(a) or c.isdisjoint(a) for c in p.classes)
-            assert is_definable(space, a) == union_of_classes
+            assert (upper(p, a) - lower(p, a) == Subset.empty(4)) == union_of_classes
 
 
 # ------------------------------------------------------------- law suites
 
-def test_laws_on_empty_sets_pass(worked_space):
-    results = check_approx_laws(worked_space, _s(), _s())
+def test_laws_on_empty_sets_pass(worked_partition):
+    results = check_approx_laws(worked_partition, _s(), _s())
     for r in results:
         if r.law in {str(i) for i in range(1, 11)}:
             assert r.holds, r
 
 
-def test_law_ids_present(worked_space):
-    ids = [r.law for r in check_approx_laws(worked_space, _s(0), _s(2))]
+def test_law_ids_present(worked_partition):
+    ids = [r.law for r in check_approx_laws(worked_partition, _s(0), _s(2))]
     assert ids == ["1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11a", "11b", "12"]
 
 
-def test_duality_law_instance(worked_space):
-    results = {r.law: r for r in check_approx_laws(worked_space, _s(0), _s(2))}
+def test_duality_law_instance(worked_partition):
+    results = {r.law: r for r in check_approx_laws(worked_partition, _s(0), _s(2))}
     assert results["7"].holds
     # cross-check by hand: upper of the complement of {0} is everything
-    assert upper(worked_space, _s(0).complement()) == Subset.universe(5)
-    assert lower(worked_space, _s(0)) == _s()
+    assert upper(worked_partition, _s(0).complement()) == Subset.universe(5)
+    assert lower(worked_partition, _s(0)) == _s()
 
 
-def test_product_laws_not_applicable_without_algebra(worked_space):
-    results = {r.law: r for r in check_approx_laws(worked_space, _s(0), _s(2))}
+def test_product_laws_not_applicable_without_algebra(worked_partition):
+    results = {r.law: r for r in check_approx_laws(worked_partition, _s(0), _s(2))}
     for law in ("11a", "11b", "12"):
         assert results[law].holds is None
         assert "algebra" in results[law].note
@@ -153,47 +157,44 @@ def test_product_laws_not_applicable_without_algebra(worked_space):
 
 def test_product_law_upper_inclusion_on_bh4(bh4):
     # single-class partition: both sides of 11a are the whole carrier
-    space = ApproximationSpace(partition=Partition.single(4), algebra=bh4)
     a, b = Subset.from_elements(4, [0, 1]), Subset.from_elements(4, [0])
-    results = {r.law: r for r in check_approx_laws(space, a, b)}
+    results = {r.law: r for r in check_approx_laws(Partition.single(4), a, b, bh4)}
     assert results["11a"].holds
     assert "complete congruence" in results["11a"].note
 
 
 def test_congruence_note_reports_incompleteness(bh4):
     p = Partition(4, [[0, 1], [2], [3]])
-    space = ApproximationSpace(partition=p, algebra=bh4)
-    results = {r.law: r for r in check_approx_laws(space, Subset(4, 0), Subset(4, 0))}
+    results = {r.law: r for r in check_approx_laws(p, Subset(4, 0), Subset(4, 0), bh4)}
     assert results["12"].note == "partition is a congruence of the algebra, but not complete"
 
 
-def test_basic_laws_monotonicity(worked_space):
-    results = {r.law: r for r in check_basic_laws(worked_space, _s(0), _s(0, 1, 2))}
+def test_basic_laws_monotonicity(worked_partition):
+    results = {r.law: r for r in check_basic_laws(worked_partition, _s(0), _s(0, 1, 2))}
     assert results["4"].holds
     # premise not satisfied: vacuously true, flagged in the note
-    results = {r.law: r for r in check_basic_laws(worked_space, _s(3), _s(0))}
+    results = {r.law: r for r in check_basic_laws(worked_partition, _s(3), _s(0))}
     assert results["4"].holds and "premise" in results["4"].note
 
 
-def test_basic_laws_collapse_when_equal(worked_space):
-    results = check_basic_laws(worked_space, _s(0, 2), _s(0, 2))
+def test_basic_laws_collapse_when_equal(worked_partition):
+    results = check_basic_laws(worked_partition, _s(0, 2), _s(0, 2))
     assert all(r.holds for r in results)
 
 
-def test_basic_law5_strict_inclusion_case(worked_space):
+def test_basic_law5_strict_inclusion_case(worked_partition):
     # lower({0}) | lower({1}) is empty, lower({0,1}) is the whole class
-    results = {r.law: r for r in check_basic_laws(worked_space, _s(0), _s(1))}
+    results = {r.law: r for r in check_basic_laws(worked_partition, _s(0), _s(1))}
     assert results["5"].holds
-    assert lower(worked_space, _s(0)) | lower(worked_space, _s(1)) == _s()
-    assert lower(worked_space, _s(0, 1)) == _s(0, 1)
+    assert lower(worked_partition, _s(0)) | lower(worked_partition, _s(1)) == _s()
+    assert lower(worked_partition, _s(0, 1)) == _s(0, 1)
 
 
 @given(st.integers(1, 4).flatmap(partitions), st.data())
 def test_basic_laws_always_hold(p, data):
     a = data.draw(subsets(p.n))
     b = data.draw(subsets(p.n))
-    space = ApproximationSpace(partition=p)
-    assert all(r.holds for r in check_basic_laws(space, a, b))
+    assert all(r.holds for r in check_basic_laws(p, a, b))
 
 
 # ------------------------------------------------- congruence product laws

@@ -143,6 +143,15 @@ def test_model_cap():
         assert exc.value.field == "model_cap"
 
 
+@pytest.mark.parametrize("field,value", [("n", True), ("n", 2.0), ("model_cap", 1.5),
+                                         ("model_cap", True), ("max_order", 5.0)])
+def test_spec_integers_must_be_ints(field, value):
+    # SearchSpec(n=True) used to run an order-1 search, and a fractional model cap was accepted
+    with pytest.raises(ValidationError) as exc:
+        SearchSpec(**{"n": 2, "axiom_set": BH_AXIOMS, field: value})
+    assert exc.value.field == field
+
+
 def test_time_budget():
     with pytest.raises(SearchLimitError) as exc:
         enumerate_algebras(SearchSpec(n=4, axiom_set=BH_AXIOMS, time_budget=0.0))
@@ -265,14 +274,12 @@ def test_hunt_over_enumerated_models():
     assert finding is not None
     assert "not complete" in finding.note
     # the finding must reproduce: re-evaluate the law at the witness site
-    from roughalg import ApproximationSpace, lower, product_set
+    from roughalg import lower, product_set
 
-    space = ApproximationSpace(partition=finding.partition, algebra=finding.algebra)
+    p = finding.partition
     ab = product_set(finding.algebra, finding.a, finding.b)
-    lab = lower(space, ab)
-    prod = product_set(
-        finding.algebra, lower(space, finding.a), lower(space, finding.b)
-    )
+    lab = lower(p, ab)
+    prod = product_set(finding.algebra, lower(p, finding.a), lower(p, finding.b))
     assert lab
     assert finding.witness[0] in prod
     assert finding.witness[0] not in lab
