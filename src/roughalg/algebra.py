@@ -66,8 +66,8 @@ class FiniteAlgebra:
     __slots__ = ("n", "table", "zero")
 
     def __init__(self, n: int, table: Sequence[Sequence[int]], zero: int = 0):
-        if n < 1:
-            raise ValidationError(f"carrier size must be at least 1, got {n}")
+        if type(n) is not int or n < 1:
+            raise ValidationError(f"carrier size must be an int of at least 1, got {n!r}", "n")
         if len(table) != n:
             raise ValidationError(f"expected {n} rows, got {len(table)}")
         rows = []

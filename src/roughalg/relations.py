@@ -41,8 +41,9 @@ class SetValuedMap:
     __slots__ = ("n_source", "n_target", "images", "masks")
 
     def __init__(self, n_source: int, n_target: int, images: Iterable):
-        if n_source < 1 or n_target < 1:
-            raise ValidationError("carrier sizes must be at least 1")
+        for name, n in (("n_source", n_source), ("n_target", n_target)):
+            if type(n) is not int or n < 1:
+                raise ValidationError(f"{name} must be an int of at least 1, got {n!r}", name)
         normalized = []
         for x, img in enumerate(images):
             img = img if isinstance(img, Subset) else Subset.from_elements(n_target, img)
@@ -85,8 +86,8 @@ class Partition(SetValuedMap):
     __slots__ = ("n", "classes", "class_index")
 
     def __init__(self, n: int, classes: Iterable):
-        if n < 1:
-            raise ValidationError(f"carrier size must be at least 1, got {n}")
+        if type(n) is not int or n < 1:
+            raise ValidationError(f"carrier size must be an int of at least 1, got {n!r}", "n")
         normalized = []
         for c in classes:
             c = c if isinstance(c, Subset) else Subset.from_elements(n, c)

@@ -9,14 +9,19 @@ are -1); any instance they yield is violated by every completion, so the
 branch is pruned.  Models come out in lexicographic order of the flattened
 table, raw tables with no isomorphism rejection, and identical runs are
 bit-identical.  Counting, emitting and hunting are loops over the stream.
-A SearchLimitError counts the explored prefix: the models of a count, the
-algebras a hunt swept to the end.
+A hunt sweeps only the tables that are the least of their relabellings
+that fix 0; every law follows such a relabelling, so each skipped table
+is isomorphic to one swept earlier without a finding.  A SearchLimitError
+counts the explored prefix: the models of a count, the algebras a hunt
+swept to the end or skipped as isomorphic copies.
 """
 
 import math
 import time
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain, islice, permutations
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from .algebra import AXIOM_VIOLATIONS, AxiomId, FiniteAlgebra
@@ -202,6 +207,22 @@ def _sweep_partitions(alg, spec, target, deadline):
     return Finding(f.witness, alg, f.partition, f.a, f.b, note)
 
 
+def _least_in_orbit(n: int) -> Callable[[list[list[int]]], bool]:
+    """Whether a table, flattened row-major, is the least of its relabellings that fix 0."""
+    relabellings = []
+    for rest in islice(permutations(range(1, n)), 1, None):  # all but the identity
+        p = (0, *rest)  # x is relabelled p[x], so the new x*y is p[t[q[x]][q[y]]] with q = p^-1
+        q = sorted(range(n), key=p.__getitem__)
+        cells = itemgetter(*(q[x] * n + q[y] for x in range(n) for y in range(n)))
+        relabellings.append((cells, p.__getitem__))
+
+    def least(t):
+        flat = tuple(chain.from_iterable(t))
+        return all(tuple(map(label, cells(flat))) >= flat for cells, label in relabellings)
+
+    return least
+
+
 def find_counterexample(spec: SearchSpec, target: str) -> Finding | None:
     """First counterexample to the target property over the models of spec, or None.
 
@@ -211,16 +232,18 @@ def find_counterexample(spec: SearchSpec, target: str) -> Finding | None:
     Targets whose laws never touch the operation (the non-product laws)
     sweep bare partitions and ignore the axiom set; the Finding then
     carries no algebra.  A SearchLimitError counts the algebras swept to
-    the end.
+    the end, and the algebras skipped before them as isomorphic copies.
     """
     if target not in TARGETS:
         raise ValidationError(f"unknown target {target!r}; known: {', '.join(sorted(TARGETS))}")
     deadline = _deadline(spec)
-    if TARGETS[target].needs_algebra:
-        algebras = (FiniteAlgebra(spec.n, t) for t in _tables(spec, deadline))
-    else:
-        algebras = (None,)  # the algebra plays no role in these laws
-    for swept, alg in enumerate(algebras):
+    # the non-product laws ignore the algebra: one sweep with none
+    tables = _tables(spec, deadline) if TARGETS[target].needs_algebra else (None,)
+    least = _least_in_orbit(spec.n)
+    for swept, t in enumerate(tables):
+        if t is not None and not least(t):
+            continue  # its least relabelling came earlier in the stream, with no finding
+        alg = None if t is None else FiniteAlgebra(spec.n, t)
         try:
             finding = _sweep_partitions(alg, spec, target, deadline)
         except SearchLimitError as e:

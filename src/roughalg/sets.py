@@ -16,8 +16,8 @@ class Subset:
     __slots__ = ("n", "mask")
 
     def __init__(self, n: int, mask: int = 0):
-        if n < 0:
-            raise ValidationError(f"carrier size must be non-negative, got {n}")
+        if type(n) is not int or n < 0:
+            raise ValidationError(f"carrier size must be a non-negative int, got {n!r}", "n")
         if mask < 0 or mask >> n:
             raise ValidationError(f"mask {bin(mask)} has bits outside carrier 0..{n - 1}")
         self.n = n

@@ -322,3 +322,27 @@ def naive_hunt(table_models, n, target):
                     if holds is False:
                         return witness, model, classes, a, b, note
     return None
+
+
+def relabel(table, p):
+    """The table of the algebra with each element x renamed p[x]: the new
+    p[x]*p[y] is p[x*y]."""
+    n = len(table)
+    out = [[None] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[p[x]][p[y]] = p[table[x][y]]
+    return out
+
+
+def relabellings_fixing_zero(n):
+    """Every permutation of {0..n-1} that maps 0 to 0, the identity first."""
+    return [p for p in itertools.permutations(range(n)) if p[0] == 0]
+
+
+def is_least_relabelling(table):
+    """True when the table, read row by row, is the least of all its
+    relabellings that fix 0."""
+    flat = [v for row in table for v in row]
+    return all(flat <= [v for row in relabel(table, p) for v in row]
+               for p in relabellings_fixing_zero(len(table)))

@@ -65,6 +65,14 @@ def test_table_entries_must_be_ints():
         assert exc.value.field == "table"
 
 
+@pytest.mark.parametrize("n,table", [(2.0, [[0, 1], [1, 0]]), (True, [[0]])])
+def test_carrier_size_must_be_an_int(n, table):
+    # a bool or float order used to be accepted, and the JSON report then read "order": true
+    with pytest.raises(ValidationError, match="carrier size") as exc:
+        FiniteAlgebra(n, table)
+    assert exc.value.field == "n"
+
+
 def test_wrong_row_count_and_length():
     with pytest.raises(ValidationError):
         FiniteAlgebra(2, [[0, 1]])

@@ -65,6 +65,22 @@ def test_coverage_error():
         Partition(3, [[0, 1]])
 
 
+@pytest.mark.parametrize("n,classes", [(2.0, [[0], [1]]), (True, [[0]])])
+def test_partition_carrier_size_must_be_an_int(n, classes):
+    with pytest.raises(ValidationError, match="carrier size") as exc:
+        Partition(n, classes)
+    assert exc.value.field == "n"
+
+
+@pytest.mark.parametrize("n", [2.0, True])
+@pytest.mark.parametrize("field", ["n_source", "n_target"])
+def test_set_valued_map_carrier_sizes_must_be_ints(n, field):
+    sizes = {"n_source": 1, "n_target": 1, field: n}
+    with pytest.raises(ValidationError, match=field) as exc:
+        SetValuedMap(**sizes, images=[[0]])
+    assert exc.value.field == field
+
+
 def test_empty_class_error():
     with pytest.raises(ValidationError, match="empty class"):
         Partition(2, [[0, 1], []])

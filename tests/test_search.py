@@ -26,7 +26,7 @@ from roughalg import search
 from roughalg.search import TARGETS
 
 import oracles
-from conftest import algebras
+from conftest import BUNDLED, algebras
 
 B_AXIOMS = LABEL_AXIOMS["B"]
 BH_AXIOMS = LABEL_AXIOMS["BH"]
@@ -286,8 +286,9 @@ def test_hunt_over_enumerated_models():
 
 
 def test_hunt_checks_each_partition_for_congruence_once(monkeypatch):
-    # 72 BH3 models x 5 partitions, filtered by enumerate_congruences; the sweep gates
-    # on completeness alone and records no failure of a theorem, so it checks none again
+    # the hunt sweeps one BH3 model per isomorphism class, x 5 partitions, filtered by
+    # enumerate_congruences; the sweep gates on completeness alone and records no failure
+    # of a theorem, so it checks none again
     from roughalg import relations, rough
 
     original, seen = relations.is_congruence, []
@@ -298,8 +299,10 @@ def test_hunt_checks_each_partition_for_congruence_once(monkeypatch):
 
     for module in (relations, rough, search):
         monkeypatch.setattr(module, "is_congruence", counted)
-    assert find_counterexample(SearchSpec(n=3, axiom_set=BH_AXIOMS), "3-2:1") is None
-    assert len(seen) == 72 * 5 == 360
+    spec = SearchSpec(n=3, axiom_set=BH_AXIOMS)
+    classes = sum(oracles.is_least_relabelling(alg.table) for alg in _collect(spec))
+    assert find_counterexample(spec, "3-2:1") is None
+    assert len(seen) == classes * 5 == 39 * 5
 
 
 def test_hunts_are_deterministic():
@@ -333,7 +336,8 @@ def test_sweep_laws_counts_the_partitions_swept(bh4, monkeypatch):
 
 
 def test_hunt_limit_counts_the_algebras_swept(monkeypatch):
-    # the clock expires once the third algebra's congruences are enumerated
+    # the clock expires once the third algebra swept has its congruences enumerated.  That
+    # is BH3 model 3: model 2 is model 1 with 1 and 2 swapped, so it is skipped and counted
     original, sweeps = search.enumerate_congruences, []
 
     def counted(alg):
@@ -345,17 +349,74 @@ def test_hunt_limit_counts_the_algebras_swept(monkeypatch):
     spec = SearchSpec(n=3, axiom_set=BH_AXIOMS, time_budget=1.0)
     with pytest.raises(SearchLimitError) as exc:
         find_counterexample(spec, "3-2:1")
-    assert (exc.value.count, exc.value.reason) == (2, "time")
+    assert (exc.value.count, exc.value.reason) == (3, "time")
     assert len(sweeps) == 3
+    models = [alg.table for alg in _collect(SearchSpec(n=3, axiom_set=BH_AXIOMS))]
+    assert [alg.table for alg in sweeps] == [models[0], models[1], models[3]]
+    assert oracles.relabel(models[1], (0, 2, 1)) == [list(row) for row in models[2]]
 
 
 @pytest.mark.parametrize("n,label", [(n, label) for n in (1, 2, 3) for label in LABEL_AXIOMS]
-                         + [(4, "B"), (4, "BO")])
+                         + [(4, "B"), (4, "BO"), (5, "B"), (5, "BO")])
 def test_hunt_matches_naive_hunt(n, label):
     spec = SearchSpec(n=n, axiom_set=LABEL_AXIOMS[label])
     models = _collect(spec)
-    for target in TARGETS:
+    # at order 5 only the laws that read the models: the others sweep no algebra to skip
+    for target in (t for t in TARGETS if n < 5 or TARGETS[t].needs_algebra):
         f = find_counterexample(spec, target)
         got = f and (f.witness, f.algebra, tuple(c.elements() for c in f.partition.classes),
                      f.a.elements(), f.b.elements(), f.note)
         assert got == oracles.naive_hunt(models, n, target), target
+
+
+# ------------------------------------------------------------- isomorphic copies
+
+def _orbit_cases():
+    yield from ((n, label) for n in (1, 2, 3) for label in LABEL_AXIOMS)
+    yield from ((n, label) for n in (4, 5, 6) for label in ("B", "BO"))
+
+
+@pytest.mark.parametrize("n,label", list(_orbit_cases()))
+def test_least_in_orbit_matches_oracle(n, label):
+    least = search._least_in_orbit(n)
+    spec = SearchSpec(n=n, axiom_set=LABEL_AXIOMS[label], max_order=6)
+    for t in search._tables(spec, None):
+        assert least(t) == oracles.is_least_relabelling(t), t
+
+
+def test_orbit_counts():
+    # Burnside over the relabellings that fix 0 of BH4: the identity fixes all 216,000
+    # models, each transposition 8 * 3 * 15 = 360 and each 3-cycle 4 * 15 = 60, so the
+    # classes number (216,000 + 3 * 360 + 2 * 60) / 6 = 36,200
+    for n, label, classes in ((3, "BH", 39), (4, "B", 2)):
+        models = _collect(SearchSpec(n=n, axiom_set=LABEL_AXIOMS[label]))
+        assert sum(oracles.is_least_relabelling(alg.table) for alg in models) == classes
+    least = search._least_in_orbit(4)
+    got = 0
+    for i, t in enumerate(search._tables(SearchSpec(n=4, axiom_set=BH_AXIOMS), None)):
+        got += least(t)
+        if i < 10_000:
+            assert least(t) == oracles.is_least_relabelling(t), t
+    assert got == 36_200
+
+
+def _invariance_algebras():
+    """The least model of each class at orders <= 3, B4 and BO4 (its relabellings are the
+    rest of the class), and three fixtures."""
+    specs = [SearchSpec(n=n, axiom_set=axioms) for n in (1, 2, 3) for axioms in LABEL_AXIOMS.values()]
+    for spec in specs + [SearchSpec(n=4, axiom_set=B_AXIOMS), SearchSpec(n=4, axiom_set=BO_AXIOMS)]:
+        yield from (alg for alg in _collect(spec) if oracles.is_least_relabelling(alg.table))
+    yield from (BUNDLED[name] for name in ("b4", "bh4", "bo5"))
+
+
+def test_hunt_verdicts_follow_relabelling():
+    # a hunt skips isomorphic copies because no law can tell them apart
+    for alg in _invariance_algebras():
+        spec = SearchSpec(n=alg.n, axiom_set=B_AXIOMS)  # the sweep reads only its n
+        copies = [FiniteAlgebra(alg.n, oracles.relabel(alg.table, p))
+                  for p in oracles.relabellings_fixing_zero(alg.n)[1:]]
+        for target in TARGETS:
+            verdict = search._sweep_partitions(alg, spec, target, None) is None
+            for copy in copies:
+                got = search._sweep_partitions(copy, spec, target, None) is None
+                assert got == verdict, (alg, copy, target)

@@ -29,6 +29,13 @@ def test_mask_out_of_range_rejected():
         Subset(2, 0b100)
 
 
+@pytest.mark.parametrize("n", [2.0, True])
+def test_carrier_size_must_be_an_int(n):
+    with pytest.raises(ValidationError, match="carrier size") as exc:
+        Subset(n, 1)
+    assert exc.value.field == "n"
+
+
 def test_empty_and_universe():
     assert len(Subset.empty(4)) == 0
     assert not Subset.empty(4)
