@@ -29,20 +29,13 @@ from .errors import (
     SearchLimitError,
     ValidationError,
 )
-from .generalized import (
-    MorphismReport,
-    is_strong_sv_morphism,
-    is_sv_morphism,
-    lower,
-    upper,
-)
+from .generalized import is_strong_sv_morphism, is_sv_morphism, lower, upper
 from .ideals import IdealReport, enumerate_ideals, is_ideal, is_strong_ideal
 from .relations import (
     CheckResult,
     EquivalenceReport,
     Partition,
     SetValuedMap,
-    class_product_inclusion,
     is_complete_congruence,
     is_congruence,
     is_equivalence,
@@ -52,7 +45,6 @@ from .relations import (
 from .rough import (
     LAWS,
     LawResult,
-    ProductLawReport,
     check_approx_laws,
     check_basic_laws,
     check_congruence_product_laws,
@@ -77,13 +69,12 @@ __all__ = [
     "find_identities", "product_set",
     "ParseError", "PreconditionError", "RoughAlgError", "SearchLimitError",
     "ValidationError",
-    "MorphismReport", "is_strong_sv_morphism", "is_sv_morphism", "lower", "upper",
+    "is_strong_sv_morphism", "is_sv_morphism", "lower", "upper",
     "IdealReport", "enumerate_ideals", "is_ideal", "is_strong_ideal",
-    "CheckResult", "EquivalenceReport", "Partition", "SetValuedMap",
-    "class_product_inclusion", "is_complete_congruence", "is_congruence",
-    "is_equivalence", "relation_from_ideal", "to_partition",
-    "LAWS", "LawResult", "ProductLawReport",
-    "check_approx_laws", "check_basic_laws", "check_congruence_product_laws", "sweep_laws",
+    "CheckResult", "EquivalenceReport", "Partition", "SetValuedMap", "is_complete_congruence",
+    "is_congruence", "is_equivalence", "relation_from_ideal", "to_partition",
+    "LAWS", "LawResult", "check_approx_laws", "check_basic_laws", "check_congruence_product_laws",
+    "sweep_laws",
     "Finding", "SearchSpec", "TARGETS", "all_partitions",
     "enumerate_algebras", "enumerate_congruences", "find_counterexample",
     "Subset", "all_subsets", "canonical_subsets",

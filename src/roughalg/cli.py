@@ -13,9 +13,9 @@ element exactly once, an empty image written as an empty string.
 Reports print as text by default or as canonical JSON with ``--format
 json`` (or ROUGHALG_FORMAT=json; the flag wins).  Identical inputs yield
 byte-identical JSON.  A JSON report splices the library's own records
-(``AxiomReport``, ``IdentityReport``, ``IdealReport``, ``MorphismReport``,
-``Finding``): their field names are its keys, and ``run`` adds the
-``command`` key and renders every value once.
+(``AxiomReport``, ``IdentityReport``, ``IdealReport``, ``CheckResult``,
+``LawResult``, ``Finding``): their field names are its keys, and ``run``
+adds the ``command`` key and renders every value once.
 
 Exit codes: 0 all checks passed / query answered; 1 a property is violated
 or a counterexample was found; 2 bad input, bad usage, or exceeded limits.
@@ -439,9 +439,8 @@ def _verify_prop(args, alg) -> tuple[dict, list[str]]:
     b = parse_subset(args.set2, alg.n) if args.set2 is not None else a
     report = {**info, "partition": partition, "set_a": a, "set_b": b}
     if args.prop == "3-2":
-        prod = check_congruence_product_laws(alg, partition, a, b)
-        results = [prod.upper_inclusion, prod.lower_inclusion]
-        report["congruence_complete"] = prod.congruence_complete
+        results = check_congruence_product_laws(alg, partition, a, b)
+        complete = report["congruence_complete"] = _completeness(alg, partition).holds
     elif args.prop == "2-1":
         results = check_approx_laws(partition, a, b, alg)
     else:
@@ -451,7 +450,7 @@ def _verify_prop(args, alg) -> tuple[dict, list[str]]:
                  for r, (_, role, _) in zip(results, SUITES[args.prop]))
     lines = [_law_result_text(r) for r in results]
     if args.prop == "3-2":
-        lines.append(f"congruence complete: {'yes' if prod.congruence_complete else 'no'}")
+        lines.append(f"congruence complete: {'yes' if complete else 'no'}")
     report.update(results=[vars(r) for r in results], verdict="pass" if ok else "fail")
     return report, lines
 
@@ -597,15 +596,16 @@ def _cmd_morphism(args, source) -> tuple[dict, list[str]]:
     f = parse_svmap(args.map, source.n, target.n)
     check = is_strong_sv_morphism if args.strong else is_sv_morphism
     r = check(f, source, target)
+    labels = {"source_labels": sorted(classify(source)), "target_labels": sorted(classify(target))}
     kind = "strong set-valued morphism" if args.strong else "set-valued morphism"
     lines = [
         f"{kind}: {'yes' if r.holds else 'NO'}",
-        f"source labels: {sorted(r.source_labels)}",
-        f"target labels: {sorted(r.target_labels)}",
+        f"source labels: {labels['source_labels']}",
+        f"target labels: {labels['target_labels']}",
     ]
     if r.witness is not None:
         lines.append(f"witness: {r.witness}")
-    report = {"strong": args.strong, **vars(r),
+    report = {"strong": args.strong, **vars(r), **labels,
               "verdict": "pass" if r.holds else "fail"}
     return report, lines
 
@@ -740,9 +740,5 @@ def run(argv=None) -> int:
     return 1 if report.get("verdict") == "fail" else 0
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -11,12 +11,11 @@ morphism property: the image of a product must contain (equal, for
 strong) the product of the images.
 """
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import FiniteAlgebra, classify, image_product_mismatch
+from .algebra import FiniteAlgebra, image_product_mismatch
 from .errors import ValidationError
-from .relations import SetValuedMap
+from .relations import CheckResult, SetValuedMap
 from .sets import Subset
 
 
@@ -53,25 +52,8 @@ def upper(f: SetValuedMap, a: Subset) -> Subset:
     return Subset._raw(f.n_source, _upper_mask(f.masks, a.mask))
 
 
-@dataclass(frozen=True)
-class MorphismReport:
-    """Morphism verdict plus the axiom labels both algebras happen to carry.
-
-    For the plain check the witness is (x, y, element) with the element in
-    F(x)*F(y) but not F(x*y).  For the strong check a fourth leading field
-    names the failing direction: "extra" (product exceeds the image) or
-    "missing" (image exceeds the product).  The fields are keys of
-    ``roughalg morphism``'s JSON.
-    """
-
-    holds: bool
-    witness: tuple | None
-    source_labels: frozenset[str]
-    target_labels: frozenset[str]
-
-
 def _morphism(f: SetValuedMap, source: FiniteAlgebra, target: FiniteAlgebra | None,
-              strong: bool) -> MorphismReport:
+              strong: bool) -> CheckResult:
     target = source if target is None else target
     if source.n != f.n_source:
         raise ValidationError(f"source algebra carrier {source.n} vs map source {f.n_source}")
@@ -81,23 +63,26 @@ def _morphism(f: SetValuedMap, source: FiniteAlgebra, target: FiniteAlgebra | No
     if w is not None:
         x, y, direction, element = w
         w = (direction, x, y, element) if strong else (x, y, element)
-    return MorphismReport(
-        holds=w is None,
-        witness=w,
-        source_labels=classify(source),
-        target_labels=classify(target),
-    )
+    return CheckResult(w is None, w)
 
 
 def is_sv_morphism(
     f: SetValuedMap, source: FiniteAlgebra, target: FiniteAlgebra | None = None
-) -> MorphismReport:
-    """Check F(x)*F(y) <= F(x*y) for all pairs; products taken in the target."""
+) -> CheckResult:
+    """Check F(x)*F(y) <= F(x*y) for all pairs; products taken in the target.
+
+    The witness is (x, y, element) with the element in F(x)*F(y) but not
+    F(x*y).  On a partition's class map this is the congruence test.
+    """
     return _morphism(f, source, target, strong=False)
 
 
 def is_strong_sv_morphism(
     f: SetValuedMap, source: FiniteAlgebra, target: FiniteAlgebra | None = None
-) -> MorphismReport:
-    """Check F(x)*F(y) = F(x*y) for all pairs (set equality)."""
+) -> CheckResult:
+    """Check F(x)*F(y) = F(x*y) for all pairs (set equality).
+
+    The witness is (direction, x, y, element): direction "extra" when the
+    element lies in F(x)*F(y) but not F(x*y), "missing" the converse.
+    """
     return _morphism(f, source, target, strong=True)

@@ -26,9 +26,6 @@ class CheckResult:
     holds: bool
     witness: tuple | None = None
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 class SetValuedMap:
     """Total map from {0..n_source-1} to subsets of {0..n_target-1}.
@@ -221,20 +218,6 @@ def _completeness(alg: FiniteAlgebra, p: Partition) -> CheckResult:
     for x' ~ x, x'*z lies in [x]*[z] = [x*z], and the same holds on the left."""
     w = image_product_mismatch(alg, alg, p.masks, strong=True)
     return CheckResult(w is None, w)
-
-
-def class_product_inclusion(alg: FiniteAlgebra, p: Partition) -> CheckResult:
-    """Check [x]*[y] subset-of [x*y] for all pairs, i.e. that the class map
-    is a set-valued morphism; the witness is (x, y, least element of [x]*[y]
-    outside [x*y]).
-
-    Deliberately independent of is_congruence so the two can be
-    cross-checked against each other.
-    """
-    if p.n != alg.n:
-        raise ValidationError(f"partition carrier {p.n} does not match algebra carrier {alg.n}")
-    w = image_product_mismatch(alg, alg, p.masks, strong=False)
-    return CheckResult(w is None, w and (w[0], w[1], w[3]))
 
 
 def relation_from_ideal(alg: FiniteAlgebra, ideal: Subset) -> SetValuedMap:

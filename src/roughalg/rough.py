@@ -243,33 +243,21 @@ def check_basic_laws(p: Partition, a: Subset, b: Subset) -> tuple[LawResult, ...
     return _suite_view("3-1", p, a, b, None)
 
 
-@dataclass(frozen=True)
-class ProductLawReport:
-    """Product laws under a congruence, with the completeness caveat.
-
-    The upper inclusion is a theorem for any congruence.  The lower
-    inclusion (evaluated only when lower(A*B) is nonempty) is a theorem
-    only under a complete congruence, which is why the report records
-    whether the congruence is complete.  Results carry the law's registry id.
-    """
-
-    upper_inclusion: LawResult
-    lower_inclusion: LawResult
-    congruence_complete: bool
-
-
 def check_congruence_product_laws(
     alg: FiniteAlgebra, p: Partition, a: Subset, b: Subset
-) -> ProductLawReport:
-    """Suite 3-2: both product laws under a congruence partition.
+) -> tuple[LawResult, ...]:
+    """Suite 3-2: the upper, then the lower product law under a congruence
+    partition, each labelled by its registry id.
 
-    Raises PreconditionError (with the compatibility witness) when p is
-    not a congruence of alg.
+    The upper inclusion is a theorem for any congruence; the lower one
+    (evaluated only when lower(A*B) is nonempty) only under a complete
+    congruence, which ``is_complete_congruence`` decides.  Raises
+    PreconditionError (with the compatibility witness) when p is not a
+    congruence of alg.
     """
     require_congruence(alg, p)
     ctx = _on_demand(p, alg, a, b)
-    up, low = (_result(law.id, law, ctx, a, b, None) for _, _, law in SUITES["3-2"])
-    return ProductLawReport(up, low, _completeness(alg, p).holds)
+    return tuple(_result(law.id, law, ctx, a, b, None) for _, _, law in SUITES["3-2"])
 
 
 # ---------------------------------------------------------------- exhaustive sweeps

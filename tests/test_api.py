@@ -1,0 +1,71 @@
+"""The package's public surface: its exports and the input checks of its entry points."""
+
+import types
+
+import pytest
+
+import roughalg
+from roughalg import (
+    Partition,
+    SetValuedMap,
+    Subset,
+    ValidationError,
+    all_partitions,
+    check_axiom,
+    is_ideal,
+    lower,
+    relation_from_ideal,
+    sweep_laws,
+    upper,
+)
+
+from conftest import BUNDLED
+
+
+def test_exports_match_public_names():
+    assert len(set(roughalg.__all__)) == len(roughalg.__all__)
+    assert all(hasattr(roughalg, name) for name in roughalg.__all__)
+    public = {name for name, value in vars(roughalg).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == {name for name in roughalg.__all__ if not name.startswith("_")}
+
+
+BH4 = BUNDLED["bh4"]
+P2, P3 = Partition.discrete(2), Partition.discrete(3)
+
+# case -> (call, exception, exact message)
+INPUT_CHECKS = {
+    "sweep-unknown-suite": (lambda: sweep_laws("9-9", [P2]), ValidationError,
+                            "sweep_laws needs a law of suite '9-9' and partitions on one carrier"),
+    "sweep-no-partitions": (lambda: sweep_laws("3-1", []), ValidationError,
+                            "sweep_laws needs a law of suite '3-1' and partitions on one carrier"),
+    "sweep-mixed-carriers": (lambda: sweep_laws("3-1", [P2, P3]), ValidationError,
+                             "sweep_laws needs a law of suite '3-1' and partitions on one carrier"),
+    "sweep-algebra-carrier": (lambda: sweep_laws("2-1", [P3], BH4), ValidationError,
+                              "sweep_laws needs a law of suite '2-1' and partitions on one carrier"),
+    "svmap-image-carrier": (lambda: SetValuedMap(2, 2, [Subset.empty(3), Subset.empty(2)]),
+                            ValidationError, "image of 0 lives in carrier 3, expected 2"),
+    "partition-class-carrier": (lambda: Partition(2, [Subset.universe(3)]), ValidationError,
+                                "class carrier 3 does not match partition carrier 2"),
+    "relation-from-ideal-carrier": (lambda: relation_from_ideal(BH4, Subset.empty(3)), ValidationError,
+                                    "subset carrier 3 does not match algebra carrier 4"),
+    "lower-carrier": (lambda: lower(P2, Subset.empty(3)), ValidationError,
+                      "subset carrier 3 does not match target carrier 2"),
+    "upper-carrier": (lambda: upper(P2, Subset.empty(3)), ValidationError,
+                      "subset carrier 3 does not match target carrier 2"),
+    "is-ideal-carrier": (lambda: is_ideal(BH4, Subset.empty(3)), ValidationError,
+                         "subset carrier 3 does not match algebra carrier 4"),
+    "check-axiom-name": (lambda: check_axiom(BH4, "C1"), ValidationError, "unknown axiom 'C1'"),
+    "all-partitions-empty-carrier": (lambda: list(all_partitions(0)), ValidationError,
+                                     "carrier size must be at least 1, got 0"),
+    "subset-operand": (lambda: Subset.empty(2) | 1, TypeError, "expected Subset, got int"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_checks(case):
+    call, exception, message = INPUT_CHECKS[case]
+    with pytest.raises(exception) as info:
+        call()
+    assert type(info.value) is exception
+    assert str(info.value) == message

@@ -8,7 +8,6 @@ from hypothesis import given
 
 from roughalg import FiniteAlgebra, ParseError, SetValuedMap, Subset
 from roughalg.cli import (
-    main,
     parse_algebra,
     parse_partition,
     parse_subset,
@@ -579,10 +578,6 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["nonsense"])
     assert exc.value.code == 2
-
-
-def test_main_is_run():
-    assert main(["search", "--order", "1", "--axioms", "b", "--count"]) == 0
 
 
 # ------------------------------------------------------------- reports

@@ -1,5 +1,7 @@
 """Set-valued maps: generalized approximations and morphism checks."""
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,12 +11,13 @@ from roughalg import (
     SetValuedMap,
     Subset,
     ValidationError,
-    classify,
     is_strong_sv_morphism,
     is_sv_morphism,
     lower,
     upper,
 )
+
+from roughalg.cli import run
 
 import oracles
 from conftest import partitions, subsets
@@ -126,11 +129,15 @@ def test_morphism_but_not_strong():
     assert report.witness == ("missing", 1, 1, 0)
 
 
-def test_labels_are_reported(bh4):
-    f = SetValuedMap(4, 4, [[x] for x in range(4)])
-    report = is_sv_morphism(f, bh4)
-    assert report.source_labels == classify(bh4) == frozenset({"BH"})
-    assert report.target_labels == frozenset({"BH"})
+def test_labels_are_reported(tables_dir, capsys):
+    # `roughalg morphism` reports the labels of both algebras next to the verdict
+    argv = ["morphism", str(tables_dir / "bh4.alg"), "--map", "0:0;1:1;2:2;3:3",
+            "--target", str(tables_dir / "bo5.alg"), "--format", "json"]
+    assert run(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["holds"], report["witness"]) == (False, [0, 1, 2])
+    assert report["source_labels"] == ["BH"]
+    assert report["target_labels"] == ["B", "BH", "BO"]
 
 
 def test_dimension_mismatch(bh4, bo5):

@@ -15,11 +15,12 @@ from roughalg import (
     LABEL_AXIOMS,
     SearchSpec,
     all_partitions,
-    class_product_inclusion,
     enumerate_algebras,
     is_complete_congruence,
     is_congruence,
     is_equivalence,
+    is_strong_sv_morphism,
+    is_sv_morphism,
     relation_from_ideal,
     to_partition,
 )
@@ -242,20 +243,31 @@ def test_complete_check_matches_oracle_on_congruences(alg, data):
     assert got == oracles.is_complete_congruence(alg.rows(), [list(c) for c in p.classes])
 
 
-# ------------------------------------------------- class_product_inclusion
+# ------------------------------------------------- the class map as a morphism
 
-def test_congruence_implies_class_product_inclusion_exhaustive(b4, bh4, z4):
-    # exhaustive over every partition of a 4-element carrier
-    from roughalg import all_partitions
-
-    for alg in (b4, bh4, z4):
-        for p in all_partitions(4):
-            if is_congruence(alg, p).holds:
-                assert class_product_inclusion(alg, p).holds
+def test_congruence_is_class_map_morphism_exhaustive():
+    # p is a congruence iff its class map x -> [x] is a set-valued morphism, and
+    # complete iff a strong one, with the fields of the witness in another order
+    algs = list(BUNDLED.values())
+    enumerate_algebras(SearchSpec(n=3, axiom_set=LABEL_AXIOMS["BH"]), algs.append)
+    seen = {True: 0, False: 0}
+    for alg in algs:
+        for p in all_partitions(alg.n):
+            congruence = is_congruence(alg, p).holds
+            assert congruence == is_sv_morphism(p, alg).holds, (alg, p)
+            seen[congruence] += 1
+            complete, strong = _completeness(alg, p), is_strong_sv_morphism(p, alg)
+            assert complete.holds == strong.holds, (alg, p)
+            if complete.witness is not None:
+                x, y, direction, element = complete.witness
+                assert strong.witness == (direction, x, y, element), (alg, p)
+            else:
+                assert strong.witness is None
+    assert len(algs) > 4 and min(seen.values()) > 0
 
 
 def test_class_product_inclusion_failure(bo5, worked_partition):
-    result = class_product_inclusion(bo5, worked_partition)
+    result = is_sv_morphism(worked_partition, bo5)
     assert not result.holds
     x, y, elem = result.witness
     prod = {bo5.op(a, b) for a in worked_partition.image(x) for b in worked_partition.image(y)}

@@ -14,6 +14,7 @@ from roughalg import (
     check_approx_laws,
     check_basic_laws,
     check_congruence_product_laws,
+    is_complete_congruence,
     is_equivalence,
     lower,
     to_partition,
@@ -202,18 +203,21 @@ def test_basic_laws_always_hold(p, data):
 def test_discrete_partition_trivializes_product_laws(bo5):
     p = Partition.discrete(5)
     a, b = Subset.from_elements(5, [0, 3]), Subset.from_elements(5, [1])
-    report = check_congruence_product_laws(bo5, p, a, b)
-    assert report.upper_inclusion.holds
-    assert report.lower_inclusion.holds
-    assert report.congruence_complete
+    results = check_congruence_product_laws(bo5, p, a, b)
+    assert [r.law for r in results] == ["product-upper", "product-lower"]
+    upper_law, lower_law = results
+    assert upper_law.holds
+    assert lower_law.holds
+    assert is_complete_congruence(bo5, p).holds
 
 
 def test_single_class_on_bh4_part1(bh4):
-    report = check_congruence_product_laws(
-        bh4, Partition.single(4), Subset.from_elements(4, [0, 1]), Subset.from_elements(4, [0, 2])
+    p = Partition.single(4)
+    upper_law, _ = check_congruence_product_laws(
+        bh4, p, Subset.from_elements(4, [0, 1]), Subset.from_elements(4, [0, 2])
     )
-    assert report.upper_inclusion.holds
-    assert report.congruence_complete
+    assert upper_law.holds
+    assert is_complete_congruence(bh4, p).holds
 
 
 def test_non_congruence_is_rejected(bo5, worked_partition):
@@ -228,20 +232,20 @@ def test_incomplete_congruence_lower_law_failure(bh4):
     # frozen counterexample: A={2}, B={0,2} under the non-complete congruence
     p = Partition(4, [[0, 1], [2], [3]])
     a, b = Subset.from_elements(4, [2]), Subset.from_elements(4, [0, 2])
-    report = check_congruence_product_laws(bh4, p, a, b)
-    assert not report.congruence_complete
-    assert report.upper_inclusion.holds
-    assert report.lower_inclusion.holds is False
-    assert report.lower_inclusion.witness == (0,)
+    upper_law, lower_law = check_congruence_product_laws(bh4, p, a, b)
+    assert not is_complete_congruence(bh4, p).holds
+    assert upper_law.holds
+    assert lower_law.holds is False
+    assert lower_law.witness == (0,)
 
 
 def test_lower_law_guard(bh4):
     # A*B = {0} and lower({0}) is empty under this congruence: guard skips
     p = Partition(4, [[0, 1], [2], [3]])
     a = b = Subset.from_elements(4, [2])
-    report = check_congruence_product_laws(bh4, p, a, b)
-    assert report.lower_inclusion.holds is None
-    assert "guard" in report.lower_inclusion.note
+    _, lower_law = check_congruence_product_laws(bh4, p, a, b)
+    assert lower_law.holds is None
+    assert "guard" in lower_law.note
 
 
 @given(algebras(4), st.data())
@@ -253,7 +257,7 @@ def test_upper_product_law_holds_under_any_congruence(alg, data):
         return
     a = data.draw(subsets(alg.n))
     b = data.draw(subsets(alg.n))
-    report = check_congruence_product_laws(alg, p, a, b)
-    assert report.upper_inclusion.holds
-    if report.congruence_complete and report.lower_inclusion.holds is not None:
-        assert report.lower_inclusion.holds
+    upper_law, lower_law = check_congruence_product_laws(alg, p, a, b)
+    assert upper_law.holds
+    if is_complete_congruence(alg, p).holds and lower_law.holds is not None:
+        assert lower_law.holds

@@ -13,6 +13,7 @@ the repository root:
 """
 
 import contextlib
+import importlib
 import io
 import os
 import sys
@@ -20,9 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from roughalg.cli import main, run
+from roughalg.cli import run
 
-USAGE_DIR = Path(__file__).resolve().parent / "usage"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+USAGE_DIR = REPO_ROOT / "tests" / "usage"
 COMMANDS = ("check", "identities", "ideals", "congruences", "approx", "verify", "search",
             "morphism")
 
@@ -64,11 +66,15 @@ def test_usage(name, monkeypatch):
 
 
 def test_console_script_reads_sys_argv(monkeypatch, capsys):
-    # the installed `roughalg` script calls main() with no arguments
+    # the installed `roughalg` script imports its pyproject target and calls it with no arguments
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, name = project["project"]["scripts"]["roughalg"].partition(":")
+    script = getattr(importlib.import_module(module), name)
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.setattr(sys, "argv", ["roughalg", "check", "--help"])
     with pytest.raises(SystemExit) as exc:
-        main()
+        script()
     captured = capsys.readouterr()
     assert _transcript(exc.value.code, captured.out, captured.err) == (
         USAGE_DIR / "help-check.txt").read_text(encoding="utf-8")
