@@ -7,7 +7,11 @@ integer masks that reads ``L[m]``, ``U[m]`` (lower and upper
 approximation) and ``P[a][b]`` (set product): from full tables in the
 exhaustive ``sweep_laws``, and computed on demand in the single-pair views
 ``check_approx_laws``, ``check_basic_laws`` and
-``check_congruence_product_laws``.
+``check_congruence_product_laws``.  A sweep reads its partitions, pair
+order and L/U tables from a ``_Carrier``, which builds each partition's
+tables once; a hunt keeps one carrier for all its algebras, so only the
+product table (built row from row, one OR per entry) and the completeness
+verdicts are built per algebra.
 """
 
 import time
@@ -59,15 +63,40 @@ def _tables(f: SetValuedMap, P: list[list[int]] | None) -> _Masks:
 
 
 def _product_table(alg: FiniteAlgebra) -> list[list[int]]:
-    """P[a][b] for every mask pair: P[a] = P[a - x] | R[x][b], x the lowest
-    element of a and R[x][b] the image of b under row x."""
-    size = 1 << alg.n
-    R = [[product_mask(alg, 1 << x, b) for b in range(size)] for x in range(alg.n)]
-    P = [[0] * size]
-    for a in range(1, size):
-        low = a & -a
-        P.append([x | y for x, y in zip(P[a ^ low], R[low.bit_length() - 1])])
+    """P[a][b] for every mask pair, each entry one OR of two earlier ones.  With y
+    the top element of b, R[x][b] = R[x][b - y] | {x*y} is the image of b under
+    row x; with x the top element of a, P[a][b] = P[a - x][b] | R[x][b]."""
+    R = []
+    for row in alg.table:
+        r = [0]
+        for xy in row:  # the next element y: r[m + (1 << y)] = r[m] | {x*y} for each m below 1 << y
+            r += [m | 1 << xy for m in r]
+        R.append(r)
+    P = [[0] * len(R[0])]
+    for r in R:
+        P += [[p | q for p, q in zip(row, r)] for row in P]
     return P
+
+
+class _Carrier:
+    """What a sweep of partitions of {0..n-1} reads that no algebra changes: the
+    partitions, the subset masks in canonical pair order, and each partition's L
+    and U tables, built the first time that partition is swept.  A hunt builds one
+    and sweeps every algebra over it."""
+
+    __slots__ = ("n", "partitions", "order", "_approximations")
+
+    def __init__(self, n: int, partitions: list[Partition]):
+        self.n, self.partitions = n, partitions
+        self.order = [s.mask for s in canonical_subsets(n)]
+        self._approximations: list[_Masks | None] = [None] * len(partitions)
+
+    def context(self, i: int, P: list[list[int]] | None) -> _Masks:
+        """The sweep context of partition i, with products P."""
+        c = self._approximations[i]
+        if c is None:
+            c = self._approximations[i] = _tables(self.partitions[i], None)
+        return _Masks(c.L, c.U, P, c.full)
 
 
 # ---------------------------------------------------------------- the registry
@@ -306,30 +335,47 @@ def sweep_laws(suite: str, partitions: Sequence[Partition], algebra: FiniteAlgeb
     complete-congruence verdict equals it, and needs an algebra.  ``deadline`` (a
     ``time.monotonic()`` value) is checked once per partition; past it the
     sweep raises SearchLimitError counting the partitions swept to the end.
+    A fault in the arguments raises ValidationError, its ``field`` naming
+    the argument.
     """
     if complete is not None and algebra is None:
         raise ValidationError("complete= needs the algebra whose congruences it filters", "complete")
-    members = [m for m in SUITES.get(suite, ()) if hunt in (None, m[0])]
+    if suite not in SUITES:
+        raise ValidationError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}", "suite")
+    if hunt is not None and all(number != hunt for number, _, _ in SUITES[suite]):
+        raise ValidationError(f"suite {suite} has no law {hunt!r}", "hunt")
     partitions = list(partitions)
-    n = partitions[0].n if partitions else 0
-    if not members or not partitions or any(p.n != n for p in partitions) or (
-            algebra is not None and algebra.n != n):
-        raise ValidationError(f"sweep_laws needs a law of suite {suite!r} and partitions on one carrier")
-    order = [s.mask for s in canonical_subsets(n)]
+    if not partitions:
+        raise ValidationError("sweep_laws needs at least one partition", "partitions")
+    n = partitions[0].n
+    for i, p in enumerate(partitions):
+        if p.n != n:
+            raise ValidationError(f"partition {i} has carrier {p.n}, partition 0 has {n}", "partitions")
+    if algebra is not None and algebra.n != n:
+        raise ValidationError(f"algebra carrier {algebra.n} does not match partition carrier {n}", "algebra")
+    return _sweep(_Carrier(n, partitions), range(len(partitions)), suite, algebra, hunt, complete, deadline)
+
+
+def _sweep(carrier: _Carrier, picks: Sequence[int], suite: str, algebra: FiniteAlgebra | None,
+           hunt: str | None, complete: bool | None, deadline: float | None) -> LawSweep:
+    """sweep_laws over the carrier's partitions at the indices picks, in that order."""
+    members = [m for m in SUITES[suite] if hunt in (None, m[0])]
+    n, order = carrier.n, carrier.order
     sweep = LawSweep(pairs=len(order) ** 2)
     uses_algebra = algebra is not None and (complete is not None or any(m[2].needs_algebra for m in members))
     P = _product_table(algebra) if uses_algebra else None
     # completeness alone gates: a partition with [x]*[y] = [x*y] for all x, y is a congruence
     gates_complete = uses_algebra and (complete is not None
                                        or any(m[1] == GATED_IF_COMPLETE for m in members))
-    for swept, p in enumerate(partitions):
+    for swept, i in enumerate(picks):
+        p = carrier.partitions[i]
         if deadline is not None and time.monotonic() >= deadline:
             raise SearchLimitError("time budget exceeded", count=swept, reason="time")
         is_complete = gates_complete and _completeness(algebra, p).holds
         if complete is not None and is_complete != complete:
             continue
         sweep.partitions += 1
-        ctx = _tables(p, P)
+        ctx = carrier.context(i, P)
         described = None  # (complete, note) of p, from its first recorded failure on
         active = []
         for number, role, law in members:

@@ -11,9 +11,13 @@ table, raw tables with no isomorphism rejection, and identical runs are
 bit-identical.  Counting, emitting and hunting are loops over the stream.
 A hunt sweeps only the tables that are the least of their relabellings
 that fix 0; every law follows such a relabelling, so each skipped table
-is isomorphic to one swept earlier without a finding.  A SearchLimitError
-counts the explored prefix: the models of a count, the algebras a hunt
-swept to the end or skipped as isomorphic copies.
+is isomorphic to one swept earlier without a finding.  What does not
+depend on the algebra a hunt builds once: the Bell(n) partitions and the
+subset pair order at its first sweep, and each partition's L/U tables
+the first time that partition is swept.  Per algebra it builds only the
+product table, the congruence filter and the completeness verdicts.  A
+SearchLimitError counts the explored prefix: the models of a count, the
+algebras a hunt swept to the end or skipped as isomorphic copies.
 """
 
 import math
@@ -27,7 +31,7 @@ from typing import Callable, Iterator
 from .algebra import AXIOM_VIOLATIONS, AxiomId, FiniteAlgebra
 from .errors import SearchLimitError, ValidationError
 from .relations import Partition, is_congruence
-from .rough import SUITES, sweep_laws
+from .rough import SUITES, _Carrier, _sweep
 from .sets import Subset
 
 
@@ -162,16 +166,18 @@ def enumerate_algebras(spec: SearchSpec, sink: Callable[[FiniteAlgebra], None] |
     return count
 
 
+def _check_congruence_order(n: int) -> None:
+    if n > PARTITION_ORDER_LIMIT:
+        raise ValidationError(f"carrier size {n} exceeds congruence enumeration limit {PARTITION_ORDER_LIMIT}")
+
+
 def enumerate_congruences(alg: FiniteAlgebra) -> list[Partition]:
     """All congruence partitions, in canonical partition order.
 
     Always contains the single-class and discrete partitions.  Guarded by
     ``PARTITION_ORDER_LIMIT``.
     """
-    if alg.n > PARTITION_ORDER_LIMIT:
-        raise ValidationError(
-            f"carrier size {alg.n} exceeds congruence enumeration limit {PARTITION_ORDER_LIMIT}"
-        )
+    _check_congruence_order(alg.n)
     return [p for p in all_partitions(alg.n) if is_congruence(alg, p).holds]
 
 
@@ -196,11 +202,14 @@ TARGETS["3-2:2-complete"] = _Target("3-2", "2", True, True)
 TARGETS["3-2:2-incomplete"] = _Target("3-2", "2", False, True)
 
 
-def _sweep_partitions(alg, spec, target, deadline):
-    """First finding over the congruences of alg, or over all partitions without one."""
+def _sweep_partitions(alg, carrier, target, deadline):
+    """First finding over the carrier's partitions that are congruences of alg, or over
+    all of them without alg."""
     suite, law, complete, _ = TARGETS[target]
-    partitions = all_partitions(spec.n) if alg is None else enumerate_congruences(alg)
-    f = sweep_laws(suite, partitions, alg, hunt=law, complete=complete, deadline=deadline).first_failure
+    picks = range(len(carrier.partitions))
+    if alg is not None:
+        picks = [i for i in picks if is_congruence(alg, carrier.partitions[i]).holds]
+    f = _sweep(carrier, picks, suite, alg, law, complete, deadline).first_failure
     if f is None:
         return None
     note = "" if alg is None else "complete congruence" if f.complete else "congruence, not complete"
@@ -240,12 +249,17 @@ def find_counterexample(spec: SearchSpec, target: str) -> Finding | None:
     # the non-product laws ignore the algebra: one sweep with none
     tables = _tables(spec, deadline) if TARGETS[target].needs_algebra else (None,)
     least = _least_in_orbit(spec.n)
+    carrier = None  # what every sweep reads, built at the first one
     for swept, t in enumerate(tables):
         if t is not None and not least(t):
             continue  # its least relabelling came earlier in the stream, with no finding
         alg = None if t is None else FiniteAlgebra(spec.n, t)
+        if carrier is None:
+            if alg is not None:
+                _check_congruence_order(spec.n)
+            carrier = _Carrier(spec.n, list(all_partitions(spec.n)))
         try:
-            finding = _sweep_partitions(alg, spec, target, deadline)
+            finding = _sweep_partitions(alg, carrier, target, deadline)
         except SearchLimitError as e:
             raise SearchLimitError(str(e), count=swept, reason=e.reason) from None
         if finding is not None:

@@ -36,13 +36,15 @@ P2, P3 = Partition.discrete(2), Partition.discrete(3)
 # case -> (call, exception, exact message)
 INPUT_CHECKS = {
     "sweep-unknown-suite": (lambda: sweep_laws("9-9", [P2]), ValidationError,
-                            "sweep_laws needs a law of suite '9-9' and partitions on one carrier"),
+                            "unknown suite '9-9'; known: 2-1, 3-1, 3-2"),
+    "sweep-unknown-law": (lambda: sweep_laws("3-2", [P2], hunt="3"), ValidationError,
+                          "suite 3-2 has no law '3'"),
     "sweep-no-partitions": (lambda: sweep_laws("3-1", []), ValidationError,
-                            "sweep_laws needs a law of suite '3-1' and partitions on one carrier"),
+                            "sweep_laws needs at least one partition"),
     "sweep-mixed-carriers": (lambda: sweep_laws("3-1", [P2, P3]), ValidationError,
-                             "sweep_laws needs a law of suite '3-1' and partitions on one carrier"),
+                             "partition 1 has carrier 3, partition 0 has 2"),
     "sweep-algebra-carrier": (lambda: sweep_laws("2-1", [P3], BH4), ValidationError,
-                              "sweep_laws needs a law of suite '2-1' and partitions on one carrier"),
+                              "algebra carrier 4 does not match partition carrier 3"),
     "svmap-image-carrier": (lambda: SetValuedMap(2, 2, [Subset.empty(3), Subset.empty(2)]),
                             ValidationError, "image of 0 lives in carrier 3, expected 2"),
     "partition-class-carrier": (lambda: Partition(2, [Subset.universe(3)]), ValidationError,
@@ -62,6 +64,11 @@ INPUT_CHECKS = {
 }
 
 
+# each fault of a sweep's arguments names the argument at fault
+SWEEP_FIELDS = {"sweep-unknown-suite": "suite", "sweep-unknown-law": "hunt", "sweep-no-partitions": "partitions",
+                "sweep-mixed-carriers": "partitions", "sweep-algebra-carrier": "algebra"}
+
+
 @pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
 def test_input_checks(case):
     call, exception, message = INPUT_CHECKS[case]
@@ -69,3 +76,5 @@ def test_input_checks(case):
         call()
     assert type(info.value) is exception
     assert str(info.value) == message
+    if case in SWEEP_FIELDS:
+        assert info.value.field == SWEEP_FIELDS[case]

@@ -1,5 +1,9 @@
 """The law registry and its mask kernel, checked against the naive evaluator.
 
+The tables a sweep reads are checked first: the product table against
+``oracles.set_product`` and each partition's L and U tables against
+``lower`` and ``upper``.
+
 Every law of every suite is evaluated on every partition of the fixtures
 and every subset pair, three ways: the registry predicate on the full mask
 tables the sweep uses, the single-pair view (for 3-2 on congruences only),
@@ -19,6 +23,8 @@ import pytest
 from roughalg import (
     LAWS,
     FiniteAlgebra,
+    LABEL_AXIOMS,
+    SearchSpec,
     SetValuedMap,
     Subset,
     ValidationError,
@@ -26,13 +32,17 @@ from roughalg import (
     check_approx_laws,
     check_basic_laws,
     check_congruence_product_laws,
+    enumerate_algebras,
     is_equivalence,
+    lower,
     sweep_laws,
+    upper,
 )
-from roughalg.rough import GATED, GATED_IF_COMPLETE, SUITES, _UNMET, _Masks, _product_table, _tables
+from roughalg.cli import parse_algebra_file
+from roughalg.rough import GATED, GATED_IF_COMPLETE, SUITES, _UNMET, _Carrier, _Masks, _product_table, _tables
 
 import oracles
-from conftest import BUNDLED
+from conftest import BUNDLED, REPO_ROOT
 
 CASES = [(name, suite) for suite in ("2-1", "3-1") for name in ("b4", "bh4", "z4")]
 CASES += [(name, "3-2") for name in ("b4", "bo5", "bh4", "z4")]
@@ -60,6 +70,49 @@ def _kernel(law, ctx, a, b):
 def test_every_law_is_in_a_suite():
     assert {law.id for law in LAWS} == {law.id for m in SUITES.values() for _, _, law in m}
     assert len({law.id for law in LAWS}) == len(LAWS)
+
+
+def _product_table_algebras():
+    """The fixtures, the order-6 benchmark table s3 and every model of order <= 3 of every label."""
+    yield from BUNDLED.values()
+    yield parse_algebra_file((REPO_ROOT / "perfbench" / "data" / "s3.alg").read_text(encoding="utf-8"))[1]
+    for n in (1, 2, 3):
+        for axioms in LABEL_AXIOMS.values():
+            models = []
+            enumerate_algebras(SearchSpec(n=n, axiom_set=axioms), models.append)
+            yield from models
+
+
+def test_product_table_matches_set_product():
+    orders = []
+    for alg in _product_table_algebras():
+        table = [list(row) for row in alg.table]
+        masks = _canonical_masks(alg.n)
+        products = _product_table(alg)
+        assert len(products) == len(masks) and {len(row) for row in products} == {len(masks)}
+        for a, elems_a in masks:
+            for b, elems_b in masks:
+                want = sum(1 << x for x in oracles.set_product(table, elems_a, elems_b))
+                assert products[a][b] == want, (table, elems_a, elems_b)
+        orders.append(alg.n)
+    assert orders.count(6) == 1 and orders.count(3) > 72
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_carrier_tables_match_the_approximations(n):
+    partitions = list(all_partitions(n))
+    carrier = _Carrier(n, partitions)
+    assert carrier.order == [m for m, _ in _canonical_masks(n)]
+    for i, p in enumerate(partitions):
+        ctx = carrier.context(i, None)
+        assert ctx.full == (1 << n) - 1
+        for m in range(1 << n):
+            assert ctx.L[m] == lower(p, Subset(n, m)).mask, (p, m)
+            assert ctx.U[m] == upper(p, Subset(n, m)).mask, (p, m)
+        products = [[0]]
+        again = carrier.context(i, products)  # built once, read with any products
+        assert (again.L, again.U, again.P) == (ctx.L, ctx.U, products)
+        assert again.L is ctx.L and again.U is ctx.U
 
 
 @pytest.mark.parametrize("name,suite", CASES)

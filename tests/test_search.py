@@ -23,6 +23,7 @@ from roughalg import (
     sweep_laws,
 )
 from roughalg import search
+from roughalg.rough import _Carrier
 from roughalg.search import TARGETS
 
 import oracles
@@ -336,15 +337,15 @@ def test_sweep_laws_counts_the_partitions_swept(bh4, monkeypatch):
 
 
 def test_hunt_limit_counts_the_algebras_swept(monkeypatch):
-    # the clock expires once the third algebra swept has its congruences enumerated.  That
-    # is BH3 model 3: model 2 is model 1 with 1 and 2 swapped, so it is skipped and counted
-    original, sweeps = search.enumerate_congruences, []
+    # the clock expires once the third algebra swept has its partitions swept.  That is
+    # BH3 model 3: model 2 is model 1 with 1 and 2 swapped, so it is skipped and counted
+    original, sweeps = search._sweep_partitions, []
 
-    def counted(alg):
+    def counted(alg, carrier, target, deadline):
         sweeps.append(alg)
-        return original(alg)
+        return original(alg, carrier, target, deadline)
 
-    monkeypatch.setattr(search, "enumerate_congruences", counted)
+    monkeypatch.setattr(search, "_sweep_partitions", counted)
     monkeypatch.setattr(time, "monotonic", lambda: 0.0 if len(sweeps) < 3 else 1e9)
     spec = SearchSpec(n=3, axiom_set=BH_AXIOMS, time_budget=1.0)
     with pytest.raises(SearchLimitError) as exc:
@@ -354,6 +355,43 @@ def test_hunt_limit_counts_the_algebras_swept(monkeypatch):
     models = [alg.table for alg in _collect(SearchSpec(n=3, axiom_set=BH_AXIOMS))]
     assert [alg.table for alg in sweeps] == [models[0], models[1], models[3]]
     assert oracles.relabel(models[1], (0, 2, 1)) == [list(row) for row in models[2]]
+
+
+@pytest.mark.parametrize("n,target,swept,bell", [(3, "3-2:1", 39, 5), (4, "2-1:12", 9, 15)])
+def test_hunt_builds_its_partitions_once(monkeypatch, n, target, swept, bell):
+    # the partitions do not depend on the algebra: a hunt builds all Bell(n) of them once
+    original_init, original_sweep = Partition.__init__, search._sweep_partitions
+    built, sweeps = [], []
+
+    def counted_init(self, *args):
+        built.append(args)
+        original_init(self, *args)
+
+    def counted_sweep(alg, *args):
+        sweeps.append(alg)
+        return original_sweep(alg, *args)
+
+    monkeypatch.setattr(Partition, "__init__", counted_init)
+    monkeypatch.setattr(search, "_sweep_partitions", counted_sweep)
+    find_counterexample(SearchSpec(n=n, axiom_set=BH_AXIOMS), target)
+    assert len(sweeps) == swept
+    assert len(built) == bell
+
+
+def test_hunt_above_the_partition_guard_fails_at_its_first_model(monkeypatch):
+    # the guard reads the first model to sweep, so a model stream with none raises nothing
+    original, models = search._tables, []
+
+    def counted(spec, deadline):
+        for t in original(spec, deadline):
+            models.append(t)
+            yield t
+
+    monkeypatch.setattr(search, "_tables", counted)
+    with pytest.raises(ValidationError) as exc:
+        find_counterexample(SearchSpec(n=7, axiom_set=BH_AXIOMS, max_order=7), "3-2:1")
+    assert str(exc.value) == f"carrier size 7 exceeds congruence enumeration limit {search.PARTITION_ORDER_LIMIT}"
+    assert len(models) == 1
 
 
 @pytest.mark.parametrize("n,label", [(n, label) for n in (1, 2, 3) for label in LABEL_AXIOMS]
@@ -412,11 +450,11 @@ def _invariance_algebras():
 def test_hunt_verdicts_follow_relabelling():
     # a hunt skips isomorphic copies because no law can tell them apart
     for alg in _invariance_algebras():
-        spec = SearchSpec(n=alg.n, axiom_set=B_AXIOMS)  # the sweep reads only its n
         copies = [FiniteAlgebra(alg.n, oracles.relabel(alg.table, p))
                   for p in oracles.relabellings_fixing_zero(alg.n)[1:]]
+        carrier = _Carrier(alg.n, list(all_partitions(alg.n)))  # shared, as in a hunt
         for target in TARGETS:
-            verdict = search._sweep_partitions(alg, spec, target, None) is None
+            verdict = search._sweep_partitions(alg, carrier, target, None) is None
             for copy in copies:
-                got = search._sweep_partitions(copy, spec, target, None) is None
+                got = search._sweep_partitions(copy, carrier, target, None) is None
                 assert got == verdict, (alg, copy, target)
