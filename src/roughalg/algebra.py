@@ -88,13 +88,6 @@ class FiniteAlgebra:
         self.table = tuple(rows)
         self.zero = zero
 
-    def op(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
-    def rows(self) -> list[list[int]]:
-        """Mutable copy of the table, row-major."""
-        return [list(r) for r in self.table]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteAlgebra)

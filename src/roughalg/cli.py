@@ -153,21 +153,6 @@ def parse_algebra_file(text: str) -> tuple[str | None, FiniteAlgebra]:
     return name, FiniteAlgebra(n, rows, zero)
 
 
-def parse_algebra(text: str) -> FiniteAlgebra:
-    return parse_algebra_file(text)[1]
-
-
-def render_algebra(alg: FiniteAlgebra, name: str | None = None) -> str:
-    out = []
-    if name:
-        out.append(f"algebra {name}")
-    out.append(f"order {alg.n}")
-    out.append(f"zero {alg.zero}")
-    for row in alg.table:
-        out.append(" ".join(map(str, row)))
-    return "\n".join(out) + "\n"
-
-
 def parse_subset(text: str, n: int) -> Subset:
     text = text.strip()
     mask = 0
@@ -225,8 +210,6 @@ def _jsonable(v):
         return {"order": v.n, "zero": v.zero, "rows": [list(r) for r in v.table]}
     if isinstance(v, AxiomId):
         return v.name
-    if isinstance(v, (frozenset, set)):
-        return sorted(_jsonable(x) for x in v)
     if isinstance(v, (tuple, list)):
         return [_jsonable(x) for x in v]
     if isinstance(v, dict):
@@ -267,7 +250,7 @@ def _load_algebra(path: str) -> FiniteAlgebra:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from None
-    return parse_algebra(text)
+    return parse_algebra_file(text)[1]
 
 
 _AXIOM_BY_NAME = {a.name.lower(): a for a in AxiomId}

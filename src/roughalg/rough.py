@@ -322,28 +322,16 @@ class LawSweep:
         self.violations, self.gated, self.measured = [], {}, {}
 
 
-def sweep_laws(suite: str, partitions: Sequence[Partition], algebra: FiniteAlgebra | None = None, *,
-               hunt: str | None = None, complete: bool | None = None,
-               deadline: float | None = None) -> LawSweep:
+def sweep_laws(suite: str, partitions: Sequence[Partition], algebra: FiniteAlgebra | None = None) -> LawSweep:
     """Evaluate a suite's laws over every partition x subset pair.
 
     Partitions come in the given order, subset pairs in canonical order (A
     outer, B inner, each by cardinality then elements).  Without an
-    algebra the laws that need one are not applicable.  ``hunt`` names one
-    law by its local number: only it is evaluated, and the sweep stops at
-    its first failure.  ``complete`` keeps the partitions whose
-    complete-congruence verdict equals it, and needs an algebra.  ``deadline`` (a
-    ``time.monotonic()`` value) is checked once per partition; past it the
-    sweep raises SearchLimitError counting the partitions swept to the end.
-    A fault in the arguments raises ValidationError, its ``field`` naming
-    the argument.
+    algebra the laws that need one are not applicable.  A fault in the
+    arguments raises ValidationError, its ``field`` naming the argument.
     """
-    if complete is not None and algebra is None:
-        raise ValidationError("complete= needs the algebra whose congruences it filters", "complete")
     if suite not in SUITES:
         raise ValidationError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}", "suite")
-    if hunt is not None and all(number != hunt for number, _, _ in SUITES[suite]):
-        raise ValidationError(f"suite {suite} has no law {hunt!r}", "hunt")
     partitions = list(partitions)
     if not partitions:
         raise ValidationError("sweep_laws needs at least one partition", "partitions")
@@ -353,12 +341,14 @@ def sweep_laws(suite: str, partitions: Sequence[Partition], algebra: FiniteAlgeb
             raise ValidationError(f"partition {i} has carrier {p.n}, partition 0 has {n}", "partitions")
     if algebra is not None and algebra.n != n:
         raise ValidationError(f"algebra carrier {algebra.n} does not match partition carrier {n}", "algebra")
-    return _sweep(_Carrier(n, partitions), range(len(partitions)), suite, algebra, hunt, complete, deadline)
+    return _sweep(_Carrier(n, partitions), range(len(partitions)), suite, algebra, None, None, None)
 
 
 def _sweep(carrier: _Carrier, picks: Sequence[int], suite: str, algebra: FiniteAlgebra | None,
            hunt: str | None, complete: bool | None, deadline: float | None) -> LawSweep:
-    """sweep_laws over the carrier's partitions at the indices picks, in that order."""
+    """The loop of sweep_laws and of every hunt, over the carrier's partitions at the indices
+    picks.  A hunt evaluates the law numbered hunt alone and stops at its first failure, sweeps
+    only the partitions whose completeness is complete, and checks deadline once per partition."""
     members = [m for m in SUITES[suite] if hunt in (None, m[0])]
     n, order = carrier.n, carrier.order
     sweep = LawSweep(pairs=len(order) ** 2)

@@ -37,8 +37,6 @@ P2, P3 = Partition.discrete(2), Partition.discrete(3)
 INPUT_CHECKS = {
     "sweep-unknown-suite": (lambda: sweep_laws("9-9", [P2]), ValidationError,
                             "unknown suite '9-9'; known: 2-1, 3-1, 3-2"),
-    "sweep-unknown-law": (lambda: sweep_laws("3-2", [P2], hunt="3"), ValidationError,
-                          "suite 3-2 has no law '3'"),
     "sweep-no-partitions": (lambda: sweep_laws("3-1", []), ValidationError,
                             "sweep_laws needs at least one partition"),
     "sweep-mixed-carriers": (lambda: sweep_laws("3-1", [P2, P3]), ValidationError,
@@ -65,7 +63,7 @@ INPUT_CHECKS = {
 
 
 # each fault of a sweep's arguments names the argument at fault
-SWEEP_FIELDS = {"sweep-unknown-suite": "suite", "sweep-unknown-law": "hunt", "sweep-no-partitions": "partitions",
+SWEEP_FIELDS = {"sweep-unknown-suite": "suite", "sweep-no-partitions": "partitions",
                 "sweep-mixed-carriers": "partitions", "sweep-algebra-carrier": "algebra"}
 
 

@@ -8,11 +8,10 @@ from hypothesis import given
 
 from roughalg import FiniteAlgebra, ParseError, SetValuedMap, Subset
 from roughalg.cli import (
-    parse_algebra,
+    parse_algebra_file,
     parse_partition,
     parse_subset,
     parse_svmap,
-    render_algebra,
     run,
 )
 
@@ -21,25 +20,37 @@ from conftest import BUNDLED, algebras
 
 # ------------------------------------------------------------- file format
 
+def _algebra_text(alg, name=None):
+    """The algebra file of alg: an optional name line, the headers, then the table rows."""
+    header = [f"algebra {name}"] if name else []
+    rows = [" ".join(map(str, row)) for row in alg.table]
+    return "\n".join([*header, f"order {alg.n}", f"zero {alg.zero}", *rows]) + "\n"
+
+
+def _parse_algebra(text):
+    """The algebra of an algebra file, without its name."""
+    return parse_algebra_file(text)[1]
+
+
 def test_render_parse_roundtrip_fixtures():
     for alg in BUNDLED.values():
-        assert parse_algebra(render_algebra(alg)) == alg
+        assert parse_algebra_file(_algebra_text(alg)) == (None, alg)
 
 
 @given(algebras(5))
 def test_render_parse_roundtrip_random(alg):
-    assert parse_algebra(render_algebra(alg, name="anything")) == alg
+    assert parse_algebra_file(_algebra_text(alg, name="anything")) == ("anything", alg)
 
 
 def test_comments_and_blank_lines_are_ignored():
     text = "# heading\n\norder 2\n# middle\nzero 0\n0 1\n\n1 0\n# trailing\n"
-    assert parse_algebra(text).table == ((0, 1), (1, 0))
+    assert _parse_algebra(text).table == ((0, 1), (1, 0))
 
 
 def test_short_row_reports_line():
     text = "order 4\nzero 0\n0 1 2 3\n1 0 3\n2 3 0 1\n3 2 1 0\n"
     with pytest.raises(ParseError) as exc:
-        parse_algebra(text)
+        _parse_algebra(text)
     assert exc.value.line == 4
     assert "3 entries" in str(exc.value)
 
@@ -47,7 +58,7 @@ def test_short_row_reports_line():
 def test_out_of_range_entry_reports_position():
     text = "order 4\nzero 0\n0 1 2 3\n1 0 3 2\n2 3 7 1\n3 2 1 0\n"
     with pytest.raises(ParseError) as exc:
-        parse_algebra(text)
+        _parse_algebra(text)
     assert exc.value.line == 5
     assert exc.value.column == 5
     assert "7" in str(exc.value)
@@ -60,9 +71,9 @@ def _parse_error(parse, *args):
 
 
 def test_bad_integer_in_row():
-    assert _parse_error(parse_algebra, "order 2\nzero 0\n0  x\n1 0\n") == (
+    assert _parse_error(_parse_algebra, "order 2\nzero 0\n0  x\n1 0\n") == (
         "bad integer 'x' (line 3, column 4)", 3, 4)
-    assert _parse_error(parse_algebra, "order 2\nzero 0\n0 1\n+1 0\n") == (
+    assert _parse_error(_parse_algebra, "order 2\nzero 0\n0 1\n+1 0\n") == (
         "bad integer '+1' (line 4, column 1)", 4, 1)
 
 
@@ -86,17 +97,17 @@ def test_missing_headers():
         ("order 2\nzero -1\n0 1\n1 0\n", "zero element -1 outside carrier 0..1 (line 2)", 2),
         ("order 2\n\nzero 2\n0 1\n1 0\n", "zero element 2 outside carrier 0..1 (line 3)", 3),
     ]:
-        assert _parse_error(parse_algebra, text) == (message, line, None), text
+        assert _parse_error(_parse_algebra, text) == (message, line, None), text
 
 
 def test_trailing_content_rejected():
     with pytest.raises(ParseError, match="unexpected content"):
-        parse_algebra("order 1\nzero 0\n0\nextra\n")
+        _parse_algebra("order 1\nzero 0\n0\nextra\n")
 
 
 def test_missing_rows_rejected():
     with pytest.raises(ParseError, match="expected 2 table rows"):
-        parse_algebra("order 2\nzero 0\n0 1\n")
+        _parse_algebra("order 2\nzero 0\n0 1\n")
 
 
 # ------------------------------------------------------------- small parsers
@@ -392,7 +403,7 @@ def test_verify_exhaustive_pinned_partition(tables_dir, capsys):
 def test_verify_exhaustive_order_guard(tmp_path, capsys):
     z7 = FiniteAlgebra(7, [[(x - y) % 7 for y in range(7)] for x in range(7)])
     path = tmp_path / "z7.alg"
-    path.write_text(render_algebra(z7))
+    path.write_text(_algebra_text(z7))
     assert run(["verify", str(path), "--prop", "2-1", "--exhaustive"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

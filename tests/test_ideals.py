@@ -127,7 +127,7 @@ def test_witness_cap(z4):
 def test_predicates_match_oracle(alg, data):
     members = data.draw(subsets(alg.n))
     report = is_strong_ideal(alg, members)
-    table = alg.rows()
+    table = [list(r) for r in alg.table]
     assert list(report.pair_witnesses) == oracles.ideal_pair_violations(table, set(members))
     assert list(report.triple_witnesses) == oracles.ideal_triple_violations(table, set(members))
     assert report.is_ideal == oracles.is_ideal(table, set(members), alg.zero)

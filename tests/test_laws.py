@@ -27,7 +27,6 @@ from roughalg import (
     SearchSpec,
     SetValuedMap,
     Subset,
-    ValidationError,
     all_partitions,
     check_approx_laws,
     check_basic_laws,
@@ -173,11 +172,6 @@ def test_sweep_without_algebra(suite):
         tally = sweep.gated.get(number) or sweep.measured[number]
         assert (tally.holds, tally.fails, tally.not_applicable) == (0, 0, 5 * 64)
         assert tally.first_failure is None
-    # completeness is a property of a congruence of an algebra: without one it cannot filter
-    for complete in (True, False):
-        with pytest.raises(ValidationError) as exc:
-            sweep_laws(suite, partitions, complete=complete)
-        assert exc.value.field == "complete"
 
 
 # ---------------------------------------------------------------- contexts where the laws fail

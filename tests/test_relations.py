@@ -207,7 +207,7 @@ def test_size_mismatch(bo5):
 def test_is_congruence_matches_oracle(alg, data):
     p = data.draw(partitions(alg.n))
     got = is_congruence(alg, p).holds
-    expected = oracles.is_congruence(alg.rows(), [list(c) for c in p.classes])
+    expected = oracles.is_congruence([list(r) for r in alg.table], [list(c) for c in p.classes])
     assert got == expected
 
 
@@ -240,7 +240,7 @@ def test_complete_check_matches_oracle_on_congruences(alg, data):
     if not is_congruence(alg, p).holds:
         return
     got = is_complete_congruence(alg, p).holds
-    assert got == oracles.is_complete_congruence(alg.rows(), [list(c) for c in p.classes])
+    assert got == oracles.is_complete_congruence([list(r) for r in alg.table], [list(c) for c in p.classes])
 
 
 # ------------------------------------------------- the class map as a morphism
@@ -270,9 +270,9 @@ def test_class_product_inclusion_failure(bo5, worked_partition):
     result = is_sv_morphism(worked_partition, bo5)
     assert not result.holds
     x, y, elem = result.witness
-    prod = {bo5.op(a, b) for a in worked_partition.image(x) for b in worked_partition.image(y)}
+    prod = {bo5.table[a][b] for a in worked_partition.image(x) for b in worked_partition.image(y)}
     assert elem in prod
-    assert elem not in worked_partition.image(bo5.op(x, y))
+    assert elem not in worked_partition.image(bo5.table[x][y])
 
 
 # ------------------------------------------------- relation_from_ideal

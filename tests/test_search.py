@@ -20,6 +20,7 @@ from roughalg import (
     enumerate_algebras,
     enumerate_congruences,
     find_counterexample,
+    is_complete_congruence,
     sweep_laws,
 )
 from roughalg import search
@@ -42,9 +43,9 @@ def _collect(spec):
     return models
 
 
-def _fixture_hunt(alg, suite, law, complete=None):
-    """The first failure of one law over the congruences of one algebra."""
-    return sweep_laws(suite, enumerate_congruences(alg), alg, hunt=law, complete=complete).first_failure
+def _fixture_hunt(alg, target):
+    """The first finding of a target over the congruences of one algebra, by the hunt's own sweep."""
+    return search._sweep_partitions(alg, _Carrier(alg.n, list(all_partitions(alg.n))), target, None)
 
 
 # ------------------------------------------------------------- partitions
@@ -179,7 +180,7 @@ def test_order_guard():
         assert exc.value.field == "n"
     # an algebra above the search limit is swept over its congruences directly
     z6 = FiniteAlgebra(6, [[(x - y) % 6 for y in range(6)] for x in range(6)])
-    assert _fixture_hunt(z6, "3-2", "1") is None
+    assert _fixture_hunt(z6, "3-2:1") is None
 
 
 # ------------------------------------------------------------- congruences
@@ -234,40 +235,72 @@ def test_theorem_targets_yield_no_finding():
 
 def test_upper_product_law_has_no_counterexample_over_fixtures(b4, bo5, bh4):
     for alg in (b4, bo5, bh4):
-        assert _fixture_hunt(alg, "3-2", "1") is None
+        assert _fixture_hunt(alg, "3-2:1") is None
 
 
 def test_lower_product_law_safe_under_complete_congruences(b4, bo5, bh4):
     for alg in (b4, bo5, bh4):
-        assert _fixture_hunt(alg, "3-2", "2", complete=True) is None
+        assert _fixture_hunt(alg, "3-2:2-complete") is None
 
 
 def test_lower_product_law_fails_under_incomplete_congruence(bh4):
     # frozen first finding of the fixture sweep
-    finding = _fixture_hunt(bh4, "3-2", "2", complete=False)
+    finding = _fixture_hunt(bh4, "3-2:2-incomplete")
     assert finding is not None
     assert finding.partition == Partition(4, [[0, 1], [2], [3]])
     assert finding.a == Subset.from_elements(4, [2])
     assert finding.b == Subset.from_elements(4, [0, 2])
     assert finding.witness == (0,)
-    assert finding.complete is False
+    assert finding.note == "congruence, not complete"
 
 
 def test_no_incomplete_congruences_on_group_like_fixtures(b4, bo5):
     for alg in (b4, bo5):
-        assert _fixture_hunt(alg, "3-2", "2", complete=False) is None
+        assert _fixture_hunt(alg, "3-2:2-incomplete") is None
 
 
 def test_upper_equality_reverse_direction_fails_on_bh4(b4, bo5, bh4):
     # item 11 as an equality is NOT a theorem: the reverse inclusion breaks
     for alg in (b4, bo5):
-        assert _fixture_hunt(alg, "2-1", "11b") is None
-    finding = _fixture_hunt(bh4, "2-1", "11b")
+        assert _fixture_hunt(alg, "2-1:11b") is None
+    finding = _fixture_hunt(bh4, "2-1:11b")
     assert finding is not None
     assert finding.partition == Partition(4, [[0, 1], [2], [3]])
     assert finding.a == Subset.from_elements(4, [0])
     assert finding.b == Subset.from_elements(4, [2])
     assert finding.witness == (1,)
+
+
+def _first_failures(suite, partitions, alg):
+    """law -> (partition, A, B, witness) of its first failure in one sweep_laws, in sweep order."""
+    if not partitions:
+        return {}
+    sweep = sweep_laws(suite, partitions, alg)
+    # a law gated under complete congruences only has a first failure in each role
+    failures = [t.first_failure for tallies in (sweep.gated, sweep.measured)
+                for t in tallies.values() if t.first_failure]
+    firsts = {}
+    for f in sorted(failures, key=lambda f: (partitions.index(f.partition), f.a.sort_key, f.b.sort_key)):
+        firsts.setdefault(f.law, (f.partition, f.a, f.b, f.witness))
+    return firsts
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_hunt_agrees_with_the_full_sweep(name):
+    # a hunt's finding is its law's first failure in one sweep_laws over the congruences,
+    # those of the target's completeness when it names one
+    alg = BUNDLED[name]
+    congruences = enumerate_congruences(alg)
+    firsts = {}
+    for target, (suite, law, complete, needs_algebra) in TARGETS.items():
+        if not needs_algebra:
+            continue
+        if (suite, complete) not in firsts:
+            partitions = [p for p in congruences
+                          if complete is None or is_complete_congruence(alg, p).holds == complete]
+            firsts[suite, complete] = _first_failures(suite, partitions, alg)
+        f = _fixture_hunt(alg, target)
+        assert (f and (f.partition, f.a, f.b, f.witness)) == firsts[suite, complete].get(law), target
 
 
 def test_hunt_over_enumerated_models():
@@ -323,17 +356,23 @@ def test_hunt_time_budget():
 
 # ------------------------------------------------------------- limit counts
 
-def test_sweep_laws_counts_the_partitions_swept(bh4, monkeypatch):
-    partitions = list(all_partitions(4))
+def test_hunt_deadline_stops_inside_one_algebra(b4, monkeypatch):
+    # the first B4 model is b4 with its 5 congruences; the clock expires once 2 of them are
+    # swept, and the sweep reads it before each congruence, so the third is never reached
+    assert _collect(SearchSpec(n=4, axiom_set=B_AXIOMS))[0] == b4
+    original, swept = _Carrier.context, []
+
+    def counted(self, i, P):
+        swept.append(self.partitions[i])
+        return original(self, i, P)
+
+    monkeypatch.setattr(_Carrier, "context", counted)
+    monkeypatch.setattr(time, "monotonic", lambda: 0.0 if len(swept) < 2 else 1e9)
+    spec = SearchSpec(n=4, axiom_set=B_AXIOMS, time_budget=1.0)
     with pytest.raises(SearchLimitError) as exc:
-        sweep_laws("2-1", partitions, bh4, deadline=time.monotonic() - 1)
+        find_counterexample(spec, "3-2:1")
     assert (exc.value.count, exc.value.reason) == (0, "time")
-    # the clock reads 0, 1, 2, ... once per partition: it expires at the third
-    ticks = itertools.count()
-    monkeypatch.setattr(time, "monotonic", lambda: next(ticks))
-    with pytest.raises(SearchLimitError) as exc:
-        sweep_laws("2-1", partitions, bh4, deadline=2)
-    assert exc.value.count == 2
+    assert swept == enumerate_congruences(b4)[:2]
 
 
 def test_hunt_limit_counts_the_algebras_swept(monkeypatch):
