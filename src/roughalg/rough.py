@@ -2,16 +2,18 @@
 
 A partition's lower and upper approximations are those of its class map
 x -> [x], computed by ``generalized``'s one mask kernel.  Each law of the
-suites 2-1, 3-1 and 3-2 is defined once, in ``LAWS``, as a predicate on
+suites 2-1, 3-1 and 3-2 is defined once, in ``LAWS``, as a row kernel on
 integer masks that reads ``L[m]``, ``U[m]`` (lower and upper
-approximation) and ``P[a][b]`` (set product): from full tables in the
-exhaustive ``sweep_laws``, and computed on demand in the single-pair views
-``check_approx_laws``, ``check_basic_laws`` and
-``check_congruence_product_laws``.  A sweep reads its partitions, pair
-order and L/U tables from a ``_Carrier``, which builds each partition's
-tables once; a hunt keeps one carrier for all its algebras, so only the
-product table (built row from row, one OR per entry) and the completeness
-verdicts are built per algebra.
+approximation) and ``P[a][b]`` (set product).  Called with one A and a row
+of B masks, it returns only the pairs the law does not hold on.  The
+exhaustive ``sweep_laws`` calls it once per A with every B, on full
+tables; the single-pair views ``check_approx_laws``, ``check_basic_laws``
+and ``check_congruence_product_laws`` call it with a row of one B, on
+tables computed on demand.  A sweep reads its partitions, pair order and
+L/U tables from a ``_Carrier``, which builds each partition's tables once;
+a hunt keeps one carrier for all its algebras, so only the product table
+(built row from row, one OR per entry) is built per algebra, and each
+partition's completeness is read from it.
 """
 
 import time
@@ -101,9 +103,9 @@ class _Carrier:
 
 # ---------------------------------------------------------------- the registry
 
-def _inclusion(x: int, y: int):
-    d = x & ~y
-    return (_low(d),) if d else None
+# Each row kernel below is one comprehension over the row of B masks, with no call per
+# pair; a law that does not read B decides once and repeats a failing verdict (_every).
+_UNMET = "unmet"  # the verdict on a pair whose premise or guard does not hold
 
 
 def _equal(x: int, y: int):
@@ -113,37 +115,71 @@ def _equal(x: int, y: int):
     return ("left-minus-right", _low(d)) if d else ("right-minus-left", _low(y & ~x))
 
 
-def _bounds(c, a, b):
-    d = c.L[a] & ~a
-    if d:
-        return ("lower-outside-set", _low(d))
-    d = a & ~c.U[a]
-    return ("set-outside-upper", _low(d)) if d else None
+def _every(w, bs):
+    """The row of a verdict w that does not read B."""
+    return () if w is None else [(k, w) for k in range(len(bs))]
 
 
-def _extremes(c, a, b):
-    if c.L[0] or c.U[0]:
-        return ("empty",)
-    return ("universe",) if c.L[c.full] != c.full or c.U[c.full] != c.full else None
+def _bounds(c, a, bs):
+    d, e = c.L[a] & ~a, a & ~c.U[a]
+    return _every(("lower-outside-set", _low(d)) if d else ("set-outside-upper", _low(e)) if e else None, bs)
 
 
-# Returned by a predicate whose premise or guard does not hold on the pair.
-_UNMET = "unmet"
+def _extremes(c, a, bs):
+    L, U, full = c.L, c.U, c.full
+    return _every(("empty",) if L[0] or U[0] else ("universe",) if (L[full] & U[full]) != full else None, bs)
 
 
-def _monotone(c, a, b):
-    if a & ~b:
-        return _UNMET
-    d = c.L[a] & ~c.L[b]
-    if d:
-        return ("lower", _low(d))
-    d = c.U[a] & ~c.U[b]
-    return ("upper", _low(d)) if d else None
+def _lower_join(c, a, bs):
+    L, la = c.L, c.L[a]
+    return [(k, (_low(d),)) for k, b in enumerate(bs) if (d := (la | L[b]) & ~L[a | b])]
 
 
-def _guarded_product_lower(c, a, b):
-    lab = c.L[c.P[a][b]]
-    return _inclusion(c.P[c.L[a]][c.L[b]], lab) if lab else _UNMET
+def _lower_meet(c, a, bs):
+    L, la = c.L, c.L[a]
+    return [(k, _equal(x, y)) for k, b in enumerate(bs) if (x := L[a & b]) != (y := la & L[b])]
+
+
+def _upper_join(c, a, bs):
+    U, ua = c.U, c.U[a]
+    return [(k, _equal(x, y)) for k, b in enumerate(bs) if (x := U[a | b]) != (y := ua | U[b])]
+
+
+def _upper_meet(c, a, bs):
+    U, ua = c.U, c.U[a]
+    return [(k, (_low(d),)) for k, b in enumerate(bs) if (d := U[a & b] & ~(ua & U[b]))]
+
+
+def _fixed(x, first, second, bs):
+    """x is a fixed point of the operator tables first, then second."""
+    return _every(_equal(first[x], x) or _equal(second[x], x), bs)
+
+
+def _monotone(c, a, bs):
+    L, U, la, ua = c.L, c.U, c.L[a], c.U[a]
+    return [(k, _UNMET if a & ~b else ("lower", _low(d)) if d else ("upper", _low(e)))
+            for k, b in enumerate(bs) if a & ~b or (d := la & ~L[b]) or (e := ua & ~U[b])]
+
+
+def _product_upper(c, a, bs):
+    U, Pa, Pua = c.U, c.P[a], c.P[c.U[a]]
+    return [(k, (_low(d),)) for k, b in enumerate(bs) if (d := Pua[U[b]] & ~U[Pa[b]])]
+
+
+def _product_upper_converse(c, a, bs):
+    U, Pa, Pua = c.U, c.P[a], c.P[c.U[a]]
+    return [(k, (_low(d),)) for k, b in enumerate(bs) if (d := U[Pa[b]] & ~Pua[U[b]])]
+
+
+def _product_lower_unguarded(c, a, bs):
+    L, Pa, Pla = c.L, c.P[a], c.P[c.L[a]]
+    return [(k, (_low(d),)) for k, b in enumerate(bs) if (d := Pla[L[b]] & ~L[Pa[b]])]
+
+
+def _product_lower(c, a, bs):
+    L, Pa, Pla = c.L, c.P[a], c.P[c.L[a]]
+    return [(k, (_low(d),) if lab else _UNMET)
+            for k, b in enumerate(bs) if not (lab := L[Pa[b]]) or (d := Pla[L[b]] & ~lab)]
 
 
 GATED, MEASURED, GATED_IF_COMPLETE = "gated", "measured", "gated-if-complete"
@@ -153,9 +189,11 @@ class Law(NamedTuple):
     """One law, for every suite it belongs to: ``suites`` maps a suite id to
     (local number, role).  GATED laws decide the verdict, MEASURED ones are
     counted, GATED_IF_COMPLETE ones are gated under complete congruences
-    only.  ``check(ctx, a, b)`` returns None when the law holds on masks a
-    and b, the witness when it fails, and ``_UNMET`` when its premise or
-    guard does not hold, which reports as ``unmet`` = (holds, note).
+    only.  ``check(ctx, a, bs)`` is the law's row kernel on mask a and the
+    row of masks bs: it returns the list, in increasing k, of (k, witness)
+    for each bs[k] the law fails on and (k, ``_UNMET``) for each bs[k] its
+    premise or guard does not hold on, which reports as ``unmet`` = (holds,
+    note).  The pairs the law holds on are left out.
     """
 
     id: str
@@ -163,40 +201,39 @@ class Law(NamedTuple):
     suites: dict[str, tuple[str, str]]
     check: Callable
     needs_algebra: bool = False
-    per_partition: bool = False
     unmet: tuple[bool | None, str] | None = None
 
 
 LAWS: tuple[Law, ...] = (
     Law("bounds", "lower(A) <= A <= upper(A)", {"2-1": ("1", GATED), "3-1": ("1", GATED)}, _bounds),
-    Law("extremes", "extremes are fixed points", {"2-1": ("2", GATED)}, _extremes, per_partition=True),
+    Law("extremes", "extremes are fixed points", {"2-1": ("2", GATED)}, _extremes),
     Law("lower-join", "lower(A) | lower(B) <= lower(A | B)", {"2-1": ("3", GATED), "3-1": ("5", GATED)},
-        lambda c, a, b: _inclusion(c.L[a] | c.L[b], c.L[a | b])),
+        _lower_join),
     Law("lower-meet", "lower(A & B) = lower(A) & lower(B)", {"2-1": ("4", GATED), "3-1": ("3", GATED)},
-        lambda c, a, b: _equal(c.L[a & b], c.L[a] & c.L[b])),
+        _lower_meet),
     Law("upper-join", "upper(A | B) = upper(A) | upper(B)", {"2-1": ("5", GATED), "3-1": ("2", GATED)},
-        lambda c, a, b: _equal(c.U[a | b], c.U[a] | c.U[b])),
+        _upper_join),
     Law("upper-meet", "upper(A & B) <= upper(A) & upper(B)", {"2-1": ("6", GATED), "3-1": ("6", GATED)},
-        lambda c, a, b: _inclusion(c.U[a & b], c.U[a] & c.U[b])),
+        _upper_meet),
     Law("upper-dual", "upper(~A) = ~lower(A)", {"2-1": ("7", GATED)},
-        lambda c, a, b: _equal(c.U[c.full ^ a], c.full ^ c.L[a])),
+        lambda c, a, bs: _every(_equal(c.U[c.full ^ a], c.full ^ c.L[a]), bs)),
     Law("lower-dual", "lower(~A) = ~upper(A)", {"2-1": ("8", GATED)},
-        lambda c, a, b: _equal(c.L[c.full ^ a], c.full ^ c.U[a])),
+        lambda c, a, bs: _every(_equal(c.L[c.full ^ a], c.full ^ c.U[a]), bs)),
     Law("lower-fixed", "lower(A) is a fixed point of both operators", {"2-1": ("9", GATED)},
-        lambda c, a, b: _equal(c.L[c.L[a]], c.L[a]) or _equal(c.U[c.L[a]], c.L[a])),
+        lambda c, a, bs: _fixed(c.L[a], c.L, c.U, bs)),
     Law("upper-fixed", "upper(A) is a fixed point of both operators", {"2-1": ("10", GATED)},
-        lambda c, a, b: _equal(c.U[c.U[a]], c.U[a]) or _equal(c.L[c.U[a]], c.U[a])),
+        lambda c, a, bs: _fixed(c.U[a], c.U, c.L, bs)),
     Law("monotone", "A <= B implies monotone approximations", {"3-1": ("4", GATED)}, _monotone,
         unmet=(True, "premise A <= B does not hold; vacuously true")),
     Law("product-upper", "upper(A)*upper(B) <= upper(A*B)", {"2-1": ("11a", MEASURED), "3-2": ("1", GATED)},
-        lambda c, a, b: _inclusion(c.P[c.U[a]][c.U[b]], c.U[c.P[a][b]]), needs_algebra=True),
+        _product_upper, needs_algebra=True),
     Law("product-upper-converse", "upper(A*B) <= upper(A)*upper(B)", {"2-1": ("11b", MEASURED)},
-        lambda c, a, b: _inclusion(c.U[c.P[a][b]], c.P[c.U[a]][c.U[b]]), needs_algebra=True),
+        _product_upper_converse, needs_algebra=True),
     # 2-1 law 12 reads the inclusion as is; 3-2 law 2 speaks only when lower(A*B) is nonempty
     Law("product-lower-unguarded", "lower(A)*lower(B) <= lower(A*B)", {"2-1": ("12", MEASURED)},
-        lambda c, a, b: _inclusion(c.P[c.L[a]][c.L[b]], c.L[c.P[a][b]]), needs_algebra=True),
+        _product_lower_unguarded, needs_algebra=True),
     Law("product-lower", "lower(A)*lower(B) <= lower(A*B)", {"3-2": ("2", GATED_IF_COMPLETE)},
-        _guarded_product_lower, needs_algebra=True, unmet=(None, "guard not met: lower(A*B) is empty")),
+        _product_lower, needs_algebra=True, unmet=(None, "guard not met: lower(A*B) is empty")),
 )
 
 # suite id -> [(local number, role, law)] in suite order; 11a and 11b sort between 10 and 12
@@ -225,7 +262,8 @@ class LawResult:
 
 
 def _result(label: str, law: Law, ctx: _Masks, a: Subset, b: Subset, note: str | None) -> LawResult:
-    w = law.check(ctx, a.mask, b.mask)
+    row = law.check(ctx, a.mask, (b.mask,))
+    w = row[0][1] if row else None
     if w is _UNMET:
         return LawResult(label, law.description, law.unmet[0], note=law.unmet[1])
     return LawResult(label, law.description, w is None, w, note)
@@ -344,11 +382,21 @@ def sweep_laws(suite: str, partitions: Sequence[Partition], algebra: FiniteAlgeb
     return _sweep(_Carrier(n, partitions), range(len(partitions)), suite, algebra, None, None, None)
 
 
+def _complete(P: list[list[int]], algebra: FiniteAlgebra, p: Partition) -> bool:
+    """Whether p is a complete congruence of algebra, whose product table is P:
+    [x]*[y] = [x*y] for all x and y."""
+    masks = p.masks
+    return all(P[masks[x]][masks[y]] == masks[xy] for x, row in enumerate(algebra.table)
+               for y, xy in enumerate(row))
+
+
 def _sweep(carrier: _Carrier, picks: Sequence[int], suite: str, algebra: FiniteAlgebra | None,
            hunt: str | None, complete: bool | None, deadline: float | None) -> LawSweep:
     """The loop of sweep_laws and of every hunt, over the carrier's partitions at the indices
     picks.  A hunt evaluates the law numbered hunt alone and stops at its first failure, sweeps
-    only the partitions whose completeness is complete, and checks deadline once per partition."""
+    only the partitions whose completeness is complete, and checks deadline once per partition.
+    Each law's row kernel runs once per A, and the failures it returns are recorded in (B, suite)
+    order."""
     members = [m for m in SUITES[suite] if hunt in (None, m[0])]
     n, order = carrier.n, carrier.order
     sweep = LawSweep(pairs=len(order) ** 2)
@@ -361,7 +409,7 @@ def _sweep(carrier: _Carrier, picks: Sequence[int], suite: str, algebra: FiniteA
         p = carrier.partitions[i]
         if deadline is not None and time.monotonic() >= deadline:
             raise SearchLimitError("time budget exceeded", count=swept, reason="time")
-        is_complete = gates_complete and _completeness(algebra, p).holds
+        is_complete = gates_complete and _complete(P, algebra, p)
         if complete is not None and is_complete != complete:
             continue
         sweep.partitions += 1
@@ -375,33 +423,34 @@ def _sweep(carrier: _Carrier, picks: Sequence[int], suite: str, algebra: FiniteA
                 tally.not_applicable += sweep.pairs
                 continue
             tally.holds += sweep.pairs  # taken back for each pair the law does not hold on
-            if law.per_partition and law.check(ctx, 0, 0) is None:
-                continue  # holds on every pair of this partition
-            active.append((law.check, number, law, tally, gated))
+            active.append((number, law, tally, gated))
         for a in order if active else ():
-            for b in order:
-                for entry in active:
-                    w = entry[0](ctx, a, b)
-                    if w is None:
-                        continue
-                    _, number, law, tally, gated = entry
-                    if w is _UNMET and law.unmet[0]:
-                        continue
-                    tally.holds -= 1
-                    if w is _UNMET:
-                        tally.not_applicable += 1
-                        continue
-                    tally.fails += 1
-                    if gated or tally.first_failure is None:
-                        if described is None:
-                            described = _congruence_note(algebra, p) if uses_algebra else (None, None)
-                        failure = LawFailure(number, p, Subset._raw(n, a), Subset._raw(n, b), w,
-                                             described[1] if law.needs_algebra else None, described[0])
-                        tally.first_failure = tally.first_failure or failure
-                        if gated:
-                            sweep.violations.append(failure)
-                        if sweep.first_failure is None:
-                            sweep.first_failure = failure
-                            if hunt is not None:
-                                return sweep
+            found = []  # the failures to record, as (B position, suite position, witness)
+            for pos, (number, law, tally, gated) in enumerate(active):
+                row = law.check(ctx, a, order)
+                if row and law.unmet:
+                    fails = [(k, w) for k, w in row if w is not _UNMET]
+                    if not law.unmet[0]:  # unmet pairs are not applicable unless they report as holding
+                        tally.holds -= len(row) - len(fails)
+                        tally.not_applicable += len(row) - len(fails)
+                    row = fails
+                if row:
+                    tally.holds -= len(row)
+                    tally.fails += len(row)
+                    if gated or tally.first_failure is None:  # a measured law records only its first
+                        found += [(k, pos, w) for k, w in (row if gated else row[:1])]
+            found.sort()  # (B, suite) order; no two failures share both, so witnesses are not compared
+            for k, pos, w in found:
+                number, law, tally, gated = active[pos]
+                if described is None:
+                    described = _congruence_note(algebra, p) if uses_algebra else (None, None)
+                failure = LawFailure(number, p, Subset._raw(n, a), Subset._raw(n, order[k]), w,
+                                     described[1] if law.needs_algebra else None, described[0])
+                tally.first_failure = tally.first_failure or failure
+                if gated:
+                    sweep.violations.append(failure)
+                if sweep.first_failure is None:
+                    sweep.first_failure = failure
+                    if hunt is not None:
+                        return sweep
     return sweep

@@ -90,12 +90,19 @@ def _search_cases():
     return cases
 
 
+def _order_six_cases():
+    # the order-6 benchmark table: the only exhaustive sweeps over more than 52 partitions
+    return {f"s3-prop-{prop}-exhaustive": ["verify", "perfbench/data/s3.alg", "--prop", prop, "--exhaustive"]
+            for prop in ("2-1", "3-1")}
+
+
 def golden_cases() -> dict[str, list[str]]:
     """Case name -> argv (without --format); the one list of golden commands."""
     cases = {}
     for name, info in _FIXTURES.items():
         cases.update(_fixture_cases(name, info["n"], info["partition"]))
     cases.update(_search_cases())
+    cases.update(_order_six_cases())
     out = {}
     for name, argv in cases.items():
         for fmt in ("text", "json"):
@@ -104,7 +111,7 @@ def golden_cases() -> dict[str, list[str]]:
 
 
 def _resolve(argv):
-    return [str(ROOT / a) if a.startswith("tables/") else a for a in argv]
+    return [str(ROOT / a) if a.startswith(("tables/", "perfbench/")) else a for a in argv]
 
 
 def run_case(argv) -> str:
