@@ -2,18 +2,20 @@
 
 A partition's lower and upper approximations are those of its class map
 x -> [x], computed by ``generalized``'s one mask kernel.  Each law of the
-suites 2-1, 3-1 and 3-2 is defined once, in ``LAWS``, as a row kernel on
+suites 2-1, 3-1 and 3-2 is defined once, in ``LAWS``, as a table kernel on
 integer masks that reads ``L[m]``, ``U[m]`` (lower and upper
-approximation) and ``P[a][b]`` (set product).  Called with one A and a row
-of B masks, it returns only the pairs the law does not hold on.  The
-exhaustive ``sweep_laws`` calls it once per A with every B, on full
-tables; the single-pair views ``check_approx_laws``, ``check_basic_laws``
-and ``check_congruence_product_laws`` call it with a row of one B, on
-tables computed on demand.  A sweep reads its partitions, pair order and
-L/U tables from a ``_Carrier``, which builds each partition's tables once;
-a hunt keeps one carrier for all its algebras, so only the product table
-(built row from row, one OR per entry) is built per algebra, and each
-partition's completeness is read from it.
+approximation) and ``P[a][b]`` (set product).  Called with a row of A
+masks and a row of B masks, it returns only the pairs the law fails on.
+The exhaustive ``sweep_laws`` calls it once per partition with every A and
+every B, on full tables; the single-pair views ``check_approx_laws``,
+``check_basic_laws`` and ``check_congruence_product_laws`` call it with one
+A and one B, on tables computed on demand.  A sweep reads its partitions,
+their classes, the pair order and the L/U tables from a ``_Carrier``, which
+builds each partition's tables once; a hunt keeps one carrier for all its
+algebras, so only the product table (built row from row, one OR per entry)
+is built per algebra.  A sweep reads whether a partition is a congruence,
+and whether a complete one, from the product table with one lookup per
+pair of classes.
 """
 
 import time
@@ -80,16 +82,39 @@ def _product_table(alg: FiniteAlgebra) -> list[list[int]]:
     return P
 
 
+def _congruence(P, algebra: FiniteAlgebra, classes: list[tuple[int, int]], masks) -> bool | None:
+    """Whether the partition with these classes and class masks is a complete congruence of
+    algebra, whose products are P; None when it is no congruence.  Each x*y with x in X and
+    y in Y lies in P[X][Y]: it is a congruence when every P[X][Y] lies inside the class of
+    x0*y0 (x0 and y0 the least elements of X and Y), and complete when every one equals it."""
+    t, complete = algebra.table, True
+    for X, x in classes:
+        PX, tx = P[X], t[x]
+        for Y, y in classes:
+            q, m = PX[Y], masks[tx[y]]
+            if q != m:
+                if q & ~m:
+                    return None
+                complete = False
+    return complete
+
+
+_NOTES = {None: "partition is not a congruence of the algebra",
+          True: "partition is a complete congruence of the algebra",
+          False: "partition is a congruence of the algebra, but not complete"}
+
+
 class _Carrier:
     """What a sweep of partitions of {0..n-1} reads that no algebra changes: the
-    partitions, the subset masks in canonical pair order, and each partition's L
-    and U tables, built the first time that partition is swept.  A hunt builds one
-    and sweeps every algebra over it."""
+    partitions, their classes as (mask, least element) pairs, the subset masks in
+    canonical pair order, and each partition's L and U tables, built the first time
+    that partition is swept.  A hunt builds one and sweeps every algebra over it."""
 
-    __slots__ = ("n", "partitions", "order", "_approximations")
+    __slots__ = ("n", "partitions", "classes", "order", "_approximations")
 
     def __init__(self, n: int, partitions: list[Partition]):
         self.n, self.partitions = n, partitions
+        self.classes = [[(c.mask, _low(c.mask)) for c in p.classes] for p in partitions]
         self.order = [s.mask for s in canonical_subsets(n)]
         self._approximations: list[_Masks | None] = [None] * len(partitions)
 
@@ -103,9 +128,8 @@ class _Carrier:
 
 # ---------------------------------------------------------------- the registry
 
-# Each row kernel below is one comprehension over the row of B masks, with no call per
-# pair; a law that does not read B decides once and repeats a failing verdict (_every).
-_UNMET = "unmet"  # the verdict on a pair whose premise or guard does not hold
+# Each table kernel below is one comprehension over the rows of A and B masks, with no call
+# per pair; a law that does not read B decides once per A and repeats a failing verdict (_every).
 
 
 def _equal(x: int, y: int):
@@ -115,71 +139,83 @@ def _equal(x: int, y: int):
     return ("left-minus-right", _low(d)) if d else ("right-minus-left", _low(y & ~x))
 
 
-def _every(w, bs):
-    """The row of a verdict w that does not read B."""
-    return () if w is None else [(k, w) for k in range(len(bs))]
+def _every(verdict, as_, bs):
+    """The failures of a law whose verdict(a) does not read B."""
+    ks = range(len(bs))
+    return [(j, k, w) for j, a in enumerate(as_) if (w := verdict(a)) is not None for k in ks]
 
 
-def _bounds(c, a, bs):
-    d, e = c.L[a] & ~a, a & ~c.U[a]
-    return _every(("lower-outside-set", _low(d)) if d else ("set-outside-upper", _low(e)) if e else None, bs)
+def _bounds(c, as_, bs):
+    L, U = c.L, c.U
+    return _every(lambda a: ("lower-outside-set", _low(d)) if (d := L[a] & ~a)
+                  else ("set-outside-upper", _low(e)) if (e := a & ~U[a]) else None, as_, bs)
 
 
-def _extremes(c, a, bs):
+def _extremes(c, as_, bs):
     L, U, full = c.L, c.U, c.full
-    return _every(("empty",) if L[0] or U[0] else ("universe",) if (L[full] & U[full]) != full else None, bs)
+    w = ("empty",) if L[0] or U[0] else ("universe",) if (L[full] & U[full]) != full else None
+    return _every(lambda a: w, as_, bs)
 
 
-def _lower_join(c, a, bs):
-    L, la = c.L, c.L[a]
-    return [(k, (_low(d),)) for k, b in enumerate(bs) if (d := (la | L[b]) & ~L[a | b])]
+def _lower_join(c, as_, bs):
+    L = c.L
+    return [(j, k, (_low(d),)) for j, a in enumerate(as_) for la in [L[a]]
+            for k, b in enumerate(bs) if (d := (la | L[b]) & ~L[a | b])]
 
 
-def _lower_meet(c, a, bs):
-    L, la = c.L, c.L[a]
-    return [(k, _equal(x, y)) for k, b in enumerate(bs) if (x := L[a & b]) != (y := la & L[b])]
+def _lower_meet(c, as_, bs):
+    L = c.L
+    return [(j, k, _equal(x, y)) for j, a in enumerate(as_) for la in [L[a]]
+            for k, b in enumerate(bs) if (x := L[a & b]) != (y := la & L[b])]
 
 
-def _upper_join(c, a, bs):
-    U, ua = c.U, c.U[a]
-    return [(k, _equal(x, y)) for k, b in enumerate(bs) if (x := U[a | b]) != (y := ua | U[b])]
+def _upper_join(c, as_, bs):
+    U = c.U
+    return [(j, k, _equal(x, y)) for j, a in enumerate(as_) for ua in [U[a]]
+            for k, b in enumerate(bs) if (x := U[a | b]) != (y := ua | U[b])]
 
 
-def _upper_meet(c, a, bs):
-    U, ua = c.U, c.U[a]
-    return [(k, (_low(d),)) for k, b in enumerate(bs) if (d := U[a & b] & ~(ua & U[b]))]
+def _upper_meet(c, as_, bs):
+    U = c.U
+    return [(j, k, (_low(d),)) for j, a in enumerate(as_) for ua in [U[a]]
+            for k, b in enumerate(bs) if (d := U[a & b] & ~(ua & U[b]))]
 
 
-def _fixed(x, first, second, bs):
-    """x is a fixed point of the operator tables first, then second."""
-    return _every(_equal(first[x], x) or _equal(second[x], x), bs)
+def _fixed(first, second, as_, bs):
+    """first[a] is a fixed point of the operator tables first, then second."""
+    return _every(lambda a: _equal(first[first[a]], first[a]) or _equal(second[first[a]], first[a]), as_, bs)
 
 
-def _monotone(c, a, bs):
-    L, U, la, ua = c.L, c.U, c.L[a], c.U[a]
-    return [(k, _UNMET if a & ~b else ("lower", _low(d)) if d else ("upper", _low(e)))
-            for k, b in enumerate(bs) if a & ~b or (d := la & ~L[b]) or (e := ua & ~U[b])]
+def _monotone(c, as_, bs):
+    L, U = c.L, c.U
+    return [(j, k, ("lower", _low(d)) if d else ("upper", _low(e)))
+            for j, a in enumerate(as_) for la, ua in [(L[a], U[a])] for k, b in enumerate(bs)
+            if not a & ~b and ((d := la & ~L[b]) or (e := ua & ~U[b]))]
 
 
-def _product_upper(c, a, bs):
-    U, Pa, Pua = c.U, c.P[a], c.P[c.U[a]]
-    return [(k, (_low(d),)) for k, b in enumerate(bs) if (d := Pua[U[b]] & ~U[Pa[b]])]
+def _product_upper(c, as_, bs):
+    U, P = c.U, c.P
+    return [(j, k, (_low(d),)) for j, a in enumerate(as_) for Pa, Pua in [(P[a], P[U[a]])]
+            for k, b in enumerate(bs) if (d := Pua[U[b]] & ~U[Pa[b]])]
 
 
-def _product_upper_converse(c, a, bs):
-    U, Pa, Pua = c.U, c.P[a], c.P[c.U[a]]
-    return [(k, (_low(d),)) for k, b in enumerate(bs) if (d := U[Pa[b]] & ~Pua[U[b]])]
+def _product_upper_converse(c, as_, bs):
+    U, P = c.U, c.P
+    return [(j, k, (_low(d),)) for j, a in enumerate(as_) for Pa, Pua in [(P[a], P[U[a]])]
+            for k, b in enumerate(bs) if (d := U[Pa[b]] & ~Pua[U[b]])]
 
 
-def _product_lower_unguarded(c, a, bs):
-    L, Pa, Pla = c.L, c.P[a], c.P[c.L[a]]
-    return [(k, (_low(d),)) for k, b in enumerate(bs) if (d := Pla[L[b]] & ~L[Pa[b]])]
+# the lower product laws skip each A with lower(A) empty: lower(A)*lower(B) is then empty
+def _product_lower_unguarded(c, as_, bs):
+    L, P = c.L, c.P
+    return [(j, k, (_low(d),)) for j, a in enumerate(as_) if (la := L[a]) for Pa, Pla in [(P[a], P[la])]
+            for k, b in enumerate(bs) if (d := Pla[L[b]] & ~L[Pa[b]])]
 
 
-def _product_lower(c, a, bs):
-    L, Pa, Pla = c.L, c.P[a], c.P[c.L[a]]
-    return [(k, (_low(d),) if lab else _UNMET)
-            for k, b in enumerate(bs) if not (lab := L[Pa[b]]) or (d := Pla[L[b]] & ~lab)]
+def _product_lower(c, as_, bs):
+    L, P = c.L, c.P
+    return [(j, k, (_low(d),)) for j, a in enumerate(as_) if (la := L[a]) for Pa, Pla in [(P[a], P[la])]
+            for k, b in enumerate(bs) if (d := Pla[L[b]] & ~(lab := L[Pa[b]])) and lab]
 
 
 GATED, MEASURED, GATED_IF_COMPLETE = "gated", "measured", "gated-if-complete"
@@ -189,11 +225,12 @@ class Law(NamedTuple):
     """One law, for every suite it belongs to: ``suites`` maps a suite id to
     (local number, role).  GATED laws decide the verdict, MEASURED ones are
     counted, GATED_IF_COMPLETE ones are gated under complete congruences
-    only.  ``check(ctx, a, bs)`` is the law's row kernel on mask a and the
-    row of masks bs: it returns the list, in increasing k, of (k, witness)
-    for each bs[k] the law fails on and (k, ``_UNMET``) for each bs[k] its
-    premise or guard does not hold on, which reports as ``unmet`` = (holds,
-    note).  The pairs the law holds on are left out.
+    only.  ``check(ctx, as_, bs)`` is the law's table kernel on the masks
+    as_ and bs: it returns the list, in increasing (j, k), of (j, k, witness)
+    for each pair (as_[j], bs[k]) the law fails on; the pairs it holds on,
+    or whose premise or guard does not hold, are left out.  ``unmet`` is
+    (test, holds, note) for a law with a premise or guard: test(ctx, a, b)
+    is true when it does not hold on (a, b), which reports as (holds, note).
     """
 
     id: str
@@ -201,7 +238,7 @@ class Law(NamedTuple):
     suites: dict[str, tuple[str, str]]
     check: Callable
     needs_algebra: bool = False
-    unmet: tuple[bool | None, str] | None = None
+    unmet: tuple[Callable, bool | None, str] | None = None
 
 
 LAWS: tuple[Law, ...] = (
@@ -216,15 +253,15 @@ LAWS: tuple[Law, ...] = (
     Law("upper-meet", "upper(A & B) <= upper(A) & upper(B)", {"2-1": ("6", GATED), "3-1": ("6", GATED)},
         _upper_meet),
     Law("upper-dual", "upper(~A) = ~lower(A)", {"2-1": ("7", GATED)},
-        lambda c, a, bs: _every(_equal(c.U[c.full ^ a], c.full ^ c.L[a]), bs)),
+        lambda c, as_, bs: _every(lambda a: _equal(c.U[c.full ^ a], c.full ^ c.L[a]), as_, bs)),
     Law("lower-dual", "lower(~A) = ~upper(A)", {"2-1": ("8", GATED)},
-        lambda c, a, bs: _every(_equal(c.L[c.full ^ a], c.full ^ c.U[a]), bs)),
+        lambda c, as_, bs: _every(lambda a: _equal(c.L[c.full ^ a], c.full ^ c.U[a]), as_, bs)),
     Law("lower-fixed", "lower(A) is a fixed point of both operators", {"2-1": ("9", GATED)},
-        lambda c, a, bs: _fixed(c.L[a], c.L, c.U, bs)),
+        lambda c, as_, bs: _fixed(c.L, c.U, as_, bs)),
     Law("upper-fixed", "upper(A) is a fixed point of both operators", {"2-1": ("10", GATED)},
-        lambda c, a, bs: _fixed(c.U[a], c.U, c.L, bs)),
+        lambda c, as_, bs: _fixed(c.U, c.L, as_, bs)),
     Law("monotone", "A <= B implies monotone approximations", {"3-1": ("4", GATED)}, _monotone,
-        unmet=(True, "premise A <= B does not hold; vacuously true")),
+        unmet=(lambda c, a, b: a & ~b, True, "premise A <= B does not hold; vacuously true")),
     Law("product-upper", "upper(A)*upper(B) <= upper(A*B)", {"2-1": ("11a", MEASURED), "3-2": ("1", GATED)},
         _product_upper, needs_algebra=True),
     Law("product-upper-converse", "upper(A*B) <= upper(A)*upper(B)", {"2-1": ("11b", MEASURED)},
@@ -233,7 +270,8 @@ LAWS: tuple[Law, ...] = (
     Law("product-lower-unguarded", "lower(A)*lower(B) <= lower(A*B)", {"2-1": ("12", MEASURED)},
         _product_lower_unguarded, needs_algebra=True),
     Law("product-lower", "lower(A)*lower(B) <= lower(A*B)", {"3-2": ("2", GATED_IF_COMPLETE)},
-        _product_lower, needs_algebra=True, unmet=(None, "guard not met: lower(A*B) is empty")),
+        _product_lower, needs_algebra=True,
+        unmet=(lambda c, a, b: not c.L[c.P[a][b]], None, "guard not met: lower(A*B) is empty")),
 )
 
 # suite id -> [(local number, role, law)] in suite order; 11a and 11b sort between 10 and 12
@@ -262,20 +300,12 @@ class LawResult:
 
 
 def _result(label: str, law: Law, ctx: _Masks, a: Subset, b: Subset, note: str | None) -> LawResult:
-    row = law.check(ctx, a.mask, (b.mask,))
-    w = row[0][1] if row else None
-    if w is _UNMET:
-        return LawResult(label, law.description, law.unmet[0], note=law.unmet[1])
-    return LawResult(label, law.description, w is None, w, note)
-
-
-def _congruence_note(alg: FiniteAlgebra, p: Partition) -> tuple[bool | None, str]:
-    """(complete, note): completeness is None when p is no congruence of alg."""
-    if not is_congruence(alg, p).holds:
-        return None, "partition is not a congruence of the algebra"
-    if _completeness(alg, p).holds:
-        return True, "partition is a complete congruence of the algebra"
-    return False, "partition is a congruence of the algebra, but not complete"
+    row = law.check(ctx, (a.mask,), (b.mask,))
+    if row:
+        return LawResult(label, law.description, False, row[0][2], note)
+    if law.unmet and law.unmet[0](ctx, a.mask, b.mask):
+        return LawResult(label, law.description, law.unmet[1], note=law.unmet[2])
+    return LawResult(label, law.description, True, None, note)
 
 
 def _suite_view(suite: str, p: Partition, a: Subset, b: Subset,
@@ -283,7 +313,8 @@ def _suite_view(suite: str, p: Partition, a: Subset, b: Subset,
     ctx = _on_demand(p, alg, a, b)
     note = None
     if alg is not None and any(law.needs_algebra for _, _, law in SUITES[suite]):
-        note = _congruence_note(alg, p)[1]
+        # one pair has no product table to read the verdict from; these checks are cheaper
+        note = _NOTES[_completeness(alg, p).holds if is_congruence(alg, p).holds else None]
     return tuple(
         LawResult(number, law.description, None, note="needs an algebra")
         if law.needs_algebra and alg is None
@@ -330,8 +361,9 @@ def check_congruence_product_laws(
 # ---------------------------------------------------------------- exhaustive sweeps
 
 class LawFailure(NamedTuple):
-    """A law (by its local number) failing on a partition and subset pair.  With
-    an algebra, ``note`` and ``complete`` (None: no congruence) describe the partition."""
+    """A law (by its local number) failing on a partition and subset pair.  With an
+    algebra, ``complete`` (None: no congruence) describes the partition, and so does
+    ``note`` when the law reads the algebra."""
 
     law: str
     partition: Partition
@@ -379,78 +411,59 @@ def sweep_laws(suite: str, partitions: Sequence[Partition], algebra: FiniteAlgeb
             raise ValidationError(f"partition {i} has carrier {p.n}, partition 0 has {n}", "partitions")
     if algebra is not None and algebra.n != n:
         raise ValidationError(f"algebra carrier {algebra.n} does not match partition carrier {n}", "algebra")
-    return _sweep(_Carrier(n, partitions), range(len(partitions)), suite, algebra, None, None, None)
+    return _sweep(_Carrier(n, partitions), suite, algebra, None, None, None)
 
 
-def _complete(P: list[list[int]], algebra: FiniteAlgebra, p: Partition) -> bool:
-    """Whether p is a complete congruence of algebra, whose product table is P:
-    [x]*[y] = [x*y] for all x and y."""
-    masks = p.masks
-    return all(P[masks[x]][masks[y]] == masks[xy] for x, row in enumerate(algebra.table)
-               for y, xy in enumerate(row))
-
-
-def _sweep(carrier: _Carrier, picks: Sequence[int], suite: str, algebra: FiniteAlgebra | None,
+def _sweep(carrier: _Carrier, suite: str, algebra: FiniteAlgebra | None,
            hunt: str | None, complete: bool | None, deadline: float | None) -> LawSweep:
-    """The loop of sweep_laws and of every hunt, over the carrier's partitions at the indices
-    picks.  A hunt evaluates the law numbered hunt alone and stops at its first failure, sweeps
-    only the partitions whose completeness is complete, and checks deadline once per partition.
-    Each law's row kernel runs once per A, and the failures it returns are recorded in (B, suite)
-    order."""
+    """The loop of sweep_laws and of every hunt, over the carrier's partitions.  With an algebra,
+    each partition's congruence verdict is read from the product table.  A hunt evaluates the law
+    numbered hunt alone and stops at its first failure; with an algebra it sweeps only the
+    congruences, of completeness complete unless that is None, and checks deadline once per
+    congruence.  Each law's table kernel runs once per partition, and the failures it returns
+    are recorded in (A, B, suite) order."""
     members = [m for m in SUITES[suite] if hunt in (None, m[0])]
     n, order = carrier.n, carrier.order
     sweep = LawSweep(pairs=len(order) ** 2)
-    uses_algebra = algebra is not None and (complete is not None or any(m[2].needs_algebra for m in members))
-    P = _product_table(algebra) if uses_algebra else None
-    # completeness alone gates: a partition with [x]*[y] = [x*y] for all x, y is a congruence
-    gates_complete = uses_algebra and (complete is not None
-                                       or any(m[1] == GATED_IF_COMPLETE for m in members))
-    for swept, i in enumerate(picks):
-        p = carrier.partitions[i]
+    P = None if algebra is None else _product_table(algebra)
+    for i, p in enumerate(carrier.partitions):
+        verdict = None if P is None else _congruence(P, algebra, carrier.classes[i], p.masks)
+        if hunt is not None and P is not None and verdict is None:
+            continue
         if deadline is not None and time.monotonic() >= deadline:
-            raise SearchLimitError("time budget exceeded", count=swept, reason="time")
-        is_complete = gates_complete and _complete(P, algebra, p)
-        if complete is not None and is_complete != complete:
+            raise SearchLimitError("time budget exceeded", count=sweep.partitions, reason="time")
+        if complete is not None and verdict is not complete:
             continue
         sweep.partitions += 1
         ctx = carrier.context(i, P)
-        described = None  # (complete, note) of p, from its first recorded failure on
-        active = []
+        active, found = [], []  # found: the failures to record, as (A, B, suite position, witness)
         for number, role, law in members:
-            gated = role == GATED or (role == GATED_IF_COMPLETE and is_complete)
+            gated = role == GATED or (role == GATED_IF_COMPLETE and verdict is True)
             tally = (sweep.gated if gated else sweep.measured).setdefault(number, LawTally())
-            if law.needs_algebra and algebra is None:
+            if law.needs_algebra and P is None:
                 tally.not_applicable += sweep.pairs
                 continue
-            tally.holds += sweep.pairs  # taken back for each pair the law does not hold on
+            failures = law.check(ctx, order, order)
+            unmet = 0  # pairs not applicable for an unmet guard; a hunt reads only first failures
+            if hunt is None and law.unmet and law.unmet[1] is None:
+                test = law.unmet[0]
+                unmet = sum(1 for a in order for b in order if test(ctx, a, b))
+            tally.holds += sweep.pairs - len(failures) - unmet
+            tally.fails += len(failures)
+            tally.not_applicable += unmet
+            if failures and (gated or tally.first_failure is None):  # a measured law records only its first
+                found += [(j, k, len(active), w) for j, k, w in (failures if gated else failures[:1])]
             active.append((number, law, tally, gated))
-        for a in order if active else ():
-            found = []  # the failures to record, as (B position, suite position, witness)
-            for pos, (number, law, tally, gated) in enumerate(active):
-                row = law.check(ctx, a, order)
-                if row and law.unmet:
-                    fails = [(k, w) for k, w in row if w is not _UNMET]
-                    if not law.unmet[0]:  # unmet pairs are not applicable unless they report as holding
-                        tally.holds -= len(row) - len(fails)
-                        tally.not_applicable += len(row) - len(fails)
-                    row = fails
-                if row:
-                    tally.holds -= len(row)
-                    tally.fails += len(row)
-                    if gated or tally.first_failure is None:  # a measured law records only its first
-                        found += [(k, pos, w) for k, w in (row if gated else row[:1])]
-            found.sort()  # (B, suite) order; no two failures share both, so witnesses are not compared
-            for k, pos, w in found:
-                number, law, tally, gated = active[pos]
-                if described is None:
-                    described = _congruence_note(algebra, p) if uses_algebra else (None, None)
-                failure = LawFailure(number, p, Subset._raw(n, a), Subset._raw(n, order[k]), w,
-                                     described[1] if law.needs_algebra else None, described[0])
-                tally.first_failure = tally.first_failure or failure
-                if gated:
-                    sweep.violations.append(failure)
-                if sweep.first_failure is None:
-                    sweep.first_failure = failure
-                    if hunt is not None:
-                        return sweep
+        found.sort()  # no two failures share (A, B, suite position), so witnesses are not compared
+        for j, k, pos, w in found:
+            number, law, tally, gated = active[pos]
+            failure = LawFailure(number, p, Subset._raw(n, order[j]), Subset._raw(n, order[k]), w,
+                                 _NOTES[verdict] if law.needs_algebra else None, verdict)
+            tally.first_failure = tally.first_failure or failure
+            if gated:
+                sweep.violations.append(failure)
+            if sweep.first_failure is None:
+                sweep.first_failure = failure
+                if hunt is not None:
+                    return sweep
     return sweep

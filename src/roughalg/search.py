@@ -15,7 +15,8 @@ is isomorphic to one swept earlier without a finding.  What does not
 depend on the algebra a hunt builds once: the Bell(n) partitions and the
 subset pair order at its first sweep, and each partition's L/U tables
 the first time that partition is swept.  Per algebra it builds only the
-product table, the congruence filter and the completeness verdicts.  A
+product table, and reads from it which partitions are congruences and
+which of them are complete, with one lookup per pair of classes.  A
 SearchLimitError counts the explored prefix: the models of a count, the
 algebras a hunt swept to the end or skipped as isomorphic copies.
 """
@@ -206,10 +207,7 @@ def _sweep_partitions(alg, carrier, target, deadline):
     """First finding over the carrier's partitions that are congruences of alg, or over
     all of them without alg."""
     suite, law, complete, _ = TARGETS[target]
-    picks = range(len(carrier.partitions))
-    if alg is not None:
-        picks = [i for i in picks if is_congruence(alg, carrier.partitions[i]).holds]
-    f = _sweep(carrier, picks, suite, alg, law, complete, deadline).first_failure
+    f = _sweep(carrier, suite, alg, law, complete, deadline).first_failure
     if f is None:
         return None
     note = "" if alg is None else "complete congruence" if f.complete else "congruence, not complete"

@@ -1,11 +1,12 @@
 """Shared fixtures and hypothesis strategies."""
 
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from roughalg import FiniteAlgebra, Partition, Subset
+from roughalg import FiniteAlgebra, Partition, Subset, relations
 from roughalg.cli import parse_algebra_file
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -83,3 +84,17 @@ def partitions(n):
 
 def subsets(n):
     return st.integers(0, (1 << n) - 1).map(lambda m: Subset(n, m))
+
+
+def count_congruence_checks(monkeypatch):
+    """The partitions passed to is_congruence from now on, through every roughalg module that has it."""
+    original, seen = relations.is_congruence, []
+
+    def counted(alg, p):
+        seen.append(p)
+        return original(alg, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "roughalg" and hasattr(module, "is_congruence"):
+            monkeypatch.setattr(module, "is_congruence", counted)
+    return seen

@@ -275,6 +275,17 @@ def naive_law_of(suite, number, n, lo, up, prod, a, b):
     return laws[suite, number]()
 
 
+def naive_unmet(suite, number, lo, prod, a, b):
+    """Whether a law's premise or guard does not hold on the subsets a and b: A <= B for
+    monotonicity (3-1 law 4), lower(A*B) nonempty for 3-2 law 2; the other laws have none."""
+    a, b = set(a), set(b)
+    if (suite, number) == ("3-1", "4"):
+        return not a <= b
+    if (suite, number) == ("3-2", "2"):
+        return not lo(prod(a, b))
+    return False
+
+
 # the suite laws that read the operation; a hunt for one of them sweeps congruences
 PRODUCT_LAWS = {("2-1", "11a"), ("2-1", "11b"), ("2-1", "12"), ("3-2", "1"), ("3-2", "2")}
 

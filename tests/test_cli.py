@@ -15,7 +15,7 @@ from roughalg.cli import (
     run,
 )
 
-from conftest import BUNDLED, algebras
+from conftest import BUNDLED, algebras, count_congruence_checks
 
 
 # ------------------------------------------------------------- file format
@@ -441,27 +441,17 @@ def test_ideal_relation_not_an_equivalence(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, calls", [
-    (["verify", "bh4", "--prop", "3-2", "--exhaustive"], 16),
+    (["verify", "bh4", "--prop", "3-2", "--exhaustive"], 15),
     (["congruences", "bh4"], 15),
     (["verify", "bh4", "--prop", "3-2", "--partition", "0,1|2|3", "--set", "0"], 1),
-    (["verify", "bh4", "--prop", "2-1", "--exhaustive"], 1),
+    (["verify", "bh4", "--prop", "2-1", "--exhaustive"], 0),
     (["verify", "bh4", "--claim", "complete-congruence", "--partition", "0,1|2|3"], 1),
 ])
 def test_each_partition_is_checked_for_congruence_once(tables_dir, monkeypatch, capsys, argv, calls):
     # Bell(4) = 15 partitions of bh4, 3 of them congruences: enumeration checks all 15.
-    # A sweep gates on completeness alone and checks a partition only for the note of a
-    # recorded failure: once for the 3-2 sweep, whose lower-law findings lie on one
-    # congruence, and once for the 2-1 sweep, whose measured laws first fail on one partition
-    from roughalg import cli, relations, rough, search
-
-    original, seen = relations.is_congruence, []
-
-    def counted(alg, p):
-        seen.append(p)
-        return original(alg, p)
-
-    for module in (relations, rough, search, cli):
-        monkeypatch.setattr(module, "is_congruence", counted)
+    # A sweep reads each partition's congruence verdict from its product table, so the
+    # exhaustive sweeps check none: the 3-2 sweep's 15 are its enumeration's
+    seen = count_congruence_checks(monkeypatch)
     run([argv[0], _fixture(tables_dir, argv[1]), *argv[2:]])
     capsys.readouterr()
     assert len(seen) == calls

@@ -5,15 +5,19 @@ The tables a sweep reads are checked first: the product table against
 ``lower`` and ``upper``.
 
 Every law of every suite is evaluated on every partition of the fixtures
-and every subset pair, three ways: the registry's row kernel on the full
+and every subset pair, three ways: the registry's table kernel on the full
 mask tables the sweep uses, the single-pair view (for 3-2 on congruences
 only), and the tallies of ``sweep_laws``.  All must agree with
-``oracles.naive_law`` on the verdict and the witness.  Each kernel is
-called once per pair, with a row of one B, and once per A with the whole
-row of B, which must return exactly the pairs the one-pair calls do not hold
-on.
+``oracles.naive_law`` on the verdict and the witness, and each law's
+premise or guard with ``oracles.naive_unmet``.  Each kernel is called once
+per pair, with one A and one B, and once on the whole table of A and B
+masks, which must return exactly the pairs the one-pair calls fail on.
 
-On partitions most laws are theorems, so the row kernels are also
+The congruence verdict a sweep reads from its product table is checked
+against the oracles and ``relations`` on every partition of many algebras,
+among them random tables lifted from tables on the classes of a partition.
+
+On partitions most laws are theorems, so the table kernels are also
 evaluated where they fail: on the generalized approximations of seeded
 set-valued maps that are not equivalences, and on seeded random lower and
 upper tables.  There they must agree with ``oracles.naive_law_of``, and a
@@ -29,6 +33,8 @@ from roughalg import (
     LAWS,
     FiniteAlgebra,
     LABEL_AXIOMS,
+    Partition,
+    SearchLimitError,
     SearchSpec,
     SetValuedMap,
     Subset,
@@ -43,9 +49,9 @@ from roughalg import (
     upper,
 )
 from roughalg.cli import parse_algebra_file
-from roughalg.relations import _completeness
-from roughalg.rough import (GATED, GATED_IF_COMPLETE, SUITES, _UNMET, _Carrier, _Masks, _complete,
-                            _product_table, _sweep, _tables)
+from roughalg.relations import _completeness, is_congruence
+from roughalg.rough import (GATED, GATED_IF_COMPLETE, SUITES, _Carrier, _congruence, _Masks, _product_table,
+                            _sweep, _tables)
 
 import oracles
 from conftest import BUNDLED, REPO_ROOT
@@ -68,17 +74,26 @@ def _view(suite, alg, p, a, b):
     return check_approx_laws(p, sa, sb, alg) if suite == "2-1" else check_basic_laws(p, sa, sb)
 
 
-def _kernel(law, ctx, a, bs):
-    """(holds, witness) of the law on a and each mask of bs, from the one-pair calls
-    check(ctx, a, (b,)); the full-row call check(ctx, a, bs) must return exactly the
-    one-pair results that are not None, in increasing k."""
-    pairs = []
-    for b in bs:
-        got = list(law.check(ctx, a, (b,)))
-        assert len(got) <= 1 and all(k == 0 and w is not None for k, w in got), (law.id, a, b, got)
-        pairs.append(got[0][1] if got else None)
-    assert list(law.check(ctx, a, bs)) == [(k, w) for k, w in enumerate(pairs) if w is not None], (law.id, a)
-    return [(law.unmet[0], None) if w is _UNMET else (w is None, w) for w in pairs]
+def _kernel(law, ctx, as_, bs):
+    """Per mask of as_, per mask of bs: (holds, witness, unmet) of the law, from the
+    one-pair call check(ctx, (a,), (b,)) and the premise test, as the single-pair views
+    read them.  The whole-table call check(ctx, as_, bs) must return exactly the
+    (j, k, witness) of the failing one-pair calls, in (j, k) order."""
+    rows, failures = [], []
+    for j, a in enumerate(as_):
+        row = []
+        for k, b in enumerate(bs):
+            got = law.check(ctx, (a,), (b,))
+            unmet = bool(law.unmet and law.unmet[0](ctx, a, b))
+            assert len(got) <= 1 and all(f[:2] == (0, 0) and f[2] is not None for f in got), \
+                (law.id, a, b, got)
+            assert not (got and unmet), (law.id, a, b)  # a law does not fail where it does not speak
+            failures += [(j, k, w) for _, _, w in got]
+            row.append((False, got[0][2], unmet) if got else (law.unmet[1], None, unmet) if unmet
+                       else (True, None, unmet))
+        rows.append(row)
+    assert law.check(ctx, as_, bs) == failures, law.id
+    return rows
 
 
 class _NaiveSweep:
@@ -176,14 +191,16 @@ def test_registry_matches_naive_evaluator(name, suite):
         viewed = suite != "3-2" or oracles.is_congruence(table, classes)
         ctx = _tables(p, products)
         naive = _NaiveSweep()
-        for a, elems_a in order:
-            rows = [_kernel(law, ctx, a, masks) for _, _, law in members]
+        kernels = [_kernel(law, ctx, masks, masks) for _, _, law in members]
+        for j, (a, elems_a) in enumerate(order):
             for k, (b, elems_b) in enumerate(order):
                 view = _view(suite, alg, p, a, b) if viewed else [None] * len(members)
-                for (number, role, law), row, result in zip(members, rows, view, strict=True):
+                for (number, role, law), rows, result in zip(members, kernels, view, strict=True):
                     want = oracles.naive_law(suite, number, table, classes, elems_a, elems_b)
                     where = (name, suite, number, classes, elems_a, elems_b)
-                    assert row[k] == want, where
+                    assert rows[j][k] == (*want, oracles.naive_unmet(
+                        suite, number, lambda s: oracles.naive_lower(classes, s),
+                        lambda x, y: oracles.set_product(table, x, y), elems_a, elems_b)), where
                     assert result is None or (result.holds, result.witness) == want, where
                     gated = role == GATED or (role == GATED_IF_COMPLETE and complete)
                     naive.add(gated, number, want[0], (number, elems_a, elems_b, want[1]))
@@ -232,10 +249,11 @@ def _registry_matches(ctx, lo, up):
     shapes = set()
     for suite, members in SUITES.items():
         for number, _, law in members:
-            for a in range(FULL + 1):
-                for b, got in enumerate(_kernel(law, ctx, a, range(FULL + 1))):
+            for a, row in enumerate(_kernel(law, ctx, range(FULL + 1), range(FULL + 1))):
+                for b, got in enumerate(row):
                     want = oracles.naive_law_of(suite, number, N, lo, up, _product, _elements(a), _elements(b))
-                    assert got == want, (suite, number, a, b)
+                    unmet = oracles.naive_unmet(suite, number, lo, _product, _elements(a), _elements(b))
+                    assert got == (*want, unmet), (suite, number, a, b)
                     if got[1] is not None:
                         shapes.add(got[1][0] if isinstance(got[1][0], str) else "element")
     return shapes
@@ -284,6 +302,10 @@ def test_registry_on_random_lower_and_upper_tables():
     assert shapes == SHAPES
 
 
+# the sweep-order test's operation, which has all three congruence verdicts: {0 | 1, 2} is a
+# congruence that is not complete, {0, 1 | 2} and {0, 2 | 1} are none, the other two complete
+MIXED = [[0, 1, 1], [0, 1, 2], [0, 1, 2]]
+
 NOTES = {None: "partition is not a congruence of the algebra",
          True: "partition is a complete congruence of the algebra",
          False: "partition is a congruence of the algebra, but not complete"}
@@ -293,13 +315,13 @@ NOTES = {None: "partition is not a congruence of the algebra",
 def test_sweep_merges_the_law_rows_in_pair_and_suite_order(suite):
     # each partition of {0, 1, 2} gets random L and U tables, so that several gated laws
     # fail at one A and at one B; the sweep must record what a naive loop in (partition,
-    # A, B, suite) order records, and a hunt of one law must stop at its first failure
-    alg = FiniteAlgebra(N, TABLE)
+    # A, B, suite) order records, and a hunt of one law must stop at its first failure on
+    # the congruences (of the completeness it is given, if any)
+    alg = FiniteAlgebra(N, MIXED)
     partitions = list(all_partitions(N))
     order = _canonical_masks(N)
     members = SUITES[suite]
     rng = random.Random(7)
-    reads_algebra = any(law.needs_algebra for _, _, law in members)
     shared = 0  # pairs of a partition with at least two gated violations
 
     def key(f):
@@ -311,43 +333,79 @@ def test_sweep_merges_the_law_rows_in_pair_and_suite_order(suite):
         tables = [_random_tables(rng) for _ in partitions]
         carrier._approximations = [_Masks(L, U, None, FULL) for L, U in tables]
         naive = _NaiveSweep()
+        hunts = {None: _NaiveSweep(), True: _NaiveSweep(), False: _NaiveSweep()}  # by completeness hunted
         for p, (L, U) in zip(partitions, tables):
             classes = [list(c) for c in p.classes]
-            complete = oracles.is_complete_congruence(TABLE, classes)
-            # a sweep describes the partition only when one of its laws reads the algebra
-            congruence = reads_algebra and oracles.is_congruence(TABLE, classes)
-            described = complete if congruence else None
+            complete = oracles.is_complete_congruence(MIXED, classes)
+            # with an algebra every failure describes its partition
+            described = complete if oracles.is_congruence(MIXED, classes) else None
+            fed = [naive] + ([hunts[None], hunts[complete]] if described is not None else [])
             for _, elems_a in order:
                 for _, elems_b in order:
                     gated_failures = 0
                     for number, role, law in members:
                         holds, w = oracles.naive_law_of(suite, number, N, lambda s: _elements(L[_mask(s)]),
-                                                        lambda s: _elements(U[_mask(s)]), _product,
+                                                        lambda s: _elements(U[_mask(s)]),
+                                                        lambda x, y: oracles.set_product(MIXED, x, y),
                                                         elems_a, elems_b)
                         gated = role == GATED or (role == GATED_IF_COMPLETE and complete)
                         gated_failures += gated and holds is False
-                        naive.add(gated, number, holds, (classes, number, elems_a, elems_b, w,
-                                                         NOTES[described] if law.needs_algebra else None,
-                                                         described))
+                        for sweep in fed:
+                            sweep.add(gated, number, holds, (classes, number, elems_a, elems_b, w,
+                                                             NOTES[described] if law.needs_algebra else None,
+                                                             described))
                     shared += gated_failures >= 2
-        picks = range(len(partitions))
-        naive.assert_matches(_sweep(carrier, picks, suite, alg, None, None, None), key)
+        naive.assert_matches(_sweep(carrier, suite, alg, None, None, None), key)
         for number, _, _ in members:
-            # (a hunt of a law that reads no algebra does not describe the partition)
-            hunted = key(_sweep(carrier, picks, suite, alg, number, None, None).first_failure)
-            first = naive.first_of.get(number)
-            assert (hunted and hunted[:5]) == (first and first[:5]), number
+            for complete, hunt in hunts.items():
+                hunted = _sweep(carrier, suite, alg, number, complete, None).first_failure
+                assert key(hunted) == hunt.first_of.get(number), (number, complete)
     assert shared > 0
+    assert all(hunt.first_of for hunt in hunts.values())
+
+
+def _lifted_tables(rng):
+    """Seeded raw tables of order 2 to 5, each lifted from a random table on the classes of
+    a planted partition: x*y is any element of the class the class table gives.  The planted
+    partition is a congruence, complete when every class product fills its class."""
+    for n in (2, 3, 4, 5):
+        for _ in range(60):
+            rgs = [0]
+            for _ in range(n - 1):
+                rgs.append(rng.randrange(max(rgs) + 2))
+            classes = [[x for x in range(n) if rgs[x] == c] for c in range(max(rgs) + 1)]
+            on_classes = [[rng.randrange(len(classes)) for _ in classes] for _ in classes]
+            yield FiniteAlgebra(n, [[rng.choice(classes[on_classes[rgs[x]][rgs[y]]]) for y in range(n)]
+                                    for x in range(n)]), Partition(n, classes)
 
 
 def test_completeness_from_the_product_table():
-    # the sweep's verdict from its product table against relations' and the oracle's
-    verdicts = set()
-    for alg in _product_table_algebras():
+    # the sweep's three-valued verdict from its product table (None: no congruence, else
+    # whether complete) against the oracles' and relations'
+    algebras, bh4 = list(_product_table_algebras()), []
+    for label in ("B", "BO"):
+        enumerate_algebras(SearchSpec(n=4, axiom_set=LABEL_AXIOMS[label]), algebras.append)
+    with pytest.raises(SearchLimitError):
+        enumerate_algebras(SearchSpec(n=4, axiom_set=LABEL_AXIOMS["BH"], model_cap=2000), bh4.append)
+    assert len(bh4) == 2000
+    algebras += bh4
+    lifted = list(_lifted_tables(random.Random(19)))
+    verdicts, planted = set(), set()
+    for alg in algebras + [alg for alg, _ in lifted]:
         products = _product_table(alg)
         table = [list(row) for row in alg.table]
         for p in all_partitions(alg.n):
-            want = oracles.is_complete_congruence(table, [list(c) for c in p.classes])
-            assert _complete(products, alg, p) == _completeness(alg, p).holds == want, (table, p)
-            verdicts.add(want)
-    assert verdicts == {True, False}
+            classes = [list(c) for c in p.classes]
+            got = _congruence(products, alg, [(c.mask, min(c)) for c in p.classes], p.masks)
+            congruence = oracles.is_congruence(table, classes)
+            assert congruence == is_congruence(alg, p).holds == (got is not None), (table, p)
+            complete = oracles.is_complete_congruence(table, classes)
+            assert complete == _completeness(alg, p).holds == (got is True), (table, p)
+            verdicts.add(got)
+    for alg, p in lifted:
+        classes = [(c.mask, min(c)) for c in p.classes]
+        planted.add((len(p.classes), _congruence(_product_table(alg), alg, classes, p.masks)))
+    assert verdicts == {None, True, False}
+    # every planted partition is a congruence, and nontrivial ones occur complete and not
+    assert {v for _, v in planted} <= {True, False}
+    assert {v for k, v in planted if 1 < k < 4} == {True, False}

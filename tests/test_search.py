@@ -28,7 +28,7 @@ from roughalg.rough import _Carrier
 from roughalg.search import TARGETS
 
 import oracles
-from conftest import BUNDLED, algebras
+from conftest import BUNDLED, algebras, count_congruence_checks
 
 B_AXIOMS = LABEL_AXIOMS["B"]
 BH_AXIOMS = LABEL_AXIOMS["BH"]
@@ -319,24 +319,18 @@ def test_hunt_over_enumerated_models():
     assert finding.witness[0] not in lab
 
 
-def test_hunt_checks_each_partition_for_congruence_once(monkeypatch):
-    # the hunt sweeps one BH3 model per isomorphism class, x 5 partitions, filtered by
-    # enumerate_congruences; the sweep gates on completeness alone and records no failure
-    # of a theorem, so it checks none again
-    from roughalg import relations, rough
-
-    original, seen = relations.is_congruence, []
-
-    def counted(alg, p):
-        seen.append(p)
-        return original(alg, p)
-
-    for module in (relations, rough, search):
-        monkeypatch.setattr(module, "is_congruence", counted)
-    spec = SearchSpec(n=3, axiom_set=BH_AXIOMS)
-    classes = sum(oracles.is_least_relabelling(alg.table) for alg in _collect(spec))
-    assert find_counterexample(spec, "3-2:1") is None
-    assert len(seen) == classes * 5 == 39 * 5
+def test_hunt_makes_no_congruence_check(monkeypatch):
+    # a hunt reads each partition's congruence verdict from its product table; BH3 3-2:1
+    # sweeps every partition of one model per isomorphism class and finds nothing, and the
+    # BH4 2-1:12 finding is described by the same verdict
+    seen = count_congruence_checks(monkeypatch)
+    assert find_counterexample(SearchSpec(n=3, axiom_set=BH_AXIOMS), "3-2:1") is None
+    finding = find_counterexample(SearchSpec(n=4, axiom_set=BH_AXIOMS), "2-1:12")
+    assert finding.note == "congruence, not complete"
+    assert seen == []
+    # the count is live: the library's own completeness check first checks congruence
+    assert not is_complete_congruence(finding.algebra, finding.partition).holds
+    assert seen == [finding.partition]
 
 
 def test_hunts_are_deterministic():
