@@ -112,6 +112,20 @@ class Partition(SetValuedMap):
         self.masks = tuple(c.mask for c in self.images)
 
     @classmethod
+    def _from_rgs(cls, rgs: tuple[int, ...]) -> "Partition":
+        # fast path: a restricted-growth string is a valid class index; skips __init__ validation
+        obj, n = object.__new__(cls), len(rgs)
+        masks = [0] * (max(rgs) + 1)
+        for x, c in enumerate(rgs):
+            masks[c] |= 1 << x
+        obj.n = obj.n_source = obj.n_target = n
+        obj.classes = classes = tuple([Subset._raw(n, m) for m in masks])
+        obj.class_index = rgs
+        obj.images = tuple(map(classes.__getitem__, rgs))
+        obj.masks = tuple(map(masks.__getitem__, rgs))
+        return obj
+
+    @classmethod
     def discrete(cls, n: int) -> "Partition":
         return cls(n, ([x] for x in range(n)))
 
@@ -178,18 +192,25 @@ def is_congruence(alg: FiniteAlgebra, p: Partition) -> CheckResult:
     """
     if p.n != alg.n:
         raise ValidationError(f"partition carrier {p.n} does not match algebra carrier {alg.n}")
-    idx, t = p.class_index, alg.table
-    n = alg.n
+    w = _incompatible(alg.table, p.class_index)
+    return CheckResult(w is None, w)
+
+
+def _incompatible(table: tuple, idx: tuple) -> tuple | None:
+    """is_congruence's first witness for the class index idx, or None.  The test is
+    symmetric in x and y, so scanning y > x only finds the first witness of all pairs."""
+    n = len(idx)
     for x in range(n):
-        for y in range(n):
+        for y in range(x + 1, n):
             if idx[x] != idx[y]:
                 continue
+            tx, ty = table[x], table[y]
             for z in range(n):
-                if idx[t[x][z]] != idx[t[y][z]]:
-                    return CheckResult(False, (x, y, z, "right"))
-                if idx[t[z][x]] != idx[t[z][y]]:
-                    return CheckResult(False, (x, y, z, "left"))
-    return CheckResult(True)
+                if idx[tx[z]] != idx[ty[z]]:
+                    return (x, y, z, "right")
+                if idx[table[z][x]] != idx[table[z][y]]:
+                    return (x, y, z, "left")
+    return None
 
 
 def require_congruence(alg: FiniteAlgebra, p: Partition) -> None:

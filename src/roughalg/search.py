@@ -9,6 +9,8 @@ are -1); any instance they yield is violated by every completion, so the
 branch is pruned.  Models come out in lexicographic order of the flattened
 table, raw tables with no isomorphism rejection, and identical runs are
 bit-identical.  Counting, emitting and hunting are loops over the stream.
+Partitions are enumerated as restricted-growth strings (class indexes);
+congruence enumeration builds a Partition only for a congruence's string.
 A hunt sweeps only the tables that are the least of their relabellings
 that fix 0; every law follows such a relabelling, so each skipped table
 is isomorphic to one swept earlier without a finding.  What does not
@@ -31,7 +33,7 @@ from typing import Callable, Iterator
 
 from .algebra import AXIOM_VIOLATIONS, AxiomId, FiniteAlgebra
 from .errors import SearchLimitError, ValidationError
-from .relations import Partition, is_congruence
+from .relations import Partition, _incompatible
 from .rough import SUITES, _Carrier, _sweep
 from .sets import Subset
 
@@ -69,22 +71,22 @@ class SearchSpec:
 PARTITION_ORDER_LIMIT = 6
 
 
+def _rgs(n: int) -> list[tuple[int, ...]]:
+    """The restricted-growth strings of length n >= 1, lexicographically: each entry is at
+    most one above the largest before it, so entry x is the id of x's class."""
+    level = [(0,)]
+    for _ in range(n - 1):
+        level = [r + (v,) for r in level for v in range(max(r) + 2)]
+    return level
+
+
 def all_partitions(n: int) -> Iterator[Partition]:
     """Every partition of {0..n-1}, in lexicographic order of the
     restricted-growth string (single class first, discrete last)."""
     if n < 1:
         raise ValidationError(f"carrier size must be at least 1, got {n}")
-    rgs = [0] * n
-
-    def rec(i: int, mx: int):
-        if i == n:
-            yield Partition(n, ([j for j in range(n) if rgs[j] == c] for c in range(mx + 1)))
-            return
-        for v in range(mx + 2):
-            rgs[i] = v
-            yield from rec(i + 1, max(mx, v))
-
-    yield from rec(1, 0)
+    for r in _rgs(n):
+        yield Partition._from_rgs(r)
 
 
 def _forced_cells(n: int, axiom_set: tuple[AxiomId, ...], zero: int) -> list[list[int]] | None:
@@ -175,11 +177,12 @@ def _check_congruence_order(n: int) -> None:
 def enumerate_congruences(alg: FiniteAlgebra) -> list[Partition]:
     """All congruence partitions, in canonical partition order.
 
-    Always contains the single-class and discrete partitions.  Guarded by
-    ``PARTITION_ORDER_LIMIT``.
+    Always contains the single-class and discrete partitions.  It tests each
+    restricted-growth string as a class index and builds a Partition only for
+    a congruence.  Guarded by ``PARTITION_ORDER_LIMIT``.
     """
     _check_congruence_order(alg.n)
-    return [p for p in all_partitions(alg.n) if is_congruence(alg, p).holds]
+    return [Partition._from_rgs(r) for r in _rgs(alg.n) if _incompatible(alg.table, r) is None]
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,11 @@ def _bundled(name):
 BUNDLED = {name: _bundled(name) for name in ("b4", "bo5", "bh4", "z4")}
 
 
+def benchmark_table(name):
+    """A table under perfbench/data, such as s3 (order 6, 203 partitions, 3 congruences)."""
+    return parse_algebra_file((REPO_ROOT / "perfbench" / "data" / f"{name}.alg").read_text(encoding="utf-8"))[1]
+
+
 @pytest.fixture
 def b4():
     return BUNDLED["b4"]
@@ -86,15 +91,26 @@ def subsets(n):
     return st.integers(0, (1 << n) - 1).map(lambda m: Subset(n, m))
 
 
-def count_congruence_checks(monkeypatch):
-    """The partitions passed to is_congruence from now on, through every roughalg module that has it."""
-    original, seen = relations.is_congruence, []
+def _count_calls(monkeypatch, name):
+    """The second argument of each call to relations.<name> from now on, through every
+    roughalg module that binds it."""
+    original, seen = getattr(relations, name), []
 
-    def counted(alg, p):
-        seen.append(p)
-        return original(alg, p)
+    def counted(first, second):
+        seen.append(second)
+        return original(first, second)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "roughalg" and hasattr(module, "is_congruence"):
-            monkeypatch.setattr(module, "is_congruence", counted)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "roughalg" and hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
     return seen
+
+
+def count_congruence_checks(monkeypatch):
+    """The partitions passed to is_congruence from now on."""
+    return _count_calls(monkeypatch, "is_congruence")
+
+
+def count_incompatible_scans(monkeypatch):
+    """The class indexes relations._incompatible scans from now on, is_congruence's included."""
+    return _count_calls(monkeypatch, "_incompatible")

@@ -146,6 +146,22 @@ def is_congruence(table, classes):
     return True
 
 
+def congruence_witness(table, classes):
+    """First (x, y, z, side) with x ~ y but x*z, y*z ("right") or z*x, z*y ("left") in
+    different classes, over every ordered pair (x, y) in lexicographic order and z from
+    the least, the right side first; None for a congruence."""
+    n = len(table)
+    label = {x: i for i, c in enumerate(classes) for x in c}
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if label[x] != label[y]:
+            continue
+        if label[table[x][z]] != label[table[y][z]]:
+            return (x, y, z, "right")
+        if label[table[z][x]] != label[table[z][y]]:
+            return (x, y, z, "left")
+    return None
+
+
 def is_complete_congruence(table, classes):
     n = len(table)
     for x, y in itertools.product(range(n), repeat=2):

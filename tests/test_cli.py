@@ -15,7 +15,7 @@ from roughalg.cli import (
     run,
 )
 
-from conftest import BUNDLED, algebras, count_congruence_checks
+from conftest import BUNDLED, algebras, count_congruence_checks, count_incompatible_scans
 
 
 # ------------------------------------------------------------- file format
@@ -448,13 +448,16 @@ def test_ideal_relation_not_an_equivalence(tmp_path, capsys):
     (["verify", "bh4", "--claim", "complete-congruence", "--partition", "0,1|2|3"], 1),
 ])
 def test_each_partition_is_checked_for_congruence_once(tables_dir, monkeypatch, capsys, argv, calls):
-    # Bell(4) = 15 partitions of bh4, 3 of them congruences: enumeration checks all 15.
+    # calls counts the compatibility scans.  Bell(4) = 15 partitions of bh4, 3 of them
+    # congruences: enumeration scans all 15 as class indexes and calls no is_congruence.
     # A sweep reads each partition's congruence verdict from its product table, so the
-    # exhaustive sweeps check none: the 3-2 sweep's 15 are its enumeration's
-    seen = count_congruence_checks(monkeypatch)
+    # exhaustive sweeps scan none: the 3-2 sweep's 15 are its enumeration's.  A partition
+    # given with --partition is checked by one is_congruence call, whose scan is counted too
+    checked, scans = count_congruence_checks(monkeypatch), count_incompatible_scans(monkeypatch)
     run([argv[0], _fixture(tables_dir, argv[1]), *argv[2:]])
     capsys.readouterr()
-    assert len(seen) == calls
+    assert len(scans) == calls
+    assert len(checked) == (calls if "--partition" in argv else 0)
 
 
 def test_search_count(capsys):

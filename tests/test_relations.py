@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from roughalg import (
+    CheckResult,
     Partition,
     PreconditionError,
     SetValuedMap,
@@ -26,7 +27,7 @@ from roughalg import (
 )
 
 import oracles
-from conftest import BUNDLED, algebras, partitions
+from conftest import BUNDLED, algebras, benchmark_table, partitions
 from roughalg.relations import _completeness
 
 
@@ -209,6 +210,35 @@ def test_is_congruence_matches_oracle(alg, data):
     got = is_congruence(alg, p).holds
     expected = oracles.is_congruence([list(r) for r in alg.table], [list(c) for c in p.classes])
     assert got == expected
+
+
+def test_congruence_witness_is_the_ordered_pair_scan():
+    # is_congruence scans only the pairs x < y; its witness is still the first of a scan
+    # over every ordered pair (x, y)
+    algs = [*BUNDLED.values(), benchmark_table("s3")]
+    for label, n in (("BH", 3), ("B", 4)):
+        enumerate_algebras(SearchSpec(n=n, axiom_set=LABEL_AXIOMS[label]), algs.append)
+    sides = set()
+    for alg in algs:
+        for p in all_partitions(alg.n):
+            expected = oracles.congruence_witness(alg.table, [list(c) for c in p.classes])
+            assert is_congruence(alg, p) == CheckResult(expected is None, expected), (alg, p)
+            sides.add(expected and expected[3])
+    assert sides == {None, "right", "left"}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_partition_from_rgs_is_the_validated_partition(n):
+    for classes in oracles.rgs_partitions(n):
+        rgs = tuple(next(i for i, c in enumerate(classes) if x in c) for x in range(n))
+        fast, slow = Partition._from_rgs(rgs), Partition(n, classes)
+        assert type(fast) is Partition
+        assert (fast.n, fast.n_source, fast.n_target) == (n, n, n)
+        assert fast.classes == slow.classes
+        assert fast.class_index == slow.class_index == rgs
+        assert fast.images == slow.images
+        assert fast.masks == slow.masks
+        assert fast == slow and hash(fast) == hash(slow)
 
 
 def test_discrete_partition_is_complete(b4, bo5, bh4):

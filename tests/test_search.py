@@ -1,6 +1,8 @@
 """Model enumeration, congruence enumeration, counterexample hunts."""
 
+import functools
 import itertools
+import random
 import time
 
 import pytest
@@ -28,7 +30,7 @@ from roughalg.rough import _Carrier
 from roughalg.search import TARGETS
 
 import oracles
-from conftest import BUNDLED, algebras, count_congruence_checks
+from conftest import BUNDLED, algebras, benchmark_table, count_congruence_checks
 
 B_AXIOMS = LABEL_AXIOMS["B"]
 BH_AXIOMS = LABEL_AXIOMS["BH"]
@@ -67,6 +69,20 @@ def test_partitions_match_oracle_set():
         frozenset(frozenset(c) for c in p.classes) for p in all_partitions(4)
     }
     assert got == oracles.all_partitions(4)
+
+
+@functools.cache
+def _rgs_partitions(n):
+    """The oracle's partitions of {0..n-1} in restricted-growth-string order, as (classes, rgs)."""
+    return [(classes, tuple(next(i for i, c in enumerate(classes) if x in c) for x in range(n)))
+            for classes in oracles.rgs_partitions(n)]
+
+
+def test_rgs_order_is_the_oracle_order():
+    for n in range(1, 7):
+        expected = [rgs for _, rgs in _rgs_partitions(n)]
+        assert search._rgs(n) == expected
+        assert [p.class_index for p in all_partitions(n)] == expected
 
 
 # ------------------------------------------------------------- enumeration
@@ -215,6 +231,38 @@ def test_congruences_contain_trivial_partitions(alg):
     congs = enumerate_congruences(alg)
     assert Partition.single(alg.n) in congs
     assert Partition.discrete(alg.n) in congs
+
+
+def _congruences_match_the_rgs_filter(alg):
+    """Check enumerate_congruences(alg) against the oracle filter over every restricted-growth
+    string, in content and in order; the number of congruences."""
+    expected = [rgs for classes, rgs in _rgs_partitions(alg.n) if oracles.is_congruence(alg.table, classes)]
+    assert [p.class_index for p in enumerate_congruences(alg)] == expected, alg
+    return len(expected)
+
+
+@pytest.mark.parametrize("label", sorted(LABEL_AXIOMS))
+def test_congruences_match_the_rgs_filter_on_every_small_model(label):
+    # every model has the single-class and discrete congruences, one and the same at order 1
+    counts = []
+    for n in (1, 2, 3, 4):
+        spec = SearchSpec(n=n, axiom_set=LABEL_AXIOMS[label])
+        enumerate_algebras(spec, lambda alg: counts.append(_congruences_match_the_rgs_filter(alg)))
+    assert counts[0] == 1 and all(c >= 2 for c in counts[1:])
+
+
+def test_congruences_match_the_rgs_filter_on_fixed_and_random_tables():
+    rng = random.Random(20)
+    # raw tables of orders 1-6 whose entries lie in {0..k-1}: a small k plants more congruences
+    randoms = [FiniteAlgebra(n, [[rng.randrange(k) for _ in range(n)] for _ in range(n)])
+               for n in range(1, 7) for k in range(1, n + 1) for _ in range(8)]
+    counts = [_congruences_match_the_rgs_filter(alg)
+              for alg in [*BUNDLED.values(), benchmark_table("s3"), *randoms]]
+    assert len(set(counts)) > 8  # from the two trivial congruences alone to all 203
+    # every partition is a congruence of a constant or a projection table: Bell(5) = 52, Bell(6) = 203
+    for n, bell in ((5, 52), (6, 203)):
+        for t in ([[0] * n] * n, [[x] * n for x in range(n)], [list(range(n))] * n):
+            assert _congruences_match_the_rgs_filter(FiniteAlgebra(n, t)) == bell
 
 
 def test_congruence_guard():
@@ -392,23 +440,31 @@ def test_hunt_limit_counts_the_algebras_swept(monkeypatch):
 
 @pytest.mark.parametrize("n,target,swept,bell", [(3, "3-2:1", 39, 5), (4, "2-1:12", 9, 15)])
 def test_hunt_builds_its_partitions_once(monkeypatch, n, target, swept, bell):
-    # the partitions do not depend on the algebra: a hunt builds all Bell(n) of them once
+    # the partitions do not depend on the algebra: a hunt builds all Bell(n) of them once,
+    # each from its restricted-growth string, and validates none
     original_init, original_sweep = Partition.__init__, search._sweep_partitions
-    built, sweeps = [], []
+    original_from_rgs = Partition._from_rgs
+    built, validated, sweeps = [], [], []
 
     def counted_init(self, *args):
-        built.append(args)
+        validated.append(args)
         original_init(self, *args)
+
+    def counted_from_rgs(cls, rgs):
+        built.append(rgs)
+        return original_from_rgs(rgs)
 
     def counted_sweep(alg, *args):
         sweeps.append(alg)
         return original_sweep(alg, *args)
 
     monkeypatch.setattr(Partition, "__init__", counted_init)
+    monkeypatch.setattr(Partition, "_from_rgs", classmethod(counted_from_rgs))
     monkeypatch.setattr(search, "_sweep_partitions", counted_sweep)
     find_counterexample(SearchSpec(n=n, axiom_set=BH_AXIOMS), target)
     assert len(sweeps) == swept
     assert len(built) == bell
+    assert validated == []
 
 
 def test_hunt_above_the_partition_guard_fails_at_its_first_model(monkeypatch):
