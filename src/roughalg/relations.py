@@ -213,6 +213,36 @@ def _incompatible(table: tuple, idx: tuple) -> tuple | None:
     return None
 
 
+def _related(partitions: list[Partition]) -> list[list[int]]:
+    """For each x and y of the common carrier, the int with bit i set when x and y share a class
+    of partitions[i]: their relations, bit-sliced, for testing all of them at once."""
+    n = partitions[0].n
+    return [[sum(1 << i for i, p in enumerate(partitions) if p.class_index[x] == p.class_index[y])
+             for y in range(n)] for x in range(n)]
+
+
+def _congruent(table, related: list[list[int]]) -> int:
+    """The partitions of ``_related`` that are congruences of the operation table, as bits:
+    x ~ y must force x*z ~ y*z and z*x ~ z*y.  related[0][0] holds every partition."""
+    broken = 0
+    for x, row in enumerate(related):
+        for y in range(x + 1, len(row)):
+            for z, (xz, yz) in enumerate(zip(table[x], table[y])):
+                broken |= row[y] & ~(related[xz][yz] & related[table[z][x]][table[z][y]])
+    return related[0][0] & ~broken
+
+
+def _complete(table, p: Partition) -> bool:
+    """Whether the congruence p is complete: each product [x]*[y] of its classes lies inside the
+    class of x*y, so it is that class when it is a class at all.  Unlike ``_completeness`` it
+    reads each cell once and names no witness."""
+    idx, k, products = p.class_index, len(p.classes), [0] * len(p.classes) ** 2
+    for x, row in enumerate(table):
+        for y, e in enumerate(row):
+            products[idx[x] * k + idx[y]] |= 1 << e
+    return set(products).issubset(p.masks)
+
+
 def require_congruence(alg: FiniteAlgebra, p: Partition) -> None:
     """Raise PreconditionError (with the is_congruence witness) unless p is a congruence."""
     cong = is_congruence(alg, p)

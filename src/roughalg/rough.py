@@ -1,102 +1,157 @@
 """The law registry of the approximation suites, and its views.
 
-A partition's lower and upper approximations are those of its class map
-x -> [x], computed by ``generalized``'s one mask kernel.  Each law of the
-suites 2-1, 3-1 and 3-2 is defined once, in ``LAWS``, as a table kernel on
-integer masks that reads ``L[m]``, ``U[m]`` (lower and upper
-approximation) and ``P[a][b]`` (set product).  Called with a row of A
-masks and a row of B masks, it returns only the pairs the law fails on.
-The exhaustive ``sweep_laws`` calls it once per partition with every A and
-every B, on full tables; the single-pair views ``check_approx_laws``,
-``check_basic_laws`` and ``check_congruence_product_laws`` call it with one
-A and one B, on tables computed on demand.  A sweep reads its partitions,
-their classes, the pair order and the L/U tables from a ``_Carrier``, which
-builds each partition's tables once; a hunt keeps one carrier for all its
-algebras, so only the product table (built row from row, one OR per entry)
-is built per algebra.  A sweep reads whether a partition is a congruence,
-and whether a complete one, from the product table with one lookup per
-pair of classes.
+Each law of the suites 2-1, 3-1 and 3-2 is defined once, in ``LAWS``, as a term: clauses
+``left <= right`` or ``left = right`` between set expressions over A, B, the approximations L
+and U, the set product ``*``, union, intersection and complement, with an optional premise or
+guard.  One evaluator reads every term over a space of (A, B) pairs, where a verdict is an int
+with one bit per pair.  In a sweep's space, pair j*N + k is the j-th A and the k-th B of the N
+subsets in canonical order, and a set is bit-sliced: the list, by element x, of the int of the
+pairs at which x lies in it.  L(X) at x is the AND of X over the image of x, U(X) the OR, X*Y at
+e the OR of X at y AND Y at z over the cells y*z = e, and ``left <= right`` fails on ``OR_x
+left[x] & ~right[x]``, whose lowest bit is the first failure and ``bit_count`` the tally.  A
+witness is read only for a failure that is recorded.  The single-pair views evaluate over the
+space of one pair, where a set is its mask.
 """
 
 import time
-from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from functools import partial, reduce
+from operator import and_, or_, xor
+from typing import NamedTuple, Sequence
 
 from .algebra import FiniteAlgebra, _low, product_mask
-from .errors import SearchLimitError, ValidationError
+from .errors import ValidationError
 from .generalized import _lower_mask, _upper_mask
-from .relations import Partition, SetValuedMap, _completeness, is_congruence, require_congruence
+from .relations import (Partition, SetValuedMap, _complete, _completeness, _congruent, _related,
+                        is_congruence, require_congruence)
 from .sets import Subset, canonical_subsets
 
 
-# ---------------------------------------------------------------- mask contexts
+# ---------------------------------------------------------------- terms
 
-# What a law predicate reads: L[m], U[m], P[a][b] and the full mask.
-_Masks = namedtuple("_Masks", "L U P full")
-
-
-class _OnDemand(dict):
-    """Indexable like a table; computes each entry when it is first read."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        return self.setdefault(key, self.fn(key))
+# slot -> (operation, first argument, second argument, reads L or U, slots of its subterms): the
+# subterms of every law, each argument before its use.  Equal subterms share a slot, so an
+# evaluation computes each once, and one that reads neither L nor U is the same for every map.
+_OPS: list[tuple] = []
+_SLOTS: dict[tuple, int] = {}  # (operation, first argument, second argument) -> slot
 
 
-def _on_demand(p: Partition, alg: FiniteAlgebra | None, a: Subset, b: Subset) -> _Masks:
-    """Context of a single-pair view; ValidationError unless alg, a and b live on p's carrier."""
-    if alg is not None and alg.n != p.n:
-        raise ValidationError(f"algebra carrier {alg.n} does not match partition carrier {p.n}")
-    for s in (a, b):
-        if s.n != p.n:
-            raise ValidationError(f"subset carrier {s.n} does not match partition carrier {p.n}")
-    images, full = p.masks, (1 << p.n) - 1
-    return _Masks(_OnDemand(lambda m: _lower_mask(images, m, full)),
-                  _OnDemand(lambda m: _upper_mask(images, m)),
-                  _OnDemand(lambda a: _OnDemand(lambda b: product_mask(alg, a, b))), full)
+class _Set(int):
+    """A set expression, as its slot in _OPS: a leaf (a for A, b for B, empty, carrier), L(x),
+    U(x), x * y, or x | y, x & y and ~x, which are carrier ^ x."""
+
+    def __new__(cls, op, x: "_Set | None" = None, y: "_Set | None" = None):
+        if (op, x, y) not in _SLOTS:
+            args = [_OPS[a] for a in (x, y) if a is not None]
+            _SLOTS[op, x, y] = len(_OPS)
+            _OPS.append((op, x, y, op in ("L", "U") or any(a[3] for a in args),
+                         frozenset([len(_OPS)]).union(*(a[4] for a in args))))
+        return int.__new__(cls, _SLOTS[op, x, y])
+
+    __or__ = lambda self, other: _Set(or_, self, other)
+    __and__ = lambda self, other: _Set(and_, self, other)
+    __invert__ = lambda self: _Set(xor, _Set("carrier"), self)
+    __mul__ = lambda self, other: _Set("*", self, other)
 
 
-def _tables(f: SetValuedMap, P: list[list[int]] | None) -> _Masks:
-    """Context of a sweep: L[m] and U[m] of f for every mask m, and products P."""
-    images, masks = f.masks, range(1 << f.n_target)
-    L = [_lower_mask(images, m, masks[-1]) for m in masks]
-    return _Masks(L, [_upper_mask(images, m) for m in masks], P, masks[-1])
+# ---------------------------------------------------------------- spaces, the evaluator, carriers
+
+class _Pairs:
+    """The pairs (order[j], order[k]) of N subset masks of {0..n-1}, pair j * N + k, where a set
+    is bit-sliced and ``full`` is the int of every pair.  A map's images come ``_grouped``."""
+
+    __slots__ = ("n", "full", "a", "b", "empty", "carrier")
+
+    def __init__(self, n: int, order: Sequence[int]):
+        N = len(order)  # each mask has fewer than N bits, so the masks shifted by j * N do not overlap
+        self.n, self.full = n, (1 << N * N) - 1
+        rows = self.full // ((1 << N) - 1)  # bit j * N, the first pair of each row j
+        z = sum(m << j * N for j, m in enumerate(order))
+        columns = [z >> x & rows for x in range(n)]  # bit j * N when x lies in order[j]
+        self.a = [c * ((1 << N) - 1) for c in columns]
+        self.b = [int(format(c, "b")[::N], 2) * rows for c in columns]
+        self.empty, self.carrier = [0] * n, [self.full] * n
+
+    def approximate(self, X, images, lower: bool):
+        if images is None:
+            return X
+        get, full = X.__getitem__, self.full
+        each = [reduce(and_, map(get, g), full) if lower else reduce(or_, map(get, g), 0) for g in images[0]]
+        return [each[i] for i in images[1]]
+
+    def product(self, X, Y, algebra: FiniteAlgebra):
+        product = [0] * self.n
+        for p, row in zip(X, algebra.table):
+            if p:
+                for q, e in zip(Y, row):
+                    product[e] |= p & q
+        return product
+
+    def combine(self, op, X, Y):
+        return list(map(op, X, Y))
+
+    def fails(self, X, Y) -> int:
+        """The pairs at which X - Y is nonempty."""
+        return reduce(or_, map(and_, X, map(self.full.__xor__, Y)), 0)
+
+    def least(self, X, Y, i: int) -> int | None:
+        """The least element of X - Y at pair i."""
+        return next((x for x, (p, q) in enumerate(zip(X, Y)) if (p & ~q) >> i & 1), None)
 
 
-def _product_table(alg: FiniteAlgebra) -> list[list[int]]:
-    """P[a][b] for every mask pair, each entry one OR of two earlier ones.  With y
-    the top element of b, R[x][b] = R[x][b - y] | {x*y} is the image of b under
-    row x; with x the top element of a, P[a][b] = P[a - x][b] | R[x][b]."""
-    R = []
-    for row in alg.table:
-        r = [0]
-        for xy in row:  # the next element y: r[m + (1 << y)] = r[m] | {x*y} for each m below 1 << y
-            r += [m | 1 << xy for m in r]
-        R.append(r)
-    P = [[0] * len(R[0])]
-    for r in R:
-        P += [[p | q for p, q in zip(row, r)] for row in P]
-    return P
+def _grouped(f: SetValuedMap) -> tuple[list[list[int]], list[int]] | None:
+    """The distinct images of f as element lists and the position of each x's image among them;
+    None for the identity map x -> {x}, under which L and U leave every set as it is."""
+    if f.masks == tuple(1 << x for x in range(f.n_source)):
+        return None
+    distinct = list(dict.fromkeys(f.masks))
+    return [[y for y in range(f.n_target) if m >> y & 1] for m in distinct], [*map(distinct.index, f.masks)]
 
 
-def _congruence(P, algebra: FiniteAlgebra, classes: list[tuple[int, int]], masks) -> bool | None:
-    """Whether the partition with these classes and class masks is a complete congruence of
-    algebra, whose products are P; None when it is no congruence.  Each x*y with x in X and
-    y in Y lies in P[X][Y]: it is a congruence when every P[X][Y] lies inside the class of
-    x0*y0 (x0 and y0 the least elements of X and Y), and complete when every one equals it."""
-    t, complete = algebra.table, True
-    for X, x in classes:
-        PX, tx = P[X], t[x]
-        for Y, y in classes:
-            q, m = PX[Y], masks[tx[y]]
-            if q != m:
-                if q & ~m:
-                    return None
-                complete = False
-    return complete
+class _Pair:
+    """The space of the one pair (a, b): a set is its mask, a map's images are its image masks."""
+
+    def __init__(self, n: int, a: int, b: int):
+        self.n, self.a, self.b, self.empty, self.carrier, self.full = n, a, b, 0, (1 << n) - 1, 1
+
+    approximate = lambda self, X, images, lower: (_lower_mask(images, X, self.carrier) if lower
+                                                  else _upper_mask(images, X))
+    product = staticmethod(lambda X, Y, algebra: product_mask(algebra, X, Y))
+    combine = staticmethod(lambda op, X, Y: op(X, Y))
+    fails = staticmethod(lambda X, Y: int(X & ~Y != 0))
+    least = staticmethod(lambda X, Y, i: _low(X & ~Y) if X & ~Y else None)
+
+
+def _evaluate(space, images, algebra: FiniteAlgebra | None, slots, v: dict) -> dict:
+    """Add to v the set over space of each slot in slots, in increasing order (arguments first),
+    under the map with these images and the product of algebra."""
+    for s in slots:
+        op, x, y = _OPS[s][:3]
+        v[s] = (getattr(space, op) if x is None else space.approximate(v[x], images, op == "L") if y is None
+                else space.product(v[x], v[y], algebra) if op == "*" else space.combine(op, v[x], v[y]))
+    return v
+
+
+def _verdict(law: "Law", space, v: dict) -> tuple[int, int]:
+    """The pairs law fails on, and those its premise or guard does not hold on."""
+    failed = 0
+    for _, left, rel, right in law.clauses:
+        failed |= space.fails(v[left], v[right]) | (rel == "=" and space.fails(v[right], v[left]))
+    if law.premise:
+        unmet = space.fails(v[law.premise[0]], v[law.premise[1]])
+    else:
+        unmet = space.full ^ space.fails(v[law.guard[0]], space.empty) if law.guard else 0
+    return failed & ~unmet, unmet
+
+
+def _witness(law: "Law", space, v: dict, i: int) -> tuple:
+    """The witness of law at a pair i it fails on, from its first clause failing there."""
+    for tag, left, rel, right in law.clauses:
+        if (x := space.least(v[left], v[right], i)) is not None:
+            return ("left-minus-right", x) if rel == "=" else tag if type(tag) is tuple else (
+                (x,) if tag is None else (tag, x))
+        if rel == "=" and (x := space.least(v[right], v[left], i)) is not None:
+            return ("right-minus-left", x)
 
 
 _NOTES = {None: "partition is not a congruence of the algebra",
@@ -105,174 +160,96 @@ _NOTES = {None: "partition is not a congruence of the algebra",
 
 
 class _Carrier:
-    """What a sweep of partitions of {0..n-1} reads that no algebra changes: the
-    partitions, their classes as (mask, least element) pairs, the subset masks in
-    canonical pair order, and each partition's L and U tables, built the first time
-    that partition is swept.  A hunt builds one and sweeps every algebra over it."""
+    """What a sweep of partitions of {0..n-1} reads that no algebra changes: the partitions, their
+    grouped images and ``_related`` relations, and the space of subset pairs in canonical
+    ``order``.  A hunt builds one and sweeps every algebra over it."""
 
-    __slots__ = ("n", "partitions", "classes", "order", "_approximations")
+    __slots__ = ("n", "partitions", "related", "images", "order", "space")
 
     def __init__(self, n: int, partitions: list[Partition]):
-        self.n, self.partitions = n, partitions
-        self.classes = [[(c.mask, _low(c.mask)) for c in p.classes] for p in partitions]
+        self.n, self.partitions, self.related = n, partitions, _related(partitions)
+        self.images = [_grouped(p) for p in partitions]
         self.order = [s.mask for s in canonical_subsets(n)]
-        self._approximations: list[_Masks | None] = [None] * len(partitions)
+        self.space = _Pairs(n, self.order)
 
-    def context(self, i: int, P: list[list[int]] | None) -> _Masks:
-        """The sweep context of partition i, with products P."""
-        c = self._approximations[i]
-        if c is None:
-            c = self._approximations[i] = _tables(self.partitions[i], None)
-        return _Masks(c.L, c.U, P, c.full)
+    def values(self, i: int, algebra: FiniteAlgebra | None, slots, v: dict) -> dict:
+        """Add to v the sets of the slots for partition i; v holds those no partition changes."""
+        return _evaluate(self.space, self.images[i], algebra, slots, v)
 
 
 # ---------------------------------------------------------------- the registry
-
-# Each table kernel below is one comprehension over the rows of A and B masks, with no call
-# per pair; a law that does not read B decides once per A and repeats a failing verdict (_every).
-
-
-def _equal(x: int, y: int):
-    if x == y:
-        return None
-    d = x & ~y
-    return ("left-minus-right", _low(d)) if d else ("right-minus-left", _low(y & ~x))
-
-
-def _every(verdict, as_, bs):
-    """The failures of a law whose verdict(a) does not read B."""
-    ks = range(len(bs))
-    return [(j, k, w) for j, a in enumerate(as_) if (w := verdict(a)) is not None for k in ks]
-
-
-def _bounds(c, as_, bs):
-    L, U = c.L, c.U
-    return _every(lambda a: ("lower-outside-set", _low(d)) if (d := L[a] & ~a)
-                  else ("set-outside-upper", _low(e)) if (e := a & ~U[a]) else None, as_, bs)
-
-
-def _extremes(c, as_, bs):
-    L, U, full = c.L, c.U, c.full
-    w = ("empty",) if L[0] or U[0] else ("universe",) if (L[full] & U[full]) != full else None
-    return _every(lambda a: w, as_, bs)
-
-
-def _lower_join(c, as_, bs):
-    L = c.L
-    return [(j, k, (_low(d),)) for j, a in enumerate(as_) for la in [L[a]]
-            for k, b in enumerate(bs) if (d := (la | L[b]) & ~L[a | b])]
-
-
-def _lower_meet(c, as_, bs):
-    L = c.L
-    return [(j, k, _equal(x, y)) for j, a in enumerate(as_) for la in [L[a]]
-            for k, b in enumerate(bs) if (x := L[a & b]) != (y := la & L[b])]
-
-
-def _upper_join(c, as_, bs):
-    U = c.U
-    return [(j, k, _equal(x, y)) for j, a in enumerate(as_) for ua in [U[a]]
-            for k, b in enumerate(bs) if (x := U[a | b]) != (y := ua | U[b])]
-
-
-def _upper_meet(c, as_, bs):
-    U = c.U
-    return [(j, k, (_low(d),)) for j, a in enumerate(as_) for ua in [U[a]]
-            for k, b in enumerate(bs) if (d := U[a & b] & ~(ua & U[b]))]
-
-
-def _fixed(first, second, as_, bs):
-    """first[a] is a fixed point of the operator tables first, then second."""
-    return _every(lambda a: _equal(first[first[a]], first[a]) or _equal(second[first[a]], first[a]), as_, bs)
-
-
-def _monotone(c, as_, bs):
-    L, U = c.L, c.U
-    return [(j, k, ("lower", _low(d)) if d else ("upper", _low(e)))
-            for j, a in enumerate(as_) for la, ua in [(L[a], U[a])] for k, b in enumerate(bs)
-            if not a & ~b and ((d := la & ~L[b]) or (e := ua & ~U[b]))]
-
-
-def _product_upper(c, as_, bs):
-    U, P = c.U, c.P
-    return [(j, k, (_low(d),)) for j, a in enumerate(as_) for Pa, Pua in [(P[a], P[U[a]])]
-            for k, b in enumerate(bs) if (d := Pua[U[b]] & ~U[Pa[b]])]
-
-
-def _product_upper_converse(c, as_, bs):
-    U, P = c.U, c.P
-    return [(j, k, (_low(d),)) for j, a in enumerate(as_) for Pa, Pua in [(P[a], P[U[a]])]
-            for k, b in enumerate(bs) if (d := U[Pa[b]] & ~Pua[U[b]])]
-
-
-# the lower product laws skip each A with lower(A) empty: lower(A)*lower(B) is then empty
-def _product_lower_unguarded(c, as_, bs):
-    L, P = c.L, c.P
-    return [(j, k, (_low(d),)) for j, a in enumerate(as_) if (la := L[a]) for Pa, Pla in [(P[a], P[la])]
-            for k, b in enumerate(bs) if (d := Pla[L[b]] & ~L[Pa[b]])]
-
-
-def _product_lower(c, as_, bs):
-    L, P = c.L, c.P
-    return [(j, k, (_low(d),)) for j, a in enumerate(as_) if (la := L[a]) for Pa, Pla in [(P[a], P[la])]
-            for k, b in enumerate(bs) if (d := Pla[L[b]] & ~(lab := L[Pa[b]])) and lab]
-
 
 GATED, MEASURED, GATED_IF_COMPLETE = "gated", "measured", "gated-if-complete"
 
 
 class Law(NamedTuple):
-    """One law, for every suite it belongs to: ``suites`` maps a suite id to
-    (local number, role).  GATED laws decide the verdict, MEASURED ones are
-    counted, GATED_IF_COMPLETE ones are gated under complete congruences
-    only.  ``check(ctx, as_, bs)`` is the law's table kernel on the masks
-    as_ and bs: it returns the list, in increasing (j, k), of (j, k, witness)
-    for each pair (as_[j], bs[k]) the law fails on; the pairs it holds on,
-    or whose premise or guard does not hold, are left out.  ``unmet`` is
-    (test, holds, note) for a law with a premise or guard: test(ctx, a, b)
-    is true when it does not hold on (a, b), which reports as (holds, note).
-    """
+    """One law, for every suite it belongs to: ``suites`` maps a suite id to (local number,
+    role).  GATED laws decide the verdict, MEASURED ones are counted, GATED_IF_COMPLETE ones
+    are gated under complete congruences only.  The law holds where each of its ``clauses``
+    (tag, left, rel, right) holds, rel being "<=" or "=".  The first clause that fails gives
+    the witness, x being the least element of left - right: ("left-minus-right", x), or
+    ("right-minus-left", x) when only right - left is nonempty, for an equality; for an
+    inclusion (x,), (tag, x) with a string tag, or a tuple tag alone (``extremes``, whose
+    sides are constants).  Where the ``premise`` (left, right, note) left <= right does not
+    hold, the law holds vacuously; where the ``guard`` (set, note) is empty, it does not
+    speak.  ``slots`` are the subterms it reads, in increasing order."""
 
     id: str
     description: str
     suites: dict[str, tuple[str, str]]
-    check: Callable
+    clauses: tuple
     needs_algebra: bool = False
-    unmet: tuple[Callable, bool | None, str] | None = None
+    premise: tuple | None = None
+    guard: tuple | None = None
+    slots: tuple[int, ...] = ()
 
 
-LAWS: tuple[Law, ...] = (
-    Law("bounds", "lower(A) <= A <= upper(A)", {"2-1": ("1", GATED), "3-1": ("1", GATED)}, _bounds),
-    Law("extremes", "extremes are fixed points", {"2-1": ("2", GATED)}, _extremes),
-    Law("lower-join", "lower(A) | lower(B) <= lower(A | B)", {"2-1": ("3", GATED), "3-1": ("5", GATED)},
-        _lower_join),
-    Law("lower-meet", "lower(A & B) = lower(A) & lower(B)", {"2-1": ("4", GATED), "3-1": ("3", GATED)},
-        _lower_meet),
-    Law("upper-join", "upper(A | B) = upper(A) | upper(B)", {"2-1": ("5", GATED), "3-1": ("2", GATED)},
-        _upper_join),
-    Law("upper-meet", "upper(A & B) <= upper(A) & upper(B)", {"2-1": ("6", GATED), "3-1": ("6", GATED)},
-        _upper_meet),
-    Law("upper-dual", "upper(~A) = ~lower(A)", {"2-1": ("7", GATED)},
-        lambda c, as_, bs: _every(lambda a: _equal(c.U[c.full ^ a], c.full ^ c.L[a]), as_, bs)),
-    Law("lower-dual", "lower(~A) = ~upper(A)", {"2-1": ("8", GATED)},
-        lambda c, as_, bs: _every(lambda a: _equal(c.L[c.full ^ a], c.full ^ c.U[a]), as_, bs)),
-    Law("lower-fixed", "lower(A) is a fixed point of both operators", {"2-1": ("9", GATED)},
-        lambda c, as_, bs: _fixed(c.L, c.U, as_, bs)),
-    Law("upper-fixed", "upper(A) is a fixed point of both operators", {"2-1": ("10", GATED)},
-        lambda c, as_, bs: _fixed(c.U, c.L, as_, bs)),
-    Law("monotone", "A <= B implies monotone approximations", {"3-1": ("4", GATED)}, _monotone,
-        unmet=(lambda c, a, b: a & ~b, True, "premise A <= B does not hold; vacuously true")),
-    Law("product-upper", "upper(A)*upper(B) <= upper(A*B)", {"2-1": ("11a", MEASURED), "3-2": ("1", GATED)},
-        _product_upper, needs_algebra=True),
-    Law("product-upper-converse", "upper(A*B) <= upper(A)*upper(B)", {"2-1": ("11b", MEASURED)},
-        _product_upper_converse, needs_algebra=True),
-    # 2-1 law 12 reads the inclusion as is; 3-2 law 2 speaks only when lower(A*B) is nonempty
-    Law("product-lower-unguarded", "lower(A)*lower(B) <= lower(A*B)", {"2-1": ("12", MEASURED)},
-        _product_lower_unguarded, needs_algebra=True),
-    Law("product-lower", "lower(A)*lower(B) <= lower(A*B)", {"3-2": ("2", GATED_IF_COMPLETE)},
-        _product_lower, needs_algebra=True,
-        unmet=(lambda c, a, b: not c.L[c.P[a][b]], None, "guard not met: lower(A*B) is empty")),
-)
+def _laws() -> tuple[Law, ...]:
+    A, B, empty, carrier = _Set("a"), _Set("b"), _Set("empty"), _Set("carrier")
+    L, U = partial(_Set, "L"), partial(_Set, "U")
+    return (
+        Law("bounds", "lower(A) <= A <= upper(A)", {"2-1": ("1", GATED), "3-1": ("1", GATED)},
+            (("lower-outside-set", L(A), "<=", A), ("set-outside-upper", A, "<=", U(A)))),
+        Law("extremes", "extremes are fixed points", {"2-1": ("2", GATED)},
+            ((("empty",), L(empty) | U(empty), "<=", empty),
+             (("universe",), carrier, "<=", L(carrier) & U(carrier)))),
+        Law("lower-join", "lower(A) | lower(B) <= lower(A | B)", {"2-1": ("3", GATED), "3-1": ("5", GATED)},
+            ((None, L(A) | L(B), "<=", L(A | B)),)),
+        Law("lower-meet", "lower(A & B) = lower(A) & lower(B)", {"2-1": ("4", GATED), "3-1": ("3", GATED)},
+            ((None, L(A & B), "=", L(A) & L(B)),)),
+        Law("upper-join", "upper(A | B) = upper(A) | upper(B)", {"2-1": ("5", GATED), "3-1": ("2", GATED)},
+            ((None, U(A | B), "=", U(A) | U(B)),)),
+        Law("upper-meet", "upper(A & B) <= upper(A) & upper(B)", {"2-1": ("6", GATED), "3-1": ("6", GATED)},
+            ((None, U(A & B), "<=", U(A) & U(B)),)),
+        Law("upper-dual", "upper(~A) = ~lower(A)", {"2-1": ("7", GATED)}, ((None, U(~A), "=", ~L(A)),)),
+        Law("lower-dual", "lower(~A) = ~upper(A)", {"2-1": ("8", GATED)}, ((None, L(~A), "=", ~U(A)),)),
+        Law("lower-fixed", "lower(A) is a fixed point of both operators", {"2-1": ("9", GATED)},
+            ((None, L(L(A)), "=", L(A)), (None, U(L(A)), "=", L(A)))),
+        Law("upper-fixed", "upper(A) is a fixed point of both operators", {"2-1": ("10", GATED)},
+            ((None, U(U(A)), "=", U(A)), (None, L(U(A)), "=", U(A)))),
+        Law("monotone", "A <= B implies monotone approximations", {"3-1": ("4", GATED)},
+            (("lower", L(A), "<=", L(B)), ("upper", U(A), "<=", U(B))),
+            premise=(A, B, "premise A <= B does not hold; vacuously true")),
+        Law("product-upper", "upper(A)*upper(B) <= upper(A*B)", {"2-1": ("11a", MEASURED), "3-2": ("1", GATED)},
+            ((None, U(A) * U(B), "<=", U(A * B)),), needs_algebra=True),
+        Law("product-upper-converse", "upper(A*B) <= upper(A)*upper(B)", {"2-1": ("11b", MEASURED)},
+            ((None, U(A * B), "<=", U(A) * U(B)),), needs_algebra=True),
+        # 2-1 law 12 reads the inclusion as is; 3-2 law 2 speaks only when lower(A*B) is nonempty
+        Law("product-lower-unguarded", "lower(A)*lower(B) <= lower(A*B)", {"2-1": ("12", MEASURED)},
+            ((None, L(A) * L(B), "<=", L(A * B)),), needs_algebra=True),
+        Law("product-lower", "lower(A)*lower(B) <= lower(A*B)", {"3-2": ("2", GATED_IF_COMPLETE)},
+            ((None, L(A) * L(B), "<=", L(A * B)),), needs_algebra=True,
+            guard=(L(A * B), "guard not met: lower(A*B) is empty")),
+    )
+
+
+def _reads(law: Law) -> tuple[int, ...]:
+    """The slots of the subterms law reads, in increasing order."""
+    roots = [s for c in law.clauses for s in c[1::2]] + [*(law.premise or ())[:2], *(law.guard or ())[:1]]
+    return tuple(sorted(frozenset().union(*(_OPS[s][4] for s in roots))))
+
+
+LAWS: tuple[Law, ...] = tuple(law._replace(slots=_reads(law)) for law in _laws())
 
 # suite id -> [(local number, role, law)] in suite order; 11a and 11b sort between 10 and 12
 SUITES: dict[str, list[tuple[str, str, Law]]] = {
@@ -280,6 +257,19 @@ SUITES: dict[str, list[tuple[str, str, Law]]] = {
                   key=lambda m: (int(m[0].rstrip("ab")), m[0]))
     for suite in ("2-1", "3-1", "3-2")
 }
+
+
+def _plan(suite: str, hunt: str | None, algebra: bool) -> tuple:
+    """A sweep's members (the law numbered hunt alone, unless None), the slots they read, those no
+    map changes, the others, and whether a member is gated under complete congruences only."""
+    members = [m for m in SUITES[suite] if hunt in (None, m[0])]
+    slots = sorted({s for _, _, law in members if algebra or not law.needs_algebra for s in law.slots})
+    return (members, slots, [s for s in slots if not _OPS[s][3]], [s for s in slots if _OPS[s][3]],
+            any(role == GATED_IF_COMPLETE for _, role, _ in members))
+
+
+_PLANS = {(suite, hunt, algebra): _plan(suite, hunt, algebra) for suite, members in SUITES.items()
+          for hunt in (None, *(number for number, _, _ in members)) for algebra in (False, True)}
 
 
 # ---------------------------------------------------------------- single-pair views
@@ -299,28 +289,32 @@ class LawResult:
     note: str | None = None
 
 
-def _result(label: str, law: Law, ctx: _Masks, a: Subset, b: Subset, note: str | None) -> LawResult:
-    row = law.check(ctx, (a.mask,), (b.mask,))
-    if row:
-        return LawResult(label, law.description, False, row[0][2], note)
-    if law.unmet and law.unmet[0](ctx, a.mask, b.mask):
-        return LawResult(label, law.description, law.unmet[1], note=law.unmet[2])
-    return LawResult(label, law.description, True, None, note)
-
-
-def _suite_view(suite: str, p: Partition, a: Subset, b: Subset,
-                alg: FiniteAlgebra | None) -> tuple[LawResult, ...]:
-    ctx = _on_demand(p, alg, a, b)
-    note = None
-    if alg is not None and any(law.needs_algebra for _, _, law in SUITES[suite]):
-        # one pair has no product table to read the verdict from; these checks are cheaper
-        note = _NOTES[_completeness(alg, p).holds if is_congruence(alg, p).holds else None]
-    return tuple(
-        LawResult(number, law.description, None, note="needs an algebra")
-        if law.needs_algebra and alg is None
-        else _result(number, law, ctx, a, b, note if law.needs_algebra else None)
-        for number, _, law in SUITES[suite]
-    )
+def _suite_view(suite: str, p: Partition, a: Subset, b: Subset, alg: FiniteAlgebra | None,
+                by_id: bool = False) -> tuple[LawResult, ...]:
+    """The suite's laws over the space of the one pair (a, b), labelled by their local numbers
+    (by their ids with by_id).  ValidationError unless alg, a and b live on p's carrier."""
+    if alg is not None and alg.n != p.n:
+        raise ValidationError(f"algebra carrier {alg.n} does not match partition carrier {p.n}")
+    for s in (a, b):
+        if s.n != p.n:
+            raise ValidationError(f"subset carrier {s.n} does not match partition carrier {p.n}")
+    note = None if alg is None or by_id else _NOTES[  # one pair has no carrier to read this from
+        _completeness(alg, p).holds if is_congruence(alg, p).holds else None]
+    space, results = _Pair(p.n, a.mask, b.mask), []
+    v = _evaluate(space, p.masks, alg, _PLANS[suite, None, alg is not None][1], {})
+    for number, _, law in SUITES[suite]:
+        label, law_note = law.id if by_id else number, note if law.needs_algebra else None
+        if law.needs_algebra and alg is None:
+            results.append(LawResult(label, law.description, None, note="needs an algebra"))
+            continue
+        failed, unmet = _verdict(law, space, v)
+        if unmet:  # the guard or the premise does not hold
+            results.append(LawResult(label, law.description, None if law.guard else True,
+                                     note=(law.guard or law.premise)[-1]))
+        else:
+            results.append(LawResult(label, law.description, not failed,
+                                     _witness(law, space, v, 0) if failed else None, law_note))
+    return tuple(results)
 
 
 def check_approx_laws(p: Partition, a: Subset, b: Subset,
@@ -354,8 +348,7 @@ def check_congruence_product_laws(
     congruence of alg.
     """
     require_congruence(alg, p)
-    ctx = _on_demand(p, alg, a, b)
-    return tuple(_result(law.id, law, ctx, a, b, None) for _, _, law in SUITES["3-2"])
+    return _suite_view("3-2", p, a, b, alg, by_id=True)
 
 
 # ---------------------------------------------------------------- exhaustive sweeps
@@ -416,48 +409,54 @@ def sweep_laws(suite: str, partitions: Sequence[Partition], algebra: FiniteAlgeb
 
 def _sweep(carrier: _Carrier, suite: str, algebra: FiniteAlgebra | None,
            hunt: str | None, complete: bool | None, deadline: float | None) -> LawSweep:
-    """The loop of sweep_laws and of every hunt, over the carrier's partitions.  With an algebra,
-    each partition's congruence verdict is read from the product table.  A hunt evaluates the law
-    numbered hunt alone and stops at its first failure; with an algebra it sweeps only the
-    congruences, of completeness complete unless that is None, and checks deadline once per
-    congruence.  Each law's table kernel runs once per partition, and the failures it returns
-    are recorded in (A, B, suite) order."""
-    members = [m for m in SUITES[suite] if hunt in (None, m[0])]
-    n, order = carrier.n, carrier.order
-    sweep = LawSweep(pairs=len(order) ** 2)
-    P = None if algebra is None else _product_table(algebra)
+    """The loop of sweep_laws and of every hunt, over the carrier's partitions: each law once per
+    partition, over every pair, its failures recorded in (A, B, suite) order.  With an algebra the
+    carrier finds the congruences, and a congruence's completeness is read where it is needed: to
+    filter, to gate or to describe a failure.  A hunt evaluates the law numbered hunt alone and
+    stops at its first failure; with an algebra it sweeps only the congruences, of completeness
+    complete unless that is None, raising TimeoutError when the deadline passed before one."""
+    members, _, fixed, slots, gated_if_complete = _PLANS[suite, hunt, algebra is not None]
+    n, order, space = carrier.n, carrier.order, carrier.space
+    sweep = LawSweep(pairs=space.full.bit_length())
+    table = None if algebra is None else algebra.table
+    congruences = 0 if table is None else _congruent(table, carrier.related)
+    v = _evaluate(space, None, algebra, fixed, {})
+    gates = complete is not None or gated_if_complete
     for i, p in enumerate(carrier.partitions):
-        verdict = None if P is None else _congruence(P, algebra, carrier.classes[i], p.masks)
-        if hunt is not None and P is not None and verdict is None:
+        congruent = congruences >> i & 1
+        if hunt is not None and table is not None and not congruent:
             continue
         if deadline is not None and time.monotonic() >= deadline:
-            raise SearchLimitError("time budget exceeded", count=sweep.partitions, reason="time")
+            raise TimeoutError
+        verdict = _complete(table, p) if congruent and gates else None  # None also: not read yet
         if complete is not None and verdict is not complete:
             continue
         sweep.partitions += 1
-        ctx = carrier.context(i, P)
-        active, found = [], []  # found: the failures to record, as (A, B, suite position, witness)
+        carrier.values(i, algebra, slots, v)
+        active, found = [], []  # found: the failures to record, as (pair, suite position)
         for number, role, law in members:
             gated = role == GATED or (role == GATED_IF_COMPLETE and verdict is True)
-            tally = (sweep.gated if gated else sweep.measured).setdefault(number, LawTally())
-            if law.needs_algebra and P is None:
+            tallies = sweep.gated if gated else sweep.measured
+            tally = tallies.get(number) or tallies.setdefault(number, LawTally())
+            if law.needs_algebra and table is None:
                 tally.not_applicable += sweep.pairs
                 continue
-            failures = law.check(ctx, order, order)
-            unmet = 0  # pairs not applicable for an unmet guard; a hunt reads only first failures
-            if hunt is None and law.unmet and law.unmet[1] is None:
-                test = law.unmet[0]
-                unmet = sum(1 for a in order for b in order if test(ctx, a, b))
-            tally.holds += sweep.pairs - len(failures) - unmet
-            tally.fails += len(failures)
-            tally.not_applicable += unmet
-            if failures and (gated or tally.first_failure is None):  # a measured law records only its first
-                found += [(j, k, len(active), w) for j, k, w in (failures if gated else failures[:1])]
+            failed, unmet = _verdict(law, space, v)
+            fails, skipped = failed.bit_count(), unmet.bit_count() if law.guard else 0  # unmet premises hold
+            tally.holds += sweep.pairs - fails - skipped
+            tally.fails += fails
+            tally.not_applicable += skipped
+            if failed and (gated or tally.first_failure is None):  # a measured law records only its first
+                bits = bin(failed if gated else failed & -failed)[:1:-1]  # from bit 0 up
+                found += [(k, len(active)) for k, bit in enumerate(bits) if bit == "1"]
             active.append((number, law, tally, gated))
-        found.sort()  # no two failures share (A, B, suite position), so witnesses are not compared
-        for j, k, pos, w in found:
+        found.sort()
+        if found and congruent and verdict is None:
+            verdict = _complete(table, p)
+        for k, pos in found:
             number, law, tally, gated = active[pos]
-            failure = LawFailure(number, p, Subset._raw(n, order[j]), Subset._raw(n, order[k]), w,
+            failure = LawFailure(number, p, Subset._raw(n, order[k // len(order)]),
+                                 Subset._raw(n, order[k % len(order)]), _witness(law, space, v, k),
                                  _NOTES[verdict] if law.needs_algebra else None, verdict)
             tally.first_failure = tally.first_failure or failure
             if gated:

@@ -14,13 +14,14 @@ congruence enumeration builds a Partition only for a congruence's string.
 A hunt sweeps only the tables that are the least of their relabellings
 that fix 0; every law follows such a relabelling, so each skipped table
 is isomorphic to one swept earlier without a finding.  What does not
-depend on the algebra a hunt builds once: the Bell(n) partitions and the
-subset pair order at its first sweep, and each partition's L/U tables
-the first time that partition is swept.  Per algebra it builds only the
-product table, and reads from it which partitions are congruences and
-which of them are complete, with one lookup per pair of classes.  A
-SearchLimitError counts the explored prefix: the models of a count, the
-algebras a hunt swept to the end or skipped as isomorphic copies.
+depend on the algebra a hunt builds once, at its first sweep: the Bell(n)
+partitions, their relations bit-sliced over the partitions, and the
+space of subset pairs.  Per algebra it tests every partition for
+congruence at once, reads a congruence's completeness from its cells
+where the target needs it, and evaluates the one hunted law over all
+subset pairs of each congruence.  A SearchLimitError counts the explored
+prefix: the models of a count, the algebras a hunt swept to the end or
+skipped as isomorphic copies.
 """
 
 import math
@@ -261,8 +262,8 @@ def find_counterexample(spec: SearchSpec, target: str) -> Finding | None:
             carrier = _Carrier(spec.n, list(all_partitions(spec.n)))
         try:
             finding = _sweep_partitions(alg, carrier, target, deadline)
-        except SearchLimitError as e:
-            raise SearchLimitError(str(e), count=swept, reason=e.reason) from None
+        except TimeoutError:  # the sweep's own deadline check, before a congruence
+            raise SearchLimitError("time budget exceeded", count=swept, reason="time") from None
         if finding is not None:
             return finding
     return None

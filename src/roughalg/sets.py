@@ -5,6 +5,7 @@ word operations, which keeps the exhaustive sweeps elsewhere in the
 package cheap.  Values are immutable; treat every instance as frozen.
 """
 
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
@@ -120,4 +121,4 @@ def all_subsets(n: int) -> Iterator[Subset]:
 
 def canonical_subsets(n: int) -> list[Subset]:
     """All subsets sorted by cardinality, then lexicographically by elements."""
-    return sorted(all_subsets(n), key=lambda s: s.sort_key)
+    return [Subset._raw(n, sum(1 << x for x in c)) for k in range(n + 1) for c in combinations(range(n), k)]

@@ -315,6 +315,27 @@ def rgs_partitions(n):
             yield tuple(tuple(x for x in range(n) if rgs[x] == c) for c in range(max(rgs) + 1))
 
 
+def rgs_related_pairs(n):
+    """Every partition of {0..n-1} in restricted-growth order, as (rgs, pairs): its class index
+    (each element's class number, classes numbered by least element) and the pairs x < y that
+    share a class."""
+    out = []
+    for classes in rgs_partitions(n):
+        rgs = tuple(next(i for i, c in enumerate(classes) if x in c) for x in range(n))
+        out.append((rgs, [(x, y) for x in range(n) for y in range(x + 1, n) if rgs[x] == rgs[y]]))
+    return out
+
+
+def congruent_rgs(table, related_pairs):
+    """The class indexes among related_pairs (from rgs_related_pairs) that are congruences of
+    table, in their order: for each related pair x, y and every z, x*z ~ y*z and z*x ~ z*y.  The
+    test is symmetric in x and y, so the pairs x < y are all it needs to read."""
+    n = len(table)
+    return [rgs for rgs, pairs in related_pairs
+            if all(rgs[table[x][z]] == rgs[table[y][z]] and rgs[table[z][x]] == rgs[table[z][y]]
+                   for x, y in pairs for z in range(n))]
+
+
 def naive_hunt(table_models, n, target):
     """(witness, algebra, classes, a, b, note) of the first counterexample to a
     hunt target, or None.

@@ -233,21 +233,32 @@ def test_congruences_contain_trivial_partitions(alg):
     assert Partition.discrete(alg.n) in congs
 
 
-def _congruences_match_the_rgs_filter(alg):
+@functools.cache
+def _related_pairs(n):
+    return oracles.rgs_related_pairs(n)
+
+
+def _congruences_match_the_rgs_filter(alg, full=False):
     """Check enumerate_congruences(alg) against the oracle filter over every restricted-growth
-    string, in content and in order; the number of congruences."""
-    expected = [rgs for classes, rgs in _rgs_partitions(alg.n) if oracles.is_congruence(alg.table, classes)]
+    string, in content and in order, which reads each string's related pairs only; with full,
+    check that filter against the full scan of oracles.is_congruence too.  The number of
+    congruences."""
+    expected = oracles.congruent_rgs(alg.table, _related_pairs(alg.n))
+    if full:
+        assert expected == [rgs for classes, rgs in _rgs_partitions(alg.n)
+                            if oracles.is_congruence(alg.table, classes)], alg
     assert [p.class_index for p in enumerate_congruences(alg)] == expected, alg
     return len(expected)
 
 
 @pytest.mark.parametrize("label", sorted(LABEL_AXIOMS))
 def test_congruences_match_the_rgs_filter_on_every_small_model(label):
-    # every model has the single-class and discrete congruences, one and the same at order 1
+    # every model has the single-class and discrete congruences, one and the same at order 1;
+    # the related-pairs filter is checked against the full scan on all but the 216,000 BH4 models
     counts = []
     for n in (1, 2, 3, 4):
-        spec = SearchSpec(n=n, axiom_set=LABEL_AXIOMS[label])
-        enumerate_algebras(spec, lambda alg: counts.append(_congruences_match_the_rgs_filter(alg)))
+        spec, full = SearchSpec(n=n, axiom_set=LABEL_AXIOMS[label]), n < 4 or label != "BH"
+        enumerate_algebras(spec, lambda alg: counts.append(_congruences_match_the_rgs_filter(alg, full)))
     assert counts[0] == 1 and all(c >= 2 for c in counts[1:])
 
 
@@ -256,13 +267,13 @@ def test_congruences_match_the_rgs_filter_on_fixed_and_random_tables():
     # raw tables of orders 1-6 whose entries lie in {0..k-1}: a small k plants more congruences
     randoms = [FiniteAlgebra(n, [[rng.randrange(k) for _ in range(n)] for _ in range(n)])
                for n in range(1, 7) for k in range(1, n + 1) for _ in range(8)]
-    counts = [_congruences_match_the_rgs_filter(alg)
+    counts = [_congruences_match_the_rgs_filter(alg, full=True)
               for alg in [*BUNDLED.values(), benchmark_table("s3"), *randoms]]
     assert len(set(counts)) > 8  # from the two trivial congruences alone to all 203
     # every partition is a congruence of a constant or a projection table: Bell(5) = 52, Bell(6) = 203
     for n, bell in ((5, 52), (6, 203)):
         for t in ([[0] * n] * n, [[x] * n for x in range(n)], [list(range(n))] * n):
-            assert _congruences_match_the_rgs_filter(FiniteAlgebra(n, t)) == bell
+            assert _congruences_match_the_rgs_filter(FiniteAlgebra(n, t), full=True) == bell
 
 
 def test_congruence_guard():
@@ -399,16 +410,17 @@ def test_hunt_time_budget():
 # ------------------------------------------------------------- limit counts
 
 def test_hunt_deadline_stops_inside_one_algebra(b4, monkeypatch):
-    # the first B4 model is b4 with its 5 congruences; the clock expires once 2 of them are
-    # swept, and the sweep reads it before each congruence, so the third is never reached
+    # the first B4 model is b4 with its 5 congruences; the clock expires once the laws are
+    # evaluated on 2 of them, and the sweep reads it before each congruence, so the third is
+    # never reached; the sweep's TimeoutError becomes a SearchLimitError counting no algebra
     assert _collect(SearchSpec(n=4, axiom_set=B_AXIOMS))[0] == b4
-    original, swept = _Carrier.context, []
+    original, swept = _Carrier.values, []
 
-    def counted(self, i, P):
+    def counted(self, i, *args):
         swept.append(self.partitions[i])
-        return original(self, i, P)
+        return original(self, i, *args)
 
-    monkeypatch.setattr(_Carrier, "context", counted)
+    monkeypatch.setattr(_Carrier, "values", counted)
     monkeypatch.setattr(time, "monotonic", lambda: 0.0 if len(swept) < 2 else 1e9)
     spec = SearchSpec(n=4, axiom_set=B_AXIOMS, time_budget=1.0)
     with pytest.raises(SearchLimitError) as exc:
