@@ -285,25 +285,6 @@ def _low(m: int) -> int:
     return (m & -m).bit_length() - 1
 
 
-def image_product_mismatch(source: FiniteAlgebra, target: FiniteAlgebra, images: Sequence[int],
-                           strong: bool) -> tuple | None:
-    """First (x, y, direction, element) where images[x]*images[y] (a product in
-    target) differs from images[x*y], for element masks ``images`` indexed by
-    the source carrier.  Direction "extra": the least element of the product
-    outside the image; "missing", reported only when ``strong``: the least
-    element of the image outside the product.  None when no pair differs.
-    """
-    for x, row in enumerate(source.table):
-        fx = images[x]
-        for y, xy in enumerate(row):
-            prod, img = product_mask(target, fx, images[y]), images[xy]
-            if prod & ~img:
-                return x, y, "extra", _low(prod & ~img)
-            if strong and img & ~prod:
-                return x, y, "missing", _low(img & ~prod)
-    return None
-
-
 def product_set(alg: FiniteAlgebra, a: Subset, b: Subset) -> Subset:
     """Elementwise product {x*y | x in a, y in b}; empty if either side is."""
     if a.n != alg.n or b.n != alg.n:

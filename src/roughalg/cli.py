@@ -43,7 +43,7 @@ from .ideals import is_ideal, is_strong_ideal, enumerate_ideals
 from .relations import (
     Partition,
     SetValuedMap,
-    _completeness,
+    _incomplete,
     is_congruence,
     is_equivalence,
     relation_from_ideal,
@@ -349,7 +349,7 @@ def _cmd_ideals(args, alg) -> tuple[dict, list[str]]:
 
 
 def _cmd_congruences(args, alg) -> tuple[dict, list[str]]:
-    congs = [(p, _completeness(alg, p).holds) for p in enumerate_congruences(alg)]
+    congs = [(p, _incomplete(alg.table, p) is None) for p in enumerate_congruences(alg)]
     lines = [f"{len(congs)} congruences"]
     lines += [f"{_partition_text(p)}{'  (complete)' if complete else ''}" for p, complete in congs]
     report = {"count": len(congs),
@@ -398,10 +398,9 @@ def _verify_congruence(args, alg, complete=False) -> tuple[dict, list[str]]:
     if not complete:
         report["verdict"] = "pass"
         return report, [f"claim {args.claim}: holds"]
-    comp = _completeness(alg, p)
-    report.update(complete=comp.holds, witness=comp.witness, verdict="pass" if comp.holds else "fail")
-    return report, [f"claim {args.claim}: holds" if comp.holds
-                    else f"claim {args.claim}: FAILS (witness {comp.witness})"]
+    w = _incomplete(alg.table, p)
+    report.update(complete=w is None, witness=w, verdict="pass" if w is None else "fail")
+    return report, [f"claim {args.claim}: " + ("holds" if w is None else f"FAILS (witness {w})")]
 
 
 def _verify_equivalence(args, alg) -> tuple[dict, list[str]]:
@@ -423,7 +422,7 @@ def _verify_prop(args, alg) -> tuple[dict, list[str]]:
     report = {**info, "partition": partition, "set_a": a, "set_b": b}
     if args.prop == "3-2":
         results = check_congruence_product_laws(alg, partition, a, b)
-        complete = report["congruence_complete"] = _completeness(alg, partition).holds
+        complete = report["congruence_complete"] = _incomplete(alg.table, partition) is None
     elif args.prop == "2-1":
         results = check_approx_laws(partition, a, b, alg)
     else:

@@ -13,7 +13,7 @@ strong) the product of the images.
 
 from typing import Sequence
 
-from .algebra import FiniteAlgebra, image_product_mismatch
+from .algebra import FiniteAlgebra, _low, product_mask
 from .errors import ValidationError
 from .relations import CheckResult, SetValuedMap
 from .sets import Subset
@@ -54,16 +54,23 @@ def upper(f: SetValuedMap, a: Subset) -> Subset:
 
 def _morphism(f: SetValuedMap, source: FiniteAlgebra, target: FiniteAlgebra | None,
               strong: bool) -> CheckResult:
+    """The first (x, y) in lexicographic order where F(x)*F(y), a product in target, has an element
+    outside F(x*y) or, when strong, misses one of it; the witness names the least such element."""
     target = source if target is None else target
     if source.n != f.n_source:
         raise ValidationError(f"source algebra carrier {source.n} vs map source {f.n_source}")
     if target.n != f.n_target:
         raise ValidationError(f"target algebra carrier {target.n} vs map target {f.n_target}")
-    w = image_product_mismatch(source, target, f.masks, strong)
-    if w is not None:
-        x, y, direction, element = w
-        w = (direction, x, y, element) if strong else (x, y, element)
-    return CheckResult(w is None, w)
+    images = f.masks
+    for x, row in enumerate(source.table):
+        for y, xy in enumerate(row):
+            prod, img = product_mask(target, images[x], images[y]), images[xy]
+            if prod & ~img:
+                element = _low(prod & ~img)
+                return CheckResult(False, ("extra", x, y, element) if strong else (x, y, element))
+            if strong and img & ~prod:
+                return CheckResult(False, ("missing", x, y, _low(img & ~prod)))
+    return CheckResult(True)
 
 
 def is_sv_morphism(

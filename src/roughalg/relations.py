@@ -1,20 +1,19 @@
 """Relations, partitions, congruence tests, ideal-induced relations.
 
-A relation between two carriers is a ``SetValuedMap``: it assigns each
-source element x its image R(x), a subset of the target carrier, and
-relates x to exactly the elements of R(x).  The relation an ideal induces
-is one (``relation_from_ideal``), and so is a ``Partition``: it is its
-class map x -> [x].  ``is_equivalence`` and ``to_partition`` read an
-equivalence's images as its classes.  ``generalized.lower`` and ``upper``
-approximate along any map, a partition included.  Every check returns
-the lexicographically first violating tuple so that repeated runs are
-bit-identical.
+A relation between two carriers is a ``SetValuedMap``: it assigns each source element x its
+image R(x), a subset of the target carrier, and relates x to exactly the elements of R(x).  The
+relation an ideal induces is one (``relation_from_ideal``), and so is a ``Partition``: it is its
+class map x -> [x].  ``is_equivalence`` and ``to_partition`` read an equivalence's images as its
+classes.  ``generalized.lower`` and ``upper`` approximate along any map, a partition included.
+A congruence is complete when its class map is a strong morphism, [x]*[y] = [x*y]: every reader
+of completeness calls ``_incomplete``, which decides it from the products of the classes.  Every
+check returns the lexicographically first violating tuple so that repeated runs are bit-identical.
 """
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from .algebra import FiniteAlgebra, _low, image_product_mismatch
+from .algebra import FiniteAlgebra, _low
 from .errors import PreconditionError, ValidationError
 from .sets import Subset
 
@@ -232,15 +231,22 @@ def _congruent(table, related: list[list[int]]) -> int:
     return related[0][0] & ~broken
 
 
-def _complete(table, p: Partition) -> bool:
-    """Whether the congruence p is complete: each product [x]*[y] of its classes lies inside the
-    class of x*y, so it is that class when it is a class at all.  Unlike ``_completeness`` it
-    reads each cell once and names no witness."""
-    idx, k, products = p.class_index, len(p.classes), [0] * len(p.classes) ** 2
+def _incomplete(table, p: Partition) -> tuple | None:
+    """is_complete_congruence's witness for p, or None.  As x*y lies in [x]*[y], [x]*[y] = [x*y]
+    for all x, y when each class product is a class: one pass decides, a failure scans the pairs."""
+    idx, masks, k, products = p.class_index, p.masks, len(p.classes), [0] * len(p.classes) ** 2
     for x, row in enumerate(table):
         for y, e in enumerate(row):
             products[idx[x] * k + idx[y]] |= 1 << e
-    return set(products).issubset(p.masks)
+    if set(products).issubset(masks):
+        return None
+    for x, row in enumerate(table):
+        for y, xy in enumerate(row):
+            prod, img = products[idx[x] * k + idx[y]], masks[xy]
+            if prod & ~img:
+                return x, y, "extra", _low(prod & ~img)
+            if img & ~prod:
+                return x, y, "missing", _low(img & ~prod)
 
 
 def require_congruence(alg: FiniteAlgebra, p: Partition) -> None:
@@ -253,21 +259,14 @@ def require_congruence(alg: FiniteAlgebra, p: Partition) -> None:
 
 
 def is_complete_congruence(alg: FiniteAlgebra, p: Partition) -> CheckResult:
-    """Class products must equal the class of the product: [x]*[y] = [x*y],
-    i.e. the class map x -> [x] is a strong set-valued morphism.
-
-    Precondition: p is a congruence (PreconditionError otherwise).  The
-    witness is (x, y, direction, element) where direction "extra" means
-    the element lies in [x]*[y] but not [x*y], "missing" the converse.
-    """
+    """Class products must equal the class of the product, [x]*[y] = [x*y]: the class map
+    x -> [x] is a strong set-valued morphism.  Precondition: p is a congruence (PreconditionError
+    otherwise).  The witness is the first pair in lexicographic order, as (x, y, direction,
+    element): "extra" names the least element of [x]*[y] outside [x*y], "missing" (read when none
+    is extra) the least of [x*y] outside [x]*[y].  ``is_strong_sv_morphism`` of the class map
+    gives the same verdict, its witness ordered (direction, x, y, element)."""
     require_congruence(alg, p)
-    return _completeness(alg, p)
-
-
-def _completeness(alg: FiniteAlgebra, p: Partition) -> CheckResult:
-    """is_complete_congruence without its precondition, which completeness implies:
-    for x' ~ x, x'*z lies in [x]*[z] = [x*z], and the same holds on the left."""
-    w = image_product_mismatch(alg, alg, p.masks, strong=True)
+    w = _incomplete(alg.table, p)
     return CheckResult(w is None, w)
 
 

@@ -22,8 +22,8 @@ from typing import NamedTuple, Sequence
 from .algebra import FiniteAlgebra, _low, product_mask
 from .errors import ValidationError
 from .generalized import _lower_mask, _upper_mask
-from .relations import (Partition, SetValuedMap, _complete, _completeness, _congruent, _related,
-                        is_congruence, require_congruence)
+from .relations import (Partition, SetValuedMap, _congruent, _incomplete, _related, is_congruence,
+                        require_congruence)
 from .sets import Subset, canonical_subsets
 
 
@@ -299,7 +299,7 @@ def _suite_view(suite: str, p: Partition, a: Subset, b: Subset, alg: FiniteAlgeb
         if s.n != p.n:
             raise ValidationError(f"subset carrier {s.n} does not match partition carrier {p.n}")
     note = None if alg is None or by_id else _NOTES[  # one pair has no carrier to read this from
-        _completeness(alg, p).holds if is_congruence(alg, p).holds else None]
+        _incomplete(alg.table, p) is None if is_congruence(alg, p).holds else None]
     space, results = _Pair(p.n, a.mask, b.mask), []
     v = _evaluate(space, p.masks, alg, _PLANS[suite, None, alg is not None][1], {})
     for number, _, law in SUITES[suite]:
@@ -385,13 +385,18 @@ class LawSweep:
         self.violations, self.gated, self.measured = [], {}, {}
 
 
+# A set of a sweep's pair space is n ints of 4**n bits: peak memory is near 0.85 GB at order 12.
+SWEEP_ORDER_LIMIT = 12
+
+
 def sweep_laws(suite: str, partitions: Sequence[Partition], algebra: FiniteAlgebra | None = None) -> LawSweep:
     """Evaluate a suite's laws over every partition x subset pair.
 
     Partitions come in the given order, subset pairs in canonical order (A
     outer, B inner, each by cardinality then elements).  Without an
     algebra the laws that need one are not applicable.  A fault in the
-    arguments raises ValidationError, its ``field`` naming the argument.
+    arguments raises ValidationError, its ``field`` naming the argument,
+    and so does a carrier above ``SWEEP_ORDER_LIMIT``.
     """
     if suite not in SUITES:
         raise ValidationError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}", "suite")
@@ -399,6 +404,9 @@ def sweep_laws(suite: str, partitions: Sequence[Partition], algebra: FiniteAlgeb
     if not partitions:
         raise ValidationError("sweep_laws needs at least one partition", "partitions")
     n = partitions[0].n
+    if n > SWEEP_ORDER_LIMIT:
+        raise ValidationError(f"exhaustive law sweep of order {n} exceeds its limit {SWEEP_ORDER_LIMIT}",
+                              "partitions")
     for i, p in enumerate(partitions):
         if p.n != n:
             raise ValidationError(f"partition {i} has carrier {p.n}, partition 0 has {n}", "partitions")
@@ -411,10 +419,11 @@ def _sweep(carrier: _Carrier, suite: str, algebra: FiniteAlgebra | None,
            hunt: str | None, complete: bool | None, deadline: float | None) -> LawSweep:
     """The loop of sweep_laws and of every hunt, over the carrier's partitions: each law once per
     partition, over every pair, its failures recorded in (A, B, suite) order.  With an algebra the
-    carrier finds the congruences, and a congruence's completeness is read where it is needed: to
-    filter, to gate or to describe a failure.  A hunt evaluates the law numbered hunt alone and
-    stops at its first failure; with an algebra it sweeps only the congruences, of completeness
-    complete unless that is None, raising TimeoutError when the deadline passed before one."""
+    carrier finds the congruences, and ``_incomplete`` reads a congruence's completeness at most
+    once, where it is first needed: to filter, to gate or to describe a failure.  A hunt evaluates
+    the law numbered hunt alone and stops at its first failure; with an algebra it sweeps only the
+    congruences, of completeness complete unless that is None, raising TimeoutError when the
+    deadline passed before one."""
     members, _, fixed, slots, gated_if_complete = _PLANS[suite, hunt, algebra is not None]
     n, order, space = carrier.n, carrier.order, carrier.space
     sweep = LawSweep(pairs=space.full.bit_length())
@@ -428,7 +437,7 @@ def _sweep(carrier: _Carrier, suite: str, algebra: FiniteAlgebra | None,
             continue
         if deadline is not None and time.monotonic() >= deadline:
             raise TimeoutError
-        verdict = _complete(table, p) if congruent and gates else None  # None also: not read yet
+        verdict = _incomplete(table, p) is None if congruent and gates else None  # None also: not read yet
         if complete is not None and verdict is not complete:
             continue
         sweep.partitions += 1
@@ -452,7 +461,7 @@ def _sweep(carrier: _Carrier, suite: str, algebra: FiniteAlgebra | None,
             active.append((number, law, tally, gated))
         found.sort()
         if found and congruent and verdict is None:
-            verdict = _complete(table, p)
+            verdict = _incomplete(table, p) is None
         for k, pos in found:
             number, law, tally, gated = active[pos]
             failure = LawFailure(number, p, Subset._raw(n, order[k // len(order)]),

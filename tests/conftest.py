@@ -114,3 +114,8 @@ def count_congruence_checks(monkeypatch):
 def count_incompatible_scans(monkeypatch):
     """The class indexes relations._incompatible scans from now on, is_congruence's included."""
     return _count_calls(monkeypatch, "_incompatible")
+
+
+def count_completeness_reads(monkeypatch):
+    """The partitions whose completeness relations._incomplete reads from now on."""
+    return _count_calls(monkeypatch, "_incomplete")

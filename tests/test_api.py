@@ -1,5 +1,6 @@
 """The package's public surface: its exports and the input checks of its entry points."""
 
+import tracemalloc
 import types
 
 import pytest
@@ -20,6 +21,7 @@ from roughalg import (
 )
 
 from conftest import BUNDLED
+from roughalg.rough import SWEEP_ORDER_LIMIT
 
 
 def test_exports_match_public_names():
@@ -32,6 +34,7 @@ def test_exports_match_public_names():
 
 BH4 = BUNDLED["bh4"]
 P2, P3 = Partition.discrete(2), Partition.discrete(3)
+P13 = Partition.discrete(SWEEP_ORDER_LIMIT + 1)
 
 # case -> (call, exception, exact message)
 INPUT_CHECKS = {
@@ -43,6 +46,8 @@ INPUT_CHECKS = {
                              "partition 1 has carrier 3, partition 0 has 2"),
     "sweep-algebra-carrier": (lambda: sweep_laws("2-1", [P3], BH4), ValidationError,
                               "algebra carrier 4 does not match partition carrier 3"),
+    "sweep-order-limit": (lambda: sweep_laws("3-1", [P13]), ValidationError,
+                          "exhaustive law sweep of order 13 exceeds its limit 12"),
     "svmap-image-carrier": (lambda: SetValuedMap(2, 2, [Subset.empty(3), Subset.empty(2)]),
                             ValidationError, "image of 0 lives in carrier 3, expected 2"),
     "partition-class-carrier": (lambda: Partition(2, [Subset.universe(3)]), ValidationError,
@@ -64,7 +69,8 @@ INPUT_CHECKS = {
 
 # each fault of a sweep's arguments names the argument at fault
 SWEEP_FIELDS = {"sweep-unknown-suite": "suite", "sweep-no-partitions": "partitions",
-                "sweep-mixed-carriers": "partitions", "sweep-algebra-carrier": "algebra"}
+                "sweep-mixed-carriers": "partitions", "sweep-algebra-carrier": "algebra",
+                "sweep-order-limit": "partitions"}
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
@@ -76,3 +82,16 @@ def test_input_checks(case):
     assert str(info.value) == message
     if case in SWEEP_FIELDS:
         assert info.value.field == SWEEP_FIELDS[case]
+
+
+def test_sweep_order_limit_is_checked_before_the_pair_space():
+    # one set of an order-13 pair space alone is 13 ints of 4**13 bits (8 MB each): the sweep
+    # refuses the order before it builds any of them
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError):
+            sweep_laws("2-1", [P13])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

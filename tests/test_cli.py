@@ -15,7 +15,8 @@ from roughalg.cli import (
     run,
 )
 
-from conftest import BUNDLED, algebras, count_congruence_checks, count_incompatible_scans
+from conftest import (BUNDLED, REPO_ROOT, algebras, count_completeness_reads, count_congruence_checks,
+                      count_incompatible_scans)
 
 
 # ------------------------------------------------------------- file format
@@ -411,6 +412,16 @@ def test_verify_exhaustive_order_guard(tmp_path, capsys):
                             "pass --partition to pin one\n")
 
 
+def test_verify_pinned_sweep_order_guard(capsys):
+    # a pinned partition or ideal lifts the partition-count guard, not the sweep's order limit
+    z13 = str(REPO_ROOT / "tests" / "data" / "z13.alg")
+    for pin in (["--partition", "0,1|" + "|".join(map(str, range(2, 13)))], ["--ideal", "0"]):
+        assert run(["verify", z13, "--prop", "2-1", "--exhaustive", *pin]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: exhaustive law sweep of order 13 exceeds its limit 12\n"
+
+
 def test_verify_exhaustive_pinned_ideal(tables_dir, capsys):
     bh4 = _fixture(tables_dir, "bh4")
     # the ideal {0,1} induces 0,1|2|3 and pins the sweep to it, as --partition does
@@ -458,6 +469,24 @@ def test_each_partition_is_checked_for_congruence_once(tables_dir, monkeypatch, 
     capsys.readouterr()
     assert len(scans) == calls
     assert len(checked) == (calls if "--partition" in argv else 0)
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["congruences", "bh4"], 3),
+    (["verify", "bh4", "--claim", "complete-congruence", "--partition", "0,1|2|3"], 1),
+    (["verify", "bh4", "--prop", "3-2", "--exhaustive"], 3),
+    (["verify", "bh4", "--prop", "3-2", "--partition", "0,1|2|3", "--set", "0"], 1),
+    (["verify", "bh4", "--prop", "2-1", "--exhaustive"], 0),
+])
+def test_each_congruence_is_read_for_completeness_once(tables_dir, monkeypatch, capsys, argv, calls):
+    # bh4 has 3 congruences: listing them or sweeping 3-2 over them reads each one's
+    # completeness once, and a pinned partition is read once.  The 2-1 sweep gates nothing on
+    # completeness, and the failures it records (each measured law's first) fall on
+    # partitions that are not congruences, so it reads none
+    reads = count_completeness_reads(monkeypatch)
+    run([argv[0], _fixture(tables_dir, argv[1]), *argv[2:]])
+    capsys.readouterr()
+    assert len(reads) == calls
 
 
 def test_search_count(capsys):

@@ -4,8 +4,8 @@ Every case is one ``roughalg`` command line; its golden file under
 ``tests/golden/`` holds the exit code on the first line (``exit N``) and
 the exact stdout bytes after it.  The cases cover every README command on
 every fixture in text and JSON, the exhaustive law sweeps (full and with
-one pinned partition or ideal), single-pair law suites and one hunt per
-suite.
+one pinned partition or ideal), single-pair law suites, one hunt per
+suite and a pinned sweep refused for its order.
 
 To re-capture after a deliberate change of output, from the repository
 root:
@@ -96,6 +96,12 @@ def _order_six_cases():
             for prop in ("2-1", "3-1")}
 
 
+def _order_limit_cases():
+    # a pinned sweep on an order-13 table: refused (exit 2) before any pair space is built
+    return {"z13-prop-2-1-exhaustive-pinned": ["verify", "tests/data/z13.alg", "--prop", "2-1", "--exhaustive",
+                                               "--partition", "0,1|" + "|".join(map(str, range(2, 13)))]}
+
+
 def golden_cases() -> dict[str, list[str]]:
     """Case name -> argv (without --format); the one list of golden commands."""
     cases = {}
@@ -103,6 +109,7 @@ def golden_cases() -> dict[str, list[str]]:
         cases.update(_fixture_cases(name, info["n"], info["partition"]))
     cases.update(_search_cases())
     cases.update(_order_six_cases())
+    cases.update(_order_limit_cases())
     out = {}
     for name, argv in cases.items():
         for fmt in ("text", "json"):
@@ -111,7 +118,7 @@ def golden_cases() -> dict[str, list[str]]:
 
 
 def _resolve(argv):
-    return [str(ROOT / a) if a.startswith(("tables/", "perfbench/")) else a for a in argv]
+    return [str(ROOT / a) if a.startswith(("tables/", "perfbench/", "tests/")) else a for a in argv]
 
 
 def run_case(argv) -> str:

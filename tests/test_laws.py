@@ -48,7 +48,7 @@ from roughalg import (
     upper,
 )
 from roughalg.cli import parse_algebra_file
-from roughalg.relations import _complete, _completeness, _congruent, _related, is_congruence
+from roughalg.relations import _congruent, _incomplete, _related, is_congruence
 from roughalg.rough import (GATED, GATED_IF_COMPLETE, SUITES, _Carrier, _evaluate, _grouped, _OPS, _Pair,
                             _Pairs, _PLANS, _reads, _Set, _sweep, _verdict, _witness)
 
@@ -445,13 +445,11 @@ def test_congruence_verdicts_match_the_oracles():
             assert congruence == is_congruence(alg, p).holds == bool(congruent >> i & 1) \
                 == bool(_congruent(alg.table, _related([p])) & 1), (table, p)
             complete = oracles.is_complete_congruence(table, classes)
-            assert complete == _completeness(alg, p).holds, (table, p)
-            if congruence:
-                assert _complete(alg.table, p) == complete, (table, p)
+            assert complete == (_incomplete(alg.table, p) is None), (table, p)
             verdicts.add(complete if congruence else None)
     for alg, p in lifted:
         assert _congruent(alg.table, _related([p])) & 1
-        planted.add((len(p.classes), _complete(alg.table, p)))
+        planted.add((len(p.classes), _incomplete(alg.table, p) is None))
     assert verdicts == {None, True, False}
     # every planted partition is a congruence, and nontrivial ones occur complete and not
     assert {v for k, v in planted if 1 < k < 4} == {True, False}
