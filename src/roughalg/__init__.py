@@ -14,9 +14,7 @@ from .algebra import (
     FiniteAlgebra,
     IdentityReport,
     LABEL_AXIOMS,
-    LABELS,
     Z_AXIOM_VARIANTS,
-    axiom_holds,
     check_axiom,
     classify,
     find_identities,
@@ -65,8 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxiomId", "AxiomReport", "FiniteAlgebra", "IdentityReport", "LABEL_AXIOMS",
-    "LABELS", "Z_AXIOM_VARIANTS", "axiom_holds", "check_axiom", "classify",
-    "find_identities", "product_set",
+    "Z_AXIOM_VARIANTS", "check_axiom", "classify", "find_identities", "product_set",
     "ParseError", "PreconditionError", "RoughAlgError", "SearchLimitError",
     "ValidationError",
     "is_strong_sv_morphism", "is_sv_morphism", "lower", "upper",

@@ -4,8 +4,8 @@ Nothing here assumes any axiom; a ``FiniteAlgebra`` is a raw operation
 table with a distinguished element.  Axiom systems are data: each label
 (B, BH, BO, Z) names a conjunction of the seven axioms C1..C7, and
 ``check_axiom`` decides a single axiom exhaustively, collecting every
-violating tuple as a witness.  Each axiom is defined once, as a generator
-in ``AXIOM_VIOLATIONS`` that the model search also runs on partial tables.
+violating tuple as a witness.  Each axiom is defined once, in ``AxiomId``,
+a one-variable one by the cell it pins.
 """
 
 from dataclasses import dataclass
@@ -16,20 +16,102 @@ from .errors import ValidationError
 from .sets import Subset
 
 
+def _pinned(pin):
+    """The violations of a one-variable axiom from the cell it pins: x violates it where the cell
+    (row, column) of ``pin(x, zero) = (row, column, value)`` is determined and is not value."""
+    def violations(t, zero):
+        for x in range(len(t)):
+            row, column, value = pin(x, zero)
+            if t[row][column] >= 0 and t[row][column] != value:
+                yield (x,)
+    return violations
+
+
+def _c3(t, zero):
+    rng = range(len(t))
+    tz = t[zero]
+    for x in rng:
+        tx = t[x]
+        for y in rng:
+            a = tx[y]
+            c = tz[y]
+            if a < 0 or c < 0:
+                continue
+            ta = t[a]
+            for z in rng:
+                left = ta[z]
+                if left < 0:
+                    continue
+                d = t[z][c]
+                if d < 0:
+                    continue
+                right = tx[d]
+                if right >= 0 and left != right:
+                    yield (x, y, z)
+
+
+def _c4(t, zero):
+    rng = range(len(t))
+    for x in rng:
+        for y in rng:
+            if x != y and t[x][y] == zero and t[y][x] == zero:
+                yield (x, y)
+
+
+def _c5(t, zero):
+    rng = range(len(t))
+    tz = t[zero]
+    for x in rng:
+        tx = t[x]
+        for y in rng:
+            c = tx[y]
+            ty = t[y]
+            for z in rng:
+                a = ty[z]
+                if a < 0:
+                    continue
+                left = tx[a]
+                if left < 0 or c < 0:
+                    continue
+                d = tz[z]
+                if d < 0:
+                    continue
+                right = t[c][d]
+                if right >= 0 and left != right:
+                    yield (x, y, z)
+
+
+def _c7(t, zero):
+    rng = range(len(t))
+    for x in rng:
+        for y in rng:
+            a, b = t[x][y], t[y][x]
+            if x != zero and y != zero and a >= 0 and b >= 0 and a != b:
+                yield (x, y)
+
+
 class AxiomId(Enum):
-    """The seven axiom schemas, with variable arity and display formula."""
+    """The seven axiom schemas: variable arity, display formula and definition.
 
-    C1 = (1, "x*x = 0")
-    C2 = (1, "x*0 = x")
-    C3 = (3, "(x*y)*z = x*(z*(0*y))")
-    C4 = (2, "x*y = 0 and y*x = 0 imply x = y")
-    C5 = (3, "x*(y*z) = (x*y)*(0*z)")
-    C6 = (1, "x*x = x")
-    C7 = (2, "x*y = y*x for nonzero x, y")
+    A one-variable axiom is defined by the cell it pins for each x, ``pin(x, zero) = (row,
+    column, value)``, the others by a generator.  ``violations(t, zero)`` yields an axiom's
+    violating instances over table rows ``t`` (-1 for an undetermined cell) in lexicographic
+    order.  It skips an instance that reads an undetermined cell, so on a partial table it
+    yields only those that every completion violates; the model search prunes on exactly that.
+    """
 
-    def __init__(self, arity: int, formula: str):
-        self.arity = arity
-        self.formula = formula
+    C1 = (1, "x*x = 0", lambda x, zero: (x, x, zero))
+    C2 = (1, "x*0 = x", lambda x, zero: (x, zero, x))
+    C3 = (3, "(x*y)*z = x*(z*(0*y))", _c3)
+    C4 = (2, "x*y = 0 and y*x = 0 imply x = y", _c4)
+    C5 = (3, "x*(y*z) = (x*y)*(0*z)", _c5)
+    C6 = (1, "x*x = x", lambda x, zero: (x, x, x))
+    C7 = (2, "x*y = y*x for nonzero x, y", _c7)
+
+    def __init__(self, arity: int, formula: str, definition):
+        self.arity, self.formula = arity, formula
+        self.pin = definition if arity == 1 else None
+        self.violations = _pinned(definition) if arity == 1 else definition
 
     def __repr__(self) -> str:
         return f"AxiomId.{self.name}"
@@ -52,8 +134,6 @@ Z_AXIOM_VARIANTS: dict[str, tuple[AxiomId, ...]] = {
     "literal": LABEL_AXIOMS["Z"],
     "relaxed": (AxiomId.C2, AxiomId.C6, AxiomId.C7),
 }
-
-LABELS = ("B", "BH", "BO", "Z")
 
 
 class FiniteAlgebra:
@@ -117,92 +197,6 @@ class AxiomReport:
     witnesses: tuple[tuple[int, ...], ...]
 
 
-def _c1(t, zero):
-    return ((x,) for x, row in enumerate(t) if row[x] >= 0 and row[x] != zero)
-
-
-def _c2(t, zero):
-    return ((x,) for x, row in enumerate(t) if row[zero] >= 0 and row[zero] != x)
-
-
-def _c3(t, zero):
-    rng = range(len(t))
-    tz = t[zero]
-    for x in rng:
-        tx = t[x]
-        for y in rng:
-            a = tx[y]
-            c = tz[y]
-            if a < 0 or c < 0:
-                continue
-            ta = t[a]
-            for z in rng:
-                left = ta[z]
-                if left < 0:
-                    continue
-                d = t[z][c]
-                if d < 0:
-                    continue
-                right = tx[d]
-                if right >= 0 and left != right:
-                    yield (x, y, z)
-
-
-def _c4(t, zero):
-    rng = range(len(t))
-    for x in rng:
-        for y in rng:
-            if x != y and t[x][y] == zero and t[y][x] == zero:
-                yield (x, y)
-
-
-def _c5(t, zero):
-    rng = range(len(t))
-    tz = t[zero]
-    for x in rng:
-        tx = t[x]
-        for y in rng:
-            c = tx[y]
-            ty = t[y]
-            for z in rng:
-                a = ty[z]
-                if a < 0:
-                    continue
-                left = tx[a]
-                if left < 0 or c < 0:
-                    continue
-                d = tz[z]
-                if d < 0:
-                    continue
-                right = t[c][d]
-                if right >= 0 and left != right:
-                    yield (x, y, z)
-
-
-def _c6(t, zero):
-    return ((x,) for x, row in enumerate(t) if row[x] >= 0 and row[x] != x)
-
-
-def _c7(t, zero):
-    rng = range(len(t))
-    for x in rng:
-        for y in rng:
-            a, b = t[x][y], t[y][x]
-            if x != zero and y != zero and a >= 0 and b >= 0 and a != b:
-                yield (x, y)
-
-
-# The one definition of each axiom: a generator of its violating instances
-# over table rows ``t`` (``t[x][y]`` = x*y, -1 for an undetermined cell),
-# in lexicographic order.  An instance that reads an undetermined cell is
-# skipped, so on a partial table only instances that every completion
-# violates are yielded; the model search prunes on exactly that.
-AXIOM_VIOLATIONS = {
-    AxiomId.C1: _c1, AxiomId.C2: _c2, AxiomId.C3: _c3, AxiomId.C4: _c4,
-    AxiomId.C5: _c5, AxiomId.C6: _c6, AxiomId.C7: _c7,
-}
-
-
 def collect_witnesses(violations, max_witnesses: int | None) -> tuple[bool, tuple]:
     """(no violation at all, the violations up to the cap)."""
     out = []
@@ -223,13 +217,8 @@ def check_axiom(alg: FiniteAlgebra, axiom: AxiomId, max_witnesses: int | None = 
         raise ValidationError(f"max_witnesses must be at least 1, got {max_witnesses}", "max_witnesses")
     if not isinstance(axiom, AxiomId):
         raise ValidationError(f"unknown axiom {axiom!r}")
-    holds, witnesses = collect_witnesses(AXIOM_VIOLATIONS[axiom](alg.table, alg.zero), max_witnesses)
+    holds, witnesses = collect_witnesses(axiom.violations(alg.table, alg.zero), max_witnesses)
     return AxiomReport(axiom=axiom, holds=holds, witnesses=witnesses)
-
-
-def axiom_holds(alg: FiniteAlgebra, axiom: AxiomId) -> bool:
-    """Verdict only, with early exit on the first violation."""
-    return check_axiom(alg, axiom, max_witnesses=1).holds
 
 
 def classify(alg: FiniteAlgebra, z_variant: str = "literal") -> frozenset[str]:
@@ -244,7 +233,7 @@ def classify(alg: FiniteAlgebra, z_variant: str = "literal") -> frozenset[str]:
     axiom_sets["Z"] = Z_AXIOM_VARIANTS[z_variant]
     return frozenset(
         label for label, axioms in axiom_sets.items()
-        if all(axiom_holds(alg, a) for a in axioms)
+        if all(next(a.violations(alg.table, alg.zero), None) is None for a in axioms)
     )
 
 

@@ -260,7 +260,7 @@ def _parse_axiom_spec(spec: str) -> tuple[str | None, str, tuple[AxiomId, ...]]:
     """(label or None, display header, axioms) for a label name (b, bh, bo, z,
     z-relaxed) or a comma list like c1,c5, whose header is C1,C5."""
     key = spec.strip().lower()
-    if key in ("b", "bh", "bo", "z"):
+    if key.upper() in LABEL_AXIOMS:
         return key.upper(), key.upper(), LABEL_AXIOMS[key.upper()]
     if key in ("z-relaxed", "zrelaxed"):
         return "Z(relaxed)", "Z(relaxed)", Z_AXIOM_VARIANTS["relaxed"]

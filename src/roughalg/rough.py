@@ -192,16 +192,17 @@ class Law(NamedTuple):
     inclusion (x,), (tag, x) with a string tag, or a tuple tag alone (``extremes``, whose
     sides are constants).  Where the ``premise`` (left, right, note) left <= right does not
     hold, the law holds vacuously; where the ``guard`` (set, note) is empty, it does not
-    speak.  ``slots`` are the subterms it reads, in increasing order."""
+    speak.  ``slots`` are the subterms it reads, in increasing order; it ``needs_algebra``
+    exactly when one of them is a product.  Both are derived from the terms."""
 
     id: str
     description: str
     suites: dict[str, tuple[str, str]]
     clauses: tuple
-    needs_algebra: bool = False
     premise: tuple | None = None
     guard: tuple | None = None
     slots: tuple[int, ...] = ()
+    needs_algebra: bool = False
 
 
 def _laws() -> tuple[Law, ...]:
@@ -231,14 +232,14 @@ def _laws() -> tuple[Law, ...]:
             (("lower", L(A), "<=", L(B)), ("upper", U(A), "<=", U(B))),
             premise=(A, B, "premise A <= B does not hold; vacuously true")),
         Law("product-upper", "upper(A)*upper(B) <= upper(A*B)", {"2-1": ("11a", MEASURED), "3-2": ("1", GATED)},
-            ((None, U(A) * U(B), "<=", U(A * B)),), needs_algebra=True),
+            ((None, U(A) * U(B), "<=", U(A * B)),)),
         Law("product-upper-converse", "upper(A*B) <= upper(A)*upper(B)", {"2-1": ("11b", MEASURED)},
-            ((None, U(A * B), "<=", U(A) * U(B)),), needs_algebra=True),
+            ((None, U(A * B), "<=", U(A) * U(B)),)),
         # 2-1 law 12 reads the inclusion as is; 3-2 law 2 speaks only when lower(A*B) is nonempty
         Law("product-lower-unguarded", "lower(A)*lower(B) <= lower(A*B)", {"2-1": ("12", MEASURED)},
-            ((None, L(A) * L(B), "<=", L(A * B)),), needs_algebra=True),
+            ((None, L(A) * L(B), "<=", L(A * B)),)),
         Law("product-lower", "lower(A)*lower(B) <= lower(A*B)", {"3-2": ("2", GATED_IF_COMPLETE)},
-            ((None, L(A) * L(B), "<=", L(A * B)),), needs_algebra=True,
+            ((None, L(A) * L(B), "<=", L(A * B)),),
             guard=(L(A * B), "guard not met: lower(A*B) is empty")),
     )
 
@@ -249,7 +250,8 @@ def _reads(law: Law) -> tuple[int, ...]:
     return tuple(sorted(frozenset().union(*(_OPS[s][4] for s in roots))))
 
 
-LAWS: tuple[Law, ...] = tuple(law._replace(slots=_reads(law)) for law in _laws())
+LAWS: tuple[Law, ...] = tuple(law._replace(slots=slots, needs_algebra=any(_OPS[s][0] == "*" for s in slots))
+                              for law in _laws() for slots in [_reads(law)])
 
 # suite id -> [(local number, role, law)] in suite order; 11a and 11b sort between 10 and 12
 SUITES: dict[str, list[tuple[str, str, Law]]] = {

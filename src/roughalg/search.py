@@ -1,27 +1,25 @@
 """Exhaustive model search, congruence enumeration, counterexample hunting.
 
-The model search is one stream of tables.  It fixes every cell forced by
-the single-variable axioms (C1/C2/C6 pin the diagonal and column zero),
-then runs a depth-first search over the other cells in row-major order.
-After each assignment it runs the generators of the multi-variable axioms
-from ``algebra.AXIOM_VIOLATIONS`` on the partial table (undetermined cells
-are -1); any instance they yield is violated by every completion, so the
-branch is pruned.  Models come out in lexicographic order of the flattened
-table, raw tables with no isomorphism rejection, and identical runs are
-bit-identical.  Counting, emitting and hunting are loops over the stream.
-Partitions are enumerated as restricted-growth strings (class indexes);
-congruence enumeration builds a Partition only for a congruence's string.
-A hunt sweeps only the tables that are the least of their relabellings
-that fix 0; every law follows such a relabelling, so each skipped table
-is isomorphic to one swept earlier without a finding.  What does not
-depend on the algebra a hunt builds once, at its first sweep: the Bell(n)
-partitions, their relations bit-sliced over the partitions, and the
-space of subset pairs.  Per algebra it tests every partition for
-congruence at once, reads a congruence's completeness from its cells
-where the target needs it, and evaluates the one hunted law over all
-subset pairs of each congruence.  A SearchLimitError counts the explored
-prefix: the models of a count, the algebras a hunt swept to the end or
-skipped as isomorphic copies.
+The model search is one stream of tables.  It fixes the cell that each
+one-variable axiom pins for each x (``AxiomId.pin``), then runs a
+depth-first search over the other cells in row-major order.  After each
+assignment it runs the other axioms' ``violations`` on the partial table
+(undetermined cells are -1); any instance they yield is violated by every
+completion, so the branch is pruned.  Models come out in lexicographic order
+of the flattened table, raw tables with no isomorphism rejection, and
+identical runs are bit-identical.  Counting, emitting and hunting are loops
+over the stream.  Partitions are enumerated as restricted-growth strings
+(class indexes); congruence enumeration builds a Partition only for a
+congruence's string.  A hunt sweeps only the tables that are the least of
+their relabellings that fix 0; every law follows such a relabelling, so each
+skipped table is isomorphic to one swept earlier without a finding.  What
+does not depend on the algebra a hunt builds once, at its first sweep: the
+Bell(n) partitions, their relations bit-sliced over the partitions, and the
+space of subset pairs.  Per algebra it tests every partition for congruence
+at once, reads a congruence's completeness from its cells where the target
+needs it, and evaluates the one hunted law over all subset pairs of each
+congruence.  A SearchLimitError counts the explored prefix: the models of a
+count, the algebras a hunt swept to the end or skipped as isomorphic copies.
 """
 
 import math
@@ -32,7 +30,7 @@ from itertools import chain, islice, permutations
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from .algebra import AXIOM_VIOLATIONS, AxiomId, FiniteAlgebra
+from .algebra import AxiomId, FiniteAlgebra
 from .errors import SearchLimitError, ValidationError
 from .relations import Partition, _incompatible
 from .rough import SUITES, _Carrier, _sweep
@@ -92,15 +90,8 @@ def all_partitions(n: int) -> Iterator[Partition]:
 
 def _forced_cells(n: int, axiom_set: tuple[AxiomId, ...], zero: int) -> list[list[int]] | None:
     """The table with the cells pinned by the one-variable axioms, -1 elsewhere; None on a conflict."""
-    pins = []
-    if AxiomId.C1 in axiom_set:
-        pins += [((x, x), zero) for x in range(n)]
-    if AxiomId.C6 in axiom_set:
-        pins += [((x, x), x) for x in range(n)]
-    if AxiomId.C2 in axiom_set:
-        pins += [((x, zero), x) for x in range(n)]
     t = [[-1] * n for _ in range(n)]
-    for (x, y), v in pins:
+    for x, y, v in (a.pin(e, zero) for a in axiom_set if a.pin for e in range(n)):
         if t[x][y] not in (-1, v):
             return None
         t[x][y] = v
@@ -123,7 +114,7 @@ def _tables(spec: SearchSpec, deadline: float | None) -> Iterator[list[list[int]
         return
     cells = [(x, y) for x in range(n) for y in range(n) if t[x][y] < 0]
     # the one-variable axioms are settled by the forced cells
-    checks = [gen for a, gen in AXIOM_VIOLATIONS.items() if a in spec.axiom_set and a.arity > 1]
+    checks = [a.violations for a in AxiomId if a in spec.axiom_set and not a.pin]
 
     def consistent() -> bool:
         for violations in checks:

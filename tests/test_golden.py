@@ -1,11 +1,12 @@
 """Byte-level golden outputs of the command line.
 
 Every case is one ``roughalg`` command line; its golden file under
-``tests/golden/`` holds the exit code on the first line (``exit N``) and
-the exact stdout bytes after it.  The cases cover every README command on
-every fixture in text and JSON, the exhaustive law sweeps (full and with
-one pinned partition or ideal), single-pair law suites, one hunt per
-suite and a pinned sweep refused for its order.
+``tests/golden/`` holds the exit code on the first line (``exit N``), the
+exact stdout bytes after it and, when stderr is not empty, a line
+``stderr:`` followed by the exact stderr bytes.  The cases cover every
+README command on every fixture in text and JSON, the exhaustive law
+sweeps (full and with one pinned partition or ideal), single-pair law
+suites, one hunt per suite and a pinned sweep refused for its order.
 
 To re-capture after a deliberate change of output, from the repository
 root:
@@ -27,6 +28,7 @@ from roughalg.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+STDERR = "stderr:\n"  # the line between a golden's stdout and its stderr
 
 # per fixture: a non-trivial partition, the single class, an ideal for
 # --ideal, a subset for --claim, and an identity and a swap map
@@ -122,11 +124,19 @@ def _resolve(argv):
 
 
 def run_case(argv) -> str:
-    """``exit N`` followed by the stdout of one in-process CLI run."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """``exit N`` followed by the stdout of one in-process CLI run, then its stderr, if any,
+    after a ``stderr:`` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(_resolve(argv))
-    return f"exit {code}\n{out.getvalue()}"
+    return f"exit {code}\n{out.getvalue()}" + (f"{STDERR}{err.getvalue()}" if err.getvalue() else "")
+
+
+def _read_golden(name) -> tuple[str, str, str]:
+    """(exit line, stdout, stderr) of one golden file."""
+    code, rest = (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8").split("\n", 1)
+    out, _, err = rest.partition(STDERR)
+    return code, out, err
 
 
 def capture():
@@ -161,14 +171,17 @@ def test_golden(name):
 
 @pytest.mark.parametrize("name", sorted({name.rsplit("-", 1)[0] for name in CASES}))
 def test_exit_code_follows_the_verdict(name):
-    # exit 1 exactly on a "fail" verdict, exit 2 with nothing on stdout, one code for both formats
-    (code, json_out), (text_code, text_out) = (
-        (GOLDEN_DIR / f"{name}-{fmt}.out").read_text(encoding="utf-8").split("\n", 1)
-        for fmt in ("json", "text"))
+    # exit 1 exactly on a "fail" verdict, both with nothing on stderr; exit 2 with nothing on
+    # stdout and one "error: " line on stderr; one code and one message for both formats
+    (code, json_out, json_err), (text_code, text_out, text_err) = (
+        _read_golden(f"{name}-{fmt}") for fmt in ("json", "text"))
     assert code == text_code
     if code == "exit 2":
         assert json_out == text_out == ""
+        assert json_err == text_err and json_err.startswith("error: ") and json_err.count("\n") == 1
+        assert json_err.endswith("\n")
     else:
+        assert json_err == text_err == ""
         assert code == ("exit 1" if json.loads(json_out).get("verdict") == "fail" else "exit 0")
 
 

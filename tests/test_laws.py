@@ -111,7 +111,10 @@ class _NaiveSweep:
 
 def test_every_law_is_in_a_suite():
     assert {law.id for law in LAWS} == {law.id for m in SUITES.values() for _, _, law in m}
-    assert len({law.id for law in LAWS}) == len(LAWS)
+    assert len({law.id for law in LAWS}) == len(LAWS) == 15
+    # a law needs the algebra exactly when its terms hold a product: the four product laws
+    assert {law.id for law in LAWS if law.needs_algebra} == {
+        "product-upper", "product-upper-converse", "product-lower-unguarded", "product-lower"}
     # each law reads its subterms, each argument before its use
     for law in LAWS:
         slots = law.slots

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 import time
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from roughalg import (
+    AxiomId,
     FiniteAlgebra,
     LABEL_AXIOMS,
     Partition,
@@ -124,6 +126,57 @@ def test_frozen_model_counts():
     assert enumerate_algebras(SearchSpec(n=4, axiom_set=BO_AXIOMS)) == 4
     assert enumerate_algebras(SearchSpec(n=2, axiom_set=Z_AXIOM_VARIANTS["relaxed"])) == 2
     assert enumerate_algebras(SearchSpec(n=3, axiom_set=Z_AXIOM_VARIANTS["relaxed"])) == 27
+
+
+# the groups of order 1-6 up to isomorphism: name -> (order, |Aut G|, abelian)
+_GROUPS = {"Z1": (1, 1, True), "Z2": (2, 1, True), "Z3": (3, 2, True), "Z4": (4, 2, True),
+           "Z2^2": (4, 6, True), "Z5": (5, 4, True), "Z6": (6, 2, True), "S3": (6, 6, False)}
+
+
+def test_model_counts_are_derived_without_the_search():
+    # A B-algebra is a group with x*y = x.(0*y), 0 the identity and 0*y the inverse of y, where
+    # x.y = x*(0*y); a BO-algebra is an abelian one.  A group G of order n has (n-1)!/|Aut G|
+    # tables on {0..n-1} with identity 0.  A BH-algebra has its diagonal 0 and its column 0 the
+    # identity; each 0*y is free, and each {x, y} of distinct nonzero x, y takes any (x*y, y*x)
+    # but (0, 0).
+    def groups(n, abelian_only):
+        return sum(math.factorial(n - 1) // aut for order, aut, abelian in _GROUPS.values()
+                   if order == n and (abelian or not abelian_only))
+
+    assert [groups(n, False) for n in range(1, 7)] == [1, 1, 1, 4, 6, 80]
+    assert [groups(n, True) for n in range(1, 7)] == [1, 1, 1, 4, 6, 60]
+    for n in range(1, 7):
+        for label, abelian_only in (("B", False), ("BO", True)):
+            models = _collect(SearchSpec(n=n, axiom_set=LABEL_AXIOMS[label], max_order=6))
+            assert len(models) == groups(n, abelian_only), (label, n)
+            for alg in models:
+                t, rng = alg.table, range(n)
+                dot = [[t[x][t[0][y]] for y in rng] for x in rng]
+                for x, y in itertools.product(rng, repeat=2):
+                    assert dot[x][0] == dot[0][x] == x and dot[x][t[0][x]] == dot[t[0][x]][x] == 0
+                    assert t[x][y] == dot[x][t[0][y]]
+                    assert not abelian_only or dot[x][y] == dot[y][x]
+                    assert all(dot[dot[x][y]][z] == dot[x][dot[y][z]] for z in rng)
+    for n in range(1, 5):
+        assert enumerate_algebras(SearchSpec(n=n, axiom_set=BH_AXIOMS)) == \
+            n ** (n - 1) * (n * n - 1) ** math.comb(n - 1, 2)
+
+
+def test_forced_cells_are_what_the_one_variable_axioms_allow():
+    # the search pins these cells and never checks C1, C2 or C6 again: the completions of the
+    # forced table are exactly the tables that satisfy them, and None means that none does
+    one_variable = [a for a in AxiomId if a.arity == 1]
+    for n, zero in ((1, 0), (2, 0), (2, 1), (3, 0)):
+        tables = [[list(cells[i * n:(i + 1) * n]) for i in range(n)]
+                  for cells in itertools.product(range(n), repeat=n * n)]
+        for k in (1, 2, 3):
+            for axioms in itertools.combinations(one_variable, k):
+                forced = search._forced_cells(n, axioms, zero)
+                allowed = [t for t in tables
+                           if not any(oracles.axiom_violations(t, a.name, zero) for a in axioms)]
+                completions = [] if forced is None else [
+                    t for t in tables if all(f in (-1, v) for fr, tr in zip(forced, t) for f, v in zip(fr, tr))]
+                assert allowed == completions, (n, zero, axioms)
 
 
 def test_order_5_bo_models_include_the_fixture(bo5):
