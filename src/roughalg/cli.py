@@ -262,7 +262,7 @@ def _parse_axiom_spec(spec: str) -> tuple[str | None, str, tuple[AxiomId, ...]]:
     key = spec.strip().lower()
     if key.upper() in LABEL_AXIOMS:
         return key.upper(), key.upper(), LABEL_AXIOMS[key.upper()]
-    if key in ("z-relaxed", "zrelaxed"):
+    if key == "z-relaxed":
         return "Z(relaxed)", "Z(relaxed)", Z_AXIOM_VARIANTS["relaxed"]
     axioms = []
     for tok in key.split(","):
@@ -271,6 +271,8 @@ def _parse_axiom_spec(spec: str) -> tuple[str | None, str, tuple[AxiomId, ...]]:
             raise ParseError(
                 f"unknown axiom or label {tok!r}; use b, bh, bo, z, z-relaxed or c1..c7"
             )
+        if _AXIOM_BY_NAME[tok] in axioms:
+            raise ParseError(f"axiom {_AXIOM_BY_NAME[tok].name} is listed more than once")
         axioms.append(_AXIOM_BY_NAME[tok])
     return None, ",".join(a.name for a in axioms), tuple(axioms)
 

@@ -9,15 +9,16 @@ is required first, so the same predicate serves every algebra family.
 
 An ideal satisfies (1) and (2).  A strong ideal satisfies (1) and (3);
 condition (3) does not syntactically imply (2) on a raw table, so the two
-verdicts are kept independent and both are reported.
+verdicts are kept independent and both are reported.  Conditions (2) and
+(3) read the candidate's mask, so enumeration tests masks and builds a
+``Subset`` only for each ideal it returns.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from .algebra import FiniteAlgebra, collect_witnesses
 from .errors import ValidationError
-from .sets import Subset, all_subsets
+from .sets import Subset, canonical_masks
 
 
 @dataclass(frozen=True)
@@ -48,29 +49,24 @@ class IdealReport:
         return self.has_zero and self.triple_closed
 
 
-def _pair_violations(alg: FiniteAlgebra, ideal: Subset):
-    t, n = alg.table, alg.n
-    return (
-        (x, y)
-        for x, y in itertools.product(range(n), repeat=2)
-        if t[x][y] in ideal and y in ideal and x not in ideal
-    )
+def _pair_violations(alg: FiniteAlgebra, m: int):
+    """The pairs (x, y) violating (2) for the subset with mask m, in lexicographic order."""
+    t, inside = alg.table, [y for y in range(alg.n) if m >> y & 1]
+    return ((x, y) for x in range(alg.n) if not m >> x & 1 for y in inside if m >> t[x][y] & 1)
 
 
-def _triple_violations(alg: FiniteAlgebra, ideal: Subset):
-    t, n = alg.table, alg.n
-    return (
-        (x, y, z)
-        for x, y, z in itertools.product(range(n), repeat=3)
-        if t[t[x][y]][z] in ideal and y in ideal and t[x][z] not in ideal
-    )
+def _triple_violations(alg: FiniteAlgebra, m: int):
+    """The triples (x, y, z) violating (3) for the subset with mask m, in lexicographic order."""
+    t, n, inside = alg.table, alg.n, [y for y in range(alg.n) if m >> y & 1]
+    return ((x, y, z) for x in range(n) for y in inside for z in range(n)
+            if m >> t[t[x][y]][z] & 1 and not m >> t[x][z] & 1)
 
 
 def _report(alg: FiniteAlgebra, ideal: Subset, max_witnesses: int | None, strong: bool) -> IdealReport:
     if ideal.n != alg.n:
         raise ValidationError(f"subset carrier {ideal.n} does not match algebra carrier {alg.n}")
-    pair_ok, pair_w = collect_witnesses(_pair_violations(alg, ideal), max_witnesses)
-    triple_ok, triple_w = (collect_witnesses(_triple_violations(alg, ideal), max_witnesses) if strong
+    pair_ok, pair_w = collect_witnesses(_pair_violations(alg, ideal.mask), max_witnesses)
+    triple_ok, triple_w = (collect_witnesses(_triple_violations(alg, ideal.mask), max_witnesses) if strong
                            else (None, ()))
     return IdealReport(
         subset=ideal,
@@ -99,12 +95,12 @@ IDEAL_ORDER_LIMIT = 20
 def enumerate_ideals(alg: FiniteAlgebra, strong: bool = False) -> list[Subset]:
     """All ideals (or strong ideals) sorted by cardinality then elements.
 
-    Scans the 2^n subset lattice, pruning on condition (1) first; guarded
-    by ``IDEAL_ORDER_LIMIT`` because of the exponential subset count.
+    Walks the subset masks in that canonical order, skips those without zero
+    and tests the rest against condition (2) (or (3)); guarded by
+    ``IDEAL_ORDER_LIMIT`` because of the exponential subset count.
     """
     if alg.n > IDEAL_ORDER_LIMIT:
         raise ValidationError(f"carrier size {alg.n} exceeds enumeration limit {IDEAL_ORDER_LIMIT}")
-    violations = _triple_violations if strong else _pair_violations
-    found = [s for s in all_subsets(alg.n) if alg.zero in s and next(violations(alg, s), None) is None]
-    found.sort(key=lambda s: s.sort_key)
-    return found
+    violations, zero = _triple_violations if strong else _pair_violations, 1 << alg.zero
+    return [Subset._raw(alg.n, m) for m in canonical_masks(alg.n)
+            if m & zero and next(violations(alg, m), None) is None]

@@ -1,10 +1,10 @@
 """Relations, partitions, congruence tests, ideal-induced relations.
 
 A relation between two carriers is a ``SetValuedMap``: it assigns each source element x its
-image R(x), a subset of the target carrier, and relates x to exactly the elements of R(x).  The
-relation an ideal induces is one (``relation_from_ideal``), and so is a ``Partition``: it is its
-class map x -> [x].  ``is_equivalence`` and ``to_partition`` read an equivalence's images as its
-classes.  ``generalized.lower`` and ``upper`` approximate along any map, a partition included.
+image R(x), a subset of the target carrier held as a mask, and relates x to exactly the
+elements of R(x).  ``relation_from_ideal`` returns one, and a ``Partition`` is its class map
+x -> [x], filled by one builder from its class index.  ``to_partition`` numbers an equivalence's
+distinct images as classes.  ``generalized.lower`` and ``upper`` approximate along any map.
 A congruence is complete when its class map is a strong morphism, [x]*[y] = [x*y]: every reader
 of completeness calls ``_incomplete``, which decides it from the products of the classes.  Every
 check returns the lexicographically first violating tuple so that repeated runs are bit-identical.
@@ -27,44 +27,42 @@ class CheckResult:
 
 
 class SetValuedMap:
-    """Total map from {0..n_source-1} to subsets of {0..n_target-1}.
+    """Total map from {0..n_source-1} to subsets of {0..n_target-1}, stored as ``masks``, the
+    element mask of each image; ``image(x)`` and ``images`` build ``Subset``s from them.  Empty
+    images are allowed; the lower approximation of any set then contains the empty-image
+    elements vacuously."""
 
-    Empty images are allowed; the lower approximation of any set then
-    contains the empty-image elements vacuously.  ``masks[x]`` is the
-    element mask of ``images[x]``.
-    """
-
-    __slots__ = ("n_source", "n_target", "images", "masks")
+    __slots__ = ("n_source", "n_target", "masks")
 
     def __init__(self, n_source: int, n_target: int, images: Iterable):
         for name, n in (("n_source", n_source), ("n_target", n_target)):
             if type(n) is not int or n < 1:
                 raise ValidationError(f"{name} must be an int of at least 1, got {n!r}", name)
-        normalized = []
+        masks = []
         for x, img in enumerate(images):
             img = img if isinstance(img, Subset) else Subset.from_elements(n_target, img)
             if img.n != n_target:
                 raise ValidationError(f"image of {x} lives in carrier {img.n}, expected {n_target}")
-            normalized.append(img)
-        if len(normalized) != n_source:
-            raise ValidationError(f"expected {n_source} images, got {len(normalized)}")
+            masks.append(img.mask)
+        if len(masks) != n_source:
+            raise ValidationError(f"expected {n_source} images, got {len(masks)}")
         self.n_source = n_source
         self.n_target = n_target
-        self.images = tuple(normalized)
-        self.masks = tuple(img.mask for img in normalized)
+        self.masks = tuple(masks)
 
     def image(self, x: int) -> Subset:
-        return self.images[x]
+        return Subset._raw(self.n_target, self.masks[x])
+
+    @property
+    def images(self) -> tuple[Subset, ...]:
+        return tuple(map(self.image, range(self.n_source)))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SetValuedMap)
-            and (self.n_source, self.n_target, self.images)
-            == (other.n_source, other.n_target, other.images)
-        )
+        # n_source is len(masks)
+        return isinstance(other, SetValuedMap) and (self.n_target, self.masks) == (other.n_target, other.masks)
 
     def __hash__(self) -> int:
-        return hash((self.n_source, self.n_target, self.images))
+        return hash((self.n_source, self.n_target, self.masks))
 
     def __repr__(self) -> str:
         body = "; ".join(f"{x}:{','.join(map(str, img))}" for x, img in enumerate(self.images))
@@ -84,44 +82,40 @@ class Partition(SetValuedMap):
     def __init__(self, n: int, classes: Iterable):
         if type(n) is not int or n < 1:
             raise ValidationError(f"carrier size must be an int of at least 1, got {n!r}", "n")
-        normalized = []
+        masks = []
         for c in classes:
             c = c if isinstance(c, Subset) else Subset.from_elements(n, c)
             if c.n != n:
                 raise ValidationError(f"class carrier {c.n} does not match partition carrier {n}")
             if not c:
                 raise ValidationError("empty class is not allowed")
-            normalized.append(c)
+            masks.append(c.mask)
         seen = 0
-        for c in normalized:
-            if seen & c.mask:
-                raise ValidationError(f"element {_low(seen & c.mask)} appears in two classes")
-            seen |= c.mask
+        for m in masks:
+            if seen & m:
+                raise ValidationError(f"element {_low(seen & m)} appears in two classes")
+            seen |= m
         if seen != (1 << n) - 1:
             raise ValidationError(f"element {_low(~seen)} is not covered by any class")
-        normalized.sort(key=lambda c: _low(c.mask))
-        index = [0] * n
-        for ci, c in enumerate(normalized):
-            for x in c:
-                index[x] = ci
+        masks.sort(key=_low)
+        self._fill(tuple(next(i for i, m in enumerate(masks) if m >> x & 1) for x in range(n)))
+
+    def _fill(self, rgs: tuple[int, ...]) -> None:
+        """Set every field from the class index rgs, classes numbered by least element."""
+        n = len(rgs)
+        masks = [0] * (max(rgs) + 1)
+        for x, c in enumerate(rgs):
+            masks[c] |= 1 << x
         self.n = self.n_source = self.n_target = n
-        self.classes = tuple(normalized)
-        self.class_index = tuple(index)
-        self.images = tuple(normalized[i] for i in index)
-        self.masks = tuple(c.mask for c in self.images)
+        self.classes = tuple([Subset._raw(n, m) for m in masks])
+        self.class_index = rgs
+        self.masks = tuple(map(masks.__getitem__, rgs))
 
     @classmethod
     def _from_rgs(cls, rgs: tuple[int, ...]) -> "Partition":
         # fast path: a restricted-growth string is a valid class index; skips __init__ validation
-        obj, n = object.__new__(cls), len(rgs)
-        masks = [0] * (max(rgs) + 1)
-        for x, c in enumerate(rgs):
-            masks[c] |= 1 << x
-        obj.n = obj.n_source = obj.n_target = n
-        obj.classes = classes = tuple([Subset._raw(n, m) for m in masks])
-        obj.class_index = rgs
-        obj.images = tuple(map(classes.__getitem__, rgs))
-        obj.masks = tuple(map(masks.__getitem__, rgs))
+        obj = object.__new__(cls)
+        obj._fill(rgs)
         return obj
 
     @classmethod
@@ -159,7 +153,7 @@ def is_equivalence(rel: SetValuedMap) -> EquivalenceReport:
     if rel.n_source != rel.n_target:
         raise ValidationError("relation is not square")
     R = rel.masks
-    related = [(x, y) for x, img in enumerate(rel.images) for y in img]
+    related = [(x, y) for x, m in enumerate(R) for y in range(rel.n_target) if m >> y & 1]
     refl = next(((x,) for x in range(rel.n_source) if not R[x] >> x & 1), None)
     sym = next(((x, y) for x, y in related if not R[y] >> x & 1), None)
     trans = next(((x, y, _low(R[y] & ~R[x])) for x, y in related if R[y] & ~R[x]), None)
@@ -180,7 +174,8 @@ def to_partition(rel: SetValuedMap) -> Partition:
     report = is_equivalence(rel)
     if not report.holds:
         raise PreconditionError(f"relation is not an equivalence: {report}", witness=report)
-    return Partition(rel.n_source, dict.fromkeys(rel.images))
+    ids: dict[int, int] = {}  # each x is the least element of its class when no smaller x has it
+    return Partition._from_rgs(tuple(ids.setdefault(m, len(ids)) for m in rel.masks))
 
 
 def is_congruence(alg: FiniteAlgebra, p: Partition) -> CheckResult:
@@ -209,7 +204,6 @@ def _incompatible(table: tuple, idx: tuple) -> tuple | None:
                     return (x, y, z, "right")
                 if idx[table[z][x]] != idx[table[z][y]]:
                     return (x, y, z, "left")
-    return None
 
 
 def _related(partitions: list[Partition]) -> list[list[int]]:
@@ -279,7 +273,5 @@ def relation_from_ideal(alg: FiniteAlgebra, ideal: Subset) -> SetValuedMap:
     """
     if ideal.n != alg.n:
         raise ValidationError(f"subset carrier {ideal.n} does not match algebra carrier {alg.n}")
-    t, n = alg.table, alg.n
-    return SetValuedMap(
-        n, n, ([y for y in range(n) if t[x][y] in ideal and t[y][x] in ideal] for x in range(n))
-    )
+    t, n, m = alg.table, alg.n, ideal.mask
+    return SetValuedMap(n, n, ([y for y in range(n) if m >> t[x][y] & 1 and m >> t[y][x] & 1] for x in range(n)))

@@ -24,7 +24,7 @@ from .errors import ValidationError
 from .generalized import _lower_mask, _upper_mask
 from .relations import (Partition, SetValuedMap, _congruent, _incomplete, _related, is_congruence,
                         require_congruence)
-from .sets import Subset, canonical_subsets
+from .sets import Subset, canonical_masks
 
 
 # ---------------------------------------------------------------- terms
@@ -169,7 +169,7 @@ class _Carrier:
     def __init__(self, n: int, partitions: list[Partition]):
         self.n, self.partitions, self.related = n, partitions, _related(partitions)
         self.images = [_grouped(p) for p in partitions]
-        self.order = [s.mask for s in canonical_subsets(n)]
+        self.order = list(canonical_masks(n))
         self.space = _Pairs(n, self.order)
 
     def values(self, i: int, algebra: FiniteAlgebra | None, slots, v: dict) -> dict:

@@ -3,6 +3,8 @@
 Membership, union, intersection, complement and difference are all O(1)
 word operations, which keeps the exhaustive sweeps elsewhere in the
 package cheap.  Values are immutable; treat every instance as frozen.
+Inside the package a set is its int mask; sweeps walk ``canonical_masks``
+and build a ``Subset`` only for a set they hand back.
 """
 
 from itertools import combinations
@@ -119,6 +121,12 @@ def all_subsets(n: int) -> Iterator[Subset]:
         yield Subset(n, mask)
 
 
+def canonical_masks(n: int) -> Iterator[int]:
+    """The mask of each subset of {0..n-1}, in canonical order, one at a time."""
+    bits = [1 << x for x in range(n)]
+    return (sum(c) for k in range(n + 1) for c in combinations(bits, k))
+
+
 def canonical_subsets(n: int) -> list[Subset]:
-    """All subsets sorted by cardinality, then lexicographically by elements."""
-    return [Subset._raw(n, sum(1 << x for x in c)) for k in range(n + 1) for c in combinations(range(n), k)]
+    """All subsets in canonical order: by cardinality, then lexicographically by elements."""
+    return [Subset._raw(n, m) for m in canonical_masks(n)]

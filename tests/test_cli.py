@@ -182,13 +182,20 @@ def test_check_explicit_axiom_list(tables_dir, capsys):
     assert run(["check", _fixture(tables_dir, "bh4"), "--axioms", "c1,c4"]) == 0
     assert "C1 ✓ C4 ✓" in capsys.readouterr().out
     # a spec that is neither a label nor a comma list of C1..C7 exits 2 on check and search alike
-    for spec, bad in (("c1,c9", "c9"), ("", ""), ("c1,", "")):
+    # and so does an alias neither the help nor this message names
+    for spec, bad in (("c1,c9", "c9"), ("", ""), ("c1,", ""), ("zrelaxed", "zrelaxed")):
         for argv in (["check", _fixture(tables_dir, "bh4")], ["search", "--order", "2"]):
             assert run([*argv, "--axioms", spec]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == (f"error: unknown axiom or label {bad!r}; "
                                     "use b, bh, bo, z, z-relaxed or c1..c7\n")
+    # a repeated axiom is refused, not checked or searched twice
+    for spec, name in (("c1,c1", "C1"), ("c1,c2,C2", "C2"), ("c4, c1,c4", "C4")):
+        for argv in (["check", _fixture(tables_dir, "bh4")], ["search", "--order", "2", "--count"]):
+            assert run([*argv, "--axioms", spec]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: axiom {name} is listed more than once\n")
 
 
 def test_identities_subcommand(tables_dir, capsys):

@@ -1,19 +1,26 @@
 """Ideal predicates and enumeration, including the negative-fixture regressions."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from roughalg import (
+    LABEL_AXIOMS,
+    FiniteAlgebra,
+    SearchSpec,
     Subset,
     ValidationError,
+    enumerate_algebras,
     enumerate_ideals,
     is_ideal,
     is_strong_ideal,
 )
 
 import oracles
-from conftest import algebras, subsets
+from conftest import BUNDLED, algebras, benchmark_table, subsets
 
 
 def _sets(found):
@@ -148,3 +155,47 @@ def test_strong_list_predicate_consistency(alg):
     for mask in range(1 << alg.n):
         s = Subset(alg.n, mask)
         assert (s in listed) == bool(is_strong_ideal(alg, s).is_strong)
+
+
+def _power_set_filter(alg, strong):
+    """The subsets the oracle calls (strong) ideals, by cardinality then elements, the order
+    built from itertools alone."""
+    table, keep = [list(r) for r in alg.table], oracles.is_strong_ideal if strong else oracles.is_ideal
+    return [c for k in range(alg.n + 1) for c in itertools.combinations(range(alg.n), k)
+            if keep(table, set(c), alg.zero)]
+
+
+def _enumeration_matches_the_power_set_filter(alg):
+    """Check enumerate_ideals, plain and strong, against the oracle filter in content and in
+    order; the number of ideals."""
+    for strong in (False, True):
+        assert _sets(enumerate_ideals(alg, strong=strong)) == _power_set_filter(alg, strong), (alg, strong)
+    return len(enumerate_ideals(alg))
+
+
+def test_enumeration_matches_the_power_set_filter_on_fixtures_and_small_models():
+    counts = [_enumeration_matches_the_power_set_filter(alg) for alg in [*BUNDLED.values(), benchmark_table("s3")]]
+    for n in (1, 2, 3):
+        for label in sorted(LABEL_AXIOMS):
+            enumerate_algebras(SearchSpec(n=n, axiom_set=LABEL_AXIOMS[label]),
+                               lambda alg: counts.append(_enumeration_matches_the_power_set_filter(alg)))
+    assert len(counts) > 5 + 4 and max(counts) > 2
+
+
+def test_enumeration_matches_the_power_set_filter_on_random_tables():
+    rng = random.Random(24)
+    # raw tables of orders 1-7 under every zero, entries drawn from {0..k-1}
+    counts = [_enumeration_matches_the_power_set_filter(
+                  FiniteAlgebra(n, [[rng.randrange(k) for _ in range(n)] for _ in range(n)], zero=zero))
+              for n in range(1, 8) for zero in range(n) for k in (1, n)]
+    assert len(set(counts)) > 2
+
+
+@pytest.mark.parametrize("n, divisors", [(12, (1, 2, 3, 4, 6, 12)), (16, (1, 2, 4, 8, 16))])
+def test_difference_table_ideals_are_its_subgroups(n, divisors):
+    # on x*y = x - y mod n, I is an ideal iff it is an additive subgroup (a - b in I and b in I
+    # give a in I; z = 0 in (3) gives (2)), so plain and strong ideals alike are one subgroup
+    # per divisor d of n, the multiples of n // d, which has d elements
+    zn = FiniteAlgebra(n, [[(x - y) % n for y in range(n)] for x in range(n)])
+    subgroups = [tuple(range(0, n, n // d)) for d in divisors]
+    assert _sets(enumerate_ideals(zn)) == _sets(enumerate_ideals(zn, strong=True)) == subgroups

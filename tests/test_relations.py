@@ -1,6 +1,7 @@
 """Partitions, equivalence relations, congruences, ideal-induced relations."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -229,16 +230,44 @@ def test_congruence_witness_is_the_ordered_pair_scan():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_partition_from_rgs_is_the_validated_partition(n):
+    rng = random.Random(n)
     for classes in oracles.rgs_partitions(n):
         rgs = tuple(next(i for i, c in enumerate(classes) if x in c) for x in range(n))
-        fast, slow = Partition._from_rgs(rgs), Partition(n, classes)
+        fast = Partition._from_rgs(rgs)
         assert type(fast) is Partition
-        assert (fast.n, fast.n_source, fast.n_target) == (n, n, n)
-        assert fast.classes == slow.classes
-        assert fast.class_index == slow.class_index == rgs
-        assert fast.images == slow.images
-        assert fast.masks == slow.masks
-        assert fast == slow and hash(fast) == hash(slow)
+        # __init__ derives the class index itself: from classes in any order, each listing its
+        # elements in any order, given as lists or as Subsets
+        shuffled = [rng.sample(c, len(c)) for c in rng.sample(classes, len(classes))]
+        for given_classes in (classes, shuffled, [Subset.from_elements(n, c) for c in shuffled]):
+            slow = Partition(n, given_classes)
+            assert (slow.n, slow.n_source, slow.n_target) == (fast.n, fast.n_source, fast.n_target) == (n, n, n)
+            assert fast.classes == slow.classes == tuple(Subset.from_elements(n, c) for c in classes)
+            assert fast.class_index == slow.class_index == rgs
+            assert fast.images == slow.images
+            assert fast.masks == slow.masks
+            assert fast == slow and hash(fast) == hash(slow)
+
+
+@pytest.mark.parametrize("n_source, n_target", itertools.product((1, 2, 3), repeat=2))
+def test_every_small_map_reads_the_same_from_lists_and_from_subsets(n_source, n_target):
+    maps = set()
+    for masks in itertools.product(range(1 << n_target), repeat=n_source):
+        images = tuple(Subset(n_target, m) for m in masks)
+        lists = [[y for y in range(n_target) if m >> y & 1] for m in masks]
+        f = SetValuedMap(n_source, n_target, lists)
+        g = SetValuedMap(n_source, n_target, images)
+        assert f.masks == g.masks == masks
+        assert f.images == g.images == images
+        assert [f.image(x) for x in range(n_source)] == [g.image(x) for x in range(n_source)] == list(images)
+        assert f == g and hash(f) == hash(g)
+        assert f != SetValuedMap(n_source, n_target + 1, lists)  # same masks, another target
+        maps.add(f)
+        # a partition equals, and hashes like, the map of its classes
+        if n_source == n_target and is_equivalence(f).holds:
+            p = to_partition(f)
+            assert p == f and hash(p) == hash(f)
+            assert p == Partition(n_source, set(images)) and p.masks == masks
+    assert len(maps) == 1 << n_target * n_source
 
 
 def test_discrete_partition_is_complete(b4, bo5, bh4):
