@@ -10,6 +10,7 @@ a one-variable one by the cell it pins.
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from typing import Sequence
 
 from .errors import ValidationError
@@ -50,12 +51,43 @@ def _c3(t, zero):
                     yield (x, y, z)
 
 
+def _c3_cell(t, zero, p, q):
+    """Whether a violated, determined C3 instance reads the cell (p, q): one of its products does.
+    The product z*(0*y), which prunes most often in the search, is checked first, unrolled."""
+    rng, tz, v = range(len(t)), t[zero], t[p][q]
+    for y in rng:  # z*(0*y) reads (p, q) where z = p and 0*y = q: (x*y)*p against x*(p*q)
+        if tz[y] == q:
+            for tx in t:
+                a = tx[y]
+                if a >= 0 and 0 <= t[a][p] != tx[v] >= 0:
+                    return True
+
+    def reads():
+        yield from product((p,), (q,), rng)  # x*y
+        yield from ((x, y, q) for x, row in enumerate(t) if p in row for y in rng if row[y] == p)  # (x*y)*z
+        yield from ((p, y, z) for y, c in enumerate(tz) if c >= 0 for z in rng if t[z][c] == q)  # x*(z*(0*y))
+        if p == zero:
+            yield from product(rng, (q,), rng)  # 0*y
+
+    for x, y, z in reads():
+        a, c = t[x][y], tz[y]
+        if a >= 0 and c >= 0:
+            left, d = t[a][z], t[z][c]
+            if left >= 0 and d >= 0 and 0 <= t[x][d] != left:
+                return True
+    return False
+
+
 def _c4(t, zero):
     rng = range(len(t))
     for x in rng:
         for y in rng:
             if x != y and t[x][y] == zero and t[y][x] == zero:
                 yield (x, y)
+
+
+def _c4_cell(t, zero, p, q):
+    return p != q and t[p][q] == zero and t[q][p] == zero
 
 
 def _c5(t, zero):
@@ -81,6 +113,32 @@ def _c5(t, zero):
                     yield (x, y, z)
 
 
+def _c5_cell(t, zero, p, q):
+    """Whether a violated, determined C5 instance reads the cell (p, q): one of its products does.
+    The product y*z, which prunes most often in the search, is checked first, unrolled."""
+    rng, tz, v, d = range(len(t)), t[zero], t[p][q], t[zero][q]
+    for tx in t if d >= 0 else ():  # y*z reads (p, q) where y = p and z = q: x*(p*q) against (x*p)*(0*q)
+        c = tx[p]
+        if c >= 0 and 0 <= tx[v] != t[c][d] >= 0:
+            return True
+
+    def reads():
+        yield from ((p, y, z) for y, row in enumerate(t) if q in row for z in rng if row[z] == q)  # x*(y*z)
+        yield from product((p,), (q,), rng)  # x*y
+        if p == zero:
+            yield from product(rng, rng, (q,))  # 0*z
+        yield from ((x, y, z) for x, row in enumerate(t) if p in row for y in rng if row[y] == p
+                    for z in rng if tz[z] == q)  # (x*y)*(0*z)
+
+    for x, y, z in reads():
+        a, c, d = t[y][z], t[x][y], tz[z]
+        if a >= 0 and c >= 0 and d >= 0:
+            left = t[x][a]
+            if left >= 0 and 0 <= t[c][d] != left:
+                return True
+    return False
+
+
 def _c7(t, zero):
     rng = range(len(t))
     for x in rng:
@@ -88,6 +146,11 @@ def _c7(t, zero):
             a, b = t[x][y], t[y][x]
             if x != zero and y != zero and a >= 0 and b >= 0 and a != b:
                 yield (x, y)
+
+
+def _c7_cell(t, zero, p, q):
+    a, b = t[p][q], t[q][p]
+    return p != zero and q != zero and a >= 0 and b >= 0 and a != b
 
 
 class AxiomId(Enum):
@@ -98,20 +161,24 @@ class AxiomId(Enum):
     violating instances over table rows ``t`` (-1 for an undetermined cell) in lexicographic
     order.  It skips an instance that reads an undetermined cell, so on a partial table it
     yields only those that every completion violates; the model search prunes on exactly that.
+    The private cell view ``_cell(t, zero, p, q)`` of a many-variable axiom says whether one of
+    those instances reads the determined cell (p, q): after it assigns (p, q), the search asks
+    only that.
     """
 
     C1 = (1, "x*x = 0", lambda x, zero: (x, x, zero))
     C2 = (1, "x*0 = x", lambda x, zero: (x, zero, x))
-    C3 = (3, "(x*y)*z = x*(z*(0*y))", _c3)
-    C4 = (2, "x*y = 0 and y*x = 0 imply x = y", _c4)
-    C5 = (3, "x*(y*z) = (x*y)*(0*z)", _c5)
+    C3 = (3, "(x*y)*z = x*(z*(0*y))", _c3, _c3_cell)
+    C4 = (2, "x*y = 0 and y*x = 0 imply x = y", _c4, _c4_cell)
+    C5 = (3, "x*(y*z) = (x*y)*(0*z)", _c5, _c5_cell)
     C6 = (1, "x*x = x", lambda x, zero: (x, x, x))
-    C7 = (2, "x*y = y*x for nonzero x, y", _c7)
+    C7 = (2, "x*y = y*x for nonzero x, y", _c7, _c7_cell)
 
-    def __init__(self, arity: int, formula: str, definition):
+    def __init__(self, arity: int, formula: str, definition, cell=None):
         self.arity, self.formula = arity, formula
         self.pin = definition if arity == 1 else None
         self.violations = _pinned(definition) if arity == 1 else definition
+        self._cell = cell
 
     def __repr__(self) -> str:
         return f"AxiomId.{self.name}"

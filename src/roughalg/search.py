@@ -2,10 +2,13 @@
 
 The model search is one stream of tables.  It fixes the cell that each
 one-variable axiom pins for each x (``AxiomId.pin``), then runs a
-depth-first search over the other cells in row-major order.  After each
-assignment it runs the other axioms' ``violations`` on the partial table
-(undetermined cells are -1); any instance they yield is violated by every
-completion, so the branch is pruned.  Models come out in lexicographic order
+depth-first search over the other cells in row-major order.  The other
+axioms skip an instance that reads an undetermined cell (-1), so what they
+find violated is violated by every completion, and the branch is pruned.
+They check the forced table once with ``violations``; after each assignment
+only an instance that reads the cell just set can be newly violated, so
+each axiom's private cell view checks just those, as the watch lists of SEM
+and Mace4 do.  Models come out in lexicographic order
 of the flattened table, raw tables with no isomorphism rejection, and
 identical runs are bit-identical.  Counting, emitting and hunting are loops
 over the stream.  Partitions are enumerated as restricted-growth strings
@@ -59,6 +62,8 @@ class SearchSpec:
         if not 1 <= self.n <= self.max_order:
             raise ValidationError(f"order {self.n} is outside the search limit 1..{self.max_order}; "
                                   "raise max_order to override", "n")
+        if type(self.axiom_set) is not tuple or not all(isinstance(a, AxiomId) for a in self.axiom_set):
+            raise ValidationError(f"axiom_set must be a tuple of AxiomId, got {self.axiom_set!r}", "axiom_set")
         if self.model_cap is not None and self.model_cap < 1:
             raise ValidationError(f"model cap must be at least 1, got {self.model_cap}", "model_cap")
         if self.time_budget is not None and not 0 <= self.time_budget < math.inf:
@@ -110,23 +115,14 @@ def _tables(spec: SearchSpec, deadline: float | None) -> Iterator[list[list[int]
         raise ValidationError("axiom_set must be nonempty for model search")
     zero = 0
     t = _forced_cells(n, spec.axiom_set, zero)
-    if t is None:
+    checked = [a for a in AxiomId if a in spec.axiom_set and not a.pin]  # the forced cells settle the rest
+    if t is None or any(next(a.violations(t, zero), None) is not None for a in checked):
         return
     cells = [(x, y) for x in range(n) for y in range(n) if t[x][y] < 0]
-    # the one-variable axioms are settled by the forced cells
-    checks = [a.violations for a in AxiomId if a in spec.axiom_set and not a.pin]
-
-    def consistent() -> bool:
-        for violations in checks:
-            for _ in violations(t, zero):
-                return False
-        return True
-
-    if not consistent():
-        return
+    views, last = [a._cell for a in checked], len(cells)
     count = nodes = i = 0
     while i >= 0:  # cells[:i] are a consistent prefix, cells[i] resumes after its value, later cells are -1
-        if i == len(cells):
+        if i == last:
             yield t
             count += 1
             if spec.model_cap is not None and count >= spec.model_cap:
@@ -139,7 +135,10 @@ def _tables(spec: SearchSpec, deadline: float | None) -> Iterator[list[list[int]
             if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
                 raise SearchLimitError("time budget exceeded", count=count, reason="time")
             t[x][y] = v
-            if consistent():
+            for view in views:  # only an instance that reads the cell just set can be newly violated
+                if view(t, zero, x, y):
+                    break
+            else:
                 i += 1
                 break
         else:

@@ -67,6 +67,52 @@ def violates_axiom_at(table, axiom, witness, zero=0):
     raise ValueError(axiom)
 
 
+def _partial_checks(t, axioms, zero):
+    """One test per named axiom: whether some instance of it whose cells are all determined is
+    violated.  t has order n + 1, and its element u = n is absorbing (u*y = x*u = u): an
+    undetermined cell holds u, and a side that reads one evaluates to u, so such an instance is
+    skipped."""
+    u = len(t) - 1
+    rng = range(u)
+    pairs = list(itertools.product(rng, repeat=2))
+    triples = list(itertools.product(rng, repeat=3))
+    tests = {
+        "C1": lambda: any([t[x][x] not in (zero, u) for x in rng]),
+        "C2": lambda: any([t[x][zero] not in (x, u) for x in rng]),
+        "C3": lambda: any(u != t[t[x][y]][z] != t[x][t[z][t[zero][y]]] != u for x, y, z in triples),
+        "C4": lambda: any([x != y and t[x][y] == t[y][x] == zero for x, y in pairs]),
+        "C5": lambda: any(u != t[x][t[y][z]] != t[t[x][y]][t[zero][z]] != u for x, y, z in triples),
+        "C6": lambda: any([t[x][x] not in (x, u) for x in rng]),
+        "C7": lambda: any([zero not in (x, y) and u != t[x][y] != t[y][x] != u for x, y in pairs]),
+    }
+    return [tests[a] for a in axioms]
+
+
+def search_models(n, axioms, zero=0):
+    """Every table on {0..n-1} that satisfies the named axioms, lazily, in lexicographic order of
+    the flattened table.  A depth-first search assigns every cell in row-major order, values
+    ascending, and after each assignment re-checks every instance of every axiom."""
+    t = [[n] * (n + 1) for _ in range(n + 1)]
+    checks = _partial_checks(t, axioms, zero)
+    cells = list(itertools.product(range(n), repeat=2))
+
+    def extend(i):
+        if i == len(cells):
+            yield tuple(tuple(row[:n]) for row in t[:n])
+            return
+        x, y = cells[i]
+        for v in range(n):
+            t[x][y] = v
+            for violated in checks:
+                if violated():
+                    break
+            else:
+                yield from extend(i + 1)
+        t[x][y] = n
+
+    return extend(0)
+
+
 def set_product(table, a, b):
     return {table[x][y] for x in a for y in b}
 

@@ -1,6 +1,7 @@
 """FiniteAlgebra construction, axiom checks, classification, set products."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -10,13 +11,16 @@ from roughalg import (
     AxiomId,
     FiniteAlgebra,
     LABEL_AXIOMS,
+    SearchSpec,
     Subset,
     ValidationError,
+    Z_AXIOM_VARIANTS,
     check_axiom,
     classify,
     find_identities,
     product_set,
 )
+from roughalg import search
 
 import oracles
 from conftest import algebras, subsets
@@ -165,6 +169,47 @@ def test_axiom_generators_on_partial_tables_yield_only_forced_violations():
             for w in axiom.violations(t, zero):
                 assert all(oracles.violates_axiom_at(c, axiom.name, w, zero) for c in completions), \
                     (t, zero, axiom, w)
+
+
+CELL_VIEWS = [a for a in AxiomId if a._cell is not None]
+
+
+def _cell_views_agree(axiom, t, zero):
+    # a cell view says whether a violated instance reads the cell (p, q): exactly the instances
+    # that drop out of the violations when (p, q) is made undetermined
+    violated = set(axiom.violations(t, zero))
+    for p, q in itertools.product(range(len(t)), repeat=2):
+        if t[p][q] >= 0:
+            value, t[p][q] = t[p][q], -1
+            changed = set(axiom.violations(t, zero)) != violated
+            t[p][q] = value
+            assert axiom._cell(t, zero, p, q) == changed, (axiom, t, zero, p, q)
+
+
+def test_cell_views_agree_with_the_generators_on_every_small_partial_table():
+    assert [a.name for a in CELL_VIEWS] == ["C3", "C4", "C5", "C7"]
+    for n in (1, 2):
+        for t in _tables(n, range(-1, n)):
+            for zero, axiom in itertools.product(range(n), CELL_VIEWS):
+                _cell_views_agree(axiom, t, zero)
+
+
+def test_cell_views_agree_with_the_generators_on_search_prefixes():
+    # the states the model search visits: the forced cells, then a row-major prefix of the
+    # others, either random or a model's with its last cell set anew
+    rng = random.Random(25)
+    sets = {"C3": LABEL_AXIOMS["B"], "C4": LABEL_AXIOMS["BH"], "C5": LABEL_AXIOMS["BO"],
+            "C7": Z_AXIOM_VARIANTS["relaxed"]}
+    for n, axiom in itertools.product(range(3, 7), CELL_VIEWS):
+        spec = SearchSpec(n=n, axiom_set=sets[axiom.name], max_order=6)
+        forced = search._forced_cells(n, spec.axiom_set, 0)
+        cells = [(x, y) for x in range(n) for y in range(n) if forced[x][y] < 0]
+        models = [[row[:] for row in t] for t in itertools.islice(search._tables(spec, None), 3)]
+        for model in [None] * 40 + models * 10:
+            t, k = [row[:] for row in forced], rng.randint(1, len(cells))
+            for i, (x, y) in enumerate(cells[:k]):
+                t[x][y] = rng.randrange(n) if model is None or i == k - 1 else model[x][y]
+            _cell_views_agree(axiom, t, 0)
 
 
 # ---------------------------------------------------------------- classify

@@ -106,6 +106,36 @@ def test_order_2_completeness_against_unpruned_scan():
         assert _collect(SearchSpec(n=2, axiom_set=axioms)) == expected
 
 
+_AXIOM_SETS = {**LABEL_AXIOMS, "Z-relaxed": Z_AXIOM_VARIANTS["relaxed"]}
+
+
+def _expect(models):
+    """A sink that checks each model it gets against the next of an iterator of tables."""
+    def sink(alg):
+        assert alg.table == next(models, None)
+    return sink
+
+
+@pytest.mark.parametrize("label", sorted(_AXIOM_SETS))
+def test_models_match_a_full_rescan_search(label):
+    # the search checks only the instances that read the cell just set; the reference search
+    # re-checks every instance of every axiom after each assignment
+    axioms = _AXIOM_SETS[label]
+    for n in range(1, 6 if label in ("B", "BO") else 5):
+        reference = oracles.search_models(n, [a.name for a in axioms])
+        enumerate_algebras(SearchSpec(n=n, axiom_set=axioms), _expect(reference))
+        assert next(reference, None) is None, (label, n)
+
+
+def test_capped_models_match_a_full_rescan_search():
+    expected = list(itertools.islice(oracles.search_models(5, ["C1", "C2", "C4"]), 10_000))
+    models = iter(expected)
+    with pytest.raises(SearchLimitError) as exc:
+        enumerate_algebras(SearchSpec(n=5, axiom_set=BH_AXIOMS, model_cap=10_000), _expect(models))
+    assert exc.value.count == len(expected) == 10_000
+    assert next(models, None) is None
+
+
 def test_order_1_has_one_model_per_label():
     for axioms in (B_AXIOMS, BH_AXIOMS, BO_AXIOMS, Z_AXIOMS):
         assert enumerate_algebras(SearchSpec(n=1, axiom_set=axioms)) == 1
@@ -128,9 +158,10 @@ def test_frozen_model_counts():
     assert enumerate_algebras(SearchSpec(n=3, axiom_set=Z_AXIOM_VARIANTS["relaxed"])) == 27
 
 
-# the groups of order 1-6 up to isomorphism: name -> (order, |Aut G|, abelian)
+# the groups of order 1-7 up to isomorphism: name -> (order, |Aut G|, abelian)
 _GROUPS = {"Z1": (1, 1, True), "Z2": (2, 1, True), "Z3": (3, 2, True), "Z4": (4, 2, True),
-           "Z2^2": (4, 6, True), "Z5": (5, 4, True), "Z6": (6, 2, True), "S3": (6, 6, False)}
+           "Z2^2": (4, 6, True), "Z5": (5, 4, True), "Z6": (6, 2, True), "S3": (6, 6, False),
+           "Z7": (7, 6, True)}
 
 
 def test_model_counts_are_derived_without_the_search():
@@ -143,20 +174,22 @@ def test_model_counts_are_derived_without_the_search():
         return sum(math.factorial(n - 1) // aut for order, aut, abelian in _GROUPS.values()
                    if order == n and (abelian or not abelian_only))
 
-    assert [groups(n, False) for n in range(1, 7)] == [1, 1, 1, 4, 6, 80]
-    assert [groups(n, True) for n in range(1, 7)] == [1, 1, 1, 4, 6, 60]
-    for n in range(1, 7):
-        for label, abelian_only in (("B", False), ("BO", True)):
-            models = _collect(SearchSpec(n=n, axiom_set=LABEL_AXIOMS[label], max_order=6))
-            assert len(models) == groups(n, abelian_only), (label, n)
-            for alg in models:
-                t, rng = alg.table, range(n)
-                dot = [[t[x][t[0][y]] for y in rng] for x in rng]
-                for x, y in itertools.product(rng, repeat=2):
-                    assert dot[x][0] == dot[0][x] == x and dot[x][t[0][x]] == dot[t[0][x]][x] == 0
-                    assert t[x][y] == dot[x][t[0][y]]
-                    assert not abelian_only or dot[x][y] == dot[y][x]
-                    assert all(dot[dot[x][y]][z] == dot[x][dot[y][z]] for z in rng)
+    assert [groups(n, False) for n in range(1, 8)] == [1, 1, 1, 4, 6, 80, 120]
+    assert [groups(n, True) for n in range(1, 8)] == [1, 1, 1, 4, 6, 60, 120]
+    # Z7 is the only group of order 7, so BO7 has 6!/|Aut Z7| = 720/6 models; B7 is too slow here
+    cases = [(n, label) for n in range(1, 7) for label in ("B", "BO")] + [(7, "BO")]
+    for n, label in cases:
+        abelian_only = label == "BO"
+        models = _collect(SearchSpec(n=n, axiom_set=LABEL_AXIOMS[label], max_order=7))
+        assert len(models) == groups(n, abelian_only), (label, n)
+        for alg in models:
+            t, rng = alg.table, range(n)
+            dot = [[t[x][t[0][y]] for y in rng] for x in rng]
+            for x, y in itertools.product(rng, repeat=2):
+                assert dot[x][0] == dot[0][x] == x and dot[x][t[0][x]] == dot[t[0][x]][x] == 0
+                assert t[x][y] == dot[x][t[0][y]]
+                assert not abelian_only or dot[x][y] == dot[y][x]
+                assert all(dot[dot[x][y]][z] == dot[x][dot[y][z]] for z in rng)
     for n in range(1, 5):
         assert enumerate_algebras(SearchSpec(n=n, axiom_set=BH_AXIOMS)) == \
             n ** (n - 1) * (n * n - 1) ** math.comb(n - 1, 2)
@@ -221,6 +254,15 @@ def test_spec_integers_must_be_ints(field, value):
     with pytest.raises(ValidationError) as exc:
         SearchSpec(**{"n": 2, "axiom_set": BH_AXIOMS, field: value})
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize("axioms", [("C1",), (AxiomId.C1, "C2"), [AxiomId.C1, AxiomId.C2], "C1", None])
+def test_spec_axioms_must_be_a_tuple_of_axiom_ids(axioms):
+    # SearchSpec(axiom_set=("C1",)) used to build, and the search then failed on str.pin; a list
+    # made the frozen spec unhashable
+    with pytest.raises(ValidationError) as exc:
+        SearchSpec(n=2, axiom_set=axioms)
+    assert exc.value.field == "axiom_set"
 
 
 def test_time_budget():
