@@ -10,7 +10,6 @@ a one-variable one by the cell it pins.
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 from typing import Sequence
 
 from .errors import ValidationError
@@ -51,31 +50,39 @@ def _c3(t, zero):
                     yield (x, y, z)
 
 
-def _c3_cell(t, zero, p, q):
-    """Whether a violated, determined C3 instance reads the cell (p, q): one of its products does.
-    The product z*(0*y), which prunes most often in the search, is checked first, unrolled."""
-    rng, tz, v = range(len(t)), t[zero], t[p][q]
-    for y in rng:  # z*(0*y) reads (p, q) where z = p and 0*y = q: (x*y)*p against x*(p*q)
-        if tz[y] == q:
-            for tx in t:
-                a = tx[y]
-                if a >= 0 and 0 <= t[a][p] != tx[v] >= 0:
-                    return True
-
-    def reads():
-        yield from product((p,), (q,), rng)  # x*y
-        yield from ((x, y, q) for x, row in enumerate(t) if p in row for y in rng if row[y] == p)  # (x*y)*z
-        yield from ((p, y, z) for y, c in enumerate(tz) if c >= 0 for z in rng if t[z][c] == q)  # x*(z*(0*y))
-        if p == zero:
-            yield from product(rng, (q,), rng)  # 0*y
-
-    for x, y, z in reads():
-        a, c = t[x][y], tz[y]
-        if a >= 0 and c >= 0:
-            left, d = t[a][z], t[z][c]
-            if left >= 0 and d >= 0 and 0 <= t[x][d] != left:
-                return True
+def _settle(t, trail, sides):
+    """Whether an instance in sides is violated with every cell determined.  Each is given by the
+    outermost cells of its two sides (row, column, row, column), -1 where an inner product is
+    undetermined.  Where both cells are known and one of them is undetermined, that one takes the
+    other's value and goes on the trail."""
+    for a, b, c, d in sides:
+        if a < 0 or b < 0 or c < 0 or d < 0:
+            continue
+        left, right = t[a][b], t[c][d]
+        if left < 0:
+            if right >= 0:
+                t[a][b] = right
+                trail.append((a, b))
+        elif right < 0:
+            t[c][d] = left
+            trail.append((c, d))
+        elif left != right:
+            return True
     return False
+
+
+def _c3_propagate(t, zero, p, q, trail):
+    """Settles the C3 instances that read the determined cell (p, q), found through the product
+    that reads it; the outermost cells of (x, y, z) are (x*y, z) and (x, z*(0*y))."""
+    rng, tz, v, c = range(len(t)), t[zero], t[p][q], t[zero][q]
+    sides = [(v, z, p, t[z][c]) for z in rng] if c >= 0 else []  # x*y
+    sides += [(p, q, x, t[q][tz[y]] if tz[y] >= 0 else -1)
+              for x, row in enumerate(t) if p in row for y in rng if row[y] == p]  # (x*y)*z
+    sides += [(t[x][y], p, x, v) for y in rng if tz[y] == q for x in rng]  # z*(0*y)
+    sides += [(t[p][y], z, p, q) for y in rng if tz[y] >= 0 for z in rng if t[z][tz[y]] == q]  # x*(z*(0*y))
+    if p == zero:
+        sides += [(t[x][q], z, x, t[z][v]) for x in rng for z in rng]  # 0*y
+    return _settle(t, trail, sides)
 
 
 def _c4(t, zero):
@@ -86,7 +93,8 @@ def _c4(t, zero):
                 yield (x, y)
 
 
-def _c4_cell(t, zero, p, q):
+def _c4_cell(t, zero, p, q, trail):
+    """Whether a violated C4 instance reads the determined cell (p, q); C4 forces no cell."""
     return p != q and t[p][q] == zero and t[q][p] == zero
 
 
@@ -113,30 +121,19 @@ def _c5(t, zero):
                     yield (x, y, z)
 
 
-def _c5_cell(t, zero, p, q):
-    """Whether a violated, determined C5 instance reads the cell (p, q): one of its products does.
-    The product y*z, which prunes most often in the search, is checked first, unrolled."""
+def _c5_propagate(t, zero, p, q, trail):
+    """Settles the C5 instances that read the determined cell (p, q), as ``_c3_propagate``; the
+    outermost cells of (x, y, z) are (x, y*z) and (x*y, 0*z)."""
     rng, tz, v, d = range(len(t)), t[zero], t[p][q], t[zero][q]
-    for tx in t if d >= 0 else ():  # y*z reads (p, q) where y = p and z = q: x*(p*q) against (x*p)*(0*q)
-        c = tx[p]
-        if c >= 0 and 0 <= tx[v] != t[c][d] >= 0:
-            return True
-
-    def reads():
-        yield from ((p, y, z) for y, row in enumerate(t) if q in row for z in rng if row[z] == q)  # x*(y*z)
-        yield from product((p,), (q,), rng)  # x*y
-        if p == zero:
-            yield from product(rng, rng, (q,))  # 0*z
-        yield from ((x, y, z) for x, row in enumerate(t) if p in row for y in rng if row[y] == p
-                    for z in rng if tz[z] == q)  # (x*y)*(0*z)
-
-    for x, y, z in reads():
-        a, c, d = t[y][z], t[x][y], tz[z]
-        if a >= 0 and c >= 0 and d >= 0:
-            left = t[x][a]
-            if left >= 0 and 0 <= t[c][d] != left:
-                return True
-    return False
+    sides = [(x, v, t[x][p], d) for x in rng]  # y*z
+    sides += [(p, q, t[p][y], tz[z])
+              for y, row in enumerate(t) if q in row for z in rng if row[z] == q]  # x*(y*z)
+    sides += [(p, t[q][z], v, tz[z]) for z in rng]  # x*y
+    sides += [(x, t[y][z], p, q) for z in rng if tz[z] == q
+              for x, row in enumerate(t) if p in row for y in rng if row[y] == p]  # (x*y)*(0*z)
+    if p == zero:
+        sides += [(x, t[y][q], t[x][y], v) for x in rng for y in rng]  # 0*z
+    return _settle(t, trail, sides)
 
 
 def _c7(t, zero):
@@ -148,9 +145,9 @@ def _c7(t, zero):
                 yield (x, y)
 
 
-def _c7_cell(t, zero, p, q):
-    a, b = t[p][q], t[q][p]
-    return p != zero and q != zero and a >= 0 and b >= 0 and a != b
+def _c7_propagate(t, zero, p, q, trail):
+    """Settles the C7 instance (p, q), whose outermost cells are (p, q) and its mirror (q, p)."""
+    return p != zero and q != zero and _settle(t, trail, ((p, q, q, p),))
 
 
 class AxiomId(Enum):
@@ -160,25 +157,28 @@ class AxiomId(Enum):
     column, value)``, the others by a generator.  ``violations(t, zero)`` yields an axiom's
     violating instances over table rows ``t`` (-1 for an undetermined cell) in lexicographic
     order.  It skips an instance that reads an undetermined cell, so on a partial table it
-    yields only those that every completion violates; the model search prunes on exactly that.
-    The private cell view ``_cell(t, zero, p, q)`` of a many-variable axiom says whether one of
-    those instances reads the determined cell (p, q): after it assigns (p, q), the search asks
-    only that.
+    yields only those that every completion violates.  The private propagator ``_propagate(t,
+    zero, p, q, trail)`` of a many-variable axiom looks at the instances that read the
+    determined cell (p, q), as the model search does after it sets the cell.  Where one side of
+    an instance is determined and the other lacks only its outermost cell, every completion that
+    satisfies the axiom has the determined side's value there: it assigns it and appends the
+    cell to ``trail``.  It returns whether one of those instances is violated with every cell
+    determined.
     """
 
     C1 = (1, "x*x = 0", lambda x, zero: (x, x, zero))
     C2 = (1, "x*0 = x", lambda x, zero: (x, zero, x))
-    C3 = (3, "(x*y)*z = x*(z*(0*y))", _c3, _c3_cell)
+    C3 = (3, "(x*y)*z = x*(z*(0*y))", _c3, _c3_propagate)
     C4 = (2, "x*y = 0 and y*x = 0 imply x = y", _c4, _c4_cell)
-    C5 = (3, "x*(y*z) = (x*y)*(0*z)", _c5, _c5_cell)
+    C5 = (3, "x*(y*z) = (x*y)*(0*z)", _c5, _c5_propagate)
     C6 = (1, "x*x = x", lambda x, zero: (x, x, x))
-    C7 = (2, "x*y = y*x for nonzero x, y", _c7, _c7_cell)
+    C7 = (2, "x*y = y*x for nonzero x, y", _c7, _c7_propagate)
 
-    def __init__(self, arity: int, formula: str, definition, cell=None):
+    def __init__(self, arity: int, formula: str, definition, propagate=None):
         self.arity, self.formula = arity, formula
         self.pin = definition if arity == 1 else None
         self.violations = _pinned(definition) if arity == 1 else definition
-        self._cell = cell
+        self._propagate = propagate
 
     def __repr__(self) -> str:
         return f"AxiomId.{self.name}"
@@ -234,6 +234,13 @@ class FiniteAlgebra:
         self.n = n
         self.table = tuple(rows)
         self.zero = zero
+
+    @classmethod
+    def _trusted(cls, rows) -> "FiniteAlgebra":
+        # fast path: the rows of a closed table with zero 0, as the model search makes; skips validation
+        obj = object.__new__(cls)
+        obj.n, obj.table, obj.zero = len(rows), tuple(map(tuple, rows)), 0
+        return obj
 
     def __eq__(self, other) -> bool:
         return (

@@ -2,13 +2,15 @@
 
 The model search is one stream of tables.  It fixes the cell that each
 one-variable axiom pins for each x (``AxiomId.pin``), then runs a
-depth-first search over the other cells in row-major order.  The other
-axioms skip an instance that reads an undetermined cell (-1), so what they
-find violated is violated by every completion, and the branch is pruned.
-They check the forced table once with ``violations``; after each assignment
-only an instance that reads the cell just set can be newly violated, so
-each axiom's private cell view checks just those, as the watch lists of SEM
-and Mace4 do.  Models come out in lexicographic order
+depth-first search over the other cells in row-major order.  Each other
+axiom's private propagator looks at the instances that read a cell just set,
+as the watch lists of SEM and Mace4 do: a violated one prunes the branch,
+and a cell that one forces is assigned, put on a trail and propagated in
+turn, until nothing changes.  The pinned cells are propagated first, then
+each choice; a backtrack undoes the trail down to the choice.  Every cell
+before the current one is set, so a forced cell lies after it and the
+search skips it: only choices count as nodes, and the models are those of a
+search that tries every value.  Models come out in lexicographic order
 of the flattened table, raw tables with no isomorphism rejection, and
 identical runs are bit-identical.  Counting, emitting and hunting are loops
 over the stream.  Partitions are enumerated as restricted-growth strings
@@ -115,35 +117,67 @@ def _tables(spec: SearchSpec, deadline: float | None) -> Iterator[list[list[int]
         raise ValidationError("axiom_set must be nonempty for model search")
     zero = 0
     t = _forced_cells(n, spec.axiom_set, zero)
-    checked = [a for a in AxiomId if a in spec.axiom_set and not a.pin]  # the forced cells settle the rest
-    if t is None or any(next(a.violations(t, zero), None) is not None for a in checked):
+    props = [a._propagate for a in AxiomId if a in spec.axiom_set and not a.pin]  # the pins settle the rest
+    # every set cell but the choices: the pinned ones, then those that propagation forces
+    trail = [] if t is None else [(x, y) for x in range(n) for y in range(n) if t[x][y] >= 0]
+
+    def consistent(k):
+        """Propagate the cells trail[k:] and those they force in turn; False on a conflict."""
+        while k < len(trail):
+            for prop in props:
+                if prop(t, zero, *trail[k], trail):
+                    return False
+            k += 1
+        return True
+
+    def undo(k):
+        for p, q in trail[k:]:
+            t[p][q] = -1
+        del trail[k:]
+
+    if t is None or not consistent(0):
         return
     cells = [(x, y) for x in range(n) for y in range(n) if t[x][y] < 0]
-    views, last = [a._cell for a in checked], len(cells)
+    last, choices, cap = len(cells), [], spec.model_cap  # choices: (cell index, trail length before it)
+    if not cells:  # propagation set every cell
+        yield t
+        if cap == 1:
+            raise SearchLimitError("model cap reached", count=1, reason="model-cap")
+        return
     count = nodes = i = 0
-    while i >= 0:  # cells[:i] are a consistent prefix, cells[i] resumes after its value, later cells are -1
-        if i == last:
-            yield t
-            count += 1
-            if spec.model_cap is not None and count >= spec.model_cap:
-                raise SearchLimitError("model cap reached", count=count, reason="model-cap")
-            i -= 1
-            continue
-        x, y = cells[i]
+    (x, y), base = cells[0], len(trail)
+    while True:  # cells[:i] are set, and cell i = (x, y) takes its next value
         for v in range(t[x][y] + 1, n):
+            if len(trail) > base:
+                undo(base)
             nodes += 1
             if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
                 raise SearchLimitError("time budget exceeded", count=count, reason="time")
             t[x][y] = v
-            for view in views:  # only an instance that reads the cell just set can be newly violated
-                if view(t, zero, x, y):
+            for prop in props:
+                if prop(t, zero, x, y, trail):
                     break
             else:
-                i += 1
-                break
-        else:
+                if len(trail) == base or consistent(base):
+                    j = i + 1
+                    while j < last and t[cells[j][0]][cells[j][1]] >= 0:  # set by propagation
+                        j += 1
+                    if j < last:
+                        break
+                    yield t
+                    count += 1
+                    if cap is not None and count >= cap:
+                        raise SearchLimitError("model cap reached", count=count, reason="model-cap")
+        else:  # no value left: the previous choice takes its next one
+            undo(base)
             t[x][y] = -1
-            i -= 1
+            if not choices:
+                return
+            i, base = choices.pop()
+            x, y = cells[i]
+            continue
+        choices.append((i, base))
+        (x, y), i, base = cells[j], j, len(trail)
 
 
 def enumerate_algebras(spec: SearchSpec, sink: Callable[[FiniteAlgebra], None] | None = None) -> int:
@@ -156,7 +190,7 @@ def enumerate_algebras(spec: SearchSpec, sink: Callable[[FiniteAlgebra], None] |
     for t in _tables(spec, _deadline(spec)):
         count += 1
         if sink is not None:
-            sink(FiniteAlgebra(spec.n, t))
+            sink(FiniteAlgebra._trusted(t))
     return count
 
 
@@ -245,7 +279,7 @@ def find_counterexample(spec: SearchSpec, target: str) -> Finding | None:
     for swept, t in enumerate(tables):
         if t is not None and not least(t):
             continue  # its least relabelling came earlier in the stream, with no finding
-        alg = None if t is None else FiniteAlgebra(spec.n, t)
+        alg = None if t is None else FiniteAlgebra._trusted(t)
         if carrier is None:
             if alg is not None:
                 _check_congruence_order(spec.n)

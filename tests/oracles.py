@@ -67,6 +67,23 @@ def violates_axiom_at(table, axiom, witness, zero=0):
     raise ValueError(axiom)
 
 
+def is_group_division(table, abelian=False):
+    """Whether table is x*y = x.y^-1 for a group (an abelian one if asked) with identity 0, where
+    x.y = x*(0*y) and 0*y is the inverse of y: the tables of B-algebras, and of BO-algebras when
+    abelian."""
+    rng = range(len(table))
+    t = table
+    dot = [[t[x][t[0][y]] for y in rng] for x in rng]
+    for x, y in itertools.product(rng, repeat=2):
+        if not dot[x][0] == dot[0][x] == x or not dot[x][t[0][x]] == dot[t[0][x]][x] == 0:
+            return False
+        if t[x][y] != dot[x][t[0][y]] or abelian and dot[x][y] != dot[y][x]:
+            return False
+        if any(dot[dot[x][y]][z] != dot[x][dot[y][z]] for z in rng):
+            return False
+    return True
+
+
 def _partial_checks(t, axioms, zero):
     """One test per named axiom: whether some instance of it whose cells are all determined is
     violated.  t has order n + 1, and its element u = n is absorbing (u*y = x*u = u): an

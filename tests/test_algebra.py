@@ -171,45 +171,106 @@ def test_axiom_generators_on_partial_tables_yield_only_forced_violations():
                     (t, zero, axiom, w)
 
 
-CELL_VIEWS = [a for a in AxiomId if a._cell is not None]
+PROPAGATORS = [a for a in AxiomId if a._propagate is not None]
+_LABELLED = {"C3": LABEL_AXIOMS["B"], "C4": LABEL_AXIOMS["BH"], "C5": LABEL_AXIOMS["BO"],
+             "C7": Z_AXIOM_VARIANTS["relaxed"]}  # an axiom set that holds each many-variable axiom
 
 
-def _cell_views_agree(axiom, t, zero):
-    # a cell view says whether a violated instance reads the cell (p, q): exactly the instances
-    # that drop out of the violations when (p, q) is made undetermined
+def _reads_violation(axiom, t, zero, p, q):
+    # whether a violated, determined instance reads the determined cell (p, q): exactly the
+    # instances that drop out of the violations when (p, q) is made undetermined
     violated = set(axiom.violations(t, zero))
-    for p, q in itertools.product(range(len(t)), repeat=2):
-        if t[p][q] >= 0:
-            value, t[p][q] = t[p][q], -1
-            changed = set(axiom.violations(t, zero)) != violated
-            t[p][q] = value
-            assert axiom._cell(t, zero, p, q) == changed, (axiom, t, zero, p, q)
+    value, t[p][q] = t[p][q], -1
+    changed = set(axiom.violations(t, zero)) != violated
+    t[p][q] = value
+    return changed
 
 
-def test_cell_views_agree_with_the_generators_on_every_small_partial_table():
-    assert [a.name for a in CELL_VIEWS] == ["C3", "C4", "C5", "C7"]
-    for n in (1, 2):
-        for t in _tables(n, range(-1, n)):
-            for zero, axiom in itertools.product(range(n), CELL_VIEWS):
-                _cell_views_agree(axiom, t, zero)
+def _satisfying(n, axiom, zero):
+    """Every full n x n table that satisfies the axiom, flattened row-major."""
+    return [cells for cells in itertools.product(range(n), repeat=n * n)
+            if next(axiom.violations([cells[i * n:(i + 1) * n] for i in range(n)], zero), None) is None]
 
 
-def test_cell_views_agree_with_the_generators_on_search_prefixes():
-    # the states the model search visits: the forced cells, then a row-major prefix of the
-    # others, either random or a model's with its last cell set anew
-    rng = random.Random(25)
-    sets = {"C3": LABEL_AXIOMS["B"], "C4": LABEL_AXIOMS["BH"], "C5": LABEL_AXIOMS["BO"],
-            "C7": Z_AXIOM_VARIANTS["relaxed"]}
-    for n, axiom in itertools.product(range(3, 7), CELL_VIEWS):
-        spec = SearchSpec(n=n, axiom_set=sets[axiom.name], max_order=6)
+def _completions(t, satisfying):
+    """The flattened tables of satisfying that agree with t on its determined cells."""
+    flat = list(itertools.chain.from_iterable(t))
+    known = [i for i, v in enumerate(flat) if v >= 0]
+    want = [flat[i] for i in known]
+    return [c for c in satisfying if [c[i] for i in known] == want]
+
+
+def _propagator_agrees(axiom, t, zero, completions):
+    # completions: flattened tables that satisfy the axiom and agree with t (all of them, or some)
+    n = len(t)
+    for p, q in itertools.product(range(n), repeat=2):
+        if t[p][q] < 0:
+            continue
+        after, trail = [row[:] for row in t], []
+        conflict = axiom._propagate(after, zero, p, q, trail)
+        reads = _reads_violation(axiom, t, zero, p, q)
+        case = (axiom, t, zero, p, q)
+        # a conflict is reported when a violated, determined instance reads (p, q), only then when
+        # nothing is forced, and each reported one is such an instance of the table left behind
+        assert conflict if reads else not conflict or trail, case
+        assert not conflict or _reads_violation(axiom, after, zero, p, q), case
+        # each forced cell was undetermined and takes the value of every satisfying completion
+        assert len(set(trail)) == len(trail) and all(t[a][b] < 0 <= after[a][b] for a, b in trail), case
+        assert not conflict or not completions, case
+        assert all(c[a * n + b] == after[a][b] for c in completions for a, b in trail), case
+        for a, b in trail:  # undoing the trail restores the table
+            after[a][b] = -1
+        assert after == t, case
+
+
+def test_propagators_on_every_small_partial_table():
+    assert [a.name for a in PROPAGATORS] == ["C3", "C4", "C5", "C7"]
+    for n, zero, axiom in itertools.product((1, 2), range(2), PROPAGATORS):
+        if zero < n:
+            satisfying = _satisfying(n, axiom, zero)
+            for t in _tables(n, range(-1, n)):
+                _propagator_agrees(axiom, t, zero, _completions(t, satisfying))
+
+
+def test_propagators_on_search_prefixes():
+    # the forced cells, then a row-major prefix of the others: random, a model's, or a model's with
+    # its last cell set anew.  At order 3 every satisfying completion is known; above it, a
+    # model's prefix has that model as one.
+    rng = random.Random(26)
+    for n, axiom in itertools.product(range(3, 7), PROPAGATORS):
+        spec = SearchSpec(n=n, axiom_set=_LABELLED[axiom.name], max_order=6)
         forced = search._forced_cells(n, spec.axiom_set, 0)
         cells = [(x, y) for x in range(n) for y in range(n) if forced[x][y] < 0]
         models = [[row[:] for row in t] for t in itertools.islice(search._tables(spec, None), 3)]
-        for model in [None] * 40 + models * 10:
+        satisfying = _satisfying(3, axiom, 0) if n == 3 else None
+        for model, reset in [(None, True)] * 40 + [(m, r) for m in models for r in (False, True)] * 10:
             t, k = [row[:] for row in forced], rng.randint(1, len(cells))
             for i, (x, y) in enumerate(cells[:k]):
-                t[x][y] = rng.randrange(n) if model is None or i == k - 1 else model[x][y]
-            _cell_views_agree(axiom, t, 0)
+                t[x][y] = rng.randrange(n) if model is None or reset and i == k - 1 else model[x][y]
+            if satisfying is not None:
+                completions = _completions(t, satisfying)
+            else:
+                completions = [] if reset else [list(itertools.chain.from_iterable(model))]
+            _propagator_agrees(axiom, t, 0, completions)
+
+
+@pytest.mark.parametrize("n,name", [(4, "C3"), (5, "C3"), (4, "C5"), (5, "C5"), (4, "C7")])
+def test_propagators_on_search_states(monkeypatch, n, name):
+    # a sample of the tables the search hands to a propagator, forced cells included; the
+    # models that agree with a table are some of its satisfying completions
+    axiom, seen = AxiomId[name], []
+    propagate = axiom._propagate
+
+    def recorded(t, *args):
+        seen.append([row[:] for row in t])
+        return propagate(t, *args)
+
+    monkeypatch.setattr(axiom, "_propagate", recorded)
+    models = [list(itertools.chain.from_iterable(t))
+              for t in search._tables(SearchSpec(n=n, axiom_set=_LABELLED[name]), None)]
+    monkeypatch.undo()
+    for t in random.Random(26).sample(seen, 40):
+        _propagator_agrees(axiom, t, 0, _completions(t, models))
 
 
 # ---------------------------------------------------------------- classify

@@ -110,20 +110,23 @@ _AXIOM_SETS = {**LABEL_AXIOMS, "Z-relaxed": Z_AXIOM_VARIANTS["relaxed"]}
 
 
 def _expect(models):
-    """A sink that checks each model it gets against the next of an iterator of tables."""
+    """A sink that checks each model it gets against the next of an iterator of tables, and
+    against the validated construction of its table: the search emits without validating."""
     def sink(alg):
         assert alg.table == next(models, None)
+        assert alg == FiniteAlgebra(alg.n, alg.table) and alg.zero == 0
     return sink
 
 
 @pytest.mark.parametrize("label", sorted(_AXIOM_SETS))
 def test_models_match_a_full_rescan_search(label):
-    # the search checks only the instances that read the cell just set; the reference search
-    # re-checks every instance of every axiom after each assignment
+    # the search assigns the cells that the instances reading a set cell force, and checks only
+    # those instances; the reference search tries every value of every cell and re-checks every
+    # instance of every axiom after each assignment
     axioms = _AXIOM_SETS[label]
-    for n in range(1, 6 if label in ("B", "BO") else 5):
+    for n in range(1, {"B": 6, "BO": 7}.get(label, 5)):
         reference = oracles.search_models(n, [a.name for a in axioms])
-        enumerate_algebras(SearchSpec(n=n, axiom_set=axioms), _expect(reference))
+        enumerate_algebras(SearchSpec(n=n, axiom_set=axioms, max_order=6), _expect(reference))
         assert next(reference, None) is None, (label, n)
 
 
@@ -158,10 +161,11 @@ def test_frozen_model_counts():
     assert enumerate_algebras(SearchSpec(n=3, axiom_set=Z_AXIOM_VARIANTS["relaxed"])) == 27
 
 
-# the groups of order 1-7 up to isomorphism: name -> (order, |Aut G|, abelian)
+# the groups of order 1-9 up to isomorphism: name -> (order, |Aut G|, abelian)
 _GROUPS = {"Z1": (1, 1, True), "Z2": (2, 1, True), "Z3": (3, 2, True), "Z4": (4, 2, True),
            "Z2^2": (4, 6, True), "Z5": (5, 4, True), "Z6": (6, 2, True), "S3": (6, 6, False),
-           "Z7": (7, 6, True)}
+           "Z7": (7, 6, True), "Z8": (8, 4, True), "Z4xZ2": (8, 8, True), "Z2^3": (8, 168, True),
+           "D4": (8, 8, False), "Q8": (8, 24, False), "Z9": (9, 6, True), "Z3^2": (9, 48, True)}
 
 
 def test_model_counts_are_derived_without_the_search():
@@ -169,27 +173,17 @@ def test_model_counts_are_derived_without_the_search():
     # x.y = x*(0*y); a BO-algebra is an abelian one.  A group G of order n has (n-1)!/|Aut G|
     # tables on {0..n-1} with identity 0.  A BH-algebra has its diagonal 0 and its column 0 the
     # identity; each 0*y is free, and each {x, y} of distinct nonzero x, y takes any (x*y, y*x)
-    # but (0, 0).
+    # but (0, 0).  CI counts orders 8 and 9, and checks the group of each order-8 model.
     def groups(n, abelian_only):
         return sum(math.factorial(n - 1) // aut for order, aut, abelian in _GROUPS.values()
                    if order == n and (abelian or not abelian_only))
 
-    assert [groups(n, False) for n in range(1, 8)] == [1, 1, 1, 4, 6, 80, 120]
-    assert [groups(n, True) for n in range(1, 8)] == [1, 1, 1, 4, 6, 60, 120]
-    # Z7 is the only group of order 7, so BO7 has 6!/|Aut Z7| = 720/6 models; B7 is too slow here
-    cases = [(n, label) for n in range(1, 7) for label in ("B", "BO")] + [(7, "BO")]
-    for n, label in cases:
-        abelian_only = label == "BO"
+    assert [groups(n, False) for n in range(1, 10)] == [1, 1, 1, 4, 6, 80, 120, 2760, 7560]
+    assert [groups(n, True) for n in range(1, 10)] == [1, 1, 1, 4, 6, 60, 120, 1920, 7560]
+    for n, label in itertools.product(range(1, 8), ("B", "BO")):
         models = _collect(SearchSpec(n=n, axiom_set=LABEL_AXIOMS[label], max_order=7))
-        assert len(models) == groups(n, abelian_only), (label, n)
-        for alg in models:
-            t, rng = alg.table, range(n)
-            dot = [[t[x][t[0][y]] for y in rng] for x in rng]
-            for x, y in itertools.product(rng, repeat=2):
-                assert dot[x][0] == dot[0][x] == x and dot[x][t[0][x]] == dot[t[0][x]][x] == 0
-                assert t[x][y] == dot[x][t[0][y]]
-                assert not abelian_only or dot[x][y] == dot[y][x]
-                assert all(dot[dot[x][y]][z] == dot[x][dot[y][z]] for z in rng)
+        assert len(models) == groups(n, label == "BO"), (label, n)
+        assert all(oracles.is_group_division(alg.table, label == "BO") for alg in models), (label, n)
     for n in range(1, 5):
         assert enumerate_algebras(SearchSpec(n=n, axiom_set=BH_AXIOMS)) == \
             n ** (n - 1) * (n * n - 1) ** math.comb(n - 1, 2)
