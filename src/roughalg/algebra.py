@@ -50,39 +50,91 @@ def _c3(t, zero):
                     yield (x, y, z)
 
 
-def _settle(t, trail, sides):
-    """Whether an instance in sides is violated with every cell determined.  Each is given by the
-    outermost cells of its two sides (row, column, row, column), -1 where an inner product is
-    undetermined.  Where both cells are known and one of them is undetermined, that one takes the
-    other's value and goes on the trail."""
-    for a, b, c, d in sides:
-        if a < 0 or b < 0 or c < 0 or d < 0:
-            continue
-        left, right = t[a][b], t[c][d]
-        if left < 0:
-            if right >= 0:
-                t[a][b] = right
-                trail.append((a, b))
-        elif right < 0:
-            t[c][d] = left
-            trail.append((c, d))
-        elif left != right:
-            return True
-    return False
-
-
 def _c3_propagate(t, zero, p, q, trail):
-    """Settles the C3 instances that read the determined cell (p, q), found through the product
-    that reads it; the outermost cells of (x, y, z) are (x*y, z) and (x, z*(0*y))."""
-    rng, tz, v, c = range(len(t)), t[zero], t[p][q], t[zero][q]
-    sides = [(v, z, p, t[z][c]) for z in rng] if c >= 0 else []  # x*y
-    sides += [(p, q, x, t[q][tz[y]] if tz[y] >= 0 else -1)
-              for x, row in enumerate(t) if p in row for y in rng if row[y] == p]  # (x*y)*z
-    sides += [(t[x][y], p, x, v) for y in rng if tz[y] == q for x in rng]  # z*(0*y)
-    sides += [(t[p][y], z, p, q) for y in rng if tz[y] >= 0 for z in rng if t[z][tz[y]] == q]  # x*(z*(0*y))
-    if p == zero:
-        sides += [(t[x][q], z, x, t[z][v]) for x in rng for z in rng]  # 0*y
-    return _settle(t, trail, sides)
+    """Settles the C3 instances that read the determined cell (p, q), with one loop for each
+    product that can read it; the outermost cells of (x, y, z) are (x*y, z) and (x, z*(0*y))."""
+    n, v, tz, tp, tq = len(t), t[p][q], t[zero], t[p], t[q]
+    tv, c = t[v], tz[q]
+    if c >= 0:  # x*y: x = p, y = q
+        for z, row in enumerate(t):
+            d = row[c]
+            if d < 0:
+                continue
+            left, right = tv[z], tp[d]
+            if left != right:
+                if left < 0:
+                    tv[z] = right
+                    trail.append((v, z))
+                elif right < 0:
+                    tp[d] = left
+                    trail.append((p, d))
+                else:
+                    return True
+    for y in range(n):  # (x*y)*z: x*y = p, z = q, so the left side is v
+        c = tz[y]
+        d = tq[c] if c >= 0 else -1
+        if d < 0:
+            continue
+        for x, row in enumerate(t):
+            if row[y] == p:
+                right = row[d]
+                if right != v:
+                    if right >= 0:
+                        return True
+                    row[d] = v
+                    trail.append((x, d))
+    for y in range(n):  # z*(0*y): z = p, 0*y = q
+        if tz[y] != q:
+            continue
+        for x, row in enumerate(t):
+            a = row[y]
+            if a < 0:
+                continue
+            ta = t[a]
+            left, right = ta[p], row[v]
+            if left != right:
+                if left < 0:
+                    ta[p] = right
+                    trail.append((a, p))
+                elif right < 0:
+                    row[v] = left
+                    trail.append((x, v))
+                else:
+                    return True
+    for y in range(n):  # x*(z*(0*y)): x = p, z*(0*y) = q, so the right side is v
+        a, c = tp[y], tz[y]
+        if a < 0 or c < 0:
+            continue
+        ta = t[a]
+        for z, row in enumerate(t):
+            if row[c] == q:
+                left = ta[z]
+                if left != v:
+                    if left >= 0:
+                        return True
+                    ta[z] = v
+                    trail.append((a, z))
+    if p == zero:  # 0*y: y = q, 0*y = v
+        for x, row in enumerate(t):
+            a = row[q]
+            if a < 0:
+                continue
+            ta = t[a]
+            for z in range(n):
+                d = t[z][v]
+                if d < 0:
+                    continue
+                left, right = ta[z], row[d]
+                if left != right:
+                    if left < 0:
+                        ta[z] = right
+                        trail.append((a, z))
+                    elif right < 0:
+                        row[d] = left
+                        trail.append((x, d))
+                    else:
+                        return True
+    return False
 
 
 def _c4(t, zero):
@@ -124,16 +176,86 @@ def _c5(t, zero):
 def _c5_propagate(t, zero, p, q, trail):
     """Settles the C5 instances that read the determined cell (p, q), as ``_c3_propagate``; the
     outermost cells of (x, y, z) are (x, y*z) and (x*y, 0*z)."""
-    rng, tz, v, d = range(len(t)), t[zero], t[p][q], t[zero][q]
-    sides = [(x, v, t[x][p], d) for x in rng]  # y*z
-    sides += [(p, q, t[p][y], tz[z])
-              for y, row in enumerate(t) if q in row for z in rng if row[z] == q]  # x*(y*z)
-    sides += [(p, t[q][z], v, tz[z]) for z in rng]  # x*y
-    sides += [(x, t[y][z], p, q) for z in rng if tz[z] == q
-              for x, row in enumerate(t) if p in row for y in rng if row[y] == p]  # (x*y)*(0*z)
-    if p == zero:
-        sides += [(x, t[y][q], t[x][y], v) for x in rng for y in rng]  # 0*z
-    return _settle(t, trail, sides)
+    n, v, tz, tp, tq = len(t), t[p][q], t[zero], t[p], t[q]
+    tv, d = t[v], tz[q]
+    if d >= 0:  # y*z: y = p, z = q
+        for x, row in enumerate(t):
+            c = row[p]
+            if c < 0:
+                continue
+            tc = t[c]
+            left, right = row[v], tc[d]
+            if left != right:
+                if left < 0:
+                    row[v] = right
+                    trail.append((x, v))
+                elif right < 0:
+                    tc[d] = left
+                    trail.append((c, d))
+                else:
+                    return True
+    for y, row in enumerate(t):  # x*(y*z): x = p, y*z = q, so the left side is v
+        c = tp[y]
+        if c < 0 or q not in row:
+            continue
+        tc = t[c]
+        for z in range(n):
+            d = tz[z]
+            if row[z] == q and d >= 0:
+                right = tc[d]
+                if right != v:
+                    if right >= 0:
+                        return True
+                    tc[d] = v
+                    trail.append((c, d))
+    for z in range(n):  # x*y: x = p, y = q
+        a, d = tq[z], tz[z]
+        if a < 0 or d < 0:
+            continue
+        left, right = tp[a], tv[d]
+        if left != right:
+            if left < 0:
+                tp[a] = right
+                trail.append((p, a))
+            elif right < 0:
+                tv[d] = left
+                trail.append((v, d))
+            else:
+                return True
+    for z in range(n):  # (x*y)*(0*z): x*y = p, 0*z = q, so the right side is v
+        if tz[z] != q:
+            continue
+        for y, ty in enumerate(t):
+            a = ty[z]
+            if a < 0:
+                continue
+            for x, row in enumerate(t):
+                if row[y] != p:
+                    continue
+                left = row[a]
+                if left != v:
+                    if left >= 0:
+                        return True
+                    row[a] = v
+                    trail.append((x, a))
+    if p == zero:  # 0*z: z = q, 0*z = v
+        for x, row in enumerate(t):
+            for y, ty in enumerate(t):
+                c, a = row[y], ty[q]
+                if c < 0 or a < 0:
+                    continue
+                tc = t[c]
+                left, right = row[a], tc[v]
+                if left != right:
+                    if left < 0:
+                        row[a] = right
+                        trail.append((x, a))
+                    elif right < 0:
+                        tc[v] = left
+                        trail.append((c, v))
+                    else:
+                        return True
+    return False
 
 
 def _c7(t, zero):
@@ -147,7 +269,13 @@ def _c7(t, zero):
 
 def _c7_propagate(t, zero, p, q, trail):
     """Settles the C7 instance (p, q), whose outermost cells are (p, q) and its mirror (q, p)."""
-    return p != zero and q != zero and _settle(t, trail, ((p, q, q, p),))
+    if p == zero or q == zero:
+        return False
+    v, right = t[p][q], t[q][p]
+    if right < 0:
+        t[q][p] = v
+        trail.append((q, p))
+    return right != v and right >= 0
 
 
 class AxiomId(Enum):
@@ -163,7 +291,8 @@ class AxiomId(Enum):
     an instance is determined and the other lacks only its outermost cell, every completion that
     satisfies the axiom has the determined side's value there: it assigns it and appends the
     cell to ``trail``.  It returns whether one of those instances is violated with every cell
-    determined.
+    determined.  C3's and C5's propagators have one loop for each product that can read the
+    cell, and each loop settles the instances it finds in place.
     """
 
     C1 = (1, "x*x = 0", lambda x, zero: (x, x, zero))

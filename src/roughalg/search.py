@@ -27,7 +27,7 @@ congruence.  A SearchLimitError counts the explored prefix: the models of a
 count, the algebras a hunt swept to the end or skipped as isomorphic copies.
 """
 
-import math
+import sys
 import time
 from collections import namedtuple
 from dataclasses import dataclass
@@ -62,15 +62,16 @@ class SearchSpec:
             if type(v) is not int and not (v is None and name == "model_cap"):
                 raise ValidationError(f"{name} must be an int, got {v!r}", name)
         if not 1 <= self.n <= self.max_order:
-            raise ValidationError(f"order {self.n} is outside the search limit 1..{self.max_order}; "
-                                  "raise max_order to override", "n")
+            raise ValidationError(f"order {self.n} is outside the search limit 1..{self.max_order}", "n")
         if type(self.axiom_set) is not tuple or not all(isinstance(a, AxiomId) for a in self.axiom_set):
             raise ValidationError(f"axiom_set must be a tuple of AxiomId, got {self.axiom_set!r}", "axiom_set")
         if self.model_cap is not None and self.model_cap < 1:
             raise ValidationError(f"model cap must be at least 1, got {self.model_cap}", "model_cap")
-        if self.time_budget is not None and not 0 <= self.time_budget < math.inf:
-            raise ValidationError(f"time budget must be finite and >= 0, got {self.time_budget}",
-                                  "time_budget")
+        budget = self.time_budget
+        if budget is not None and type(budget) not in (int, float):
+            raise ValidationError(f"time_budget must be an int or a float, got {budget!r}", "time_budget")
+        if budget is not None and not 0 <= budget <= sys.float_info.max:  # a larger int makes no float
+            raise ValidationError(f"time budget must be a finite float >= 0, got {budget}", "time_budget")
 
 
 # the partition count grows like the Bell numbers: no carrier above this is swept partition by partition

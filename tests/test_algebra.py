@@ -254,10 +254,12 @@ def test_propagators_on_search_prefixes():
             _propagator_agrees(axiom, t, 0, completions)
 
 
-@pytest.mark.parametrize("n,name", [(4, "C3"), (5, "C3"), (4, "C5"), (5, "C5"), (4, "C7")])
+@pytest.mark.parametrize("n,name", [(4, "C3"), (5, "C3"), (6, "C3"), (4, "C5"), (5, "C5"), (6, "C5"),
+                                    (7, "C5"), (4, "C7")])
 def test_propagators_on_search_states(monkeypatch, n, name):
     # a sample of the tables the search hands to a propagator, forced cells included; the
-    # models that agree with a table are some of its satisfying completions
+    # models that agree with a table are some of its satisfying completions.  B6 and BO7 are
+    # the largest searches the benchmark runs through C3 and C5
     axiom, seen = AxiomId[name], []
     propagate = axiom._propagate
 
@@ -267,7 +269,7 @@ def test_propagators_on_search_states(monkeypatch, n, name):
 
     monkeypatch.setattr(axiom, "_propagate", recorded)
     models = [list(itertools.chain.from_iterable(t))
-              for t in search._tables(SearchSpec(n=n, axiom_set=_LABELLED[name]), None)]
+              for t in search._tables(SearchSpec(n=n, axiom_set=_LABELLED[name], max_order=n), None)]
     monkeypatch.undo()
     for t in random.Random(26).sample(seen, 40):
         _propagator_agrees(axiom, t, 0, _completions(t, models))

@@ -529,6 +529,12 @@ def test_search_limits_exit_2(capsys):
     code = run(["search", "--order", "4", "--axioms", "bh", "--count", "--budget", "0"])
     assert code == 2
     capsys.readouterr()
+    # an order outside the search limit names the flag and no API field
+    for order in ("0", "6"):
+        assert run(["search", "--order", order, "--axioms", "b", "--count"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --order: order {order} is outside the search limit 1..5\n"
     # out-of-range limits are rejected before any search, naming the flag
     for flag, value in (("--limit", "0"), ("--limit", "-1"), ("--budget", "-1"),
                         ("--budget", "nan"), ("--budget", "inf")):

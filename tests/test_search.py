@@ -263,10 +263,12 @@ def test_time_budget():
     with pytest.raises(SearchLimitError) as exc:
         enumerate_algebras(SearchSpec(n=4, axiom_set=BH_AXIOMS, time_budget=0.0))
     assert exc.value.reason == "time"
-    for budget in (-1.0, float("nan"), float("inf")):
+    # a bool, a non-number and an int too large for a float: the deadline adds the budget to a float
+    for budget in (-1.0, float("nan"), float("inf"), True, "1", 10**400):
         with pytest.raises(ValidationError) as exc:
             SearchSpec(n=3, axiom_set=BH_AXIOMS, time_budget=budget)
         assert exc.value.field == "time_budget"
+    assert enumerate_algebras(SearchSpec(n=3, axiom_set=BH_AXIOMS, time_budget=10**300)) > 0
 
 
 def test_order_guard():
