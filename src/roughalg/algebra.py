@@ -5,7 +5,7 @@ table with a distinguished element.  Axiom systems are data: each label
 (B, BH, BO, Z) names a conjunction of the seven axioms C1..C7, and
 ``check_axiom`` decides a single axiom exhaustively, collecting every
 violating tuple as a witness.  Each axiom is defined once, in ``AxiomId``,
-a one-variable one by the cell it pins.
+a one-variable one by the cell it pins and an identity by its two terms.
 """
 
 from dataclasses import dataclass
@@ -27,114 +27,102 @@ def _pinned(pin):
     return violations
 
 
-def _c3(t, zero):
-    rng = range(len(t))
-    tz = t[zero]
-    for x in rng:
-        tx = t[x]
-        for y in rng:
-            a = tx[y]
-            c = tz[y]
-            if a < 0 or c < 0:
-                continue
-            ta = t[a]
-            for z in rng:
-                left = ta[z]
-                if left < 0:
-                    continue
-                d = t[z][c]
-                if d < 0:
-                    continue
-                right = tx[d]
-                if right >= 0 and left != right:
-                    yield (x, y, z)
+def _products(term, out: list) -> list:
+    """Appends to out each product in term that it lacks, every one after its operands."""
+    if type(term) is tuple:
+        for operand in term:
+            _products(operand, out)
+        if term not in out:
+            out.append(term)
+    return out
 
 
-def _c3_propagate(t, zero, p, q, trail):
-    """Settles the C3 instances that read the determined cell (p, q), with one loop for each
-    product that can read it; the outermost cells of (x, y, z) are (x*y, z) and (x, z*(0*y))."""
-    n, v, tz, tp, tq = len(t), t[p][q], t[zero], t[p], t[q]
-    tv, c = t[v], tz[q]
-    if c >= 0:  # x*y: x = p, y = q
-        for z, row in enumerate(t):
-            d = row[c]
-            if d < 0:
-                continue
-            left, right = tv[z], tp[d]
-            if left != right:
-                if left < 0:
-                    tv[z] = right
-                    trail.append((v, z))
-                elif right < 0:
-                    tp[d] = left
-                    trail.append((p, d))
-                else:
-                    return True
-    for y in range(n):  # (x*y)*z: x*y = p, z = q, so the left side is v
-        c = tz[y]
-        d = tq[c] if c >= 0 else -1
-        if d < 0:
-            continue
-        for x, row in enumerate(t):
-            if row[y] == p:
-                right = row[d]
-                if right != v:
-                    if right >= 0:
-                        return True
-                    row[d] = v
-                    trail.append((x, d))
-    for y in range(n):  # z*(0*y): z = p, 0*y = q
-        if tz[y] != q:
-            continue
-        for x, row in enumerate(t):
-            a = row[y]
-            if a < 0:
-                continue
-            ta = t[a]
-            left, right = ta[p], row[v]
-            if left != right:
-                if left < 0:
-                    ta[p] = right
-                    trail.append((a, p))
-                elif right < 0:
-                    row[v] = left
-                    trail.append((x, v))
-                else:
-                    return True
-    for y in range(n):  # x*(z*(0*y)): x = p, z*(0*y) = q, so the right side is v
-        a, c = tp[y], tz[y]
-        if a < 0 or c < 0:
-            continue
-        ta = t[a]
-        for z, row in enumerate(t):
-            if row[c] == q:
-                left = ta[z]
-                if left != v:
-                    if left >= 0:
-                        return True
-                    ta[z] = v
-                    trail.append((a, z))
-    if p == zero:  # 0*y: y = q, 0*y = v
-        for x, row in enumerate(t):
-            a = row[q]
-            if a < 0:
-                continue
-            ta = t[a]
-            for z in range(n):
-                d = t[z][v]
-                if d < 0:
-                    continue
-                left, right = ta[z], row[d]
-                if left != right:
-                    if left < 0:
-                        ta[z] = right
-                        trail.append((a, z))
-                    elif right < 0:
-                        row[d] = left
-                        trail.append((x, d))
-                    else:
-                        return True
-    return False
+def _variables(term) -> list[str]:
+    return sorted(set().union(*map(_variables, term)) if type(term) is tuple else {term} - {"0"})
+
+
+def _render(term, outer=True) -> str:
+    if type(term) is not tuple:
+        return term
+    text = "*".join(_render(operand, False) for operand in term)
+    return text if outer else f"({text})"
+
+
+def _nest(names, loops, products, nonzero, tests) -> list[str]:
+    """Statements that loop over the variables in loops, in order, and compute each product at the
+    first level that names both its operands, then test it: ``tests`` maps a product to the test's
+    tail (no test when empty), " >= 0" by default.  names maps each term to the name of its value.
+    A row that a deeper level reads is taken from the table once, at the level that names it."""
+    level = dict.fromkeys(names, 0) | {var: i for i, var in enumerate(loops, 1)}
+    for term in products:
+        level.setdefault(term, max(level[term[0]], level[term[1]]))
+    rows = dict.fromkeys(term[0] for term in products if term not in names and level[term] > level[term[0]])
+    out = [f"t{names[term]} = t[{names[term]}]" for term in rows if term in names]
+    for var in (None, *loops):
+        if var is not None:
+            names[var] = var
+            out += [f"for {var}, t{var} in enumerate(t):" if var in rows else f"for {var} in rng:"]
+            out += [f"if {var} != zero:"] * (var in nonzero)
+        for term in products:
+            if term not in names and term[0] in names and term[1] in names:
+                name = names[term] = f"a{len(names)}"
+                row = f"t{names[term[0]]}" if term[0] in rows else f"t[{names[term[0]]}]"
+                tail = tests.get(term, " >= 0")
+                out += [f"{name} = {row}[{names[term[1]]}]"] + [f"if {name}{tail}:"] * bool(tail)
+                out += [f"t{name} = t[{name}]"] * (term in rows)
+    return out
+
+
+def _block(statements) -> list[str]:
+    """Source lines of statements, where one that ends in ':' opens a block that holds the rest."""
+    lines, depth = [], 1
+    for statement in statements:
+        lines.append("    " * depth + statement)
+        depth += statement.endswith(":")
+    return lines
+
+
+def _identity(left, right, nonzero=""):
+    """AxiomId's arity, formula, violations and propagator of the identity left = right, whose sides
+    are products that each read every variable.  A term is a variable "x", "y" or "z", the zero "0"
+    or a pair (a, b) for a*b; the variables in nonzero range over the nonzero elements.  The two
+    functions are generated here as source, once at import: reading a term per instance costs 3-9x.
+    The propagator has one loop nest for each product, over the instances where it reads (p, q)."""
+    sides = (left, right)
+    variables = _variables(sides)
+    formula = " = ".join(map(_render, sides)) + (f" for nonzero {', '.join(nonzero)}" if nonzero else "")
+    products, names = _products(right, _products(left, [])), {"0": "zero"}
+    scan = _nest(names, variables, products, nonzero, {})
+    source = ["def violations(t, zero):", "    rng = range(len(t))"] + _block(
+        scan + [f"if {names[left]} != {names[right]}:", f"yield ({', '.join(variables)},)"])
+    source += ["def propagate(t, zero, p, q, trail):", "    rng, v = range(len(t)), t[p][q]"]
+    for product in products:
+        names, guards, tests = {"0": "zero", product: "v"}, [], {left: "", right: ""}
+        for operand, cell in zip(product, "pq"):
+            if type(operand) is tuple:  # a filter: the loops look for the instances where it is cell
+                tests[operand] = f" == {cell}"
+            elif operand in names:
+                guards.append(f"if {cell} == {names[operand]}:")
+            else:
+                names[operand] = cell
+                guards += [f"if {cell} != zero:"] * (operand in nonzero)
+        filters = sorted((f for f in tests if f not in sides), key=lambda f: len(_variables(f)))
+        free = dict.fromkeys(sum(map(_variables, filters), []) + variables)  # the smallest filter's first
+        order = []  # the filters first, so that each is tested as soon as it can be, the sides last
+        for term in (*filters, *sides):
+            _products(term, order)
+        order.sort(key=sides.__contains__)
+        body = _nest(names, [var for var in free if var not in names], order, nonzero, tests)
+        (a, b), (c, d) = ([names[o] for o in side] for side in sides)
+        left_value, right_value = names[left], names[right]
+        source += _block(guards + body + [
+            f"if {left_value} != {right_value}:",
+            f"if {left_value} < 0: t[{a}][{b}] = {right_value}; trail.append(({a}, {b}))",
+            f"elif {right_value} < 0: t[{c}][{d}] = {left_value}; trail.append(({c}, {d}))",
+            "else: return True"])
+    scope = {}
+    exec(compile("\n".join(source + ["    return False"]), f"<{formula}>", "exec"), scope)
+    return len(variables), formula, scope["violations"], scope["propagate"]
 
 
 def _c4(t, zero):
@@ -150,139 +138,12 @@ def _c4_cell(t, zero, p, q, trail):
     return p != q and t[p][q] == zero and t[q][p] == zero
 
 
-def _c5(t, zero):
-    rng = range(len(t))
-    tz = t[zero]
-    for x in rng:
-        tx = t[x]
-        for y in rng:
-            c = tx[y]
-            ty = t[y]
-            for z in rng:
-                a = ty[z]
-                if a < 0:
-                    continue
-                left = tx[a]
-                if left < 0 or c < 0:
-                    continue
-                d = tz[z]
-                if d < 0:
-                    continue
-                right = t[c][d]
-                if right >= 0 and left != right:
-                    yield (x, y, z)
-
-
-def _c5_propagate(t, zero, p, q, trail):
-    """Settles the C5 instances that read the determined cell (p, q), as ``_c3_propagate``; the
-    outermost cells of (x, y, z) are (x, y*z) and (x*y, 0*z)."""
-    n, v, tz, tp, tq = len(t), t[p][q], t[zero], t[p], t[q]
-    tv, d = t[v], tz[q]
-    if d >= 0:  # y*z: y = p, z = q
-        for x, row in enumerate(t):
-            c = row[p]
-            if c < 0:
-                continue
-            tc = t[c]
-            left, right = row[v], tc[d]
-            if left != right:
-                if left < 0:
-                    row[v] = right
-                    trail.append((x, v))
-                elif right < 0:
-                    tc[d] = left
-                    trail.append((c, d))
-                else:
-                    return True
-    for y, row in enumerate(t):  # x*(y*z): x = p, y*z = q, so the left side is v
-        c = tp[y]
-        if c < 0 or q not in row:
-            continue
-        tc = t[c]
-        for z in range(n):
-            d = tz[z]
-            if row[z] == q and d >= 0:
-                right = tc[d]
-                if right != v:
-                    if right >= 0:
-                        return True
-                    tc[d] = v
-                    trail.append((c, d))
-    for z in range(n):  # x*y: x = p, y = q
-        a, d = tq[z], tz[z]
-        if a < 0 or d < 0:
-            continue
-        left, right = tp[a], tv[d]
-        if left != right:
-            if left < 0:
-                tp[a] = right
-                trail.append((p, a))
-            elif right < 0:
-                tv[d] = left
-                trail.append((v, d))
-            else:
-                return True
-    for z in range(n):  # (x*y)*(0*z): x*y = p, 0*z = q, so the right side is v
-        if tz[z] != q:
-            continue
-        for y, ty in enumerate(t):
-            a = ty[z]
-            if a < 0:
-                continue
-            for x, row in enumerate(t):
-                if row[y] != p:
-                    continue
-                left = row[a]
-                if left != v:
-                    if left >= 0:
-                        return True
-                    row[a] = v
-                    trail.append((x, a))
-    if p == zero:  # 0*z: z = q, 0*z = v
-        for x, row in enumerate(t):
-            for y, ty in enumerate(t):
-                c, a = row[y], ty[q]
-                if c < 0 or a < 0:
-                    continue
-                tc = t[c]
-                left, right = row[a], tc[v]
-                if left != right:
-                    if left < 0:
-                        row[a] = right
-                        trail.append((x, a))
-                    elif right < 0:
-                        tc[v] = left
-                        trail.append((c, v))
-                    else:
-                        return True
-    return False
-
-
-def _c7(t, zero):
-    rng = range(len(t))
-    for x in rng:
-        for y in rng:
-            a, b = t[x][y], t[y][x]
-            if x != zero and y != zero and a >= 0 and b >= 0 and a != b:
-                yield (x, y)
-
-
-def _c7_propagate(t, zero, p, q, trail):
-    """Settles the C7 instance (p, q), whose outermost cells are (p, q) and its mirror (q, p)."""
-    if p == zero or q == zero:
-        return False
-    v, right = t[p][q], t[q][p]
-    if right < 0:
-        t[q][p] = v
-        trail.append((q, p))
-    return right != v and right >= 0
-
-
 class AxiomId(Enum):
     """The seven axiom schemas: variable arity, display formula and definition.
 
     A one-variable axiom is defined by the cell it pins for each x, ``pin(x, zero) = (row,
-    column, value)``, the others by a generator.  ``violations(t, zero)`` yields an axiom's
+    column, value)``.  C3, C5 and C7 are identities, each defined by its two terms, from which
+    ``_identity`` derives the rest; C4 by a generator.  ``violations(t, zero)`` yields an axiom's
     violating instances over table rows ``t`` (-1 for an undetermined cell) in lexicographic
     order.  It skips an instance that reads an undetermined cell, so on a partial table it
     yields only those that every completion violates.  The private propagator ``_propagate(t,
@@ -291,17 +152,17 @@ class AxiomId(Enum):
     an instance is determined and the other lacks only its outermost cell, every completion that
     satisfies the axiom has the determined side's value there: it assigns it and appends the
     cell to ``trail``.  It returns whether one of those instances is violated with every cell
-    determined.  C3's and C5's propagators have one loop for each product that can read the
-    cell, and each loop settles the instances it finds in place.
+    determined.  An identity's propagator has one loop nest for each product in its terms, which
+    finds the instances where that product reads the cell and settles each in place.
     """
 
     C1 = (1, "x*x = 0", lambda x, zero: (x, x, zero))
     C2 = (1, "x*0 = x", lambda x, zero: (x, zero, x))
-    C3 = (3, "(x*y)*z = x*(z*(0*y))", _c3, _c3_propagate)
+    C3 = _identity((("x", "y"), "z"), ("x", ("z", ("0", "y"))))
     C4 = (2, "x*y = 0 and y*x = 0 imply x = y", _c4, _c4_cell)
-    C5 = (3, "x*(y*z) = (x*y)*(0*z)", _c5, _c5_propagate)
+    C5 = _identity(("x", ("y", "z")), (("x", "y"), ("0", "z")))
     C6 = (1, "x*x = x", lambda x, zero: (x, x, x))
-    C7 = (2, "x*y = y*x for nonzero x, y", _c7, _c7_propagate)
+    C7 = _identity(("x", "y"), ("y", "x"), nonzero="xy")
 
     def __init__(self, arity: int, formula: str, definition, propagate=None):
         self.arity, self.formula = arity, formula

@@ -67,6 +67,33 @@ def violates_axiom_at(table, axiom, witness, zero=0):
     raise ValueError(axiom)
 
 
+def identity_cells(table, axiom, witness, zero=0):
+    """For the instance witness of C3, C5 or C7: the cells (row, column) it reads, and the outermost
+    cell of each side.  None where witness is no instance (C7 with a zero), or where a cell below
+    the outermost two is undetermined (-1), so that those two cannot be located."""
+    t = table
+    if axiom == "C3":  # (x*y)*z = x*(z*(0*y))
+        x, y, z = witness
+        xy, oy = t[x][y], t[zero][y]
+        if xy < 0 or oy < 0 or t[z][oy] < 0:
+            return None
+        left, right = (xy, z), (x, t[z][oy])
+        return {(x, y), (zero, y), (z, oy), left, right}, left, right
+    if axiom == "C5":  # x*(y*z) = (x*y)*(0*z)
+        x, y, z = witness
+        yz, xy, oz = t[y][z], t[x][y], t[zero][z]
+        if yz < 0 or xy < 0 or oz < 0:
+            return None
+        left, right = (x, yz), (xy, oz)
+        return {(y, z), (x, y), (zero, z), left, right}, left, right
+    if axiom == "C7":  # x*y = y*x for nonzero x, y
+        x, y = witness
+        if zero in (x, y):
+            return None
+        return {(x, y), (y, x)}, (x, y), (y, x)
+    raise ValueError(axiom)
+
+
 def is_group_division(table, abelian=False):
     """Whether table is x*y = x.y^-1 for a group (an abelian one if asked) with identity 0, where
     x.y = x*(0*y) and 0*y is the inverse of y: the tables of B-algebras, and of BO-algebras when

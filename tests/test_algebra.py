@@ -91,6 +91,14 @@ def test_algebra_equality_and_hash(b4):
 
 # ---------------------------------------------------------------- check_axiom
 
+def test_axiom_arities_and_formulas():
+    # C3, C5 and C7 derive both from their two terms; the check goldens pin the formulas too
+    assert [(a.name, a.arity, a.formula) for a in AxiomId] == [
+        ("C1", 1, "x*x = 0"), ("C2", 1, "x*0 = x"), ("C3", 3, "(x*y)*z = x*(z*(0*y))"),
+        ("C4", 2, "x*y = 0 and y*x = 0 imply x = y"), ("C5", 3, "x*(y*z) = (x*y)*(0*z)"),
+        ("C6", 1, "x*x = x"), ("C7", 2, "x*y = y*x for nonzero x, y")]
+
+
 def test_bo5_satisfies_c5(bo5):
     assert check_axiom(bo5, AxiomId.C5).holds
 
@@ -156,16 +164,26 @@ def test_axiom_generators_match_oracle_exhaustively():
 
 def test_axiom_generators_on_partial_tables_yield_only_forced_violations():
     # the model search prunes a branch on any instance yielded for a table with
-    # undetermined (-1) cells, so every completion must violate that instance
-    for t in _tables(2, (-1, 0, 1)):
-        holes = [(x, y) for x in range(2) for y in range(2) if t[x][y] < 0]
+    # undetermined (-1) cells, so every completion must violate that instance.  Every order-2
+    # table with every zero, and a seeded sample of order-3 tables with zero 0 and at most 4
+    # undetermined cells, where each generated loop nest runs at its full depth
+    rng = random.Random(28)
+    cases = [(t, range(2)) for t in _tables(2, (-1, 0, 1))]
+    for _ in range(300):
+        t = [[rng.randrange(3) for _ in range(3)] for _ in range(3)]
+        for cell in rng.sample(range(9), rng.randint(0, 4)):
+            t[cell // 3][cell % 3] = -1
+        cases.append((t, (0,)))
+    for t, zeros in cases:
+        n = len(t)
+        holes = [(x, y) for x in range(n) for y in range(n) if t[x][y] < 0]
         completions = []
-        for fill in itertools.product(range(2), repeat=len(holes)):
+        for fill in itertools.product(range(n), repeat=len(holes)):
             full = [row[:] for row in t]
             for (x, y), v in zip(holes, fill):
                 full[x][y] = v
             completions.append(full)
-        for zero, axiom in itertools.product(range(2), AxiomId):
+        for zero, axiom in itertools.product(zeros, AxiomId):
             for w in axiom.violations(t, zero):
                 assert all(oracles.violates_axiom_at(c, axiom.name, w, zero) for c in completions), \
                     (t, zero, axiom, w)
@@ -200,9 +218,24 @@ def _completions(t, satisfying):
     return [c for c in satisfying if [c[i] for i in known] == want]
 
 
+def _forceable(axiom, t, zero):
+    """(the cells it reads, the cell it forces) for each instance of C3, C5 or C7 with one side
+    determined and the other lacking only its outermost cell, by the oracle's reading."""
+    out = []
+    if axiom.name not in ("C3", "C5", "C7"):
+        return out
+    for w in itertools.product(range(len(t)), repeat=axiom.arity):
+        cells = oracles.identity_cells(t, axiom.name, w, zero)
+        undetermined = [] if cells is None else [(a, b) for a, b in cells[1:] if t[a][b] < 0]
+        if len(undetermined) == 1:
+            out.append((cells[0], undetermined[0]))
+    return out
+
+
 def _propagator_agrees(axiom, t, zero, completions):
     # completions: flattened tables that satisfy the axiom and agree with t (all of them, or some)
     n = len(t)
+    forceable = _forceable(axiom, t, zero)
     for p, q in itertools.product(range(n), repeat=2):
         if t[p][q] < 0:
             continue
@@ -218,6 +251,8 @@ def _propagator_agrees(axiom, t, zero, completions):
         assert len(set(trail)) == len(trail) and all(t[a][b] < 0 <= after[a][b] for a, b in trail), case
         assert not conflict or not completions, case
         assert all(c[a * n + b] == after[a][b] for c in completions for a, b in trail), case
+        # and without a conflict, each forceable instance that reads (p, q) has its cell set
+        assert conflict or all(after[a][b] >= 0 for reads, (a, b) in forceable if (p, q) in reads), case
         for a, b in trail:  # undoing the trail restores the table
             after[a][b] = -1
         assert after == t, case

@@ -1,5 +1,6 @@
-"""Rules the package's source keeps: it runs on the standard library alone, and it memoizes
-nothing behind a functools cache, whose hidden state a deterministic verifier does not need."""
+"""Rules the package's source keeps: it runs on the standard library alone, it memoizes
+nothing behind a functools cache, whose hidden state a deterministic verifier does not need, and
+it runs generated source in one place only, built from constants."""
 
 import ast
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "roughalg").glob("*.py"))
 CACHES = {"cache", "lru_cache", "cached_property"}
+CODEGEN = {"exec", "compile", "eval"}
 
 
 def test_runtime_imports_only_the_standard_library_and_no_functools_cache():
@@ -25,3 +27,28 @@ def test_runtime_imports_only_the_standard_library_and_no_functools_cache():
                 caches.append(f"{path.name}: functools.{node.attr}")
     assert imported - sys.stdlib_module_names == set()
     assert caches == []
+
+
+def _nodes(node, scope):
+    """(qualified name of the enclosing function or class, node) for each node under node."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda))
+        yield from _nodes(child, f"{scope}.{getattr(child, 'name', 'lambda')}" if named else scope)
+
+
+def test_generated_source_runs_only_in_the_axiom_derivation_on_constants():
+    # exec, compile and eval appear only in algebra._identity, which only AxiomId's class body
+    # calls, on literal terms: no other module runs generated source, and no input reaches it
+    codegen, derivations = set(), []
+    for path in SOURCES:
+        for scope, node in _nodes(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.name):
+            if isinstance(node, ast.Name) and node.id in CODEGEN:
+                codegen.add(scope)
+            elif isinstance(node, ast.Name) and node.id == "_identity":
+                derivations.append(scope)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_identity":
+                for arg in [*node.args, *(k.value for k in node.keywords)]:
+                    ast.literal_eval(arg)  # raises on anything but a constant
+    assert codegen == {"algebra.py._identity"}
+    assert derivations == ["algebra.py.AxiomId"] * 3
