@@ -10,6 +10,7 @@ a one-variable one by the cell it pins and an identity by its two terms.
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import permutations
 from typing import Sequence
 
 from .errors import ValidationError
@@ -39,6 +40,10 @@ def _products(term, out: list) -> list:
 
 def _variables(term) -> list[str]:
     return sorted(set().union(*map(_variables, term)) if type(term) is tuple else {term} - {"0"})
+
+
+def _rename(term, renaming: dict):
+    return tuple(_rename(o, renaming) for o in term) if type(term) is tuple else renaming.get(term, term)
 
 
 def _render(term, outer=True) -> str:
@@ -87,16 +92,23 @@ def _identity(left, right, nonzero=""):
     are products that each read every variable.  A term is a variable "x", "y" or "z", the zero "0"
     or a pair (a, b) for a*b; the variables in nonzero range over the nonzero elements.  The two
     functions are generated here as source, once at import: reading a term per instance costs 3-9x.
-    The propagator has one loop nest for each product, over the instances where it reads (p, q)."""
+    The propagator has one loop nest for each product, over the instances where it reads (p, q), but
+    none for a product that a symmetry (a renaming of the variables that keeps nonzero and maps the
+    sides onto themselves, swapped or not) maps onto an earlier one, whose nest settles the same."""
     sides = (left, right)
     variables = _variables(sides)
+    symmetries = [renaming for renaming in (dict(zip(variables, image)) for image in permutations(variables))
+                  if {_rename(left, renaming), _rename(right, renaming)} == {left, right}
+                  and {renaming[var] for var in nonzero} == set(nonzero)]
     formula = " = ".join(map(_render, sides)) + (f" for nonzero {', '.join(nonzero)}" if nonzero else "")
     products, names = _products(right, _products(left, [])), {"0": "zero"}
     scan = _nest(names, variables, products, nonzero, {})
     source = ["def violations(t, zero):", "    rng = range(len(t))"] + _block(
         scan + [f"if {names[left]} != {names[right]}:", f"yield ({', '.join(variables)},)"])
     source += ["def propagate(t, zero, p, q, trail):", "    rng, v = range(len(t)), t[p][q]"]
-    for product in products:
+    for i, product in enumerate(products):
+        if any(_rename(product, renaming) in products[:i] for renaming in symmetries):
+            continue
         names, guards, tests = {"0": "zero", product: "v"}, [], {left: "", right: ""}
         for operand, cell in zip(product, "pq"):
             if type(operand) is tuple:  # a filter: the loops look for the instances where it is cell
@@ -152,8 +164,9 @@ class AxiomId(Enum):
     an instance is determined and the other lacks only its outermost cell, every completion that
     satisfies the axiom has the determined side's value there: it assigns it and appends the
     cell to ``trail``.  It returns whether one of those instances is violated with every cell
-    determined.  An identity's propagator has one loop nest for each product in its terms, which
-    finds the instances where that product reads the cell and settles each in place.
+    determined.  An identity's propagator has one loop nest for each product in its terms, up to
+    the identity's symmetries, which finds the instances where that product reads the cell and
+    settles each in place.
     """
 
     C1 = (1, "x*x = 0", lambda x, zero: (x, x, zero))

@@ -202,6 +202,7 @@ _CROSSMARK = "✗"
 
 
 def _jsonable(v):
+    """The JSON form of a library value: the ``default`` hook of ``json.dumps``, which encodes it."""
     if isinstance(v, Subset):
         return sorted(v)
     if isinstance(v, Partition):
@@ -210,11 +211,7 @@ def _jsonable(v):
         return {"order": v.n, "zero": v.zero, "rows": [list(r) for r in v.table]}
     if isinstance(v, AxiomId):
         return v.name
-    if isinstance(v, (tuple, list)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    return v
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
 def _set_text(s: Subset) -> str:
@@ -675,21 +672,35 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """Only the subparser argv[0] names, or all eight: the top-level help and its errors list each."""
+def _command_parser(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """p with the arguments of subcommand name: --format, then the command's own."""
+    p.add_argument("--format", choices=_FORMATS, help="report format (env ROUGHALG_FORMAT; the flag wins)")
+    _COMMANDS[name][2](p)
+    return p
+
+
+def _top_parser() -> argparse.ArgumentParser:
+    """The parser of ``roughalg`` with all eight subcommands: it parses an argv that does not start
+    with a subcommand, and it reports argparse's top-level errors; its help lists each command."""
     parser = argparse.ArgumentParser(prog="roughalg", description="Axiom, ideal, congruence and "
                                      "rough-approximation checks for small finite algebras.")
-    chosen = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    # with one subparser the metavar keeps the usage line; with all it would rename "argument command:"
-    metavar = "{" + ",".join(_COMMANDS) + "}" if len(chosen) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in chosen:
-        help_line, handler, add_arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_line)
-        p.add_argument("--format", choices=_FORMATS, help="report format (env ROUGHALG_FORMAT; the flag wins)")
-        add_arguments(p)
-        p.set_defaults(func=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=help_line), name)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_top_parser().parse_args(argv)``, but an argv that starts with a subcommand is parsed by its
+    parser alone, as the top-level subparsers action would; leftovers fail as in ``parse_args``."""
+    if not argv or argv[0] not in _COMMANDS:
+        return _top_parser().parse_args(argv)
+    parser = _command_parser(argparse.ArgumentParser(prog=f"roughalg {argv[0]}"), argv[0])
+    args, extras = parser.parse_known_args(argv[1:])
+    if extras:
+        _top_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 # the library fields a flag sets, to name the flag in an error message
@@ -700,16 +711,15 @@ _FLAG_OF_FIELD = {"n": "--order", "model_cap": "--limit", "time_budget": "--budg
 def run(argv=None) -> int:
     """Parse arguments, load the algebra file, run one subcommand, print its report.
 
-    Returns 2 on any RoughAlgError, else 1 exactly when the verdict is "fail".
+    One parser per call: the top-level one only for its help and errors, such as a bad
+    ROUGHALG_FORMAT.  Returns 2 on any RoughAlgError, else 1 exactly when the verdict is "fail".
     """
-    argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv)
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     fmt = args.format or os.environ.get("ROUGHALG_FORMAT", "text")
     if fmt not in _FORMATS:
-        parser.error(f"ROUGHALG_FORMAT: invalid choice: {fmt!r} (choose from 'text', 'json')")
+        _top_parser().error(f"ROUGHALG_FORMAT: invalid choice: {fmt!r} (choose from 'text', 'json')")
     try:
-        report, lines = args.func(args, _load_algebra(args.file) if "file" in args else None)
+        report, lines = _COMMANDS[args.command][1](args, _load_algebra(args.file) if "file" in args else None)
     except RoughAlgError as e:
         flag = _FLAG_OF_FIELD.get(getattr(e, "field", None))
         where = f"{flag}: " if flag else ""
@@ -717,7 +727,7 @@ def run(argv=None) -> int:
         print(f"error: {where}{e}{extra}", file=sys.stderr)
         return 2
     if fmt == "json":
-        print(json.dumps(_jsonable({"command": args.command, **report}), indent=2, sort_keys=True))
+        print(json.dumps({"command": args.command, **report}, default=_jsonable, indent=2, sort_keys=True))
     else:
         for line in lines:
             print(line)

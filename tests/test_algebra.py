@@ -267,7 +267,25 @@ def test_propagators_on_every_small_partial_table():
                 _propagator_agrees(axiom, t, zero, _completions(t, satisfying))
 
 
-def test_propagators_on_search_prefixes():
+def _checked_propagator(monkeypatch, axiom, seen=None):
+    """Make the search call a wrapper of axiom's propagator that appends each table handed in to
+    seen, if given, and asserts that each cell the call appends to trail was undetermined before
+    it.  A propagator that overwrites a set cell can make the search run without end (undoing the
+    trail then erases a cell set before), so the test fails at that write instead of hanging."""
+    propagate = axiom._propagate
+
+    def checked(t, zero, p, q, trail):
+        before, start = [row[:] for row in t], len(trail)
+        if seen is not None:
+            seen.append(before)
+        conflict = propagate(t, zero, p, q, trail)
+        assert all(before[a][b] < 0 for a, b in trail[start:]), (axiom, before, zero, p, q, trail[start:])
+        return conflict
+
+    monkeypatch.setattr(axiom, "_propagate", checked)
+
+
+def test_propagators_on_search_prefixes(monkeypatch):
     # the forced cells, then a row-major prefix of the others: random, a model's, or a model's with
     # its last cell set anew.  At order 3 every satisfying completion is known; above it, a
     # model's prefix has that model as one.
@@ -276,7 +294,9 @@ def test_propagators_on_search_prefixes():
         spec = SearchSpec(n=n, axiom_set=_LABELLED[axiom.name], max_order=6)
         forced = search._forced_cells(n, spec.axiom_set, 0)
         cells = [(x, y) for x in range(n) for y in range(n) if forced[x][y] < 0]
+        _checked_propagator(monkeypatch, axiom)
         models = [[row[:] for row in t] for t in itertools.islice(search._tables(spec, None), 3)]
+        monkeypatch.undo()
         satisfying = _satisfying(3, axiom, 0) if n == 3 else None
         for model, reset in [(None, True)] * 40 + [(m, r) for m in models for r in (False, True)] * 10:
             t, k = [row[:] for row in forced], rng.randint(1, len(cells))
@@ -296,13 +316,7 @@ def test_propagators_on_search_states(monkeypatch, n, name):
     # models that agree with a table are some of its satisfying completions.  B6 and BO7 are
     # the largest searches the benchmark runs through C3 and C5
     axiom, seen = AxiomId[name], []
-    propagate = axiom._propagate
-
-    def recorded(t, *args):
-        seen.append([row[:] for row in t])
-        return propagate(t, *args)
-
-    monkeypatch.setattr(axiom, "_propagate", recorded)
+    _checked_propagator(monkeypatch, axiom, seen)
     models = [list(itertools.chain.from_iterable(t))
               for t in search._tables(SearchSpec(n=n, axiom_set=_LABELLED[name], max_order=n), None)]
     monkeypatch.undo()

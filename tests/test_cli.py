@@ -1,5 +1,7 @@
 """File formats, parsing errors, subcommand behavior, exit codes, reports."""
 
+import contextlib
+import io
 import json
 import re
 
@@ -8,6 +10,8 @@ from hypothesis import given
 
 from roughalg import FiniteAlgebra, ParseError, SetValuedMap, Subset
 from roughalg.cli import (
+    _parse_args,
+    _top_parser,
     parse_algebra_file,
     parse_partition,
     parse_subset,
@@ -17,6 +21,8 @@ from roughalg.cli import (
 
 from conftest import (BUNDLED, REPO_ROOT, algebras, count_completeness_reads, count_congruence_checks,
                       count_incompatible_scans)
+from test_golden import CASES as GOLDEN_CASES
+from test_usage import CASES as USAGE_CASES
 
 
 # ------------------------------------------------------------- file format
@@ -624,6 +630,63 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["nonsense"])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------------- argument parsing
+
+def _parsed(parse, argv):
+    """(the fields of parse(argv), None), or (None, (exit code, stdout, stderr)) when it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(argv)), None
+    except SystemExit as e:
+        return None, (e.code, out.getvalue(), err.getvalue())
+
+
+def _top_level(argv):
+    return _top_parser().parse_args(argv)
+
+
+_CHECK = ["check", "tables/bh4.alg", "--axioms", "b"]
+_VERIFY = ["verify", "tables/bh4.alg", "--prop", "2-1", "--partition", "0,1|2|3", "--set", "0"]
+# argvs whose parse turns on how argparse treats them, each a success or an exit
+_EDGE_ARGVS = {
+    "abbreviated-format": _CHECK + ["--form", "json"],
+    "help-after-file": ["check", "tables/bh4.alg", "-h"],
+    "double-dash-before-file": ["check", "--axioms", "b", "--", "tables/bh4.alg"],
+    "double-dash-at-end": _CHECK + ["--"],
+    "repeated-format": _CHECK + ["--format", "json", "--format", "text"],
+    "format-with-equals": _CHECK + ["--format=json"],
+    "bad-format-choice": _CHECK + ["--format", "xml"],
+    "missing-required-flag": ["check", "tables/bh4.alg"],
+    "missing-file": ["check", "--axioms", "b"],
+    "prop-and-claim": _VERIFY + ["--claim", "ideal"],
+    "partition-and-ideal": _VERIFY + ["--ideal", "0"],
+    "ambiguous-abbreviation": _VERIFY + ["--se", "0"],
+    "extra-positional": _CHECK + ["tables/b4.alg"],
+    "unknown-options": ["check", "--bogus", "tables/bh4.alg", "--axioms", "b", "-q"],
+    "search-with-file": ["search", "tables/bh4.alg", "--order", "2", "--axioms", "b"],
+    "negative-number": ["search", "--order", "-1", "--axioms", "b"],
+    "option-value-looks-like-option": _CHECK + ["--max-witnesses", "--format"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_ARGVS))
+def test_one_parser_parses_edge_argvs_as_the_top_level_parser(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = _EDGE_ARGVS[name]
+    assert _parsed(_parse_args, argv) == _parsed(_top_level, argv)
+
+
+def test_one_parser_parses_every_golden_and_usage_argv_as_the_top_level_parser(monkeypatch):
+    # the same namespace on success, the same exit code, stdout and stderr on exit
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [*GOLDEN_CASES.values(), *(argv for argv, _ in USAGE_CASES.values())]
+    for argv in argvs:
+        assert _parsed(_parse_args, argv) == _parsed(_top_level, argv), argv
+    # every golden argv parses; of the usage argvs, only the two with a bad ROUGHALG_FORMAT do
+    assert sum(_parsed(_parse_args, argv)[0] is not None for argv in argvs) == len(GOLDEN_CASES) + 2
 
 
 # ------------------------------------------------------------- reports

@@ -39,6 +39,10 @@ CASES = {
     "double-dash": (["--", "check"], {}),
     "unrecognized-argument": (["check", "tables/bh4.alg", "--axioms", "b", "--bogus"], {}),
     "bad-format-env": (["check", "tables/bh4.alg", "--axioms", "b"], {"ROUGHALG_FORMAT": "xml"}),
+    "unknown-option-before-file": (["check", "--bogus", "tables/bh4.alg", "--axioms", "b"], {}),
+    "bad-format-flag": (["check", "tables/bh4.alg", "--axioms", "b", "--format=xml"], {}),
+    "ambiguous-abbreviation": (["verify", "tables/bh4.alg", "--prop", "2-1", "--se", "0"], {}),
+    "bad-format-env-search": (["search", "--order", "2", "--axioms", "b"], {"ROUGHALG_FORMAT": "xml"}),
 }
 
 
