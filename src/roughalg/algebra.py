@@ -53,29 +53,58 @@ def _render(term, outer=True) -> str:
     return text if outer else f"({text})"
 
 
-def _nest(names, loops, products, nonzero, tests) -> list[str]:
-    """Statements that loop over the variables in loops, in order, and compute each product at the
-    first level that names both its operands, then test it: ``tests`` maps a product to the test's
-    tail (no test when empty), " >= 0" by default.  names maps each term to the name of its value.
-    A row that a deeper level reads is taken from the table once, at the level that names it."""
-    level = dict.fromkeys(names, 0) | {var: i for i, var in enumerate(loops, 1)}
-    for term in products:
-        level.setdefault(term, max(level[term[0]], level[term[1]]))
-    rows = dict.fromkeys(term[0] for term in products if term not in names and level[term] > level[term[0]])
+def _nest(names, loops, products, nonzero, untested=()) -> list[str]:
+    """Statements that open the loops in order and compute each product at the first level that names
+    both its operands, then test that it is determined, unless it is one of untested.  names maps
+    each term to the name of its value.  A loop is a variable, which ranges over the carrier, or a
+    pair (statements, bound) from ``_filter``: the statements that open it and the names of the
+    terms it binds.  A row that a deeper level reads is taken from the table once, at the level
+    that names it."""
+    level = dict.fromkeys(names, 0)
+    for i, loop in enumerate(loops, 1):
+        level |= dict.fromkeys(loop[1] if type(loop) is tuple else (loop,), i)
+    computed = [term for term in products if term not in level]
+    for term in computed:
+        level[term] = max(level[term[0]], level[term[1]])
+    rows = dict.fromkeys(term[0] for term in computed if level[term] > level[term[0]])
     out = [f"t{names[term]} = t[{names[term]}]" for term in rows if term in names]
-    for var in (None, *loops):
-        if var is not None:
-            names[var] = var
-            out += [f"for {var}, t{var} in enumerate(t):" if var in rows else f"for {var} in rng:"]
-            out += [f"if {var} != zero:"] * (var in nonzero)
-        for term in products:
+    for loop in (None, *loops):
+        if type(loop) is tuple:
+            statements, bound = loop
+            names.update(bound)
+            out += statements + [f"t{name} = t[{name}]" for term, name in bound.items() if term in rows]
+        elif loop is not None:
+            names[loop] = loop
+            out += [f"for {loop}, t{loop} in enumerate(t):" if loop in rows else f"for {loop} in rng:"]
+            out += [f"if {loop} != zero:"] * (loop in nonzero)
+        for term in computed:
             if term not in names and term[0] in names and term[1] in names:
                 name = names[term] = f"a{len(names)}"
                 row = f"t{names[term[0]]}" if term[0] in rows else f"t[{names[term[0]]}]"
-                tail = tests.get(term, " >= 0")
-                out += [f"{name} = {row}[{names[term[1]]}]"] + [f"if {name}{tail}:"] * bool(tail)
+                out += [f"{name} = {row}[{names[term[1]]}]"] + [f"if {name} >= 0:"] * (term not in untested)
                 out += [f"t{name} = t[{name}]"] * (term in rows)
     return out
+
+
+def _filter(term, value, known, nonzero, loops) -> None:
+    """Appends to loops those that find the instances where the product term has the value named
+    value.  The first runs over the cells (i, j) in held[value]: it binds a variable operand that
+    known lacks to the cell's index, tests a known operand or a 0 against it, and makes a product
+    operand a filter on that index, a deeper loop.  known maps each term named so far to its name."""
+    k, tests, bound, deeper = len(loops) + 1, [], {term: value}, []
+    cell = [f"i{k}", f"j{k}"]
+    for at, operand in enumerate(term):
+        if type(operand) is tuple:
+            deeper.append((operand, cell[at]))
+        elif operand in known:
+            tests.append(f"if {cell[at]} == {known[operand]}:")
+        else:
+            cell[at] = known[operand] = bound[operand] = operand
+            tests += [f"if {operand} != zero:"] * (operand in nonzero)
+    known[term] = value
+    loops.append(([f"for {cell[0]}, {cell[1]} in held[{value}]:"] + tests, bound))
+    for operand, index in deeper:
+        _filter(operand, index, known, nonzero, loops)
 
 
 def _block(statements) -> list[str]:
@@ -88,13 +117,16 @@ def _block(statements) -> list[str]:
 
 
 def _identity(left, right, nonzero=""):
-    """AxiomId's arity, formula, violations and propagator of the identity left = right, whose sides
-    are products that each read every variable.  A term is a variable "x", "y" or "z", the zero "0"
-    or a pair (a, b) for a*b; the variables in nonzero range over the nonzero elements.  The two
-    functions are generated here as source, once at import: reading a term per instance costs 3-9x.
-    The propagator has one loop nest for each product, over the instances where it reads (p, q), but
+    """AxiomId's arity, formula, violations, propagator, the source of the two and whether the
+    propagator reads the value index, for the identity left = right, whose sides are products that
+    each read every variable.  A term is a variable "x", "y" or "z", the zero "0" or a pair (a, b)
+    for a*b; the variables in nonzero range over the nonzero elements.  The two functions are
+    generated here as source, once at import: reading a term per instance costs 3-9x.  The
+    propagator has one loop nest for each product, over the instances where it reads (p, q), but
     none for a product that a symmetry (a renaming of the variables that keeps nonzero and maps the
-    sides onto themselves, swapped or not) maps onto an earlier one, whose nest settles the same."""
+    sides onto themselves, swapped or not) maps onto an earlier one, whose nest settles the same.
+    A product operand of a nest's product is a filter, whose value must be p or q: the nest finds
+    its instances among the cells that the index lists for that value, not by a scan of the table."""
     sides = (left, right)
     variables = _variables(sides)
     symmetries = [renaming for renaming in (dict(zip(variables, image)) for image in permutations(variables))
@@ -102,39 +134,45 @@ def _identity(left, right, nonzero=""):
                   and {renaming[var] for var in nonzero} == set(nonzero)]
     formula = " = ".join(map(_render, sides)) + (f" for nonzero {', '.join(nonzero)}" if nonzero else "")
     products, names = _products(right, _products(left, [])), {"0": "zero"}
-    scan = _nest(names, variables, products, nonzero, {})
+    scan = _nest(names, variables, products, nonzero)
     source = ["def violations(t, zero):", "    rng = range(len(t))"] + _block(
         scan + [f"if {names[left]} != {names[right]}:", f"yield ({', '.join(variables)},)"])
-    source += ["def propagate(t, zero, p, q, trail):", "    rng, v = range(len(t)), t[p][q]"]
+    source += ["def propagate(t, zero, p, q, trail, held):", "    rng, v = range(len(t)), t[p][q]"]
+    order = []  # the products of the sides, each after its operands, the sides last
+    for term in sides:
+        _products(term, order)
+    order.sort(key=sides.__contains__)
+    reads = False
     for i, product in enumerate(products):
         if any(_rename(product, renaming) in products[:i] for renaming in symmetries):
             continue
-        names, guards, tests = {"0": "zero", product: "v"}, [], {left: "", right: ""}
+        names, guards, filters = {"0": "zero", product: "v"}, [], []
         for operand, cell in zip(product, "pq"):
-            if type(operand) is tuple:  # a filter: the loops look for the instances where it is cell
-                tests[operand] = f" == {cell}"
+            if type(operand) is tuple:
+                filters.append((operand, cell))
             elif operand in names:
                 guards.append(f"if {cell} == {names[operand]}:")
             else:
                 names[operand] = cell
                 guards += [f"if {cell} != zero:"] * (operand in nonzero)
-        filters = sorted((f for f in tests if f not in sides), key=lambda f: len(_variables(f)))
-        free = dict.fromkeys(sum(map(_variables, filters), []) + variables)  # the smallest filter's first
-        order = []  # the filters first, so that each is tested as soon as it can be, the sides last
-        for term in (*filters, *sides):
-            _products(term, order)
-        order.sort(key=sides.__contains__)
-        body = _nest(names, [var for var in free if var not in names], order, nonzero, tests)
+        loops, known = [], dict(names)
+        for term, cell in sorted(filters, key=lambda f: len(_variables(f[0]))):  # the smallest first
+            _filter(term, cell, known, nonzero, loops)
+        reads |= bool(filters)
+        body = _nest(names, loops + [var for var in variables if var not in known], order, nonzero, sides)
         (a, b), (c, d) = ([names[o] for o in side] for side in sides)
         left_value, right_value = names[left], names[right]
         source += _block(guards + body + [
             f"if {left_value} != {right_value}:",
-            f"if {left_value} < 0: t[{a}][{b}] = {right_value}; trail.append(({a}, {b}))",
-            f"elif {right_value} < 0: t[{c}][{d}] = {left_value}; trail.append(({c}, {d}))",
+            f"if {left_value} < 0: t[{a}][{b}] = {right_value}; trail.append(({a}, {b}));"
+            f" held is None or held[{right_value}].append(({a}, {b}))",
+            f"elif {right_value} < 0: t[{c}][{d}] = {left_value}; trail.append(({c}, {d}));"
+            f" held is None or held[{left_value}].append(({c}, {d}))",
             "else: return True"])
+    source = "\n".join(source + ["    return False"])
     scope = {}
-    exec(compile("\n".join(source + ["    return False"]), f"<{formula}>", "exec"), scope)
-    return len(variables), formula, scope["violations"], scope["propagate"]
+    exec(compile(source, f"<{formula}>", "exec"), scope)
+    return len(variables), formula, scope["violations"], scope["propagate"], source, reads
 
 
 def _c4(t, zero):
@@ -145,7 +183,7 @@ def _c4(t, zero):
                 yield (x, y)
 
 
-def _c4_cell(t, zero, p, q, trail):
+def _c4_cell(t, zero, p, q, trail, held):
     """Whether a violated C4 instance reads the determined cell (p, q); C4 forces no cell."""
     return p != q and t[p][q] == zero and t[q][p] == zero
 
@@ -159,14 +197,21 @@ class AxiomId(Enum):
     violating instances over table rows ``t`` (-1 for an undetermined cell) in lexicographic
     order.  It skips an instance that reads an undetermined cell, so on a partial table it
     yields only those that every completion violates.  The private propagator ``_propagate(t,
-    zero, p, q, trail)`` of a many-variable axiom looks at the instances that read the
-    determined cell (p, q), as the model search does after it sets the cell.  Where one side of
-    an instance is determined and the other lacks only its outermost cell, every completion that
-    satisfies the axiom has the determined side's value there: it assigns it and appends the
-    cell to ``trail``.  It returns whether one of those instances is violated with every cell
-    determined.  An identity's propagator has one loop nest for each product in its terms, up to
-    the identity's symmetries, which finds the instances where that product reads the cell and
-    settles each in place.
+    zero, p, q, trail, held)`` of a many-variable axiom looks at the instances that read the
+    determined cell (p, q), as the model search does after it sets the cell.  ``held`` is the
+    value index: ``held[v]`` lists the determined cells that hold v, in the order they were set,
+    or it is None when no propagator of the search reads it.  Where one side of an instance is
+    determined and the other lacks only its outermost cell, every completion that satisfies the
+    axiom has the determined side's value there: it assigns it, appends the cell to ``trail`` and,
+    with an index, to its value's list.  It returns whether one of those instances is violated
+    with every cell determined.  An identity's propagator has one loop nest for each product in
+    its terms, up to the identity's symmetries, which finds the instances where that product
+    reads the cell and settles each in place.  A product operand of that product is a filter,
+    whose value must be p or q: the nest reads its instances off the cells in ``held[p]`` or
+    ``held[q]``, binding a variable operand to the cell's index, testing a 0 operand against
+    the zero and making a product operand a filter on the index in turn.  ``_reads_held`` says
+    whether a propagator has a filter, so reads the index (C3, C5); ``_source`` is an identity's
+    generated source.
     """
 
     C1 = (1, "x*x = 0", lambda x, zero: (x, x, zero))
@@ -177,11 +222,11 @@ class AxiomId(Enum):
     C6 = (1, "x*x = x", lambda x, zero: (x, x, x))
     C7 = _identity(("x", "y"), ("y", "x"), nonzero="xy")
 
-    def __init__(self, arity: int, formula: str, definition, propagate=None):
+    def __init__(self, arity: int, formula: str, definition, propagate=None, source=None, reads_held=False):
         self.arity, self.formula = arity, formula
         self.pin = definition if arity == 1 else None
         self.violations = _pinned(definition) if arity == 1 else definition
-        self._propagate = propagate
+        self._propagate, self._source, self._reads_held = propagate, source, reads_held
 
     def __repr__(self) -> str:
         return f"AxiomId.{self.name}"

@@ -50,6 +50,13 @@ class SetValuedMap:
         self.n_target = n_target
         self.masks = tuple(masks)
 
+    @classmethod
+    def _from_masks(cls, n_source: int, n_target: int, masks: tuple[int, ...]) -> "SetValuedMap":
+        # fast path: one mask inside the target carrier per source element; skips validation
+        obj = object.__new__(cls)
+        obj.n_source, obj.n_target, obj.masks = n_source, n_target, masks
+        return obj
+
     def image(self, x: int) -> Subset:
         return Subset._raw(self.n_target, self.masks[x])
 
@@ -69,6 +76,11 @@ class SetValuedMap:
         return f"SetValuedMap({self.n_source}->{self.n_target}, {body})"
 
 
+def _check_carrier(n) -> None:
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"carrier size must be an int of at least 1, got {n!r}", "n")
+
+
 class Partition(SetValuedMap):
     """Pairwise-disjoint nonempty classes covering {0..n-1} exactly once.
 
@@ -80,8 +92,7 @@ class Partition(SetValuedMap):
     __slots__ = ("n", "classes", "class_index")
 
     def __init__(self, n: int, classes: Iterable):
-        if type(n) is not int or n < 1:
-            raise ValidationError(f"carrier size must be an int of at least 1, got {n!r}", "n")
+        _check_carrier(n)
         masks = []
         for c in classes:
             c = c if isinstance(c, Subset) else Subset.from_elements(n, c)
@@ -120,12 +131,14 @@ class Partition(SetValuedMap):
 
     @classmethod
     def discrete(cls, n: int) -> "Partition":
-        return cls(n, ([x] for x in range(n)))
+        _check_carrier(n)
+        return cls._from_rgs(tuple(range(n)))
 
     @classmethod
     def single(cls, n: int) -> "Partition":
         """One class containing the whole carrier."""
-        return cls(n, [range(n)])
+        _check_carrier(n)
+        return cls._from_rgs((0,) * n)
 
     def __repr__(self) -> str:
         body = " | ".join(",".join(map(str, c)) for c in self.classes)
@@ -274,4 +287,5 @@ def relation_from_ideal(alg: FiniteAlgebra, ideal: Subset) -> SetValuedMap:
     if ideal.n != alg.n:
         raise ValidationError(f"subset carrier {ideal.n} does not match algebra carrier {alg.n}")
     t, n, m = alg.table, alg.n, ideal.mask
-    return SetValuedMap(n, n, ([y for y in range(n) if m >> t[x][y] & 1 and m >> t[y][x] & 1] for x in range(n)))
+    return SetValuedMap._from_masks(n, n, tuple(
+        sum(1 << y for y in range(n) if m >> t[x][y] & 1 and m >> t[y][x] & 1) for x in range(n)))

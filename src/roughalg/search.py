@@ -6,12 +6,19 @@ depth-first search over the other cells in row-major order.  Each other
 axiom's private propagator looks at the instances that read a cell just set,
 as the watch lists of SEM and Mace4 do: a violated one prunes the branch,
 and a cell that one forces is assigned, put on a trail and propagated in
-turn, until nothing changes.  The pinned cells are propagated first, then
-each choice; a backtrack undoes the trail down to the choice.  Every cell
-before the current one is set, so a forced cell lies after it and the
-search skips it: only choices count as nodes, and the models are those of a
-search that tries every value.  Models come out in lexicographic order
-of the flattened table, raw tables with no isomorphism rejection, and
+turn, until nothing changes.  One call per assignment runs them all.
+C3's and C5's propagators find some instances through a filter, a product
+whose value must be the row or the column of the cell just set: for them
+the search keeps a value index, ``held[v]`` the determined cells that hold
+v in the order they were set.  Each write (a pinned cell, a choice, a
+forced cell) appends its cell and each undo or overwrite pops it, so a
+filter reads the few cells that hold its value, not all n*n.  For a set
+whose propagators read no index (BH, Z) the search keeps none.  The pinned
+cells are propagated first, then each choice; a backtrack undoes the trail
+down to the choice.  Every cell before the current one is set, so a forced
+cell lies after it and the search skips it: only choices count as nodes,
+and the models are those of a search that tries every value.  Models come
+out in lexicographic order of the flattened table, raw tables with no isomorphism rejection, and
 identical runs are bit-identical.  Counting, emitting and hunting are loops
 over the stream.  Partitions are enumerated as restricted-growth strings
 (class indexes); congruence enumeration builds a Partition only for a
@@ -118,25 +125,39 @@ def _tables(spec: SearchSpec, deadline: float | None) -> Iterator[list[list[int]
         raise ValidationError("axiom_set must be nonempty for model search")
     zero = 0
     t = _forced_cells(n, spec.axiom_set, zero)
+    if t is None:
+        return
     props = [a._propagate for a in AxiomId if a in spec.axiom_set and not a.pin]  # the pins settle the rest
+    if len(props) == 1:
+        propagate = props[0]
+    else:  # one call per assignment all the same: each propagator in turn, up to a conflict
+        def propagate(t, zero, p, q, trail, held):
+            return any(prop(t, zero, p, q, trail, held) for prop in props)
     # every set cell but the choices: the pinned ones, then those that propagation forces
-    trail = [] if t is None else [(x, y) for x in range(n) for y in range(n) if t[x][y] >= 0]
+    trail = [(x, y) for x in range(n) for y in range(n) if t[x][y] >= 0]
+    held = None  # the value index, kept only for a propagator that reads it
+    if any(a._reads_held for a in spec.axiom_set):
+        held = [[] for _ in range(n)]
+        for x, y in trail:
+            held[t[x][y]].append((x, y))
 
     def consistent(k):
         """Propagate the cells trail[k:] and those they force in turn; False on a conflict."""
         while k < len(trail):
-            for prop in props:
-                if prop(t, zero, *trail[k], trail):
-                    return False
+            if propagate(t, zero, *trail[k], trail, held):
+                return False
             k += 1
         return True
 
     def undo(k):
+        if held is not None:  # each value's cells in trail[k:] are the last of its list
+            for p, q in trail[k:]:
+                held[t[p][q]].pop()
         for p, q in trail[k:]:
             t[p][q] = -1
         del trail[k:]
 
-    if t is None or not consistent(0):
+    if not consistent(0):
         return
     cells = [(x, y) for x in range(n) for y in range(n) if t[x][y] < 0]
     last, choices, cap = len(cells), [], spec.model_cap  # choices: (cell index, trail length before it)
@@ -154,23 +175,25 @@ def _tables(spec: SearchSpec, deadline: float | None) -> Iterator[list[list[int]
             nodes += 1
             if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
                 raise SearchLimitError("time budget exceeded", count=count, reason="time")
+            if held is not None:
+                if v > 0:  # the cell's last value, v - 1, the last of its list
+                    held[v - 1].pop()
+                held[v].append((x, y))
             t[x][y] = v
-            for prop in props:
-                if prop(t, zero, x, y, trail):
+            if not propagate(t, zero, x, y, trail, held) and (len(trail) == base or consistent(base)):
+                j = i + 1
+                while j < last and t[cells[j][0]][cells[j][1]] >= 0:  # set by propagation
+                    j += 1
+                if j < last:
                     break
-            else:
-                if len(trail) == base or consistent(base):
-                    j = i + 1
-                    while j < last and t[cells[j][0]][cells[j][1]] >= 0:  # set by propagation
-                        j += 1
-                    if j < last:
-                        break
-                    yield t
-                    count += 1
-                    if cap is not None and count >= cap:
-                        raise SearchLimitError("model cap reached", count=count, reason="model-cap")
+                yield t
+                count += 1
+                if cap is not None and count >= cap:
+                    raise SearchLimitError("model cap reached", count=count, reason="model-cap")
         else:  # no value left: the previous choice takes its next one
             undo(base)
+            if held is not None:  # the cell holds n - 1, its last value
+                held[n - 1].pop()
             t[x][y] = -1
             if not choices:
                 return

@@ -232,6 +232,16 @@ def _forceable(axiom, t, zero):
     return out
 
 
+def _index(t):
+    """The value index of table rows t: the determined cells that hold each value, row-major."""
+    held = [[] for _ in t]
+    for a, row in enumerate(t):
+        for b, v in enumerate(row):
+            if v >= 0:
+                held[v].append((a, b))
+    return held
+
+
 def _propagator_agrees(axiom, t, zero, completions):
     # completions: flattened tables that satisfy the axiom and agree with t (all of them, or some)
     n = len(t)
@@ -239,8 +249,8 @@ def _propagator_agrees(axiom, t, zero, completions):
     for p, q in itertools.product(range(n), repeat=2):
         if t[p][q] < 0:
             continue
-        after, trail = [row[:] for row in t], []
-        conflict = axiom._propagate(after, zero, p, q, trail)
+        after, trail, held = [row[:] for row in t], [], _index(t)
+        conflict = axiom._propagate(after, zero, p, q, trail, held)
         reads = _reads_violation(axiom, t, zero, p, q)
         case = (axiom, t, zero, p, q)
         # a conflict is reported when a violated, determined instance reads (p, q), only then when
@@ -253,13 +263,22 @@ def _propagator_agrees(axiom, t, zero, completions):
         assert all(c[a * n + b] == after[a][b] for c in completions for a, b in trail), case
         # and without a conflict, each forceable instance that reads (p, q) has its cell set
         assert conflict or all(after[a][b] >= 0 for reads, (a, b) in forceable if (p, q) in reads), case
-        for a, b in trail:  # undoing the trail restores the table
+        # the index lists each forced cell after those set before, in the order it was forced
+        assert held == [cells + [(a, b) for a, b in trail if after[a][b] == v]
+                        for v, cells in enumerate(_index(t))], case
+        if not axiom._reads_held:  # a propagator that reads no index does the same without one
+            again, again_trail = [row[:] for row in t], []
+            assert axiom._propagate(again, zero, p, q, again_trail, None) == conflict, case
+            assert (again, again_trail) == (after, trail), case
+        for a, b in reversed(trail):  # undoing the trail restores the table and the index
+            assert held[after[a][b]].pop() == (a, b), case
             after[a][b] = -1
-        assert after == t, case
+        assert after == t and held == _index(t), case
 
 
 def test_propagators_on_every_small_partial_table():
     assert [a.name for a in PROPAGATORS] == ["C3", "C4", "C5", "C7"]
+    assert [a.name for a in PROPAGATORS if a._reads_held] == ["C3", "C5"]
     for n, zero, axiom in itertools.product((1, 2), range(2), PROPAGATORS):
         if zero < n:
             satisfying = _satisfying(n, axiom, zero)
@@ -271,15 +290,23 @@ def _checked_propagator(monkeypatch, axiom, seen=None):
     """Make the search call a wrapper of axiom's propagator that appends each table handed in to
     seen, if given, and asserts that each cell the call appends to trail was undetermined before
     it.  A propagator that overwrites a set cell can make the search run without end (undoing the
-    trail then erases a cell set before), so the test fails at that write instead of hanging."""
+    trail then erases a cell set before), so the test fails at that write instead of hanging.  The
+    search runs on an axiom set with no other propagator: the wrapper asserts that it gets a value
+    index exactly when the axiom reads one, and that the index lists the determined cells of each
+    value, before and after the call."""
     propagate = axiom._propagate
 
-    def checked(t, zero, p, q, trail):
+    def indexed(t, held):
+        return held is None if not axiom._reads_held else [sorted(cells) for cells in held] == _index(t)
+
+    def checked(t, zero, p, q, trail, held):
         before, start = [row[:] for row in t], len(trail)
         if seen is not None:
             seen.append(before)
-        conflict = propagate(t, zero, p, q, trail)
+        assert indexed(t, held), (axiom, before, zero, p, q, held)
+        conflict = propagate(t, zero, p, q, trail, held)
         assert all(before[a][b] < 0 for a, b in trail[start:]), (axiom, before, zero, p, q, trail[start:])
+        assert indexed(t, held), (axiom, before, zero, p, q, trail[start:], held)
         return conflict
 
     monkeypatch.setattr(axiom, "_propagate", checked)

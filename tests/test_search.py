@@ -107,6 +107,10 @@ def test_order_2_completeness_against_unpruned_scan():
 
 
 _AXIOM_SETS = {**LABEL_AXIOMS, "Z-relaxed": Z_AXIOM_VARIANTS["relaxed"]}
+# sets with two propagating axioms: the search calls both propagators, on one value index when
+# either reads it
+_MIXED_SETS = {names: tuple(AxiomId[a] for a in names.split(","))
+               for names in ("C1,C2,C3,C5", "C1,C2,C4,C7", "C2,C3,C4", "C2,C5,C7")}
 
 
 def _expect(models):
@@ -118,12 +122,12 @@ def _expect(models):
     return sink
 
 
-@pytest.mark.parametrize("label", sorted(_AXIOM_SETS))
+@pytest.mark.parametrize("label", sorted(_AXIOM_SETS) + list(_MIXED_SETS))
 def test_models_match_a_full_rescan_search(label):
     # the search assigns the cells that the instances reading a set cell force, and checks only
     # those instances; the reference search tries every value of every cell and re-checks every
     # instance of every axiom after each assignment
-    axioms = _AXIOM_SETS[label]
+    axioms = {**_AXIOM_SETS, **_MIXED_SETS}[label]
     for n in range(1, {"B": 6, "BO": 7}.get(label, 5)):
         reference = oracles.search_models(n, [a.name for a in axioms])
         enumerate_algebras(SearchSpec(n=n, axiom_set=axioms, max_order=6), _expect(reference))

@@ -1,12 +1,16 @@
 """Rules the package's source keeps: it runs on the standard library alone, it memoizes
 nothing behind a functools cache, whose hidden state a deterministic verifier does not need, and
-it runs generated source in one place only, built from constants."""
+it runs generated source in one place only, built from constants, that does not depend on
+string hashing."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "roughalg").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "roughalg").glob("*.py"))
 CACHES = {"cache", "lru_cache", "cached_property"}
 CODEGEN = {"exec", "compile", "eval"}
 
@@ -52,3 +56,15 @@ def test_generated_source_runs_only_in_the_axiom_derivation_on_constants():
                     ast.literal_eval(arg)  # raises on anything but a constant
     assert codegen == {"algebra.py._identity"}
     assert derivations == ["algebra.py.AxiomId"] * 3
+
+
+def test_derived_source_does_not_depend_on_string_hashing():
+    # the source that _identity derives from C3's, C5's and C7's terms, in two interpreters
+    # with different hash seeds: a derivation that followed the order of a str-keyed set would
+    # generate other loops, or the same loops in another order, under one of them
+    script = ("import hashlib; from roughalg import AxiomId; "
+              "print([hashlib.sha256(AxiomId[a]._source.encode()).hexdigest() for a in ('C3', 'C5', 'C7')])")
+    digests = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}).stdout
+               for seed in ("0", "4242")]
+    assert digests[0] == digests[1] and len(set(ast.literal_eval(digests[0]))) == 3
