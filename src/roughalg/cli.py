@@ -43,7 +43,8 @@ from .ideals import is_ideal, is_strong_ideal, enumerate_ideals
 from .relations import (
     Partition,
     SetValuedMap,
-    _incomplete,
+    _grouped,
+    _mismatch,
     is_congruence,
     is_equivalence,
     relation_from_ideal,
@@ -245,7 +246,7 @@ def _load_algebra(path: str) -> FiniteAlgebra:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path, or UnicodeDecodeError
         raise ParseError(f"cannot read {path}: {e}") from None
     return parse_algebra_file(text)[1]
 
@@ -348,7 +349,7 @@ def _cmd_ideals(args, alg) -> tuple[dict, list[str]]:
 
 
 def _cmd_congruences(args, alg) -> tuple[dict, list[str]]:
-    congs = [(p, _incomplete(alg.table, p) is None) for p in enumerate_congruences(alg)]
+    congs = [(p, _mismatch(alg.table, p, _grouped(p)) is None) for p in enumerate_congruences(alg)]
     lines = [f"{len(congs)} congruences"]
     lines += [f"{_partition_text(p)}{'  (complete)' if complete else ''}" for p, complete in congs]
     report = {"count": len(congs),
@@ -397,7 +398,7 @@ def _verify_congruence(args, alg, complete=False) -> tuple[dict, list[str]]:
     if not complete:
         report["verdict"] = "pass"
         return report, [f"claim {args.claim}: holds"]
-    w = _incomplete(alg.table, p)
+    w = _mismatch(alg.table, p, _grouped(p))
     report.update(complete=w is None, witness=w, verdict="pass" if w is None else "fail")
     return report, [f"claim {args.claim}: " + ("holds" if w is None else f"FAILS (witness {w})")]
 
@@ -421,7 +422,7 @@ def _verify_prop(args, alg) -> tuple[dict, list[str]]:
     report = {**info, "partition": partition, "set_a": a, "set_b": b}
     if args.prop == "3-2":
         results = check_congruence_product_laws(alg, partition, a, b)
-        complete = report["congruence_complete"] = _incomplete(alg.table, partition) is None
+        complete = report["congruence_complete"] = _mismatch(alg.table, partition, _grouped(partition)) is None
     elif args.prop == "2-1":
         results = check_approx_laws(partition, a, b, alg)
     else:

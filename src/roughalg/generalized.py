@@ -8,14 +8,14 @@ computes both, for every map; a ``Partition`` is its class map x -> [x],
 so ``lower`` and ``upper`` are also Pawlak's approximations.  When both
 carriers carry an operation the map can be tested for the (strong)
 morphism property: the image of a product must contain (equal, for
-strong) the product of the images.
+strong) the product of the images, as ``relations._mismatch`` decides.
 """
 
 from typing import Sequence
 
-from .algebra import FiniteAlgebra, _low, product_mask
+from .algebra import FiniteAlgebra
 from .errors import ValidationError
-from .relations import CheckResult, SetValuedMap
+from .relations import CheckResult, SetValuedMap, _grouped, _mismatch
 from .sets import Subset
 
 
@@ -53,24 +53,12 @@ def upper(f: SetValuedMap, a: Subset) -> Subset:
 
 
 def _morphism(f: SetValuedMap, source: FiniteAlgebra, target: FiniteAlgebra | None,
-              strong: bool) -> CheckResult:
-    """The first (x, y) in lexicographic order where F(x)*F(y), a product in target, has an element
-    outside F(x*y) or, when strong, misses one of it; the witness names the least such element."""
-    target = source if target is None else target
-    if source.n != f.n_source:
-        raise ValidationError(f"source algebra carrier {source.n} vs map source {f.n_source}")
-    if target.n != f.n_target:
-        raise ValidationError(f"target algebra carrier {target.n} vs map target {f.n_target}")
-    images = f.masks
-    for x, row in enumerate(source.table):
-        for y, xy in enumerate(row):
-            prod, img = product_mask(target, images[x], images[y]), images[xy]
-            if prod & ~img:
-                element = _low(prod & ~img)
-                return CheckResult(False, ("extra", x, y, element) if strong else (x, y, element))
-            if strong and img & ~prod:
-                return CheckResult(False, ("missing", x, y, _low(img & ~prod)))
-    return CheckResult(True)
+              strong: bool) -> tuple | None:
+    """``_mismatch`` of f from source to target (source when None), once the carriers match."""
+    for side, alg, n in (("source", source, f.n_source), ("target", target or source, f.n_target)):
+        if alg.n != n:
+            raise ValidationError(f"{side} algebra carrier {alg.n} vs map {side} {n}")
+    return _mismatch(source.table, f, _grouped(f), (target or source).table, strong)
 
 
 def is_sv_morphism(
@@ -81,7 +69,8 @@ def is_sv_morphism(
     The witness is (x, y, element) with the element in F(x)*F(y) but not
     F(x*y).  On a partition's class map this is the congruence test.
     """
-    return _morphism(f, source, target, strong=False)
+    w = _morphism(f, source, target, strong=False)
+    return CheckResult(w is None, w and (w[0], w[1], w[3]))
 
 
 def is_strong_sv_morphism(
@@ -92,4 +81,5 @@ def is_strong_sv_morphism(
     The witness is (direction, x, y, element): direction "extra" when the
     element lies in F(x)*F(y) but not F(x*y), "missing" the converse.
     """
-    return _morphism(f, source, target, strong=True)
+    w = _morphism(f, source, target, strong=True)
+    return CheckResult(w is None, w and (w[2], w[0], w[1], w[3]))

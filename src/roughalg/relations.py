@@ -5,9 +5,13 @@ image R(x), a subset of the target carrier held as a mask, and relates x to exac
 elements of R(x).  ``relation_from_ideal`` returns one, and a ``Partition`` is its class map
 x -> [x], filled by one builder from its class index.  ``to_partition`` numbers an equivalence's
 distinct images as classes.  ``generalized.lower`` and ``upper`` approximate along any map.
-A congruence is complete when its class map is a strong morphism, [x]*[y] = [x*y]: every reader
-of completeness calls ``_incomplete``, which decides it from the products of the classes.  Every
-check returns the lexicographically first violating tuple so that repeated runs are bit-identical.
+A map F between two tables is a (strong) set-valued morphism when F(x)*F(y) <= F(x*y) (=) for
+all x, y; a congruence is complete when its class map is a strong one, [x]*[y] = [x*y].
+``_mismatch`` decides both.  Congruence keeps two readers, ``_incompatible`` for one partition
+of one table and ``_congruent`` for a hunt's carrier, bit-sliced once by ``_related``: listing a
+table's congruences through ``_congruent`` measured 2.4-5.3x slower (bh4 0.030 -> 0.073 ms, bo5
+0.061 -> 0.250, s3 0.225 -> 1.186), ``_related`` alone taking 0.063, 0.228 and 1.311 ms.  Every
+check returns the lexicographically first violating tuple, so repeated runs are bit-identical.
 """
 
 from dataclasses import dataclass
@@ -238,22 +242,43 @@ def _congruent(table, related: list[list[int]]) -> int:
     return related[0][0] & ~broken
 
 
-def _incomplete(table, p: Partition) -> tuple | None:
-    """is_complete_congruence's witness for p, or None.  As x*y lies in [x]*[y], [x]*[y] = [x*y]
-    for all x, y when each class product is a class: one pass decides, a failure scans the pairs."""
-    idx, masks, k, products = p.class_index, p.masks, len(p.classes), [0] * len(p.classes) ** 2
-    for x, row in enumerate(table):
-        for y, e in enumerate(row):
-            products[idx[x] * k + idx[y]] |= 1 << e
-    if set(products).issubset(masks):
+def _grouped(f: SetValuedMap) -> tuple[list[list[int]], list[int]] | None:
+    """The distinct images of f as element lists and the position of each x's image among them;
+    None for the identity map x -> {x}, under which L and U leave every set as it is."""
+    at: dict[int, int] = {}
+    index = [at.setdefault(m, len(at)) for m in f.masks]
+    if len(at) == f.n_source and f.masks == tuple(map((1).__lshift__, range(f.n_source))):
         return None
-    for x, row in enumerate(table):
-        for y, xy in enumerate(row):
-            prod, img = products[idx[x] * k + idx[y]], masks[xy]
-            if prod & ~img:
-                return x, y, "extra", _low(prod & ~img)
-            if img & ~prod:
-                return x, y, "missing", _low(img & ~prod)
+    return [[y for y in range(f.n_target) if m >> y & 1] for m in at], index
+
+
+def _mismatch(source: tuple, f: SetValuedMap, grouped, target=None, strong=True) -> tuple | None:
+    """The first (x, y), in lexicographic order, where F(x)*F(y) in target (source when None) has an
+    element outside F(x*y), x*y in source, or, when strong, lacks one: (x, y, "extra" or "missing",
+    the least such element), or None.  Each pair of f's distinct images, ``grouped``, is multiplied once."""
+    target = source if target is None else target
+    if grouped is None and source == target:
+        return None  # the identity map of one table is a strong endomorphism
+    elements, index = grouped or ([[x] for x in range(f.n_source)], range(f.n_source))
+    get, rows = f.masks.__getitem__, []  # rows[i][y]: the i-th distinct image times F(y)
+    for left in elements:
+        products = []
+        for right in elements:
+            m = 0
+            for a in left:
+                row = target[a]
+                for b in right:
+                    m |= 1 << row[b]
+            products.append(m)
+        rows.append([*map(products.__getitem__, index)])
+    for x, row in enumerate(source):
+        got, want = rows[index[x]], [*map(get, row)]
+        if got != want:
+            for y, (prod, img) in enumerate(zip(got, want)):
+                if prod & ~img:
+                    return x, y, "extra", _low(prod & ~img)
+                if strong and img & ~prod:
+                    return x, y, "missing", _low(img & ~prod)
 
 
 def require_congruence(alg: FiniteAlgebra, p: Partition) -> None:
@@ -266,14 +291,10 @@ def require_congruence(alg: FiniteAlgebra, p: Partition) -> None:
 
 
 def is_complete_congruence(alg: FiniteAlgebra, p: Partition) -> CheckResult:
-    """Class products must equal the class of the product, [x]*[y] = [x*y]: the class map
-    x -> [x] is a strong set-valued morphism.  Precondition: p is a congruence (PreconditionError
-    otherwise).  The witness is the first pair in lexicographic order, as (x, y, direction,
-    element): "extra" names the least element of [x]*[y] outside [x*y], "missing" (read when none
-    is extra) the least of [x*y] outside [x]*[y].  ``is_strong_sv_morphism`` of the class map
-    gives the same verdict, its witness ordered (direction, x, y, element)."""
+    """[x]*[y] = [x*y] for all x, y: the class map is a strong set-valued morphism, the witness
+    (x, y, direction, element) that of ``_mismatch``.  PreconditionError unless p is a congruence."""
     require_congruence(alg, p)
-    w = _incomplete(alg.table, p)
+    w = _mismatch(alg.table, p, _grouped(p))
     return CheckResult(w is None, w)
 
 

@@ -22,8 +22,7 @@ from typing import NamedTuple, Sequence
 from .algebra import FiniteAlgebra, _low, product_mask
 from .errors import ValidationError
 from .generalized import _lower_mask, _upper_mask
-from .relations import (Partition, SetValuedMap, _congruent, _incomplete, _related, is_congruence,
-                        require_congruence)
+from .relations import Partition, _congruent, _grouped, _mismatch, _related, is_congruence, require_congruence
 from .sets import Subset, canonical_masks
 
 
@@ -99,15 +98,6 @@ class _Pairs:
         return next((x for x, (p, q) in enumerate(zip(X, Y)) if (p & ~q) >> i & 1), None)
 
 
-def _grouped(f: SetValuedMap) -> tuple[list[list[int]], list[int]] | None:
-    """The distinct images of f as element lists and the position of each x's image among them;
-    None for the identity map x -> {x}, under which L and U leave every set as it is."""
-    if f.masks == tuple(1 << x for x in range(f.n_source)):
-        return None
-    distinct = list(dict.fromkeys(f.masks))
-    return [[y for y in range(f.n_target) if m >> y & 1] for m in distinct], [*map(distinct.index, f.masks)]
-
-
 class _Pair:
     """The space of the one pair (a, b): a set is its mask, a map's images are its image masks."""
 
@@ -161,20 +151,17 @@ _NOTES = {None: "partition is not a congruence of the algebra",
 
 class _Carrier:
     """What a sweep of partitions of {0..n-1} reads that no algebra changes: the partitions, their
-    grouped images and ``_related`` relations, and the space of subset pairs in canonical
-    ``order``.  A hunt builds one and sweeps every algebra over it."""
+    ``_grouped`` images and ``_related`` relations, and the space of subset pairs in canonical
+    ``order``.  A hunt builds one and sweeps every algebra over it.  The completeness reads take
+    ``grouped``; the laws approximate along ``images``, the same maps unless replaced."""
 
-    __slots__ = ("n", "partitions", "related", "images", "order", "space")
+    __slots__ = ("n", "partitions", "related", "grouped", "images", "order", "space")
 
     def __init__(self, n: int, partitions: list[Partition]):
         self.n, self.partitions, self.related = n, partitions, _related(partitions)
-        self.images = [_grouped(p) for p in partitions]
+        self.images = self.grouped = [_grouped(p) for p in partitions]
         self.order = list(canonical_masks(n))
         self.space = _Pairs(n, self.order)
-
-    def values(self, i: int, algebra: FiniteAlgebra | None, slots, v: dict) -> dict:
-        """Add to v the sets of the slots for partition i; v holds those no partition changes."""
-        return _evaluate(self.space, self.images[i], algebra, slots, v)
 
 
 # ---------------------------------------------------------------- the registry
@@ -301,7 +288,7 @@ def _suite_view(suite: str, p: Partition, a: Subset, b: Subset, alg: FiniteAlgeb
         if s.n != p.n:
             raise ValidationError(f"subset carrier {s.n} does not match partition carrier {p.n}")
     note = None if alg is None or by_id else _NOTES[  # one pair has no carrier to read this from
-        _incomplete(alg.table, p) is None if is_congruence(alg, p).holds else None]
+        _mismatch(alg.table, p, _grouped(p)) is None if is_congruence(alg, p).holds else None]
     space, results = _Pair(p.n, a.mask, b.mask), []
     v = _evaluate(space, p.masks, alg, _PLANS[suite, None, alg is not None][1], {})
     for number, _, law in SUITES[suite]:
@@ -421,11 +408,11 @@ def _sweep(carrier: _Carrier, suite: str, algebra: FiniteAlgebra | None,
            hunt: str | None, complete: bool | None, deadline: float | None) -> LawSweep:
     """The loop of sweep_laws and of every hunt, over the carrier's partitions: each law once per
     partition, over every pair, its failures recorded in (A, B, suite) order.  With an algebra the
-    carrier finds the congruences, and ``_incomplete`` reads a congruence's completeness at most
-    once, where it is first needed: to filter, to gate or to describe a failure.  A hunt evaluates
-    the law numbered hunt alone and stops at its first failure; with an algebra it sweeps only the
-    congruences, of completeness complete unless that is None, raising TimeoutError when the
-    deadline passed before one."""
+    carrier finds the congruences, and ``_mismatch`` reads a congruence's completeness from its
+    grouping at most once, where it is first needed: to filter, to gate or to describe a failure.
+    A hunt evaluates the law numbered hunt alone and stops at its first failure; with an algebra
+    it sweeps only the congruences, of completeness complete unless that is None, raising
+    TimeoutError when the deadline passed before one."""
     members, _, fixed, slots, gated_if_complete = _PLANS[suite, hunt, algebra is not None]
     n, order, space = carrier.n, carrier.order, carrier.space
     sweep = LawSweep(pairs=space.full.bit_length())
@@ -433,17 +420,17 @@ def _sweep(carrier: _Carrier, suite: str, algebra: FiniteAlgebra | None,
     congruences = 0 if table is None else _congruent(table, carrier.related)
     v = _evaluate(space, None, algebra, fixed, {})
     gates = complete is not None or gated_if_complete
-    for i, p in enumerate(carrier.partitions):
+    for i, (p, grouped) in enumerate(zip(carrier.partitions, carrier.grouped)):
         congruent = congruences >> i & 1
         if hunt is not None and table is not None and not congruent:
             continue
         if deadline is not None and time.monotonic() >= deadline:
             raise TimeoutError
-        verdict = _incomplete(table, p) is None if congruent and gates else None  # None also: not read yet
+        verdict = _mismatch(table, p, grouped) is None if congruent and gates else None  # None also: unread
         if complete is not None and verdict is not complete:
             continue
         sweep.partitions += 1
-        carrier.values(i, algebra, slots, v)
+        _evaluate(space, carrier.images[i], algebra, slots, v)  # v holds the sets no partition changes
         active, found = [], []  # found: the failures to record, as (pair, suite position)
         for number, role, law in members:
             gated = role == GATED or (role == GATED_IF_COMPLETE and verdict is True)
@@ -463,7 +450,7 @@ def _sweep(carrier: _Carrier, suite: str, algebra: FiniteAlgebra | None,
             active.append((number, law, tally, gated))
         found.sort()
         if found and congruent and verdict is None:
-            verdict = _incomplete(table, p) is None
+            verdict = _mismatch(table, p, grouped) is None
         for k, pos in found:
             number, law, tally, gated = active[pos]
             failure = LawFailure(number, p, Subset._raw(n, order[k // len(order)]),

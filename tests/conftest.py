@@ -96,9 +96,9 @@ def _count_calls(monkeypatch, name):
     roughalg module that binds it."""
     original, seen = getattr(relations, name), []
 
-    def counted(first, second):
-        seen.append(second)
-        return original(first, second)
+    def counted(*args):
+        seen.append(args[1])
+        return original(*args)
 
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "roughalg" and hasattr(module, name):
@@ -117,5 +117,6 @@ def count_incompatible_scans(monkeypatch):
 
 
 def count_completeness_reads(monkeypatch):
-    """The partitions whose completeness relations._incomplete reads from now on."""
-    return _count_calls(monkeypatch, "_incomplete")
+    """The maps that relations._mismatch scans from now on: the partitions whose completeness
+    is read, and the maps of the morphism checks."""
+    return _count_calls(monkeypatch, "_mismatch")

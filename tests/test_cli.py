@@ -600,14 +600,18 @@ def test_morphism_subcommand(tables_dir, capsys):
 
 
 def test_unreadable_algebra_file_exits_2(tables_dir, tmp_path, capsys):
-    # a file that is not UTF-8, or not there, is refused as the source and as the --target
+    # a file that is not UTF-8, not there, or named with a NUL byte is refused as the source
+    # and as the --target
     bad = tmp_path / "bad.alg"
     bad.write_bytes(b"order 2\nzero 0\n0 1\n1 \xff\n")
     missing = str(tmp_path / "missing.alg")
     b4 = _fixture(tables_dir, "b4")
+    nul = str(tables_dir / "b4\x00.alg")  # open() raises ValueError, not OSError, for a NUL byte
     for path, argv in ((str(bad), ["check", str(bad), "--axioms", "b"]),
                        (str(bad), ["morphism", b4, "--map", "0:0;1:1;2:2;3:3", "--target", str(bad)]),
-                       (missing, ["check", missing, "--axioms", "b"])):
+                       (missing, ["check", missing, "--axioms", "b"]),
+                       (nul, ["check", nul, "--axioms", "b"]),
+                       (nul, ["morphism", b4, "--map", "0:0;1:1;2:2;3:3", "--target", nul])):
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,6 +1,7 @@
 """Set-valued maps: generalized approximations and morphism checks."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -20,7 +21,7 @@ from roughalg import (
 from roughalg.cli import run
 
 import oracles
-from conftest import partitions, subsets
+from conftest import benchmark_table, partitions, subsets
 
 XOR2 = FiniteAlgebra(2, [[0, 1], [1, 0]])
 
@@ -146,6 +147,46 @@ def test_dimension_mismatch(bh4, bo5):
         is_sv_morphism(f, bo5, bh4)
     with pytest.raises(ValidationError):
         is_sv_morphism(f, bh4, bo5)
+
+
+def _first_mismatch(f, source, target, strong):
+    """Both checks' witness by brute force: the first (x, y) where the set product F(x)*F(y) in
+    target has an element outside F(x*y) or, when strong, misses one."""
+    images = [set(f.image(x)) for x in range(f.n_source)]
+    for x in range(source.n):
+        for y in range(source.n):
+            prod = oracles.set_product(target.table, images[x], images[y])
+            img = images[source.table[x][y]]
+            if prod - img:
+                return ("extra", x, y, min(prod - img)) if strong else (x, y, min(prod - img))
+            if strong and img - prod:
+                return ("missing", x, y, min(img - prod))
+
+
+def test_morphism_witnesses_between_fixtures_match_brute_force(b4, bh4, bo5):
+    # seeded maps between different fixtures, and from a fixture into itself, sparse to dense,
+    # with the constant universe map and, between tables of one order, the identity map: that
+    # one is scanned like any other, as only the identity of one table is a strong endomorphism
+    s3 = benchmark_table("s3")
+    rng = random.Random(29)
+    verdicts = set()
+    for source, target in ((b4, bh4), (bh4, b4), (bo5, s3), (s3, bo5), (bh4, bh4), (s3, s3)):
+        maps = [SetValuedMap(source.n, target.n, [Subset.universe(target.n)] * source.n)]
+        if source.n == target.n:
+            maps.append(SetValuedMap(source.n, target.n, [[x] for x in range(source.n)]))
+        maps += [SetValuedMap(source.n, target.n, [[y for y in range(target.n) if rng.random() < density]
+                                                   for _ in range(source.n)])
+                 for density in (0.15, 0.5, 0.85) for _ in range(100)]
+        for f in maps:
+            plain, strong = is_sv_morphism(f, source, target), is_strong_sv_morphism(f, source, target)
+            assert plain.witness == _first_mismatch(f, source, target, False), (source, target, f)
+            assert strong.witness == _first_mismatch(f, source, target, True), (source, target, f)
+            assert (plain.holds, strong.holds) == (plain.witness is None, strong.witness is None)
+            verdicts.add(strong.witness[0] if strong.witness else plain.holds)
+        if source.n == target.n:
+            identity = is_strong_sv_morphism(maps[1], source, target)
+            assert identity.holds == (source.table == target.table)
+    assert verdicts == {True, "extra", "missing"}
 
 
 @given(svmaps(2, 2))

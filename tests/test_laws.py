@@ -48,8 +48,8 @@ from roughalg import (
     upper,
 )
 from roughalg.cli import parse_algebra_file
-from roughalg.relations import _congruent, _incomplete, _related, is_congruence
-from roughalg.rough import (GATED, GATED_IF_COMPLETE, SUITES, _Carrier, _evaluate, _grouped, _OPS, _Pair,
+from roughalg.relations import _congruent, _grouped, _mismatch, _related, is_congruence
+from roughalg.rough import (GATED, GATED_IF_COMPLETE, SUITES, _Carrier, _evaluate, _OPS, _Pair,
                             _Pairs, _PLANS, _reads, _Set, _sweep, _verdict, _witness)
 
 import oracles
@@ -182,7 +182,7 @@ def test_carrier_tables_match_the_approximations(n):
         for x in range(n):
             assert [carrier.related[x][y] >> i & 1 for y in range(n)] == [y in p.image(x) for y in range(n)]
         assert (carrier.images[i] is None) == (p == Partition.discrete(n))
-        v = carrier.values(i, None, sorted({A, B, *terms}), {})
+        v = _evaluate(space, carrier.images[i], None, sorted({A, B, *terms}), {})
         for k, (a, b) in enumerate(pairs):
             want = [f(p, Subset(n, m)).mask for f in (lower, upper) for m in (a, b)]
             assert [_at(v[t], k) for t in terms] == want, (p, a, b)
@@ -216,7 +216,7 @@ def _check_partitions(suite, alg, naive_laws):
         complete = suite == "3-2" and oracles.is_complete_congruence(table, classes)
         # the 3-2 single-pair view requires a congruence
         viewed = suite != "3-2" or oracles.is_congruence(table, classes)
-        v = carrier.values(i, alg, slots, {})
+        v = _evaluate(carrier.space, carrier.images[i], alg, slots, {})
         verdicts = [_verdict(law, carrier.space, v) for law in laws]
         sweep = _NaiveSweep()
         for j, (a, elems_a) in enumerate(order):
@@ -448,11 +448,11 @@ def test_congruence_verdicts_match_the_oracles():
             assert congruence == is_congruence(alg, p).holds == bool(congruent >> i & 1) \
                 == bool(_congruent(alg.table, _related([p])) & 1), (table, p)
             complete = oracles.is_complete_congruence(table, classes)
-            assert complete == (_incomplete(alg.table, p) is None), (table, p)
+            assert complete == (_mismatch(alg.table, p, _grouped(p)) is None), (table, p)
             verdicts.add(complete if congruence else None)
     for alg, p in lifted:
         assert _congruent(alg.table, _related([p])) & 1
-        planted.add((len(p.classes), _incomplete(alg.table, p) is None))
+        planted.add((len(p.classes), _mismatch(alg.table, p, _grouped(p)) is None))
     assert verdicts == {None, True, False}
     # every planted partition is a congruence, and nontrivial ones occur complete and not
     assert {v for k, v in planted if 1 < k < 4} == {True, False}

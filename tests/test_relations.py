@@ -29,7 +29,7 @@ from roughalg import (
 
 import oracles
 from conftest import BUNDLED, algebras, benchmark_table, partitions
-from roughalg.relations import _incomplete
+from roughalg.relations import _grouped, _mismatch
 
 
 def _relation(n, pairs):
@@ -324,7 +324,7 @@ def test_congruence_is_class_map_morphism_exhaustive():
             congruence = is_congruence(alg, p).holds
             assert congruence == is_sv_morphism(p, alg).holds, (alg, p)
             seen[congruence] += 1
-            w, strong = _incomplete(alg.table, p), is_strong_sv_morphism(p, alg)
+            w, strong = _mismatch(alg.table, p, _grouped(p)), is_strong_sv_morphism(p, alg)
             assert (w is None) == strong.holds == oracles.is_complete_congruence(
                 alg.table, [list(c) for c in p.classes]), (alg, p)
             if w is not None:
@@ -382,7 +382,7 @@ def test_complete_partitions_are_congruences_exhaustively():
     complete = 0
     for alg in algs:
         for p in all_partitions(alg.n):
-            if _incomplete(alg.table, p) is None:
+            if _mismatch(alg.table, p, _grouped(p)) is None:
                 complete += 1
                 assert is_congruence(alg, p).holds, (alg, p)
     assert len(algs) > 4 and complete > len(algs)

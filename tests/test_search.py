@@ -27,7 +27,9 @@ from roughalg import (
     is_complete_congruence,
     sweep_laws,
 )
-from roughalg import search
+from roughalg import rough, search
+from roughalg.cli import run
+from roughalg.relations import _grouped
 from roughalg.rough import _Carrier
 from roughalg.search import TARGETS
 
@@ -243,6 +245,18 @@ def test_model_cap():
         with pytest.raises(ValidationError) as exc:
             SearchSpec(n=3, axiom_set=BH_AXIOMS, model_cap=cap)
         assert exc.value.field == "model_cap"
+
+
+def test_model_cap_when_propagation_sets_every_cell(capsys):
+    # at order 1 the pins set the one cell before any choice: the search yields its one model
+    # on that path, and a cap of 1 stops it there, in the API and in the CLI
+    with pytest.raises(SearchLimitError) as exc:
+        enumerate_algebras(SearchSpec(n=1, axiom_set=B_AXIOMS, model_cap=1))
+    assert (exc.value.count, exc.value.reason) == (1, "model-cap")
+    assert enumerate_algebras(SearchSpec(n=1, axiom_set=B_AXIOMS, model_cap=2)) == 1
+    assert run(["search", "--order", "1", "--axioms", "b", "--limit", "1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: model cap reached (explored prefix count: 1)\n")
 
 
 @pytest.mark.parametrize("field,value", [("n", True), ("n", 2.0), ("model_cap", 1.5),
@@ -507,21 +521,22 @@ def test_hunt_time_budget():
 def test_hunt_deadline_stops_inside_one_algebra(b4, monkeypatch):
     # the first B4 model is b4 with its 5 congruences; the clock expires once the laws are
     # evaluated on 2 of them, and the sweep reads it before each congruence, so the third is
-    # never reached; the sweep's TimeoutError becomes a SearchLimitError counting no algebra
+    # never reached; the sweep's TimeoutError becomes a SearchLimitError counting no algebra.
+    # The sweep evaluates the sets no partition changes first, under no images
     assert _collect(SearchSpec(n=4, axiom_set=B_AXIOMS))[0] == b4
-    original, swept = _Carrier.values, []
+    original, evaluated = rough._evaluate, []
 
-    def counted(self, i, *args):
-        swept.append(self.partitions[i])
-        return original(self, i, *args)
+    def counted(space, images, *args):
+        evaluated.append(images)
+        return original(space, images, *args)
 
-    monkeypatch.setattr(_Carrier, "values", counted)
-    monkeypatch.setattr(time, "monotonic", lambda: 0.0 if len(swept) < 2 else 1e9)
+    monkeypatch.setattr(rough, "_evaluate", counted)
+    monkeypatch.setattr(time, "monotonic", lambda: 0.0 if len(evaluated) < 3 else 1e9)
     spec = SearchSpec(n=4, axiom_set=B_AXIOMS, time_budget=1.0)
     with pytest.raises(SearchLimitError) as exc:
         find_counterexample(spec, "3-2:1")
     assert (exc.value.count, exc.value.reason) == (0, "time")
-    assert swept == enumerate_congruences(b4)[:2]
+    assert evaluated == [None, *map(_grouped, enumerate_congruences(b4)[:2])]
 
 
 def test_hunt_limit_counts_the_algebras_swept(monkeypatch):
