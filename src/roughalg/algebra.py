@@ -5,7 +5,7 @@ table with a distinguished element.  Axiom systems are data: each label
 (B, BH, BO, Z) names a conjunction of the seven axioms C1..C7, and
 ``check_axiom`` decides a single axiom exhaustively, collecting every
 violating tuple as a witness.  Each axiom is defined once, in ``AxiomId``,
-a one-variable one by the cell it pins and an identity by its two terms.
+a one-variable one by the cell it pins and the others as clauses of terms.
 """
 
 from dataclasses import dataclass
@@ -116,32 +116,43 @@ def _block(statements) -> list[str]:
     return lines
 
 
-def _identity(left, right, nonzero=""):
-    """AxiomId's arity, formula, violations, propagator, the source of the two and whether the
-    propagator reads the value index, for the identity left = right, whose sides are products that
-    each read every variable.  A term is a variable "x", "y" or "z", the zero "0" or a pair (a, b)
-    for a*b; the variables in nonzero range over the nonzero elements.  The two functions are
-    generated here as source, once at import: reading a term per instance costs 3-9x.  The
-    propagator has one loop nest for each product, over the instances where it reads (p, q), but
-    none for a product that a symmetry (a renaming of the variables that keeps nonzero and maps the
-    sides onto themselves, swapped or not) maps onto an earlier one, whose nest settles the same.
-    A product operand of a nest's product is a filter, whose value must be p or q: the nest finds
-    its instances among the cells that the index lists for that value, not by a scan of the table."""
-    sides = (left, right)
-    variables = _variables(sides)
-    symmetries = [renaming for renaming in (dict(zip(variables, image)) for image in permutations(variables))
-                  if {_rename(left, renaming), _rename(right, renaming)} == {left, right}
-                  and {renaming[var] for var in nonzero} == set(nonzero)]
-    formula = " = ".join(map(_render, sides)) + (f" for nonzero {', '.join(nonzero)}" if nonzero else "")
-    products, names = _products(right, _products(left, [])), {"0": "zero"}
-    scan = _nest(names, variables, products, nonzero)
+def _clause(premises, conclusion, nonzero=""):
+    """AxiomId's arity, formula, violations, propagator, the source of them all, whether the
+    propagator reads the value index and the value filter, for the clause whose premises, equations
+    (a, b) for a = b, imply the equation conclusion.  An identity has no premise and its sides are
+    products that each read every variable; otherwise each premise equates a product of two
+    variables with 0, and the conclusion equates two variables.  A term is a variable "x", "y" or
+    "z", the zero "0" or a pair (a, b) for a*b; the variables in nonzero range over the nonzero
+    elements.  The functions are generated as source, once at import: reading a term per instance
+    costs 3-9x.  The propagator has one loop nest for each product, over the instances where it
+    reads (p, q), but none for a product that a symmetry (a renaming of the variables that keeps
+    nonzero and each equation, read either way round) maps onto an earlier one.  A product operand
+    of a nest's product is a filter, whose value must be p or q: the nest finds its instances among
+    the cells that the index lists for that value.  A premise's nests force no cell; the value
+    filter runs them with the cell's product read as its premise's other side, whose value it
+    excludes where the rest of the instance is violated."""
+    sides = tuple(side for equation in (*premises, conclusion) for side in equation)
+    variables, products, names = _variables(sides), [], {"0": "zero"}
+    for side in sides:
+        _products(side, products)
+    equations = [" = ".join(map(_render, equation)) for equation in (*premises, conclusion)]
+    formula = " and ".join(equations[:-1]) + " imply " * bool(premises) + equations[-1]
+    formula += f" for nonzero {', '.join(nonzero)}" if nonzero else ""
+
+    def violated(names, skipped=None):  # the test that the premises but skipped hold, the conclusion fails
+        tests = [f"{names[a]} == {names[b]}" for a, b in premises if (a, b) != skipped]
+        return [f"if {' and '.join(tests + ['{} != {}'.format(*map(names.get, conclusion))])}:"]
+
     source = ["def violations(t, zero):", "    rng = range(len(t))"] + _block(
-        scan + [f"if {names[left]} != {names[right]}:", f"yield ({', '.join(variables)},)"])
+        _nest(names, variables, products, nonzero) + violated(names) + [f"yield ({', '.join(variables)},)"])
     source += ["def propagate(t, zero, p, q, trail, held):", "    rng, v = range(len(t)), t[p][q]"]
-    order = []  # the products of the sides, each after its operands, the sides last
-    for term in sides:
-        _products(term, order)
-    order.sort(key=sides.__contains__)
+    value_filter = ["def excluded(t, zero, p, q):", "    rng, out = range(len(t)), 0"]
+    order = sorted(products, key=conclusion.__contains__)  # an identity's sides last, after their operands
+
+    def shape(renaming):  # the premises and the conclusion, each equation read either way round
+        return [{frozenset(_rename(s, renaming) for s in e) for e in part} for part in (premises, [conclusion])]
+    symmetries = [renaming for renaming in (dict(zip(variables, image)) for image in permutations(variables))
+                  if shape(renaming) == shape({}) and {renaming[var] for var in nonzero} == set(nonzero)]
     reads = False
     for i, product in enumerate(products):
         if any(_rename(product, renaming) in products[:i] for renaming in symmetries):
@@ -159,74 +170,62 @@ def _identity(left, right, nonzero=""):
         for term, cell in sorted(filters, key=lambda f: len(_variables(f[0]))):  # the smallest first
             _filter(term, cell, known, nonzero, loops)
         reads |= bool(filters)
-        body = _nest(names, loops + [var for var in variables if var not in known], order, nonzero, sides)
-        (a, b), (c, d) = ([names[o] for o in side] for side in sides)
-        left_value, right_value = names[left], names[right]
-        source += _block(guards + body + [
-            f"if {left_value} != {right_value}:",
-            f"if {left_value} < 0: t[{a}][{b}] = {right_value}; trail.append(({a}, {b}));"
-            f" held is None or held[{right_value}].append(({a}, {b}))",
-            f"elif {right_value} < 0: t[{c}][{d}] = {left_value}; trail.append(({c}, {d}));"
-            f" held is None or held[{left_value}].append(({c}, {d}))",
+        free = [var for var in variables if var not in known]
+        body = guards + _nest(names, loops + free, order, nonzero, conclusion)
+        if premises:
+            source += _block(body + violated(names) + ["return True"])
+            premise = next(equation for equation in premises if product in equation)
+            names[product] = names[premise[premise[0] == product]]  # the premise's other side
+            value_filter += _block(body + violated(names, premise) + [f"out |= 1 << {names[product]}"])
+            continue
+        (a, b), (c, d) = ([names[o] for o in side] for side in conclusion)
+        left, right = names[conclusion[0]], names[conclusion[1]]
+        source += _block(body + violated(names) + [
+            f"if {left} < 0: t[{a}][{b}] = {right}; trail.append(({a}, {b}));"
+            f" held is None or held[{right}].append(({a}, {b}))",
+            f"elif {right} < 0: t[{c}][{d}] = {left}; trail.append(({c}, {d}));"
+            f" held is None or held[{left}].append(({c}, {d}))",
             "else: return True"])
-    source = "\n".join(source + ["    return False"])
-    scope = {}
-    exec(compile(source, f"<{formula}>", "exec"), scope)
-    return len(variables), formula, scope["violations"], scope["propagate"], source, reads
-
-
-def _c4(t, zero):
-    rng = range(len(t))
-    for x in rng:
-        for y in rng:
-            if x != y and t[x][y] == zero and t[y][x] == zero:
-                yield (x, y)
-
-
-def _c4_cell(t, zero, p, q, trail, held):
-    """Whether a violated C4 instance reads the determined cell (p, q); C4 forces no cell."""
-    return p != q and t[p][q] == zero and t[q][p] == zero
+    source = "\n".join(source + ["    return False"] + (value_filter + ["    return out"]) * bool(premises))
+    exec(compile(source, f"<{formula}>", "exec"), ns := {})
+    return len(variables), formula, ns["violations"], ns["propagate"], source, reads, ns.get("excluded")
 
 
 class AxiomId(Enum):
     """The seven axiom schemas: variable arity, display formula and definition.
 
     A one-variable axiom is defined by the cell it pins for each x, ``pin(x, zero) = (row,
-    column, value)``.  C3, C5 and C7 are identities, each defined by its two terms, from which
-    ``_identity`` derives the rest; C4 by a generator.  ``violations(t, zero)`` yields an axiom's
-    violating instances over table rows ``t`` (-1 for an undetermined cell) in lexicographic
-    order.  It skips an instance that reads an undetermined cell, so on a partial table it
-    yields only those that every completion violates.  The private propagator ``_propagate(t,
-    zero, p, q, trail, held)`` of a many-variable axiom looks at the instances that read the
-    determined cell (p, q), as the model search does after it sets the cell.  ``held`` is the
-    value index: ``held[v]`` lists the determined cells that hold v, in the order they were set,
-    or it is None when no propagator of the search reads it.  Where one side of an instance is
-    determined and the other lacks only its outermost cell, every completion that satisfies the
-    axiom has the determined side's value there: it assigns it, appends the cell to ``trail`` and,
-    with an index, to its value's list.  It returns whether one of those instances is violated
-    with every cell determined.  An identity's propagator has one loop nest for each product in
-    its terms, up to the identity's symmetries, which finds the instances where that product
-    reads the cell and settles each in place.  A product operand of that product is a filter,
-    whose value must be p or q: the nest reads its instances off the cells in ``held[p]`` or
-    ``held[q]``, binding a variable operand to the cell's index, testing a 0 operand against
-    the zero and making a product operand a filter on the index in turn.  ``_reads_held`` says
-    whether a propagator has a filter, so reads the index (C3, C5); ``_source`` is an identity's
-    generated source.
+    column, value)``.  The others are clauses of terms, from which ``_clause`` derives the rest:
+    C3, C5 and C7 are identities, with no premise, and C4's premises x*y = 0 and y*x = 0 imply
+    x = y.  ``violations(t, zero)`` yields an axiom's violating instances over table rows ``t``
+    (-1 for an undetermined cell) in lexicographic order.  It skips an instance that reads an
+    undetermined cell, so on a partial table it yields only those that every completion violates.
+    A clause's private propagator ``_propagate(t, zero, p, q, trail, held)`` looks at the instances
+    that read the determined cell (p, q), as the model search does after it sets the cell.  ``held``
+    is the value index: ``held[v]`` lists the determined cells that hold v, in the order they were
+    set, or it is None when no propagator of the search reads it (``_reads_held``: C3, C5).  Where
+    one side of an identity's instance is determined and the other lacks only its outermost cell,
+    every completion that satisfies the axiom has the determined side's value there: it assigns
+    it, appends the cell to ``trail`` and, with an index, to its value's list.  It returns whether
+    one of those instances is violated with every cell determined.  C4's value filter
+    ``_excluded(t, zero, p, q)`` is the mask of the values of the undetermined cell (p, q) that
+    would make an instance that reads it violated with every cell determined: the zero, where
+    p != q and q*p is the zero.  ``_source`` is a clause's generated source.
     """
 
     C1 = (1, "x*x = 0", lambda x, zero: (x, x, zero))
     C2 = (1, "x*0 = x", lambda x, zero: (x, zero, x))
-    C3 = _identity((("x", "y"), "z"), ("x", ("z", ("0", "y"))))
-    C4 = (2, "x*y = 0 and y*x = 0 imply x = y", _c4, _c4_cell)
-    C5 = _identity(("x", ("y", "z")), (("x", "y"), ("0", "z")))
+    C3 = _clause((), ((("x", "y"), "z"), ("x", ("z", ("0", "y")))))
+    C4 = _clause(((("x", "y"), "0"), (("y", "x"), "0")), ("x", "y"))
+    C5 = _clause((), (("x", ("y", "z")), (("x", "y"), ("0", "z"))))
     C6 = (1, "x*x = x", lambda x, zero: (x, x, x))
-    C7 = _identity(("x", "y"), ("y", "x"), nonzero="xy")
+    C7 = _clause((), (("x", "y"), ("y", "x")), nonzero="xy")
 
-    def __init__(self, arity: int, formula: str, definition, propagate=None, source=None, reads_held=False):
+    def __init__(self, arity: int, formula: str, definition, *derived):
         self.arity, self.formula = arity, formula
         self.pin = definition if arity == 1 else None
         self.violations = _pinned(definition) if arity == 1 else definition
-        self._propagate, self._source, self._reads_held = propagate, source, reads_held
+        self._propagate, self._source, self._reads_held, self._excluded = derived or (None, None, False, None)
 
     def __repr__(self) -> str:
         return f"AxiomId.{self.name}"

@@ -1,37 +1,33 @@
 """Exhaustive model search, congruence enumeration, counterexample hunting.
 
-The model search is one stream of tables.  It fixes the cell that each
-one-variable axiom pins for each x (``AxiomId.pin``), then runs a
-depth-first search over the other cells in row-major order.  Each other
-axiom's private propagator looks at the instances that read a cell just set,
-as the watch lists of SEM and Mace4 do: a violated one prunes the branch,
-and a cell that one forces is assigned, put on a trail and propagated in
-turn, until nothing changes.  One call per assignment runs them all.
-C3's and C5's propagators find some instances through a filter, a product
-whose value must be the row or the column of the cell just set: for them
-the search keeps a value index, ``held[v]`` the determined cells that hold
-v in the order they were set.  Each write (a pinned cell, a choice, a
-forced cell) appends its cell and each undo or overwrite pops it, so a
-filter reads the few cells that hold its value, not all n*n.  For a set
-whose propagators read no index (BH, Z) the search keeps none.  The pinned
-cells are propagated first, then each choice; a backtrack undoes the trail
-down to the choice.  Every cell before the current one is set, so a forced
-cell lies after it and the search skips it: only choices count as nodes,
-and the models are those of a search that tries every value.  Models come
-out in lexicographic order of the flattened table, raw tables with no isomorphism rejection, and
-identical runs are bit-identical.  Counting, emitting and hunting are loops
-over the stream.  Partitions are enumerated as restricted-growth strings
-(class indexes); congruence enumeration builds a Partition only for a
-congruence's string.  A hunt sweeps only the tables that are the least of
-their relabellings that fix 0; every law follows such a relabelling, so each
-skipped table is isomorphic to one swept earlier without a finding.  What
-does not depend on the algebra a hunt builds once, at its first sweep: the
-Bell(n) partitions, their relations bit-sliced over the partitions, and the
-space of subset pairs.  Per algebra it tests every partition for congruence
-at once, reads a congruence's completeness from its cells where the target
-needs it, and evaluates the one hunted law over all subset pairs of each
-congruence.  A SearchLimitError counts the explored prefix: the models of a
-count, the algebras a hunt swept to the end or skipped as isomorphic copies.
+The model search is one stream of tables.  It fixes the cell that each one-variable axiom pins for
+each x (``AxiomId.pin``), then runs a depth-first search over the other cells in row-major order.
+The other axioms are clauses.  Each one's private propagator looks at the instances that read a cell
+just set, as the watch lists of SEM and Mace4 do: a violated one prunes the branch, and a cell that
+an identity forces is assigned, put on a trail and propagated in turn, until nothing changes.  A
+pinned or forced cell meets every propagator, in one call.  A choice never tries a value that a
+clause's value filter excludes, which settles that clause's instances reading the cell, so it meets
+only the other propagators.  C3's and C5's propagators find some instances among the cells that hold
+the row or the column of the cell just set: for them the search keeps a value index, ``held[v]`` the
+determined cells that hold v in the order they were set.  Each write (a pinned cell, a choice, a
+forced cell) appends its cell and each undo or overwrite pops it.  For a set whose propagators read
+no index (BH, Z) the search keeps none.  The pinned cells are propagated first, then each choice; a
+backtrack undoes the trail down to the choice.  Every cell before the current one is set, so a
+forced cell lies after it and the search skips it: only choices count as nodes, and the models are
+those of a search that tries every value.  Once every other cell is set, none can be forced: a short
+loop sets, conflict-tests and yields each allowed value of the last cell, with no trail, undo or
+scan for a next cell.  Models come out in lexicographic order of the flattened table, raw tables
+with no isomorphism rejection, and identical runs are bit-identical.  Counting, emitting and hunting
+are loops over the stream.  Partitions are enumerated as restricted-growth strings (class indexes);
+congruence enumeration builds a Partition only for a congruence's string.  A hunt sweeps only the
+tables that are the least of their relabellings that fix 0; every law follows such a relabelling, so
+each skipped table is isomorphic to one swept earlier without a finding.  What does not depend on
+the algebra a hunt builds once, at its first sweep: the Bell(n) partitions, their relations
+bit-sliced over the partitions, and the space of subset pairs.  Per algebra it tests every partition
+for congruence at once, reads a congruence's completeness from its cells where the target needs it,
+and evaluates the one hunted law over all subset pairs of each congruence.  A SearchLimitError
+counts the explored prefix: the models of a count, the algebras a hunt swept to the end or skipped
+as isomorphic copies.
 """
 
 import sys
@@ -127,12 +123,10 @@ def _tables(spec: SearchSpec, deadline: float | None) -> Iterator[list[list[int]
     t = _forced_cells(n, spec.axiom_set, zero)
     if t is None:
         return
-    props = [a._propagate for a in AxiomId if a in spec.axiom_set and not a.pin]  # the pins settle the rest
-    if len(props) == 1:
-        propagate = props[0]
-    else:  # one call per assignment all the same: each propagator in turn, up to a conflict
-        def propagate(t, zero, p, q, trail, held):
-            return any(prop(t, zero, p, q, trail, held) for prop in props)
+    axioms = [a for a in AxiomId if a in spec.axiom_set and not a.pin]  # the pins settle the rest
+    propagate = _joined([a._propagate for a in axioms])  # for a pinned or forced cell
+    choose = _joined([a._propagate for a in axioms if not a._excluded])  # the filters settle the rest
+    excluded = next((a._excluded for a in axioms if a._excluded), None)  # no set has two value filters yet
     # every set cell but the choices: the pinned ones, then those that propagation forces
     trail = [(x, y) for x in range(n) for y in range(n) if t[x][y] >= 0]
     held = None  # the value index, kept only for a propagator that reads it
@@ -157,51 +151,80 @@ def _tables(spec: SearchSpec, deadline: float | None) -> Iterator[list[list[int]
             t[p][q] = -1
         del trail[k:]
 
-    if not consistent(0):
+    if propagate and not consistent(0):
         return
     cells = [(x, y) for x in range(n) for y in range(n) if t[x][y] < 0]
-    last, choices, cap = len(cells), [], spec.model_cap  # choices: (cell index, trail length before it)
+    last, choices, cap = len(cells) - 1, [], spec.model_cap  # choices: (cell index, trail length, mask)
     if not cells:  # propagation set every cell
         yield t
         if cap == 1:
             raise SearchLimitError("model cap reached", count=1, reason="model-cap")
         return
     count = nodes = i = 0
-    (x, y), base = cells[0], len(trail)
-    while True:  # cells[:i] are set, and cell i = (x, y) takes its next value
+    base, out = len(trail), excluded(t, zero, *cells[0]) if excluded else 0
+    while True:  # cells[:i] are set, and cell i = (x, y) takes its next value that the mask out lacks
+        x, y = cells[i]
         for v in range(t[x][y] + 1, n):
+            if out and out >> v & 1:
+                continue
             if len(trail) > base:
                 undo(base)
             nodes += 1
             if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
                 raise SearchLimitError("time budget exceeded", count=count, reason="time")
-            if held is not None:
-                if v > 0:  # the cell's last value, v - 1, the last of its list
-                    held[v - 1].pop()
-                held[v].append((x, y))
+            if held is not None:  # the cell moves to v's list from its last value's, where it is last
+                held[v].append(held[t[x][y]].pop() if t[x][y] >= 0 else (x, y))
             t[x][y] = v
-            if not propagate(t, zero, x, y, trail, held) and (len(trail) == base or consistent(base)):
+            if not (choose and choose(t, zero, x, y, trail, held)) and (len(trail) == base or consistent(base)):
                 j = i + 1
-                while j < last and t[cells[j][0]][cells[j][1]] >= 0:  # set by propagation
+                while j <= last and t[cells[j][0]][cells[j][1]] >= 0:  # set by propagation
                     j += 1
                 if j < last:
                     break
-                yield t
-                count += 1
-                if cap is not None and count >= cap:
-                    raise SearchLimitError("model cap reached", count=count, reason="model-cap")
+                if j > last:
+                    yield t
+                    count += 1
+                    if cap is not None and count >= cap:
+                        raise SearchLimitError("model cap reached", count=count, reason="model-cap")
+                    continue
+                p, q = cells[last]  # every other cell is set: none can be forced, none undone
+                fenced = excluded(t, zero, p, q) if excluded else 0
+                for u in range(n):
+                    if fenced and fenced >> u & 1:
+                        continue
+                    nodes += 1
+                    if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
+                        raise SearchLimitError("time budget exceeded", count=count, reason="time")
+                    if held is not None:  # the cell moves to u's list, as a choice does
+                        held[u].append(held[t[p][q]].pop() if t[p][q] >= 0 else (p, q))
+                    t[p][q] = u
+                    if choose and choose(t, zero, p, q, trail, held):
+                        continue
+                    yield t
+                    count += 1
+                    if cap is not None and count >= cap:
+                        raise SearchLimitError("model cap reached", count=count, reason="model-cap")
+                if held is not None and t[p][q] >= 0:
+                    held[t[p][q]].pop()
+                t[p][q] = -1
         else:  # no value left: the previous choice takes its next one
             undo(base)
-            if held is not None:  # the cell holds n - 1, its last value
-                held[n - 1].pop()
+            if held is not None and t[x][y] >= 0:  # the cell's last value, the last of its list
+                held[t[x][y]].pop()
             t[x][y] = -1
             if not choices:
                 return
-            i, base = choices.pop()
-            x, y = cells[i]
+            i, base, out = choices.pop()
             continue
-        choices.append((i, base))
-        (x, y), i, base = cells[j], j, len(trail)
+        choices.append((i, base, out))
+        i, base, out = j, len(trail), excluded(t, zero, *cells[j]) if excluded else 0
+
+
+def _joined(propagators):
+    """None for none, the one, or one call of each in turn, up to a conflict."""
+    if len(propagators) < 2:
+        return propagators[0] if propagators else None
+    return lambda *args: any(p(*args) for p in propagators)
 
 
 def enumerate_algebras(spec: SearchSpec, sink: Callable[[FiniteAlgebra], None] | None = None) -> int:

@@ -286,14 +286,52 @@ def test_propagators_on_every_small_partial_table():
                 _propagator_agrees(axiom, t, zero, _completions(t, satisfying))
 
 
+CLAUSES = [a for a in AxiomId if a._excluded is not None]  # the clauses with a premise
+
+
+def _filter_agrees(axiom, t, zero, completions):
+    # completions: flattened tables that satisfy the axiom and agree with t.  At each undetermined
+    # cell the value filter excludes a value exactly where setting it makes a violated instance,
+    # with every cell determined, that reads the cell; no satisfying completion holds it there
+    n = len(t)
+    for p, q in itertools.product(range(n), repeat=2):
+        if t[p][q] >= 0:
+            continue
+        before = [row[:] for row in t]
+        excluded = axiom._excluded(t, zero, p, q)
+        case = (axiom, before, zero, p, q, excluded)
+        assert t == before and 0 <= excluded < 1 << n, case
+        for v in range(n):
+            t[p][q] = v
+            assert bool(excluded >> v & 1) == _reads_violation(axiom, t, zero, p, q), (*case, v)
+        t[p][q] = -1
+        assert not any(excluded >> c[p * n + q] & 1 for c in completions), case
+
+
+def test_value_filters_on_every_small_partial_table():
+    # every partial table of order 1-2 with every zero, and every order-3 table with zero 0 and one
+    # undetermined cell, whose three completions the oracle checks
+    assert [a.name for a in CLAUSES] == ["C4"]
+    for n, zero, axiom in itertools.product((1, 2), range(2), CLAUSES):
+        if zero < n:
+            satisfying = _satisfying(n, axiom, zero)
+            for t in _tables(n, range(-1, n)):
+                _filter_agrees(axiom, t, zero, _completions(t, satisfying))
+    for axiom, cell, rest in itertools.product(CLAUSES, range(9), itertools.product(range(3), repeat=8)):
+        fills = [[*rest[:cell], v, *rest[cell:]] for v in (-1, 0, 1, 2)]
+        completions = [c for c in fills[1:] if not oracles.axiom_violations([c[:3], c[3:6], c[6:]], axiom.name)]
+        t = fills[0]
+        _filter_agrees(axiom, [t[:3], t[3:6], t[6:]], 0, completions)
+
+
 def _checked_propagator(monkeypatch, axiom, seen=None):
     """Make the search call a wrapper of axiom's propagator that appends each table handed in to
     seen, if given, and asserts that each cell the call appends to trail was undetermined before
     it.  A propagator that overwrites a set cell can make the search run without end (undoing the
     trail then erases a cell set before), so the test fails at that write instead of hanging.  The
-    search runs on an axiom set with no other propagator: the wrapper asserts that it gets a value
-    index exactly when the axiom reads one, and that the index lists the determined cells of each
-    value, before and after the call."""
+    search runs on an axiom set where no other propagator reads the index: the wrapper asserts that
+    it gets a value index exactly when the axiom reads one, and that the index lists the determined
+    cells of each value, before and after the call."""
     propagate = axiom._propagate
 
     def indexed(t, held):
@@ -349,6 +387,16 @@ def test_propagators_on_search_states(monkeypatch, n, name):
     monkeypatch.undo()
     for t in random.Random(26).sample(seen, 40):
         _propagator_agrees(axiom, t, 0, _completions(t, models))
+
+
+@pytest.mark.parametrize("names", ["C2,C3,C4", "C2,C5,C7"])
+def test_propagators_get_an_exact_index_at_the_last_cell(monkeypatch, names):
+    # in these sets the search often reaches the last free cell with every other cell set and tries
+    # its values in a loop of its own: the propagator that reads the index gets an exact one there too
+    spec = SearchSpec(n=4, axiom_set=tuple(AxiomId[a] for a in names.split(",")))
+    models = search.enumerate_algebras(spec)
+    _checked_propagator(monkeypatch, next(a for a in spec.axiom_set if a._reads_held))
+    assert search.enumerate_algebras(spec) == models
 
 
 # ---------------------------------------------------------------- classify

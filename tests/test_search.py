@@ -110,9 +110,9 @@ def test_order_2_completeness_against_unpruned_scan():
 
 _AXIOM_SETS = {**LABEL_AXIOMS, "Z-relaxed": Z_AXIOM_VARIANTS["relaxed"]}
 # sets with two propagating axioms: the search calls both propagators, on one value index when
-# either reads it
+# either reads it, and with C4 its value filter beside a propagator that forces cells
 _MIXED_SETS = {names: tuple(AxiomId[a] for a in names.split(","))
-               for names in ("C1,C2,C3,C5", "C1,C2,C4,C7", "C2,C3,C4", "C2,C5,C7")}
+               for names in ("C1,C2,C3,C5", "C1,C2,C4,C7", "C2,C3,C4", "C2,C5,C7", "C1,C2,C4,C5")}
 
 
 def _expect(models):
@@ -137,12 +137,33 @@ def test_models_match_a_full_rescan_search(label):
 
 
 def test_capped_models_match_a_full_rescan_search():
-    expected = list(itertools.islice(oracles.search_models(5, ["C1", "C2", "C4"]), 10_000))
-    models = iter(expected)
-    with pytest.raises(SearchLimitError) as exc:
-        enumerate_algebras(SearchSpec(n=5, axiom_set=BH_AXIOMS, model_cap=10_000), _expect(models))
-    assert exc.value.count == len(expected) == 10_000
-    assert next(models, None) is None
+    # at BH4 the cap falls inside the loop over the last free cell's values
+    for n, cap in ((5, 10_000), (4, 1000)):
+        expected = list(itertools.islice(oracles.search_models(n, ["C1", "C2", "C4"]), cap))
+        models = iter(expected)
+        with pytest.raises(SearchLimitError) as exc:
+            enumerate_algebras(SearchSpec(n=n, axiom_set=BH_AXIOMS, model_cap=cap), _expect(models))
+        assert exc.value.count == len(expected) == cap
+        assert next(models, None) is None
+
+
+def test_deadline_inside_the_last_cell_loop(monkeypatch):
+    # each BH4 model is a choice of the last free cell, made in its own loop: the deadline is polled
+    # every 256 choices there too, and a clock that expires at its k-th poll stops the count at
+    # exactly the models the sink received
+    readings = []
+    monkeypatch.setattr(search.time, "monotonic", lambda: readings.append(0.0) or 0.0)
+    spec = SearchSpec(n=4, axiom_set=BH_AXIOMS, time_budget=1e9)
+    assert enumerate_algebras(spec) == 216_000
+    total = len(readings) - 1  # the first reading sets the deadline
+    assert total >= 216_000 // 256
+    for k in (1, 2, 300, total):
+        reads, received = itertools.count(), itertools.count()
+        monkeypatch.setattr(search.time, "monotonic", lambda: 0.0 if next(reads) < k else 2e9)
+        with pytest.raises(SearchLimitError) as exc:
+            enumerate_algebras(spec, lambda alg: next(received))
+        assert (exc.value.reason, exc.value.count) == ("time", next(received)), k
+        assert next(reads) == k + 1, k  # the k-th poll stopped it
 
 
 def test_order_1_has_one_model_per_label():

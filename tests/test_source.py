@@ -1,7 +1,7 @@
 """Rules the package's source keeps: it runs on the standard library alone, it memoizes
-nothing behind a functools cache, whose hidden state a deterministic verifier does not need, and
-it runs generated source in one place only, built from constants, that does not depend on
-string hashing."""
+nothing behind a functools cache, whose hidden state a deterministic verifier does not need, it
+runs generated source in one place only, built from constants, that does not depend on string
+hashing, and its model search names no axiom."""
 
 import ast
 import os
@@ -42,29 +42,40 @@ def _nodes(node, scope):
 
 
 def test_generated_source_runs_only_in_the_axiom_derivation_on_constants():
-    # exec, compile and eval appear only in algebra._identity, which only AxiomId's class body
-    # calls, on literal terms: no other module runs generated source, and no input reaches it
-    codegen, derivations = set(), []
+    # exec and compile appear once each, and eval never, and only in algebra._clause, which derives
+    # every identity and clause and which only AxiomId's class body calls, on literal terms: no other
+    # module runs generated source, and no input reaches it
+    codegen, derivations = [], []
     for path in SOURCES:
         for scope, node in _nodes(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.name):
             if isinstance(node, ast.Name) and node.id in CODEGEN:
-                codegen.add(scope)
-            elif isinstance(node, ast.Name) and node.id == "_identity":
+                codegen.append((scope, node.id))
+            elif isinstance(node, ast.Name) and node.id == "_clause":
                 derivations.append(scope)
-            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_identity":
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_clause":
                 for arg in [*node.args, *(k.value for k in node.keywords)]:
                     ast.literal_eval(arg)  # raises on anything but a constant
-    assert codegen == {"algebra.py._identity"}
-    assert derivations == ["algebra.py.AxiomId"] * 3
+    assert sorted(codegen) == [("algebra.py._clause", "compile"), ("algebra.py._clause", "exec")]
+    assert derivations == ["algebra.py.AxiomId"] * 4
 
 
 def test_derived_source_does_not_depend_on_string_hashing():
-    # the source that _identity derives from C3's, C5's and C7's terms, in two interpreters
+    # the source that _clause derives from C3's, C4's, C5's and C7's terms, in two interpreters
     # with different hash seeds: a derivation that followed the order of a str-keyed set would
     # generate other loops, or the same loops in another order, under one of them
-    script = ("import hashlib; from roughalg import AxiomId; "
-              "print([hashlib.sha256(AxiomId[a]._source.encode()).hexdigest() for a in ('C3', 'C5', 'C7')])")
+    script = ("import hashlib; from roughalg import AxiomId; print([hashlib.sha256(AxiomId[a]._source.encode())"
+              ".hexdigest() for a in ('C3', 'C4', 'C5', 'C7')])")
     digests = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
                               env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}).stdout
                for seed in ("0", "4242")]
-    assert digests[0] == digests[1] and len(set(ast.literal_eval(digests[0]))) == 3
+    assert digests[0] == digests[1] and len(set(ast.literal_eval(digests[0]))) == 4
+
+
+def test_the_search_names_no_axiom():
+    # the search reads what AxiomId derives for each axiom (its pin, propagator, value filter and use
+    # of the index), so a new axiom, or a new clause, needs no change there
+    tree = ast.parse((SRC / "roughalg" / "search.py").read_text(encoding="utf-8"))
+    words = {getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "value", None)
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name, ast.Constant))}
+    assert words & {f"C{i}" for i in range(1, 8)} == set()
+    assert {"pin", "_propagate", "_excluded", "_reads_held"} <= words
