@@ -319,7 +319,10 @@ class AxiomReport:
 
 
 def collect_witnesses(violations, max_witnesses: int | None) -> tuple[bool, tuple]:
-    """(no violation at all, the violations up to the cap)."""
+    """(no violation at all, the violations up to the cap).  The cap is None or an int >= 1,
+    checked before the first violation is drawn."""
+    if max_witnesses is not None and (type(max_witnesses) is not int or max_witnesses < 1):
+        raise ValidationError(f"max_witnesses must be at least 1, got {max_witnesses!r}", "max_witnesses")
     out = []
     for w in violations:
         out.append(w)
@@ -334,8 +337,6 @@ def check_axiom(alg: FiniteAlgebra, axiom: AxiomId, max_witnesses: int | None = 
     ``max_witnesses`` caps the reported list (must be >= 1 when given);
     the boolean verdict is always exhaustive.
     """
-    if max_witnesses is not None and max_witnesses < 1:
-        raise ValidationError(f"max_witnesses must be at least 1, got {max_witnesses}", "max_witnesses")
     if not isinstance(axiom, AxiomId):
         raise ValidationError(f"unknown axiom {axiom!r}")
     holds, witnesses = collect_witnesses(axiom.violations(alg.table, alg.zero), max_witnesses)

@@ -5,14 +5,15 @@ each x (``AxiomId.pin``), then runs a depth-first search over the other cells in
 The other axioms are clauses.  Each one's private propagator looks at the instances that read a cell
 just set, as the watch lists of SEM and Mace4 do: a violated one prunes the branch, and a cell that
 an identity forces is assigned, put on a trail and propagated in turn, until nothing changes.  A
-pinned or forced cell meets every propagator, in one call.  A choice never tries a value that a
+pinned or forced cell meets each propagator in turn.  A choice never tries a value that a
 clause's value filter excludes, which settles that clause's instances reading the cell, so it meets
 only the other propagators.  C3's and C5's propagators find some instances among the cells that hold
 the row or the column of the cell just set: for them the search keeps a value index, ``held[v]`` the
 determined cells that hold v in the order they were set.  Each write (a pinned cell, a choice, a
 forced cell) appends its cell and each undo or overwrite pops it.  For a set whose propagators read
-no index (BH, Z) the search keeps none.  The pinned cells are propagated first, then each choice; a
-backtrack undoes the trail down to the choice.  Every cell before the current one is set, so a
+no index (BH, Z) the search keeps none.  The pinned cells are propagated first, then each choice.
+Each choice keeps its own iterator over the values the filter leaves; a backtrack undoes the trail
+down to the choice and resumes that iterator.  Every cell before the current one is set, so a
 forced cell lies after it and the search skips it: only choices count as nodes, and the models are
 those of a search that tries every value.  Once every other cell is set, none can be forced: a short
 loop sets, conflict-tests and yields each allowed value of the last cell, with no trail, undo or
@@ -154,19 +155,26 @@ def _tables(spec: SearchSpec, deadline: float | None) -> Iterator[list[list[int]
     if propagate and not consistent(0):
         return
     cells = [(x, y) for x in range(n) for y in range(n) if t[x][y] < 0]
-    last, choices, cap = len(cells) - 1, [], spec.model_cap  # choices: (cell index, trail length, mask)
+    last, choices, cap = len(cells) - 1, [], spec.model_cap  # choices: (cell index, trail length, values)
     if not cells:  # propagation set every cell
         yield t
         if cap == 1:
             raise SearchLimitError("model cap reached", count=1, reason="model-cap")
         return
+    by_mask = {}  # each filter mask met: the values it leaves
+
+    def values(p, q):
+        """The values that the value filter leaves for cell (p, q), in increasing order."""
+        out = excluded(t, zero, p, q) if excluded else 0
+        if out not in by_mask:
+            by_mask[out] = tuple(v for v in range(n) if not out >> v & 1)
+        return by_mask[out]
+
     count = nodes = i = 0
-    base, out = len(trail), excluded(t, zero, *cells[0]) if excluded else 0
-    while True:  # cells[:i] are set, and cell i = (x, y) takes its next value that the mask out lacks
+    base, vs = len(trail), iter(values(*cells[0]))
+    while True:  # cells[:i] are set, and cell i = (x, y) takes the next value of its own iterator vs
         x, y = cells[i]
-        for v in range(t[x][y] + 1, n):
-            if out and out >> v & 1:
-                continue
+        for v in vs:
             if len(trail) > base:
                 undo(base)
             nodes += 1
@@ -188,10 +196,7 @@ def _tables(spec: SearchSpec, deadline: float | None) -> Iterator[list[list[int]
                         raise SearchLimitError("model cap reached", count=count, reason="model-cap")
                     continue
                 p, q = cells[last]  # every other cell is set: none can be forced, none undone
-                fenced = excluded(t, zero, p, q) if excluded else 0
-                for u in range(n):
-                    if fenced and fenced >> u & 1:
-                        continue
+                for u in values(p, q):
                     nodes += 1
                     if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
                         raise SearchLimitError("time budget exceeded", count=count, reason="time")
@@ -207,17 +212,18 @@ def _tables(spec: SearchSpec, deadline: float | None) -> Iterator[list[list[int]
                 if held is not None and t[p][q] >= 0:
                     held[t[p][q]].pop()
                 t[p][q] = -1
-        else:  # no value left: the previous choice takes its next one
-            undo(base)
+        else:  # no value left: the previous choice resumes its iterator
+            if len(trail) > base:
+                undo(base)
             if held is not None and t[x][y] >= 0:  # the cell's last value, the last of its list
                 held[t[x][y]].pop()
             t[x][y] = -1
             if not choices:
                 return
-            i, base, out = choices.pop()
+            i, base, vs = choices.pop()
             continue
-        choices.append((i, base, out))
-        i, base, out = j, len(trail), excluded(t, zero, *cells[j]) if excluded else 0
+        choices.append((i, base, vs))
+        i, base, vs = j, len(trail), iter(values(*cells[j]))
 
 
 def _joined(propagators):

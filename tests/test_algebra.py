@@ -21,6 +21,7 @@ from roughalg import (
     product_set,
 )
 from roughalg import search
+from roughalg.algebra import collect_witnesses
 
 import oracles
 from conftest import algebras, subsets
@@ -129,6 +130,22 @@ def test_witness_cap_keeps_exhaustive_verdict(z4):
 def test_witness_cap_must_be_positive(z4):
     with pytest.raises(ValidationError):
         check_axiom(z4, AxiomId.C1, max_witnesses=0)
+
+
+@pytest.mark.parametrize("cap", (0, -1, 1.5, True, "x"))
+def test_witness_cap_must_be_an_int_of_at_least_1(z4, cap):
+    # the cap is None or an int >= 1 (a bool is not an int here); anything else is refused
+    # before the first violation is drawn
+    with pytest.raises(ValidationError) as exc:
+        check_axiom(z4, AxiomId.C1, max_witnesses=cap)
+    assert (exc.value.field, str(exc.value)) == ("max_witnesses", f"max_witnesses must be at least 1, got {cap!r}")
+
+    def unread():
+        raise AssertionError("a violation was drawn")
+        yield
+
+    with pytest.raises(ValidationError):
+        collect_witnesses(unread(), cap)
 
 
 @given(algebras(4), st.sampled_from(AXIOM_NAMES))

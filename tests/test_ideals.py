@@ -130,6 +130,15 @@ def test_witness_cap(z4):
     assert report.pair_witnesses == ((3, 0),)
 
 
+@pytest.mark.parametrize("cap", (0, -1, 1.5, True, "x"))
+@pytest.mark.parametrize("predicate", (is_ideal, is_strong_ideal))
+def test_witness_cap_must_be_an_int_of_at_least_1(z4, predicate, cap):
+    # the rule of check_axiom: None or an int >= 1, a bool excluded, on a subset with witnesses
+    with pytest.raises(ValidationError) as exc:
+        predicate(z4, Subset.from_elements(4, [0, 1, 2]), max_witnesses=cap)
+    assert (exc.value.field, str(exc.value)) == ("max_witnesses", f"max_witnesses must be at least 1, got {cap!r}")
+
+
 @given(algebras(4), st.data())
 def test_predicates_match_oracle(alg, data):
     members = data.draw(subsets(alg.n))

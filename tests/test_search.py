@@ -166,6 +166,21 @@ def test_deadline_inside_the_last_cell_loop(monkeypatch):
         assert next(reads) == k + 1, k  # the k-th poll stopped it
 
 
+def test_node_counts_through_the_deadline_polls(monkeypatch):
+    # the search reads the clock once per 256 nodes (choices), so the readings after the one that
+    # sets the deadline pin nodes // 256: BH4 makes 294,164 nodes.  A change to the loop that
+    # tries, skips or re-tries a value more or less often moves these counts
+    polls = {(4, "BH"): 1149, (6, "B"): 5, (7, "BO"): 25, (4, "Z-relaxed"): 21, (4, "C1,C2,C4,C7"): 13,
+             (4, "C2,C3,C4"): 8}
+    readings = []
+    monkeypatch.setattr(search.time, "monotonic", lambda: readings.append(0.0) or 0.0)
+    for n, label in polls:
+        readings.clear()
+        axioms = {**_AXIOM_SETS, **_MIXED_SETS}[label]
+        enumerate_algebras(SearchSpec(n=n, axiom_set=axioms, time_budget=1e9, max_order=7))
+        assert len(readings) - 1 == polls[n, label], (n, label)
+
+
 def test_order_1_has_one_model_per_label():
     for axioms in (B_AXIOMS, BH_AXIOMS, BO_AXIOMS, Z_AXIOMS):
         assert enumerate_algebras(SearchSpec(n=1, axiom_set=axioms)) == 1
@@ -214,6 +229,19 @@ def test_model_counts_are_derived_without_the_search():
     for n in range(1, 5):
         assert enumerate_algebras(SearchSpec(n=n, axiom_set=BH_AXIOMS)) == \
             n ** (n - 1) * (n * n - 1) ** math.comb(n - 1, 2)
+    # Z-relaxed (C2, C6, C7) pins column 0 and the diagonal; each 0*y of y != 0 is free, and C7
+    # makes each {x, y} of distinct nonzero x, y one free cell: n^((n-1) + C(n-1, 2)) tables.
+    # C1,C2,C4,C7 pins the diagonal to 0 and column 0 to x*0 = x, and leaves each 0*y free (y*0 = y
+    # is not 0, so C4 reads no such pair); C7 makes x*y = y*x for distinct nonzero x, y, and C4 then
+    # forbids that common value to be 0: n^(n-1) tables for row 0 times (n-1)^C(n-1, 2) for the
+    # pairs.  Order 5's 2,560,000 is counted in CI
+    for n in range(1, 5):
+        assert enumerate_algebras(SearchSpec(n=n, axiom_set=_AXIOM_SETS["Z-relaxed"])) == \
+            n ** ((n - 1) + math.comb(n - 1, 2))
+        assert enumerate_algebras(SearchSpec(n=n, axiom_set=_MIXED_SETS["C1,C2,C4,C7"])) == \
+            n ** (n - 1) * (n - 1) ** math.comb(n - 1, 2)
+    assert [n ** ((n - 1) + math.comb(n - 1, 2)) for n in range(1, 5)] == [1, 2, 27, 4096]
+    assert [n ** (n - 1) * (n - 1) ** math.comb(n - 1, 2) for n in range(1, 5)] == [1, 2, 18, 1728]
 
 
 def test_forced_cells_are_what_the_one_variable_axioms_allow():
