@@ -130,7 +130,9 @@ def _clause(premises, conclusion, nonzero=""):
     of a nest's product is a filter, whose value must be p or q: the nest finds its instances among
     the cells that the index lists for that value.  A premise's nests force no cell; the value
     filter runs them with the cell's product read as its premise's other side, whose value it
-    excludes where the rest of the instance is violated."""
+    excludes where the rest of the instance is violated.  The source tests nothing the derivation knows:
+    the propagator is called only on a determined cell (p, q), with an index where it reads one, so it
+    tests neither v = t[p][q] nor held, and no product that a premise equates with 0, as -1 is not 0."""
     sides = tuple(side for equation in (*premises, conclusion) for side in equation)
     variables, products, names = _variables(sides), [], {"0": "zero"}
     for side in sides:
@@ -138,25 +140,27 @@ def _clause(premises, conclusion, nonzero=""):
     equations = [" = ".join(map(_render, equation)) for equation in (*premises, conclusion)]
     formula = " and ".join(equations[:-1]) + " imply " * bool(premises) + equations[-1]
     formula += f" for nonzero {', '.join(nonzero)}" if nonzero else ""
+    untested = {side for equation in premises if "0" in equation for side in equation}  # == zero fails at -1
 
     def violated(names, skipped=None):  # the test that the premises but skipped hold, the conclusion fails
         tests = [f"{names[a]} == {names[b]}" for a, b in premises if (a, b) != skipped]
         return [f"if {' and '.join(tests + ['{} != {}'.format(*map(names.get, conclusion))])}:"]
 
-    source = ["def violations(t, zero):", "    rng = range(len(t))"] + _block(
-        _nest(names, variables, products, nonzero) + violated(names) + [f"yield ({', '.join(variables)},)"])
-    source += ["def propagate(t, zero, p, q, trail, held):", "    rng, v = range(len(t)), t[p][q]"]
-    value_filter = ["def excluded(t, zero, p, q):", "    rng, out = range(len(t)), 0"]
-    order = sorted(products, key=conclusion.__contains__)  # an identity's sides last, after their operands
+    def function(signature, body, **bindings):  # it binds rng, the carrier's range, where body loops over it
+        bindings = {"rng": "range(len(t))", **bindings} if any(s.endswith(" in rng:") for s in body) else bindings
+        return [f"def {signature}:", f"    {', '.join(bindings)} = {', '.join(bindings.values())}"] + body
+    source = function("violations(t, zero)", _block(
+        _nest(names, variables, products, nonzero, untested) + violated(names) + [f"yield ({', '.join(variables)},)"]))
+    propagate, value_filter, order = [], [], sorted(products, key=conclusion.__contains__)  # an identity's sides last
 
     def shape(renaming):  # the premises and the conclusion, each equation read either way round
         return [{frozenset(_rename(s, renaming) for s in e) for e in part} for part in (premises, [conclusion])]
     symmetries = [renaming for renaming in (dict(zip(variables, image)) for image in permutations(variables))
                   if shape(renaming) == shape({}) and {renaming[var] for var in nonzero} == set(nonzero)]
-    reads = False
-    for i, product in enumerate(products):
-        if any(_rename(product, renaming) in products[:i] for renaming in symmetries):
-            continue
+    nests = [product for i, product in enumerate(products)
+             if not any(_rename(product, renaming) in products[:i] for renaming in symmetries)]
+    held_test = "held is None or " * all(type(o) is not tuple for product in nests for o in product)  # none reads it
+    for product in nests:
         names, guards, filters = {"0": "zero", product: "v"}, [], []
         for operand, cell in zip(product, "pq"):
             if type(operand) is tuple:
@@ -169,26 +173,22 @@ def _clause(premises, conclusion, nonzero=""):
         loops, known = [], dict(names)
         for term, cell in sorted(filters, key=lambda f: len(_variables(f[0]))):  # the smallest first
             _filter(term, cell, known, nonzero, loops)
-        reads |= bool(filters)
         free = [var for var in variables if var not in known]
-        body = guards + _nest(names, loops + free, order, nonzero, conclusion)
+        body = guards + _nest(names, loops + free, order, nonzero, {*conclusion, *untested})
         if premises:
-            source += _block(body + violated(names) + ["return True"])
+            propagate += _block(body + violated(names) + ["return True"])
             premise = next(equation for equation in premises if product in equation)
             names[product] = names[premise[premise[0] == product]]  # the premise's other side
             value_filter += _block(body + violated(names, premise) + [f"out |= 1 << {names[product]}"])
             continue
-        (a, b), (c, d) = ([names[o] for o in side] for side in conclusion)
-        left, right = names[conclusion[0]], names[conclusion[1]]
-        source += _block(body + violated(names) + [
-            f"if {left} < 0: t[{a}][{b}] = {right}; trail.append(({a}, {b}));"
-            f" held is None or held[{right}].append(({a}, {b}))",
-            f"elif {right} < 0: t[{c}][{d}] = {left}; trail.append(({c}, {d}));"
-            f" held is None or held[{left}].append(({c}, {d}))",
-            "else: return True"])
-    source = "\n".join(source + ["    return False"] + (value_filter + ["    return out"]) * bool(premises))
-    exec(compile(source, f"<{formula}>", "exec"), ns := {})
-    return len(variables), formula, ns["violations"], ns["propagate"], source, reads, ns.get("excluded")
+        settle = [(names[s], names[o], *map(names.get, s)) for s, o in (conclusion, conclusion[::-1]) if s != product]
+        propagate += _block(body + violated(names) + [  # a branch for each side but v, which is set
+            f"{el}if {s} < 0: t[{a}][{b}] = {o}; trail.append(({a}, {b})); {held_test}held[{o}].append(({a}, {b}))"
+            for el, (s, o, a, b) in zip(("", "el"), settle)] + ["else: return True"])
+    source += function("propagate(t, zero, p, q, trail, held)", propagate + ["    return False"], v="t[p][q]")
+    source += function("excluded(t, zero, p, q)", value_filter + ["    return out"], out="0") * bool(premises)
+    exec(compile(source := "\n".join(source), f"<{formula}>", "exec"), ns := {})
+    return len(variables), formula, ns["violations"], ns["propagate"], source, not held_test, ns.get("excluded")
 
 
 class AxiomId(Enum):
@@ -201,16 +201,16 @@ class AxiomId(Enum):
     (-1 for an undetermined cell) in lexicographic order.  It skips an instance that reads an
     undetermined cell, so on a partial table it yields only those that every completion violates.
     A clause's private propagator ``_propagate(t, zero, p, q, trail, held)`` looks at the instances
-    that read the determined cell (p, q), as the model search does after it sets the cell.  ``held``
-    is the value index: ``held[v]`` lists the determined cells that hold v, in the order they were
-    set, or it is None when no propagator of the search reads it (``_reads_held``: C3, C5).  Where
-    one side of an identity's instance is determined and the other lacks only its outermost cell,
-    every completion that satisfies the axiom has the determined side's value there: it assigns
-    it, appends the cell to ``trail`` and, with an index, to its value's list.  It returns whether
-    one of those instances is violated with every cell determined.  C4's value filter
-    ``_excluded(t, zero, p, q)`` is the mask of the values of the undetermined cell (p, q) that
-    would make an instance that reads it violated with every cell determined: the zero, where
-    p != q and q*p is the zero.  ``_source`` is a clause's generated source.
+    that read the cell (p, q), and is called only on a determined one.  ``held`` is the value index:
+    ``held[v]`` lists the determined cells that hold v, in the order they were set, or it is None
+    when no propagator of the search reads it; a clause that reads it (``_reads_held``: C3, C5) is
+    called only with one.  Where one side of an identity's instance is determined and the other
+    lacks only its outermost cell, every completion that satisfies the axiom has the determined
+    side's value there: it assigns it, appends the cell to ``trail`` and, with an index, to its
+    value's list.  It returns whether one of those instances is violated with every cell determined.
+    C4's value filter ``_excluded(t, zero, p, q)`` is the mask of the values of the undetermined
+    cell (p, q) that would make an instance that reads it violated with every cell determined: the
+    zero, where p != q and q*p is the zero.  ``_source`` is a clause's generated source.
     """
 
     C1 = (1, "x*x = 0", lambda x, zero: (x, x, zero))

@@ -606,23 +606,16 @@ def _add_relation_args(p: argparse.ArgumentParser, required: bool) -> None:
                        help="derive the partition from an ideal-induced relation")
 
 
-def _file_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
-
-
 def _check_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
     p.add_argument("--axioms", required=True, help="b, bh, bo, z, z-relaxed, or c1,c2,...")
     p.add_argument("--max-witnesses")
 
 
 def _ideals_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
     p.add_argument("--strong", action="store_true")
 
 
 def _approx_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
     _add_relation_args(p, required=True)
     p.add_argument("--set", required=True)
     p.add_argument("--lower", action="store_true")
@@ -632,7 +625,6 @@ def _approx_args(p: argparse.ArgumentParser) -> None:
 
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--prop", choices=tuple(SUITES), help="law suite id")
     claims = [mode.removeprefix("--claim ") for mode in _VERIFY_MODES if mode.startswith("--claim ")]
@@ -654,18 +646,17 @@ def _search_args(p: argparse.ArgumentParser) -> None:
 
 
 def _morphism_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
     p.add_argument("--map", required=True)
     p.add_argument("--target", help="target algebra file (defaults to the source)")
     p.add_argument("--strong", action="store_true")
 
 
-# subcommand -> its help line, its handler, and what adds its arguments after --format
+# subcommand -> its help line, its handler, and what adds its arguments after --format and file, or None
 _COMMANDS = {
     "check": ("check an axiom system against a table", _cmd_check, _check_args),
-    "identities": ("list identity elements", _cmd_identities, _file_args),
+    "identities": ("list identity elements", _cmd_identities, None),
     "ideals": ("enumerate (strong) ideals", _cmd_ideals, _ideals_args),
-    "congruences": ("enumerate congruence partitions", _cmd_congruences, _file_args),
+    "congruences": ("enumerate congruence partitions", _cmd_congruences, None),
     "approx": ("lower/upper approximations of a set", _cmd_approx, _approx_args),
     "verify": ("verify law suites or named claims", _cmd_verify, _verify_args),
     "search": ("model counting and counterexample hunts", _cmd_search, _search_args),
@@ -674,9 +665,12 @@ _COMMANDS = {
 
 
 def _command_parser(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """p with the arguments of subcommand name: --format, then the command's own."""
+    """p with the arguments of subcommand name: --format, the table file but for search, then its own."""
     p.add_argument("--format", choices=_FORMATS, help="report format (env ROUGHALG_FORMAT; the flag wins)")
-    _COMMANDS[name][2](p)
+    if name != "search":
+        p.add_argument("file")
+    if _COMMANDS[name][2]:
+        _COMMANDS[name][2](p)
     return p
 
 

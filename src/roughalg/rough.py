@@ -392,6 +392,9 @@ def sweep_laws(suite: str, partitions: Sequence[Partition], algebra: FiniteAlgeb
     partitions = list(partitions)
     if not partitions:
         raise ValidationError("sweep_laws needs at least one partition", "partitions")
+    for i, p in enumerate(partitions):
+        if not isinstance(p, Partition):
+            raise ValidationError(f"partition {i} is a {type(p).__name__}, not a Partition", "partitions")
     n = partitions[0].n
     if n > SWEEP_ORDER_LIMIT:
         raise ValidationError(f"exhaustive law sweep of order {n} exceeds its limit {SWEEP_ORDER_LIMIT}",
@@ -399,6 +402,8 @@ def sweep_laws(suite: str, partitions: Sequence[Partition], algebra: FiniteAlgeb
     for i, p in enumerate(partitions):
         if p.n != n:
             raise ValidationError(f"partition {i} has carrier {p.n}, partition 0 has {n}", "partitions")
+    if algebra is not None and not isinstance(algebra, FiniteAlgebra):
+        raise ValidationError(f"algebra is a {type(algebra).__name__}, not a FiniteAlgebra or None", "algebra")
     if algebra is not None and algebra.n != n:
         raise ValidationError(f"algebra carrier {algebra.n} does not match partition carrier {n}", "algebra")
     return _sweep(_Carrier(n, partitions), suite, algebra, None, None, None)

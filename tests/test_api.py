@@ -48,6 +48,10 @@ INPUT_CHECKS = {
                               "algebra carrier 4 does not match partition carrier 3"),
     "sweep-order-limit": (lambda: sweep_laws("3-1", [P13]), ValidationError,
                           "exhaustive law sweep of order 13 exceeds its limit 12"),
+    "sweep-not-a-partition": (lambda: sweep_laws("3-1", [SetValuedMap(2, 2, [[0], [1]])]), ValidationError,
+                              "partition 0 is a SetValuedMap, not a Partition"),
+    "sweep-not-an-algebra": (lambda: sweep_laws("2-1", [Partition.discrete(4)], "x"), ValidationError,
+                             "algebra is a str, not a FiniteAlgebra or None"),
     "svmap-image-carrier": (lambda: SetValuedMap(2, 2, [Subset.empty(3), Subset.empty(2)]),
                             ValidationError, "image of 0 lives in carrier 3, expected 2"),
     "partition-class-carrier": (lambda: Partition(2, [Subset.universe(3)]), ValidationError,
@@ -70,7 +74,8 @@ INPUT_CHECKS = {
 # each fault of a sweep's arguments names the argument at fault
 SWEEP_FIELDS = {"sweep-unknown-suite": "suite", "sweep-no-partitions": "partitions",
                 "sweep-mixed-carriers": "partitions", "sweep-algebra-carrier": "algebra",
-                "sweep-order-limit": "partitions"}
+                "sweep-order-limit": "partitions", "sweep-not-a-partition": "partitions",
+                "sweep-not-an-algebra": "algebra"}
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_CHECKS))

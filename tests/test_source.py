@@ -1,13 +1,16 @@
 """Rules the package's source keeps: it runs on the standard library alone, it memoizes
 nothing behind a functools cache, whose hidden state a deterministic verifier does not need, it
 runs generated source in one place only, built from constants, that does not depend on string
-hashing, and its model search names no axiom."""
+hashing and tests nothing the derivation knows, and its model search names no axiom."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from roughalg import AxiomId
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SOURCES = sorted((SRC / "roughalg").glob("*.py"))
@@ -79,3 +82,22 @@ def test_the_search_names_no_axiom():
              for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name, ast.Constant))}
     assert words & {f"C{i}" for i in range(1, 8)} == set()
     assert {"pin", "_propagate", "_excluded", "_reads_held"} <= words
+
+
+def test_derived_source_tests_nothing_the_derivation_knows():
+    # each statement of a clause's derived source can change a result: a function binds rng only
+    # where it loops over it; the propagator, called only on a determined cell, never tests v, its
+    # value; a clause that reads the index, called only with one, never tests held; and a product
+    # that a premise compares with the zero is not tested for -1, which is not the zero.  The line
+    # counts pin the derivation, so that no such statement comes back unseen
+    lines = {}
+    for axiom in (AxiomId.C3, AxiomId.C4, AxiomId.C5, AxiomId.C7):
+        source = axiom._source
+        lines[axiom.name] = len(source.splitlines())
+        for function in source.split("\ndef "):
+            assert bool(re.search(r"^    rng[ ,]", function, re.M)) == (" in rng:" in function), (axiom, function)
+        assert "v < 0" not in source, axiom
+        assert not axiom._reads_held or "held is None" not in source, axiom
+        for name in re.findall(r"\b(\w+) == zero\b", source):
+            assert f"if {name} >= 0:" not in source, (axiom, name)
+    assert lines == {"C3": 81, "C4": 20, "C5": 81, "C7": 21}
