@@ -13,7 +13,7 @@ from enum import Enum
 from itertools import permutations
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, check_types
 from .sets import Subset
 
 
@@ -337,6 +337,7 @@ def check_axiom(alg: FiniteAlgebra, axiom: AxiomId, max_witnesses: int | None = 
     ``max_witnesses`` caps the reported list (must be >= 1 when given);
     the boolean verdict is always exhaustive.
     """
+    check_types(FiniteAlgebra, alg=alg)
     if not isinstance(axiom, AxiomId):
         raise ValidationError(f"unknown axiom {axiom!r}")
     holds, witnesses = collect_witnesses(axiom.violations(alg.table, alg.zero), max_witnesses)
@@ -349,6 +350,7 @@ def classify(alg: FiniteAlgebra, z_variant: str = "literal") -> frozenset[str]:
     Labels are independent; an algebra may carry several.  ``z_variant``
     selects which axiom set backs the Z label (see Z_AXIOM_VARIANTS).
     """
+    check_types(FiniteAlgebra, alg=alg)
     if z_variant not in Z_AXIOM_VARIANTS:
         raise ValidationError(f"unknown z_variant {z_variant!r}")
     axiom_sets = dict(LABEL_AXIOMS)
@@ -374,6 +376,7 @@ def find_identities(alg: FiniteAlgebra) -> IdentityReport:
     e is a right identity iff x*e = x for all x (column e is the identity
     map); left iff e*x = x for all x (row e); two-sided iff both.
     """
+    check_types(FiniteAlgebra, alg=alg)
     n, t = alg.n, alg.table
     right = Subset.from_elements(n, (e for e in range(n) if all(t[x][e] == x for x in range(n))))
     left = Subset.from_elements(n, (e for e in range(n) if all(t[e][x] == x for x in range(n))))
@@ -398,6 +401,8 @@ def _low(m: int) -> int:
 
 def product_set(alg: FiniteAlgebra, a: Subset, b: Subset) -> Subset:
     """Elementwise product {x*y | x in a, y in b}; empty if either side is."""
+    check_types(FiniteAlgebra, alg=alg)
+    check_types(Subset, a=a, b=b)
     if a.n != alg.n or b.n != alg.n:
         raise ValidationError(f"subset carrier mismatch: algebra has n={alg.n}")
     return Subset._raw(alg.n, product_mask(alg, a.mask, b.mask))

@@ -13,6 +13,13 @@ class ValidationError(RoughAlgError, ValueError):
         self.field = field
 
 
+def check_types(kind: type, **arguments) -> None:
+    """A ValidationError, its ``field`` the argument's name, for the first argument that is not a kind."""
+    for field, value in arguments.items():
+        if not isinstance(value, kind):
+            raise ValidationError(f"{field} must be a {kind.__name__}, not {type(value).__name__}", field)
+
+
 class ParseError(ValidationError):
     """Malformed input text; carries 1-based line/column when known."""
 

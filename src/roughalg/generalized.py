@@ -14,12 +14,14 @@ strong) the product of the images, as ``relations._mismatch`` decides.
 from typing import Sequence
 
 from .algebra import FiniteAlgebra
-from .errors import ValidationError
+from .errors import ValidationError, check_types
 from .relations import CheckResult, SetValuedMap, _grouped, _mismatch
 from .sets import Subset
 
 
 def _check_target_subset(f: SetValuedMap, a: Subset) -> None:
+    check_types(SetValuedMap, f=f)
+    check_types(Subset, a=a)
     if a.n != f.n_target:
         raise ValidationError(f"subset carrier {a.n} does not match target carrier {f.n_target}")
 

@@ -17,7 +17,7 @@ verdicts are kept independent and both are reported.  Conditions (2) and
 from dataclasses import dataclass
 
 from .algebra import FiniteAlgebra, collect_witnesses
-from .errors import ValidationError
+from .errors import ValidationError, check_types
 from .sets import Subset, canonical_masks
 
 
@@ -63,6 +63,8 @@ def _triple_violations(alg: FiniteAlgebra, m: int):
 
 
 def _report(alg: FiniteAlgebra, ideal: Subset, max_witnesses: int | None, strong: bool) -> IdealReport:
+    check_types(FiniteAlgebra, alg=alg)
+    check_types(Subset, ideal=ideal)
     if ideal.n != alg.n:
         raise ValidationError(f"subset carrier {ideal.n} does not match algebra carrier {alg.n}")
     pair_ok, pair_w = collect_witnesses(_pair_violations(alg, ideal.mask), max_witnesses)

@@ -1,34 +1,33 @@
 """Exhaustive model search, congruence enumeration, counterexample hunting.
 
-The model search is one stream of tables.  It fixes the cell that each one-variable axiom pins for
-each x (``AxiomId.pin``), then runs a depth-first search over the other cells in row-major order.
-The other axioms are clauses.  Each one's private propagator looks at the instances that read a cell
-just set, as the watch lists of SEM and Mace4 do: a violated one prunes the branch, and a cell that
-an identity forces is assigned, put on a trail and propagated in turn, until nothing changes.  A
-pinned or forced cell meets each propagator in turn.  A choice never tries a value that a
-clause's value filter excludes, which settles that clause's instances reading the cell, so it meets
-only the other propagators.  C3's and C5's propagators find some instances among the cells that hold
-the row or the column of the cell just set: for them the search keeps a value index, ``held[v]`` the
-determined cells that hold v in the order they were set.  Each write (a pinned cell, a choice, a
-forced cell) appends its cell and each undo or overwrite pops it.  For a set whose propagators read
-no index (BH, Z) the search keeps none.  The pinned cells are propagated first, then each choice.
-Each choice keeps its own iterator over the values the filter leaves; a backtrack undoes the trail
-down to the choice and resumes that iterator.  Every cell before the current one is set, so a
-forced cell lies after it and the search skips it: only choices count as nodes, and the models are
-those of a search that tries every value.  Once every other cell is set, none can be forced: a short
-loop sets, conflict-tests and yields each allowed value of the last cell, with no trail, undo or
-scan for a next cell.  Models come out in lexicographic order of the flattened table, raw tables
-with no isomorphism rejection, and identical runs are bit-identical.  Counting, emitting and hunting
-are loops over the stream.  Partitions are enumerated as restricted-growth strings (class indexes);
-congruence enumeration builds a Partition only for a congruence's string.  A hunt sweeps only the
-tables that are the least of their relabellings that fix 0; every law follows such a relabelling, so
-each skipped table is isomorphic to one swept earlier without a finding.  What does not depend on
-the algebra a hunt builds once, at its first sweep: the Bell(n) partitions, their relations
-bit-sliced over the partitions, and the space of subset pairs.  Per algebra it tests every partition
-for congruence at once, reads a congruence's completeness from its cells where the target needs it,
-and evaluates the one hunted law over all subset pairs of each congruence.  A SearchLimitError
-counts the explored prefix: the models of a count, the algebras a hunt swept to the end or skipped
-as isomorphic copies.
+The model search is one stream of model families.  It fixes the cell that each one-variable axiom
+pins for each x (``AxiomId.pin``), then runs a depth-first search over the other cells in row-major
+order.  The other axioms are clauses.  Each one's private propagator looks at the instances that
+read a cell just set, as the watch lists of SEM and Mace4 do: a violated one prunes the branch, and
+a cell that an identity forces is assigned, put on a trail and propagated in turn, until nothing
+changes.  A pinned or forced cell meets each propagator in turn.  A choice never tries a value that
+a clause's value filter excludes, which settles that clause's instances reading the cell, so it
+meets only the other propagators.  C3's and C5's propagators find some instances among the cells
+that hold the row or the column of the cell just set: for them the search keeps a value index,
+``held[v]`` the determined cells that hold v in the order they were set.  Each write (a pinned cell,
+a choice, a forced cell) appends its cell and each undo or overwrite pops it.  For a set whose
+propagators read no index (BH, Z) the search keeps none.  The pinned cells are propagated first,
+then each choice.  Each choice keeps its own iterator over the values the filter leaves; a backtrack
+undoes the trail down to the choice and resumes that iterator.  Every cell before the current one is
+set, so a forced cell lies after it and the search skips it: only choices count as nodes, and the
+models are those of a search that tries every value.  Once every other cell is set, none can be
+forced: the stream yields the table and the values of the last cell that complete it (the filter's,
+less those a propagator's conflict test rejects) as one family, which a count adds up and an
+emission or a hunt writes into the table value by value.  Models come out in lexicographic order of
+the flattened table, raw tables with no isomorphism rejection, and identical runs are bit-identical.
+A hunt sweeps only the tables that are the least of their relabellings that fix 0; every law follows
+such a relabelling, so each skipped table is isomorphic to one swept earlier without a finding.
+What does not depend on the algebra a hunt builds once, at its first sweep: the Bell(n) partitions,
+their relations bit-sliced over the partitions, and the space of subset pairs.  Per algebra it tests
+every partition for congruence at once, reads a congruence's completeness from its cells where the
+target needs it, and evaluates the one hunted law over all subset pairs of each congruence.  A
+SearchLimitError counts the explored prefix: the models of a count, the algebras a hunt swept to the
+end or skipped as isomorphic copies.
 """
 
 import sys
@@ -40,7 +39,7 @@ from operator import itemgetter
 from typing import Callable, Iterator
 
 from .algebra import AxiomId, FiniteAlgebra
-from .errors import SearchLimitError, ValidationError
+from .errors import SearchLimitError, ValidationError, check_types
 from .relations import Partition, _incompatible
 from .rough import SUITES, _Carrier, _sweep
 from .sets import Subset
@@ -111,16 +110,23 @@ def _forced_cells(n: int, axiom_set: tuple[AxiomId, ...], zero: int) -> list[lis
 
 
 def _deadline(spec: SearchSpec) -> float | None:
+    check_types(SearchSpec, spec=spec)  # every search reads its deadline first
     return None if spec.time_budget is None else time.monotonic() + spec.time_budget
 
 
-def _tables(spec: SearchSpec, deadline: float | None) -> Iterator[list[list[int]]]:
-    """The live table at each model, in lexicographic order; it changes on the next step.  The
-    model cap and the deadline raise SearchLimitError counting the tables yielded."""
-    n = spec.n
+class _Leaves(dict):  # each value filter mask met: the values it leaves, in increasing order, of mask 0's
+    def __missing__(self, out):
+        return self.setdefault(out, tuple(v for v in self[0] if not out >> v & 1))
+
+
+def _tables(spec: SearchSpec, deadline: float | None) -> Iterator[tuple[list[list[int]], tuple, tuple]]:
+    """The model families in lexicographic order: (t, (p, q), values), t the live table set but for the
+    last free cell (p, q), values the increasing values of (p, q) that complete t ((t[p][q],) where
+    propagation set it), which a consumer may write into t.  The model cap truncates the family it
+    falls in; it and the deadline raise SearchLimitError counting the models yielded."""
+    n, zero = spec.n, 0
     if not spec.axiom_set:
         raise ValidationError("axiom_set must be nonempty for model search")
-    zero = 0
     t = _forced_cells(n, spec.axiom_set, zero)
     if t is None:
         return
@@ -157,21 +163,22 @@ def _tables(spec: SearchSpec, deadline: float | None) -> Iterator[list[list[int]
     cells = [(x, y) for x in range(n) for y in range(n) if t[x][y] < 0]
     last, choices, cap = len(cells) - 1, [], spec.model_cap  # choices: (cell index, trail length, values)
     if not cells:  # propagation set every cell
-        yield t
+        yield t, (0, 0), (t[0][0],)
         if cap == 1:
             raise SearchLimitError("model cap reached", count=1, reason="model-cap")
         return
-    by_mask = {}  # each filter mask met: the values it leaves
+    leaves = _Leaves({0: tuple(range(n))})  # the values left at a cell: leaves[excluded(...) if excluded else 0]
 
-    def values(p, q):
-        """The values that the value filter leaves for cell (p, q), in increasing order."""
-        out = excluded(t, zero, p, q) if excluded else 0
-        if out not in by_mask:
-            by_mask[out] = tuple(v for v in range(n) if not out >> v & 1)
-        return by_mask[out]
+    def admits(p, q, u):  # whether u at the last free cell (p, q) passes the conflict test; the cell keeps u
+        if held is not None:  # the cell moves to u's list from its last value's, as a choice does
+            held[u].append(held[t[p][q]].pop() if t[p][q] >= 0 else (p, q))
+        t[p][q] = u
+        return not choose(t, zero, p, q, trail, held)
 
     count = nodes = i = 0
-    base, vs = len(trail), iter(values(*cells[0]))
+    p, q = cell = cells[last]
+    alone = [(t, cell, (v,)) for v in range(n)]  # the family of each value of the last cell alone
+    base, vs = len(trail), iter(leaves[excluded(t, zero, *cells[0]) if excluded else 0])
     while True:  # cells[:i] are set, and cell i = (x, y) takes the next value of its own iterator vs
         x, y = cells[i]
         for v in vs:
@@ -189,29 +196,26 @@ def _tables(spec: SearchSpec, deadline: float | None) -> Iterator[list[list[int]
                     j += 1
                 if j < last:
                     break
-                if j > last:
-                    yield t
+                if j > last:  # propagation set the last cell too: a family of one, below any cap
                     count += 1
-                    if cap is not None and count >= cap:
-                        raise SearchLimitError("model cap reached", count=count, reason="model-cap")
-                    continue
-                p, q = cells[last]  # every other cell is set: none can be forced, none undone
-                for u in values(p, q):
-                    nodes += 1
-                    if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
+                    family = alone[t[p][q]]
+                else:  # every other cell is set: none can be forced, none undone
+                    us = leaves[excluded(t, zero, p, q) if excluded else 0]
+                    if deadline is not None and (nodes + len(us)) >> 8 > nodes >> 8 and time.monotonic() > deadline:
                         raise SearchLimitError("time budget exceeded", count=count, reason="time")
-                    if held is not None:  # the cell moves to u's list, as a choice does
-                        held[u].append(held[t[p][q]].pop() if t[p][q] >= 0 else (p, q))
-                    t[p][q] = u
-                    if choose and choose(t, zero, p, q, trail, held):
-                        continue
-                    yield t
-                    count += 1
-                    if cap is not None and count >= cap:
-                        raise SearchLimitError("model cap reached", count=count, reason="model-cap")
-                if held is not None and t[p][q] >= 0:
-                    held[t[p][q]].pop()
-                t[p][q] = -1
+                    nodes += len(us)
+                    if choose:
+                        us = tuple(u for u in us if admits(p, q, u))
+                        if held is not None and t[p][q] >= 0:
+                            held[t[p][q]].pop()
+                        t[p][q] = -1
+                    family = t, cell, (us if cap is None else us[:cap - count])
+                    count += len(family[2])
+                yield family
+                if j == last:  # the consumer wrote the cell's values into t
+                    t[p][q] = -1
+                if cap is not None and count >= cap:
+                    raise SearchLimitError("model cap reached", count=count, reason="model-cap")
         else:  # no value left: the previous choice resumes its iterator
             if len(trail) > base:
                 undo(base)
@@ -223,14 +227,15 @@ def _tables(spec: SearchSpec, deadline: float | None) -> Iterator[list[list[int]
             i, base, vs = choices.pop()
             continue
         choices.append((i, base, vs))
-        i, base, vs = j, len(trail), iter(values(*cells[j]))
+        i, base, vs = j, len(trail), iter(leaves[excluded(t, zero, *cells[j]) if excluded else 0])
 
 
 def _joined(propagators):
     """None for none, the one, or one call of each in turn, up to a conflict."""
     if len(propagators) < 2:
         return propagators[0] if propagators else None
-    return lambda *args: any(p(*args) for p in propagators)
+    first, then = propagators[0], _joined(propagators[1:])  # a call each, with no generator of its own
+    return lambda *args: first(*args) or then(*args)
 
 
 def enumerate_algebras(spec: SearchSpec, sink: Callable[[FiniteAlgebra], None] | None = None) -> int:
@@ -239,10 +244,14 @@ def enumerate_algebras(spec: SearchSpec, sink: Callable[[FiniteAlgebra], None] |
     Emission order is lexicographic in the flattened table.  Every
     satisfying table is emitted exactly once; no isomorphism rejection.
     """
-    count = 0
-    for t in _tables(spec, _deadline(spec)):
-        count += 1
-        if sink is not None:
+    families, count = _tables(spec, _deadline(spec)), 0
+    if sink is not None and not callable(sink):
+        raise ValidationError(f"sink must be callable or None, not {type(sink).__name__}", "sink")
+    if sink is None:  # the sizes of the families, added up with no loop of its own
+        return sum(map(len, map(itemgetter(2), families)))
+    for t, (p, q), values in families:
+        count += len(values)
+        for t[p][q] in values:
             sink(FiniteAlgebra._trusted(t))
     return count
 
@@ -259,6 +268,7 @@ def enumerate_congruences(alg: FiniteAlgebra) -> list[Partition]:
     restricted-growth string as a class index and builds a Partition only for
     a congruence.  Guarded by ``PARTITION_ORDER_LIMIT``.
     """
+    check_types(FiniteAlgebra, alg=alg)
     _check_congruence_order(alg.n)
     return [Partition._from_rgs(r) for r in _rgs(alg.n) if _incompatible(alg.table, r) is None]
 
@@ -324,23 +334,25 @@ def find_counterexample(spec: SearchSpec, target: str) -> Finding | None:
     """
     if target not in TARGETS:
         raise ValidationError(f"unknown target {target!r}; known: {', '.join(sorted(TARGETS))}")
-    deadline = _deadline(spec)
+    deadline, least = _deadline(spec), _least_in_orbit(spec.n)
     # the non-product laws ignore the algebra: one sweep with none
-    tables = _tables(spec, deadline) if TARGETS[target].needs_algebra else (None,)
-    least = _least_in_orbit(spec.n)
-    carrier = None  # what every sweep reads, built at the first one
-    for swept, t in enumerate(tables):
-        if t is not None and not least(t):
-            continue  # its least relabelling came earlier in the stream, with no finding
-        alg = None if t is None else FiniteAlgebra._trusted(t)
-        if carrier is None:
-            if alg is not None:
-                _check_congruence_order(spec.n)
-            carrier = _Carrier(spec.n, list(all_partitions(spec.n)))
-        try:
-            finding = _sweep_partitions(alg, carrier, target, deadline)
-        except TimeoutError:  # the sweep's own deadline check, before a congruence
-            raise SearchLimitError("time budget exceeded", count=swept, reason="time") from None
-        if finding is not None:
-            return finding
+    families = _tables(spec, deadline) if TARGETS[target].needs_algebra else [(None, (0, 0), (None,))]
+    carrier, swept = None, 0  # what every sweep reads, built at the first one; the algebras done
+    for t, (p, q), values in families:
+        for v in values:
+            if t is not None:
+                t[p][q] = v
+            if t is None or least(t):  # else its least relabelling came earlier in the stream, with no finding
+                alg = None if t is None else FiniteAlgebra._trusted(t)
+                if carrier is None:
+                    if alg is not None:
+                        _check_congruence_order(spec.n)
+                    carrier = _Carrier(spec.n, list(all_partitions(spec.n)))
+                try:
+                    finding = _sweep_partitions(alg, carrier, target, deadline)
+                except TimeoutError:  # the sweep's own deadline check, before a congruence
+                    raise SearchLimitError("time budget exceeded", count=swept, reason="time") from None
+                if finding is not None:
+                    return finding
+            swept += 1
     return None

@@ -120,3 +120,12 @@ def count_completeness_reads(monkeypatch):
     """The maps that relations._mismatch scans from now on: the partitions whose completeness
     is read, and the maps of the morphism checks."""
     return _count_calls(monkeypatch, "_mismatch")
+
+
+def expanded(families):
+    """The live table at each model of a ``search._tables`` family stream, in order: each value
+    of a family is written into its cell.  The table changes at the next step."""
+    for t, (p, q), values in families:
+        for v in values:
+            t[p][q] = v
+            yield t

@@ -24,7 +24,7 @@ from roughalg import search
 from roughalg.algebra import collect_witnesses
 
 import oracles
-from conftest import algebras, subsets
+from conftest import algebras, expanded, subsets
 
 AXIOM_NAMES = [a.name for a in AxiomId]
 
@@ -377,7 +377,7 @@ def test_propagators_on_search_prefixes(monkeypatch):
         forced = search._forced_cells(n, spec.axiom_set, 0)
         cells = [(x, y) for x in range(n) for y in range(n) if forced[x][y] < 0]
         _checked_propagator(monkeypatch, axiom)
-        models = [[row[:] for row in t] for t in itertools.islice(search._tables(spec, None), 3)]
+        models = [[row[:] for row in t] for t in itertools.islice(expanded(search._tables(spec, None)), 3)]
         monkeypatch.undo()
         satisfying = _satisfying(3, axiom, 0) if n == 3 else None
         for model, reset in [(None, True)] * 40 + [(m, r) for m in models for r in (False, True)] * 10:
@@ -400,7 +400,7 @@ def test_propagators_on_search_states(monkeypatch, n, name):
     axiom, seen = AxiomId[name], []
     _checked_propagator(monkeypatch, axiom, seen)
     models = [list(itertools.chain.from_iterable(t))
-              for t in search._tables(SearchSpec(n=n, axiom_set=_LABELLED[name], max_order=n), None)]
+              for t in expanded(search._tables(SearchSpec(n=n, axiom_set=_LABELLED[name], max_order=n), None))]
     monkeypatch.undo()
     for t in random.Random(26).sample(seen, 40):
         _propagator_agrees(axiom, t, 0, _completions(t, models))

@@ -7,14 +7,24 @@ import pytest
 
 import roughalg
 from roughalg import (
+    AxiomId,
+    LABEL_AXIOMS,
     Partition,
+    SearchSpec,
     SetValuedMap,
     Subset,
     ValidationError,
     all_partitions,
     check_axiom,
+    classify,
+    enumerate_algebras,
+    enumerate_congruences,
+    find_counterexample,
+    find_identities,
     is_ideal,
+    is_strong_ideal,
     lower,
+    product_set,
     relation_from_ideal,
     sweep_laws,
     upper,
@@ -100,3 +110,41 @@ def test_sweep_order_limit_is_checked_before_the_pair_space():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+S2 = Subset.empty(2)
+# a search with no model: a sink is checked before the search starts, not at the first model
+NO_MODELS = SearchSpec(n=2, axiom_set=LABEL_AXIOMS["Z"])
+
+# entry point and argument -> (a call with that argument of the wrong type, the exact message)
+ARGUMENT_TYPES = {
+    "enumerate_algebras-spec": (lambda: enumerate_algebras("x"), "spec must be a SearchSpec, not str"),
+    "enumerate_algebras-sink": (lambda: enumerate_algebras(NO_MODELS, 5),
+                                "sink must be callable or None, not int"),
+    "find_counterexample-spec": (lambda: find_counterexample("x", "2-1:12"), "spec must be a SearchSpec, not str"),
+    "lower-f": (lambda: lower("x", S2), "f must be a SetValuedMap, not str"),
+    "lower-a": (lambda: lower(P2, 5), "a must be a Subset, not int"),
+    "upper-f": (lambda: upper("x", S2), "f must be a SetValuedMap, not str"),
+    "upper-a": (lambda: upper(P2, 5), "a must be a Subset, not int"),
+    "check_axiom-alg": (lambda: check_axiom("x", AxiomId.C1), "alg must be a FiniteAlgebra, not str"),
+    "classify-alg": (lambda: classify("x"), "alg must be a FiniteAlgebra, not str"),
+    "is_ideal-alg": (lambda: is_ideal("x", S2), "alg must be a FiniteAlgebra, not str"),
+    "is_ideal-ideal": (lambda: is_ideal(BH4, 0), "ideal must be a Subset, not int"),
+    "is_strong_ideal-ideal": (lambda: is_strong_ideal(BH4, [0]), "ideal must be a Subset, not list"),
+    "enumerate_congruences-alg": (lambda: enumerate_congruences("x"), "alg must be a FiniteAlgebra, not str"),
+    "product_set-alg": (lambda: product_set("x", S2, S2), "alg must be a FiniteAlgebra, not str"),
+    "product_set-a": (lambda: product_set(BH4, 1, S2), "a must be a Subset, not int"),
+    "product_set-b": (lambda: product_set(BH4, Subset.empty(4), None), "b must be a Subset, not NoneType"),
+    "find_identities-alg": (lambda: find_identities(P2), "alg must be a FiniteAlgebra, not Partition"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARGUMENT_TYPES))
+def test_argument_types(case):
+    # a public entry point checks the types of its arguments before it reads any of them: a
+    # ValidationError names the argument, where a raw AttributeError or TypeError came from inside
+    call, message = ARGUMENT_TYPES[case]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+    assert info.value.field == case.split("-")[1]

@@ -34,7 +34,7 @@ from roughalg.rough import _Carrier
 from roughalg.search import TARGETS
 
 import oracles
-from conftest import BUNDLED, algebras, benchmark_table, count_congruence_checks
+from conftest import BUNDLED, algebras, benchmark_table, count_congruence_checks, expanded
 
 B_AXIOMS = LABEL_AXIOMS["B"]
 BH_AXIOMS = LABEL_AXIOMS["BH"]
@@ -124,16 +124,68 @@ def _expect(models):
     return sink
 
 
+def _alongside(reference, tables):
+    """The reference models, each checked first against the next live table of a second stream."""
+    for model in reference:
+        assert tuple(map(tuple, next(tables, ()))) == model
+        yield model
+
+
 @pytest.mark.parametrize("label", sorted(_AXIOM_SETS) + list(_MIXED_SETS))
 def test_models_match_a_full_rescan_search(label):
     # the search assigns the cells that the instances reading a set cell force, and checks only
     # those instances; the reference search tries every value of every cell and re-checks every
-    # instance of every axiom after each assignment
+    # instance of every axiom after each assignment.  The model families of search._tables,
+    # expanded, and the emitted models each equal the reference stream, in order
     axioms = {**_AXIOM_SETS, **_MIXED_SETS}[label]
     for n in range(1, {"B": 6, "BO": 7}.get(label, 5)):
-        reference = oracles.search_models(n, [a.name for a in axioms])
-        enumerate_algebras(SearchSpec(n=n, axiom_set=axioms, max_order=6), _expect(reference))
-        assert next(reference, None) is None, (label, n)
+        spec = SearchSpec(n=n, axiom_set=axioms, max_order=6)
+        reference, tables = oracles.search_models(n, [a.name for a in axioms]), expanded(search._tables(spec, None))
+        enumerate_algebras(spec, _expect(_alongside(reference, tables)))
+        assert next(reference, None) is None and next(tables, None) is None, (label, n)
+
+
+@pytest.mark.parametrize("label", sorted(_AXIOM_SETS) + list(_MIXED_SETS))
+def test_counts_and_caps_match_a_full_rescan_search(label):
+    # a count adds each family's size, and a cap may fall inside a family: a cap stops the count
+    # at exactly the cap, after the first cap models of the reference search.  Every cap up to
+    # the count is tried where the count is at most 300 (BH3 and the two sets whose families hold
+    # one to three models at order 4 among them); BH4 (216,000), Z-relaxed 4 (4,096) and
+    # C1,C2,C4,C7 at 4 (1,728) try the first 300 caps with their models, and the last two alone
+    axioms = {**_AXIOM_SETS, **_MIXED_SETS}[label]
+    for n in range(1, 5):
+        spec, emitted = SearchSpec(n=n, axiom_set=axioms), []
+        count = enumerate_algebras(spec, emitted.append)
+        assert enumerate_algebras(spec) == count == len(emitted), (label, n)
+        reference = list(itertools.islice(oracles.search_models(n, [a.name for a in axioms]),
+                                          min(count, 300)))
+        for cap in range(1, len(reference) + 1):
+            models = []
+            with pytest.raises(SearchLimitError) as exc:
+                enumerate_algebras(SearchSpec(n=n, axiom_set=axioms, model_cap=cap), models.append)
+            assert (exc.value.count, exc.value.reason) == (cap, "model-cap"), (label, n)
+            assert [alg.table for alg in models] == reference[:cap], (label, n, cap)
+        for cap in range(max(len(reference) + 1, count - 1), count + 1):
+            with pytest.raises(SearchLimitError) as exc:
+                enumerate_algebras(SearchSpec(n=n, axiom_set=axioms, model_cap=cap))
+            assert exc.value.count == cap, (label, n)
+
+
+def test_model_families_are_derived_without_the_search():
+    # the BH cells are set in row-major order, and the last free one is (n-1, n-2); its parents
+    # are the tables with every other cell set.  Each 0*y is free (n^(n-1) ways), each pair {x, y}
+    # of distinct nonzero x, y but the last takes any (x*y, y*x) but (0, 0) (n^2 - 1 ways), and
+    # the last pair's (n-2)*(n-1) takes any value: n^(n-1) * (n^2 - 1)^(C(n-1, 2) - 1) * n
+    # families.  C4 excludes 0 from the last cell where (n-2)*(n-1) is 0, so that one family in
+    # n holds n - 1 models and the others n
+    for n, families, sizes in ((3, 27, {2: 9, 3: 18}), (4, 57_600, {3: 14_400, 4: 43_200})):
+        assert families == n ** (n - 1) * (n * n - 1) ** (math.comb(n - 1, 2) - 1) * n
+        assert sizes == {n - 1: families // n, n: families - families // n}
+        got = [values for t, cell, values in search._tables(SearchSpec(n=n, axiom_set=BH_AXIOMS), None)]
+        assert len(got) == families and sum(map(len, got)) == sum(k * m for k, m in sizes.items())
+        assert {k: sum(len(v) == k for v in got) for k in sizes} == sizes
+    assert 27 == 3 ** 2 * 3 and 9 * 2 + 18 * 3 == 72 == 3 ** 2 * 8
+    assert 57_600 == 64 * 15 * 15 * 4 and 14_400 * 3 + 43_200 * 4 == 216_000
 
 
 def test_capped_models_match_a_full_rescan_search():
@@ -642,10 +694,10 @@ def test_hunt_above_the_partition_guard_fails_at_its_first_model(monkeypatch):
     # the guard reads the first model to sweep, so a model stream with none raises nothing
     original, models = search._tables, []
 
-    def counted(spec, deadline):
-        for t in original(spec, deadline):
+    def counted(spec, deadline):  # each model on its own, as a family of one
+        for t in expanded(original(spec, deadline)):
             models.append(t)
-            yield t
+            yield t, (0, 0), (t[0][0],)
 
     monkeypatch.setattr(search, "_tables", counted)
     with pytest.raises(ValidationError) as exc:
@@ -678,7 +730,7 @@ def _orbit_cases():
 def test_least_in_orbit_matches_oracle(n, label):
     least = search._least_in_orbit(n)
     spec = SearchSpec(n=n, axiom_set=LABEL_AXIOMS[label], max_order=6)
-    for t in search._tables(spec, None):
+    for t in expanded(search._tables(spec, None)):
         assert least(t) == oracles.is_least_relabelling(t), t
 
 
@@ -691,7 +743,7 @@ def test_orbit_counts():
         assert sum(oracles.is_least_relabelling(alg.table) for alg in models) == classes
     least = search._least_in_orbit(4)
     got = 0
-    for i, t in enumerate(search._tables(SearchSpec(n=4, axiom_set=BH_AXIOMS), None)):
+    for i, t in enumerate(expanded(search._tables(SearchSpec(n=4, axiom_set=BH_AXIOMS), None))):
         got += least(t)
         if i < 10_000:
             assert least(t) == oracles.is_least_relabelling(t), t
