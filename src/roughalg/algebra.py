@@ -8,10 +8,9 @@ violating tuple as a witness.  Each axiom is defined once, in ``AxiomId``,
 a one-variable one by the cell it pins and the others as clauses of terms.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ValidationError, check_types
 from .sets import Subset
@@ -304,8 +303,7 @@ class FiniteAlgebra:
         return f"FiniteAlgebra(n={self.n}, zero={self.zero}, table={[list(r) for r in self.table]})"
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Verdict for one axiom.  ``holds`` iff no violating tuple exists.
 
     ``witnesses`` lists violating tuples in lexicographic order; it may be
@@ -361,8 +359,7 @@ def classify(alg: FiniteAlgebra, z_variant: str = "literal") -> frozenset[str]:
     )
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Left, right and two-sided identity elements; the JSON keys of ``roughalg identities``."""
 
     left: Subset

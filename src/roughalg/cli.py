@@ -14,8 +14,9 @@ Reports print as text by default or as canonical JSON with ``--format
 json`` (or ROUGHALG_FORMAT=json; the flag wins).  Identical inputs yield
 byte-identical JSON.  A JSON report splices the library's own records
 (``AxiomReport``, ``IdentityReport``, ``IdealReport``, ``CheckResult``,
-``LawResult``, ``Finding``): their field names are its keys, and ``run``
-adds the ``command`` key and renders every value once.
+``LawResult``, ``Finding``), named tuples, through their ``_asdict()``:
+their field names are its keys, and ``run`` adds the ``command`` key and
+renders every value once.
 
 Exit codes: 0 all checks passed / query answered; 1 a property is violated
 or a counterexample was found; 2 bad input, bad usage, or exceeded limits.
@@ -327,7 +328,7 @@ def _cmd_check(args, alg) -> tuple[dict, list[str]]:
             more = "" if len(r.witnesses) <= 5 else f" (+{len(r.witnesses) - 5} more)"
             lines.append(f"  {r.axiom.name} [{r.axiom.formula}] fails at {shown}{more}")
     report = {"axioms": axioms, "label": label, "verdict": "pass" if ok else "fail",
-              "results": [{**vars(r), "formula": r.axiom.formula} for r in reports]}
+              "results": [{**r._asdict(), "formula": r.axiom.formula} for r in reports]}
     return report, lines
 
 
@@ -338,7 +339,7 @@ def _cmd_identities(args, alg) -> tuple[dict, list[str]]:
         f"right identities: {_set_text(ident.right)}",
         f"two-sided identities: {_set_text(ident.two_sided)}",
     ]
-    return vars(ident), lines
+    return ident._asdict(), lines
 
 
 def _cmd_ideals(args, alg) -> tuple[dict, list[str]]:
@@ -381,7 +382,7 @@ def _verify_ideal(args, alg, strong=False) -> tuple[dict, list[str]]:
     subset = parse_subset(args.set, alg.n)
     r = is_strong_ideal(alg, subset) if strong else is_ideal(alg, subset)
     ok = bool(r.is_strong) if strong else r.is_ideal
-    report = {**vars(r), "verdict": "pass" if ok else "fail"}
+    report = {**r._asdict(), "verdict": "pass" if ok else "fail"}
     report["set"] = report.pop("subset")
     lines = [f"claim {args.claim} on {_set_text(subset)}: {'holds' if ok else 'FAILS'}"]
     lines += ["  " + reason for reason in _ideal_failures(r, alg.zero)]
@@ -433,7 +434,7 @@ def _verify_prop(args, alg) -> tuple[dict, list[str]]:
     lines = [_law_result_text(r) for r in results]
     if args.prop == "3-2":
         lines.append(f"congruence complete: {'yes' if complete else 'no'}")
-    report.update(results=[vars(r) for r in results], verdict="pass" if ok else "fail")
+    report.update(results=[r._asdict() for r in results], verdict="pass" if ok else "fail")
     return report, lines
 
 
@@ -550,7 +551,7 @@ def _cmd_search(args, _) -> tuple[dict, list[str]]:
     if args.find:
         finding = find_counterexample(spec, args.find)
         report = {"order": order, "axioms": axioms, "target": args.find,
-                  "finding": finding and vars(finding), "verdict": "fail" if finding else "pass"}
+                  "finding": finding and finding._asdict(), "verdict": "fail" if finding else "pass"}
         if finding is None:
             return report, [f"no counterexample to {args.find} over {header} of order {order}"]
         lines = [
@@ -587,7 +588,7 @@ def _cmd_morphism(args, source) -> tuple[dict, list[str]]:
     ]
     if r.witness is not None:
         lines.append(f"witness: {r.witness}")
-    report = {"strong": args.strong, **vars(r), **labels,
+    report = {"strong": args.strong, **r._asdict(), **labels,
               "verdict": "pass" if r.holds else "fail"}
     return report, lines
 

@@ -57,6 +57,8 @@ def upper(f: SetValuedMap, a: Subset) -> Subset:
 def _morphism(f: SetValuedMap, source: FiniteAlgebra, target: FiniteAlgebra | None,
               strong: bool) -> tuple | None:
     """``_mismatch`` of f from source to target (source when None), once the carriers match."""
+    check_types(SetValuedMap, f=f)
+    check_types(FiniteAlgebra, source=source, target=source if target is None else target)
     for side, alg, n in (("source", source, f.n_source), ("target", target or source, f.n_target)):
         if alg.n != n:
             raise ValidationError(f"{side} algebra carrier {alg.n} vs map {side} {n}")

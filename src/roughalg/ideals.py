@@ -14,15 +14,14 @@ verdicts are kept independent and both are reported.  Conditions (2) and
 ``Subset`` only for each ideal it returns.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, collect_witnesses
 from .errors import ValidationError, check_types
 from .sets import Subset, canonical_masks
 
 
-@dataclass(frozen=True)
-class IdealReport:
+class IdealReport(NamedTuple):
     """Per-condition verdicts for one subset, with violating tuples.
 
     ``triple_closed`` is None when condition (3) was not evaluated (plain
@@ -101,6 +100,8 @@ def enumerate_ideals(alg: FiniteAlgebra, strong: bool = False) -> list[Subset]:
     and tests the rest against condition (2) (or (3)); guarded by
     ``IDEAL_ORDER_LIMIT`` because of the exponential subset count.
     """
+    check_types(FiniteAlgebra, alg=alg)
+    check_types(bool, strong=strong)
     if alg.n > IDEAL_ORDER_LIMIT:
         raise ValidationError(f"carrier size {alg.n} exceeds enumeration limit {IDEAL_ORDER_LIMIT}")
     violations, zero = _triple_violations if strong else _pair_violations, 1 << alg.zero

@@ -14,16 +14,14 @@ table's congruences through ``_congruent`` measured 2.4-5.3x slower (bh4 0.030 -
 check returns the lexicographically first violating tuple, so repeated runs are bit-identical.
 """
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .algebra import FiniteAlgebra, _low
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError, check_types
 from .sets import Subset
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of an exhaustive check: holds, or the first violating tuple."""
 
     holds: bool
@@ -149,8 +147,7 @@ class Partition(SetValuedMap):
         return f"Partition({self.n}, {body})"
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Which equivalence properties hold, with the first witness per failure.
 
     ``reflexivity`` is a 1-tuple (x,) with x outside R(x), ``symmetry`` a
@@ -167,6 +164,7 @@ class EquivalenceReport:
 
 
 def is_equivalence(rel: SetValuedMap) -> EquivalenceReport:
+    check_types(SetValuedMap, rel=rel)
     if rel.n_source != rel.n_target:
         raise ValidationError("relation is not square")
     R = rel.masks
@@ -201,6 +199,8 @@ def is_congruence(alg: FiniteAlgebra, p: Partition) -> CheckResult:
     x ~ y must force x*z ~ y*z and z*x ~ z*y for every z.  The witness is
     (x, y, z, side) with side "right" or "left".
     """
+    check_types(FiniteAlgebra, alg=alg)
+    check_types(Partition, p=p)
     if p.n != alg.n:
         raise ValidationError(f"partition carrier {p.n} does not match algebra carrier {alg.n}")
     w = _incompatible(alg.table, p.class_index)
@@ -305,6 +305,8 @@ def relation_from_ideal(alg: FiniteAlgebra, ideal: Subset) -> SetValuedMap:
     fail even for genuine ideals, so callers must run is_equivalence before
     treating the result as a partition.
     """
+    check_types(FiniteAlgebra, alg=alg)
+    check_types(Subset, ideal=ideal)
     if ideal.n != alg.n:
         raise ValidationError(f"subset carrier {ideal.n} does not match algebra carrier {alg.n}")
     t, n, m = alg.table, alg.n, ideal.mask

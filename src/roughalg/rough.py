@@ -14,13 +14,12 @@ space of one pair, where a set is its mask.
 """
 
 import time
-from dataclasses import dataclass
 from functools import partial, reduce
 from operator import and_, or_, xor
 from typing import NamedTuple, Sequence
 
 from .algebra import FiniteAlgebra, _low, product_mask
-from .errors import ValidationError
+from .errors import ValidationError, check_types
 from .generalized import _lower_mask, _upper_mask
 from .relations import Partition, _congruent, _grouped, _mismatch, _related, is_congruence, require_congruence
 from .sets import Subset, canonical_masks
@@ -263,8 +262,7 @@ _PLANS = {(suite, hunt, algebra): _plan(suite, hunt, algebra) for suite, members
 
 # ---------------------------------------------------------------- single-pair views
 
-@dataclass(frozen=True)
-class LawResult:
+class LawResult(NamedTuple):
     """One law evaluated on concrete inputs.
 
     ``holds`` is None when the law was not applicable (missing algebra, or
@@ -282,8 +280,12 @@ def _suite_view(suite: str, p: Partition, a: Subset, b: Subset, alg: FiniteAlgeb
                 by_id: bool = False) -> tuple[LawResult, ...]:
     """The suite's laws over the space of the one pair (a, b), labelled by their local numbers
     (by their ids with by_id).  ValidationError unless alg, a and b live on p's carrier."""
-    if alg is not None and alg.n != p.n:
-        raise ValidationError(f"algebra carrier {alg.n} does not match partition carrier {p.n}")
+    check_types(Partition, p=p)
+    check_types(Subset, a=a, b=b)
+    if alg is not None:
+        check_types(FiniteAlgebra, algebra=alg)  # check_approx_laws names it algebra; the 3-2 view checked it
+        if alg.n != p.n:
+            raise ValidationError(f"algebra carrier {alg.n} does not match partition carrier {p.n}")
     for s in (a, b):
         if s.n != p.n:
             raise ValidationError(f"subset carrier {s.n} does not match partition carrier {p.n}")

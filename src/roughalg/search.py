@@ -33,10 +33,9 @@ end or skipped as isomorphic copies.
 import sys
 import time
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import chain, islice, permutations
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .algebra import AxiomId, FiniteAlgebra
 from .errors import SearchLimitError, ValidationError, check_types
@@ -45,36 +44,37 @@ from .rough import SUITES, _Carrier, _sweep
 from .sets import Subset
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(namedtuple("SearchSpec", "n axiom_set model_cap time_budget max_order")):
     """What the model search reads: order, axiom constraints, limits.
 
     ``max_order`` bounds ``n``.  ``model_cap`` and ``time_budget`` (seconds)
     stop the search early with a SearchLimitError carrying the exact count
-    for the explored prefix.
+    for the explored prefix.  Every spec is validated here, also one that
+    ``_make`` or ``_replace`` builds.
     """
 
-    n: int
-    axiom_set: tuple[AxiomId, ...] = ()
-    model_cap: int | None = None
-    time_budget: float | None = None
-    max_order: int = 5
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, v in (("n", self.n), ("max_order", self.max_order), ("model_cap", self.model_cap)):
+    def __new__(cls, n: int, axiom_set: tuple[AxiomId, ...] = (), model_cap: int | None = None,
+                time_budget: float | None = None, max_order: int = 5):
+        for name, v in (("n", n), ("max_order", max_order), ("model_cap", model_cap)):
             if type(v) is not int and not (v is None and name == "model_cap"):
                 raise ValidationError(f"{name} must be an int, got {v!r}", name)
-        if not 1 <= self.n <= self.max_order:
-            raise ValidationError(f"order {self.n} is outside the search limit 1..{self.max_order}", "n")
-        if type(self.axiom_set) is not tuple or not all(isinstance(a, AxiomId) for a in self.axiom_set):
-            raise ValidationError(f"axiom_set must be a tuple of AxiomId, got {self.axiom_set!r}", "axiom_set")
-        if self.model_cap is not None and self.model_cap < 1:
-            raise ValidationError(f"model cap must be at least 1, got {self.model_cap}", "model_cap")
-        budget = self.time_budget
-        if budget is not None and type(budget) not in (int, float):
-            raise ValidationError(f"time_budget must be an int or a float, got {budget!r}", "time_budget")
-        if budget is not None and not 0 <= budget <= sys.float_info.max:  # a larger int makes no float
-            raise ValidationError(f"time budget must be a finite float >= 0, got {budget}", "time_budget")
+        if not 1 <= n <= max_order:
+            raise ValidationError(f"order {n} is outside the search limit 1..{max_order}", "n")
+        if type(axiom_set) is not tuple or not all(isinstance(a, AxiomId) for a in axiom_set):
+            raise ValidationError(f"axiom_set must be a tuple of AxiomId, got {axiom_set!r}", "axiom_set")
+        if model_cap is not None and model_cap < 1:
+            raise ValidationError(f"model cap must be at least 1, got {model_cap}", "model_cap")
+        if time_budget is not None and type(time_budget) not in (int, float):
+            raise ValidationError(f"time_budget must be an int or a float, got {time_budget!r}", "time_budget")
+        if time_budget is not None and not 0 <= time_budget <= sys.float_info.max:  # a larger int makes no float
+            raise ValidationError(f"time budget must be a finite float >= 0, got {time_budget}", "time_budget")
+        return super().__new__(cls, n, axiom_set, model_cap, time_budget, max_order)
+
+    @classmethod
+    def _make(cls, fields):  # the one other way in, _replace's too
+        return cls(*super()._make(fields))
 
 
 # the partition count grows like the Bell numbers: no carrier above this is swept partition by partition
@@ -273,8 +273,7 @@ def enumerate_congruences(alg: FiniteAlgebra) -> list[Partition]:
     return [Partition._from_rgs(r) for r in _rgs(alg.n) if _incompatible(alg.table, r) is None]
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """A concrete counterexample to the hunted law: the algebra (None when the law
     ignores it), the partition, the subset pair, the witness tuple and the partition's note."""
 

@@ -8,25 +8,43 @@ import pytest
 import roughalg
 from roughalg import (
     AxiomId,
+    AxiomReport,
+    CheckResult,
+    EquivalenceReport,
+    Finding,
+    IdealReport,
+    IdentityReport,
     LABEL_AXIOMS,
+    LawResult,
     Partition,
+    PreconditionError,
     SearchSpec,
     SetValuedMap,
     Subset,
     ValidationError,
     all_partitions,
+    check_approx_laws,
     check_axiom,
+    check_basic_laws,
+    check_congruence_product_laws,
     classify,
     enumerate_algebras,
     enumerate_congruences,
+    enumerate_ideals,
     find_counterexample,
     find_identities,
+    is_complete_congruence,
+    is_congruence,
+    is_equivalence,
     is_ideal,
     is_strong_ideal,
+    is_strong_sv_morphism,
+    is_sv_morphism,
     lower,
     product_set,
     relation_from_ideal,
     sweep_laws,
+    to_partition,
     upper,
 )
 
@@ -112,7 +130,7 @@ def test_sweep_order_limit_is_checked_before_the_pair_space():
     assert peak < 1 << 20
 
 
-S2 = Subset.empty(2)
+S2, S4, P4 = Subset.empty(2), Subset.empty(4), Partition.discrete(4)
 # a search with no model: a sink is checked before the search starts, not at the first model
 NO_MODELS = SearchSpec(n=2, axiom_set=LABEL_AXIOMS["Z"])
 
@@ -136,6 +154,28 @@ ARGUMENT_TYPES = {
     "product_set-a": (lambda: product_set(BH4, 1, S2), "a must be a Subset, not int"),
     "product_set-b": (lambda: product_set(BH4, Subset.empty(4), None), "b must be a Subset, not NoneType"),
     "find_identities-alg": (lambda: find_identities(P2), "alg must be a FiniteAlgebra, not Partition"),
+    "is_sv_morphism-f": (lambda: is_sv_morphism("x", BH4), "f must be a SetValuedMap, not str"),
+    "is_sv_morphism-source": (lambda: is_sv_morphism(P4, "x"), "source must be a FiniteAlgebra, not str"),
+    "is_strong_sv_morphism-f": (lambda: is_strong_sv_morphism("x", BH4), "f must be a SetValuedMap, not str"),
+    "is_strong_sv_morphism-target": (lambda: is_strong_sv_morphism(P4, BH4, 5),
+                                     "target must be a FiniteAlgebra, not int"),
+    "is_congruence-p": (lambda: is_congruence(BH4, "x"), "p must be a Partition, not str"),
+    "is_complete_congruence-alg": (lambda: is_complete_congruence("x", P4), "alg must be a FiniteAlgebra, not str"),
+    "is_equivalence-rel": (lambda: is_equivalence("x"), "rel must be a SetValuedMap, not str"),
+    "to_partition-rel": (lambda: to_partition("x"), "rel must be a SetValuedMap, not str"),
+    "relation_from_ideal-alg": (lambda: relation_from_ideal("x", S4), "alg must be a FiniteAlgebra, not str"),
+    "relation_from_ideal-ideal": (lambda: relation_from_ideal(BH4, [0]), "ideal must be a Subset, not list"),
+    "check_congruence_product_laws-alg": (lambda: check_congruence_product_laws("x", P4, S4, S4),
+                                          "alg must be a FiniteAlgebra, not str"),
+    "check_congruence_product_laws-b": (lambda: check_congruence_product_laws(BH4, P4, S4, None),
+                                        "b must be a Subset, not NoneType"),
+    "check_approx_laws-p": (lambda: check_approx_laws("x", S4, S4), "p must be a Partition, not str"),
+    "check_approx_laws-algebra": (lambda: check_approx_laws(P4, S4, S4, "x"),
+                                  "algebra must be a FiniteAlgebra, not str"),
+    "check_basic_laws-p": (lambda: check_basic_laws("x", S4, S4), "p must be a Partition, not str"),
+    "check_basic_laws-a": (lambda: check_basic_laws(P4, 0, S4), "a must be a Subset, not int"),
+    "enumerate_ideals-alg": (lambda: enumerate_ideals("x"), "alg must be a FiniteAlgebra, not str"),
+    "enumerate_ideals-strong": (lambda: enumerate_ideals(BH4, strong="yes"), "strong must be a bool, not str"),
 }
 
 
@@ -148,3 +188,70 @@ def test_argument_types(case):
         call()
     assert str(info.value) == message
     assert info.value.field == case.split("-")[1]
+
+
+# each record, built with its required fields alone, and what its defaults fill in
+RECORDS = {
+    AxiomReport: ((AxiomId.C1, True, ()), ()),
+    IdentityReport: ((S2, S2, S2), ()),
+    IdealReport: ((S2, True, True, None, (), ()), ()),
+    CheckResult: ((True,), (None,)),
+    EquivalenceReport: ((True, None, None, None), ()),
+    LawResult: (("1", "bounds", True), (None, None)),
+    SearchSpec: ((2,), ((), None, None, 5)),
+    Finding: (((0,), None, P2, S2, S2), ("",)),
+}
+
+
+def test_records_are_named_tuples():
+    # a record is a tuple of its fields, in the order they are declared: it unpacks, and it
+    # equals the plain tuple of the same values; a field cannot be assigned
+    for record, (required, defaults) in RECORDS.items():
+        r = record(*required)
+        assert isinstance(r, tuple) and r == required + defaults and len(r) == len(record._fields)
+        assert r._asdict() == dict(zip(record._fields, r)) and record._make(r) == r
+        with pytest.raises(AttributeError):
+            setattr(r, record._fields[0], required[0])
+
+
+def test_record_and_value_reprs():
+    # one of each record, set, partition, map and algebra prints as Name(...) with its fields;
+    # to_partition's refusal embeds the equivalence report's repr
+    p, s = Partition(4, [[0, 1], [2], [3]]), Subset.from_elements(4, [0, 2])
+    rel = relation_from_ideal(BH4, s)
+    finding = find_counterexample(SearchSpec(n=3, axiom_set=LABEL_AXIOMS["BH"]), "3-2:2-incomplete")
+    values = [
+        check_axiom(BH4, AxiomId.C3, max_witnesses=2),
+        find_identities(BH4),
+        is_strong_ideal(BH4, s, max_witnesses=2),
+        is_complete_congruence(BH4, p),
+        is_equivalence(rel),
+        check_congruence_product_laws(BH4, p, Subset.from_elements(4, [2]), s)[1],
+        SearchSpec(n=3, axiom_set=LABEL_AXIOMS["BH"], model_cap=7),
+        finding,
+        s,
+        p,
+        SetValuedMap(3, 2, [[0], [0, 1], []]),
+        BH4,
+    ]
+    assert [repr(v) for v in values] == [
+        "AxiomReport(axiom=AxiomId.C3, holds=False, witnesses=((1, 2, 0), (1, 2, 1)))",
+        "IdentityReport(left=Subset(4, {}), right=Subset(4, {0}), two_sided=Subset(4, {}))",
+        "IdealReport(subset=Subset(4, {0, 2}), has_zero=True, pair_closed=False, triple_closed=False, "
+        "pair_witnesses=((1, 2),), triple_witnesses=((1, 2, 0), (2, 2, 3)))",
+        "CheckResult(holds=False, witness=(0, 2, 'missing', 1))",
+        "EquivalenceReport(holds=False, reflexivity=None, symmetry=None, transitivity=(0, 2, 1))",
+        "LawResult(law='product-lower', description='lower(A)*lower(B) <= lower(A*B)', holds=False, "
+        "witness=(0,), note=None)",
+        "SearchSpec(n=3, axiom_set=(AxiomId.C1, AxiomId.C2, AxiomId.C4), model_cap=7, time_budget=None, "
+        "max_order=5)",
+        "Finding(witness=(0,), algebra=FiniteAlgebra(n=3, zero=0, table=[[0, 0, 0], [1, 0, 0], [2, 2, 0]]), "
+        "partition=Partition(3, 0,1 | 2), a=Subset(3, {2}), b=Subset(3, {0, 2}), note='congruence, not complete')",
+        "Subset(4, {0, 2})",
+        "Partition(4, 0,1 | 2 | 3)",
+        "SetValuedMap(3->2, 0:0; 1:0,1; 2:)",
+        "FiniteAlgebra(n=4, zero=0, table=[[0, 1, 0, 0], [1, 0, 0, 0], [2, 2, 0, 3], [3, 3, 3, 0]])",
+    ]
+    with pytest.raises(PreconditionError) as exc:
+        to_partition(rel)
+    assert str(exc.value) == f"relation is not an equivalence: {values[4]!r}"

@@ -378,6 +378,27 @@ def test_spec_axioms_must_be_a_tuple_of_axiom_ids(axioms):
     assert exc.value.field == "axiom_set"
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n", True), ("n", 2.0), ("n", 0), ("n", 99), ("max_order", 5.0), ("max_order", 1),
+    ("model_cap", 1.5), ("model_cap", True), ("model_cap", 0), ("axiom_set", ("C1",)),
+    ("axiom_set", [AxiomId.C1]), ("axiom_set", None), ("time_budget", -1.0), ("time_budget", float("nan")),
+    ("time_budget", "1"), ("time_budget", 10**400)], ids=lambda v: str(v)[:12])
+def test_spec_is_validated_whichever_way_it_is_built(field, value):
+    # a spec is a named tuple: _make and _replace build one too, and each refuses what the
+    # constructor refuses, with its message and field (max_order=1 puts n=2 out of range).  A
+    # plain named tuple's _make([99, (), None, None, 5]) and _replace(n=99) would accept n=99
+    spec = SearchSpec(n=2)
+    values = {**spec._asdict(), field: value}
+    refusals = []
+    for build in (lambda: SearchSpec(**values), lambda: SearchSpec._make(values.values()),
+                  lambda: spec._replace(**{field: value})):
+        with pytest.raises(ValidationError) as exc:
+            build()
+        refusals.append((str(exc.value), exc.value.field))
+    assert refusals == [refusals[0]] * 3
+    assert refusals[0][1] == ("n" if field == "max_order" and value == 1 else field)
+
+
 def test_time_budget():
     with pytest.raises(SearchLimitError) as exc:
         enumerate_algebras(SearchSpec(n=4, axiom_set=BH_AXIOMS, time_budget=0.0))

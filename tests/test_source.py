@@ -1,7 +1,8 @@
 """Rules the package's source keeps: it runs on the standard library alone, it memoizes
 nothing behind a functools cache, whose hidden state a deterministic verifier does not need, it
 runs generated source in one place only, built from constants, that does not depend on string
-hashing and tests nothing the derivation knows, and its model search names no axiom."""
+hashing and tests nothing the derivation knows, its model search names no axiom, and importing its
+CLI loads neither ``dataclasses`` nor ``inspect``, whose import a call would pay for records alone."""
 
 import ast
 import os
@@ -101,3 +102,12 @@ def test_derived_source_tests_nothing_the_derivation_knows():
         for name in re.findall(r"\b(\w+) == zero\b", source):
             assert f"if {name} >= 0:" not in source, (axiom, name)
     assert lines == {"C3": 81, "C4": 20, "C5": 81, "C7": 21}
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # the records are named tuples: a CLI call imports no module to declare them.  A fresh
+    # interpreter, because the test run itself has imported both
+    script = "import sys, roughalg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    loaded = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+    assert loaded == "[]\n"
