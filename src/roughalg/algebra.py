@@ -5,26 +5,16 @@ table with a distinguished element.  Axiom systems are data: each label
 (B, BH, BO, Z) names a conjunction of the seven axioms C1..C7, and
 ``check_axiom`` decides a single axiom exhaustively, collecting every
 violating tuple as a witness.  Each axiom is defined once, in ``AxiomId``,
-a one-variable one by the cell it pins and the others as clauses of terms.
+as the terms of its clause, from which ``_clause`` derives the rest.
 """
 
+from collections.abc import Sequence
 from enum import Enum
 from itertools import permutations
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import ValidationError, check_types
 from .sets import Subset
-
-
-def _pinned(pin):
-    """The violations of a one-variable axiom from the cell it pins: x violates it where the cell
-    (row, column) of ``pin(x, zero) = (row, column, value)`` is determined and is not value."""
-    def violations(t, zero):
-        for x in range(len(t)):
-            row, column, value = pin(x, zero)
-            if t[row][column] >= 0 and t[row][column] != value:
-                yield (x,)
-    return violations
 
 
 def _products(term, out: list) -> list:
@@ -116,24 +106,26 @@ def _block(statements) -> list[str]:
 
 
 def _clause(premises, conclusion, nonzero=""):
-    """AxiomId's arity, formula, violations, propagator, the source of them all, whether the
-    propagator reads the value index and the value filter, for the clause whose premises, equations
-    (a, b) for a = b, imply the equation conclusion.  An identity has no premise and its sides are
-    products that each read every variable; otherwise each premise equates a product of two
-    variables with 0, and the conclusion equates two variables.  A term is a variable "x", "y" or
-    "z", the zero "0" or a pair (a, b) for a*b; the variables in nonzero range over the nonzero
-    elements.  The functions are generated as source, once at import: reading a term per instance
-    costs 3-9x.  The propagator has one loop nest for each product, over the instances where it
-    reads (p, q), but none for a product that a symmetry (a renaming of the variables that keeps
-    nonzero and each equation, read either way round) maps onto an earlier one.  A product operand
-    of a nest's product is a filter, whose value must be p or q: the nest finds its instances among
-    the cells that the index lists for that value.  A premise's nests force no cell; the value
-    filter runs them with the cell's product read as its premise's other side, whose value it
-    excludes where the rest of the instance is violated.  The source tests nothing the derivation knows:
-    the propagator is called only on a determined cell (p, q), with an index where it reads one, so it
-    tests neither v = t[p][q] nor held, and no product that a premise equates with 0, as -1 is not 0."""
+    """AxiomId's arity, formula, pin, violations, propagator, value filter, whether the propagator reads
+    the value index and the source of the generated functions, for the clause whose premises,
+    equations (a, b) for a = b, imply the equation conclusion.  An identity has no premise and its
+    sides are products that each read every variable; otherwise each premise equates a product of
+    two variables with 0, and the conclusion equates two variables.  A term is a variable "x", "y"
+    or "z", the zero "0" or a pair (a, b) for a*b; the variables in nonzero range over the nonzero
+    elements.  A one-variable clause, such as x*0 = x, must equate a product of two leaves with a
+    leaf: it pins the product's cell to the leaf's value and gets only its violations.  The
+    functions are generated as source, once at import: reading a term per instance costs 3-9x.  The
+    propagator has one loop nest for each product, over the instances where it reads (p, q), but
+    none for a product that a symmetry (a renaming of the variables that keeps nonzero and each
+    equation, read either way round) maps onto an earlier one.  A product operand of a nest's
+    product is a filter, whose value must be p or q: the nest finds its instances among the cells
+    that the index lists for that value.  A premise's nests force no cell; the value filter runs
+    them with the cell's product read as its premise's other side, whose value it excludes where the
+    rest of the instance is violated.  The source tests nothing the derivation knows: the propagator
+    is called only on a determined cell (p, q), with an index where it reads one, so it tests
+    neither v = t[p][q] nor held, and no product that a premise equates with 0, as -1 is not 0."""
     sides = tuple(side for equation in (*premises, conclusion) for side in equation)
-    variables, products, names = _variables(sides), [], {"0": "zero"}
+    variables, products, names, pin = _variables(sides), [], {"0": "zero"}, None
     for side in sides:
         _products(side, products)
     equations = [" = ".join(map(_render, equation)) for equation in (*premises, conclusion)]
@@ -150,6 +142,11 @@ def _clause(premises, conclusion, nonzero=""):
         return [f"def {signature}:", f"    {', '.join(bindings)} = {', '.join(bindings.values())}"] + body
     source = function("violations(t, zero)", _block(
         _nest(names, variables, products, nonzero, untested) + violated(names) + [f"yield ({', '.join(variables)},)"]))
+    if len(variables) == 1:  # it pins a cell for each x, which the search sets first: no product needs a nest
+        product, leaf = sorted(conclusion, key=lambda side: type(side) is not tuple)
+        if premises or nonzero or [type(side) for side in (product, *product, leaf)] != [tuple, str, str, str]:
+            raise ValueError(f"a one-variable axiom equates a product of two leaves with a leaf, not {formula}")
+        pin, products = (lambda x, zero: tuple(zero if side == "0" else x for side in (*product, leaf))), []
     propagate, value_filter, order = [], [], sorted(products, key=conclusion.__contains__)  # an identity's sides last
 
     def shape(renaming):  # the premises and the conclusion, each equation read either way round
@@ -184,47 +181,48 @@ def _clause(premises, conclusion, nonzero=""):
         propagate += _block(body + violated(names) + [  # a branch for each side but v, which is set
             f"{el}if {s} < 0: t[{a}][{b}] = {o}; trail.append(({a}, {b})); {held_test}held[{o}].append(({a}, {b}))"
             for el, (s, o, a, b) in zip(("", "el"), settle)] + ["else: return True"])
-    source += function("propagate(t, zero, p, q, trail, held)", propagate + ["    return False"], v="t[p][q]")
+    source += function("propagate(t, zero, p, q, trail, held)", propagate + ["    return False"],
+                       v="t[p][q]") * bool(nests)
     source += function("excluded(t, zero, p, q)", value_filter + ["    return out"], out="0") * bool(premises)
     exec(compile(source := "\n".join(source), f"<{formula}>", "exec"), ns := {})
-    return len(variables), formula, ns["violations"], ns["propagate"], source, not held_test, ns.get("excluded")
+    return (len(variables), formula, pin, ns["violations"], ns.get("propagate"), ns.get("excluded"), not held_test,
+            source)
 
 
 class AxiomId(Enum):
-    """The seven axiom schemas: variable arity, display formula and definition.
-
-    A one-variable axiom is defined by the cell it pins for each x, ``pin(x, zero) = (row,
-    column, value)``.  The others are clauses of terms, from which ``_clause`` derives the rest:
-    C3, C5 and C7 are identities, with no premise, and C4's premises x*y = 0 and y*x = 0 imply
-    x = y.  ``violations(t, zero)`` yields an axiom's violating instances over table rows ``t``
-    (-1 for an undetermined cell) in lexicographic order.  It skips an instance that reads an
-    undetermined cell, so on a partial table it yields only those that every completion violates.
-    A clause's private propagator ``_propagate(t, zero, p, q, trail, held)`` looks at the instances
-    that read the cell (p, q), and is called only on a determined one.  ``held`` is the value index:
-    ``held[v]`` lists the determined cells that hold v, in the order they were set, or it is None
-    when no propagator of the search reads it; a clause that reads it (``_reads_held``: C3, C5) is
-    called only with one.  Where one side of an identity's instance is determined and the other
-    lacks only its outermost cell, every completion that satisfies the axiom has the determined
-    side's value there: it assigns it, appends the cell to ``trail`` and, with an index, to its
-    value's list.  It returns whether one of those instances is violated with every cell determined.
-    C4's value filter ``_excluded(t, zero, p, q)`` is the mask of the values of the undetermined
-    cell (p, q) that would make an instance that reads it violated with every cell determined: the
-    zero, where p != q and q*p is the zero.  ``_source`` is a clause's generated source.
+    """The seven axiom schemas.  Each member's value is its clause's terms, ``(premises,
+    conclusion[, nonzero])`` as ``_clause`` reads them, so ``AxiomId.C3.value`` is C3 and a member
+    pickles by it; ``_clause`` derives the rest.  C4's premises x*y = 0 and y*x = 0 imply x = y;
+    the others are identities, with no premise.  ``arity`` is the number of variables and
+    ``formula`` the clause as text.  A one-variable axiom pins a cell for each x, ``pin(x, zero) =
+    (row, column, value)``; ``pin`` is None for the others, which have a propagator instead.
+    ``violations(t, zero)`` yields an axiom's violating instances over table rows ``t`` (-1 for an
+    undetermined cell) in lexicographic order.  It skips an instance that reads an undetermined
+    cell, so on a partial table it yields only those that every completion violates.  The private
+    propagator ``_propagate(t, zero, p, q, trail, held)`` looks at the instances that read the cell
+    (p, q), and is called only on a determined one.  ``held`` is the value index: ``held[v]`` lists
+    the determined cells that hold v, in the order they were set, or it is None when no propagator
+    of the search reads it; a clause that reads it (``_reads_held``: C3, C5) is called only with
+    one.  Where one side of an identity's instance is determined and the other lacks only its
+    outermost cell, every completion that satisfies the axiom has the determined side's value
+    there: it assigns it, appends the cell to ``trail`` and, with an index, to its value's list.
+    It returns whether one of those instances is violated with every cell determined.  C4's value
+    filter ``_excluded(t, zero, p, q)`` is the mask of the values of the undetermined cell (p, q)
+    that would make an instance that reads it violated with every cell determined: the zero, where
+    p != q and q*p is the zero.  ``_source`` is the generated source of them all.
     """
 
-    C1 = (1, "x*x = 0", lambda x, zero: (x, x, zero))
-    C2 = (1, "x*0 = x", lambda x, zero: (x, zero, x))
-    C3 = _clause((), ((("x", "y"), "z"), ("x", ("z", ("0", "y")))))
-    C4 = _clause(((("x", "y"), "0"), (("y", "x"), "0")), ("x", "y"))
-    C5 = _clause((), (("x", ("y", "z")), (("x", "y"), ("0", "z"))))
-    C6 = (1, "x*x = x", lambda x, zero: (x, x, x))
-    C7 = _clause((), (("x", "y"), ("y", "x")), nonzero="xy")
+    C1 = (), (("x", "x"), "0")
+    C2 = (), (("x", "0"), "x")
+    C3 = (), ((("x", "y"), "z"), ("x", ("z", ("0", "y"))))
+    C4 = ((("x", "y"), "0"), (("y", "x"), "0")), ("x", "y")
+    C5 = (), (("x", ("y", "z")), (("x", "y"), ("0", "z")))
+    C6 = (), (("x", "x"), "x")
+    C7 = (), (("x", "y"), ("y", "x")), "xy"
 
-    def __init__(self, arity: int, formula: str, definition, *derived):
-        self.arity, self.formula = arity, formula
-        self.pin = definition if arity == 1 else None
-        self.violations = _pinned(definition) if arity == 1 else definition
-        self._propagate, self._source, self._reads_held, self._excluded = derived or (None, None, False, None)
+    def __init__(self, premises, conclusion, nonzero=""):
+        (self.arity, self.formula, self.pin, self.violations, self._propagate, self._excluded, self._reads_held,
+         self._source) = _clause(premises, conclusion, nonzero)
 
     def __repr__(self) -> str:
         return f"AxiomId.{self.name}"
@@ -261,6 +259,7 @@ class FiniteAlgebra:
     def __init__(self, n: int, table: Sequence[Sequence[int]], zero: int = 0):
         if type(n) is not int or n < 1:
             raise ValidationError(f"carrier size must be an int of at least 1, got {n!r}", "n")
+        check_types(Sequence, table=table)
         if len(table) != n:
             raise ValidationError(f"expected {n} rows, got {len(table)}")
         rows = []
@@ -375,8 +374,8 @@ def find_identities(alg: FiniteAlgebra) -> IdentityReport:
     """
     check_types(FiniteAlgebra, alg=alg)
     n, t = alg.n, alg.table
-    right = Subset.from_elements(n, (e for e in range(n) if all(t[x][e] == x for x in range(n))))
-    left = Subset.from_elements(n, (e for e in range(n) if all(t[e][x] == x for x in range(n))))
+    right = Subset._raw(n, sum(1 << e for e in range(n) if all(t[x][e] == x for x in range(n))))
+    left = Subset._raw(n, sum(1 << e for e in range(n) if all(t[e][x] == x for x in range(n))))
     return IdentityReport(left=left, right=right, two_sided=left & right)
 
 

@@ -17,7 +17,8 @@ def check_types(kind: type, **arguments) -> None:
     """A ValidationError, its ``field`` the argument's name, for the first argument that is not a kind."""
     for field, value in arguments.items():
         if not isinstance(value, kind):
-            raise ValidationError(f"{field} must be a {kind.__name__}, not {type(value).__name__}", field)
+            article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
+            raise ValidationError(f"{field} must be {article} {kind.__name__}, not {type(value).__name__}", field)
 
 
 class ParseError(ValidationError):

@@ -14,7 +14,8 @@ table's congruences through ``_congruent`` measured 2.4-5.3x slower (bh4 0.030 -
 check returns the lexicographically first violating tuple, so repeated runs are bit-identical.
 """
 
-from typing import Iterable, NamedTuple
+from collections.abc import Iterable
+from typing import NamedTuple
 
 from .algebra import FiniteAlgebra, _low
 from .errors import PreconditionError, ValidationError, check_types
@@ -40,9 +41,10 @@ class SetValuedMap:
         for name, n in (("n_source", n_source), ("n_target", n_target)):
             if type(n) is not int or n < 1:
                 raise ValidationError(f"{name} must be an int of at least 1, got {n!r}", name)
+        check_types(Iterable, images=images)
         masks = []
         for x, img in enumerate(images):
-            img = img if isinstance(img, Subset) else Subset.from_elements(n_target, img)
+            img = img if isinstance(img, Subset) else Subset.from_elements(n_target, img, "images")
             if img.n != n_target:
                 raise ValidationError(f"image of {x} lives in carrier {img.n}, expected {n_target}")
             masks.append(img.mask)
@@ -95,9 +97,10 @@ class Partition(SetValuedMap):
 
     def __init__(self, n: int, classes: Iterable):
         _check_carrier(n)
+        check_types(Iterable, classes=classes)
         masks = []
         for c in classes:
-            c = c if isinstance(c, Subset) else Subset.from_elements(n, c)
+            c = c if isinstance(c, Subset) else Subset.from_elements(n, c, "classes")
             if c.n != n:
                 raise ValidationError(f"class carrier {c.n} does not match partition carrier {n}")
             if not c:

@@ -1,33 +1,33 @@
 """Exhaustive model search, congruence enumeration, counterexample hunting.
 
-The model search is one stream of model families.  It fixes the cell that each one-variable axiom
-pins for each x (``AxiomId.pin``), then runs a depth-first search over the other cells in row-major
-order.  The other axioms are clauses.  Each one's private propagator looks at the instances that
-read a cell just set, as the watch lists of SEM and Mace4 do: a violated one prunes the branch, and
-a cell that an identity forces is assigned, put on a trail and propagated in turn, until nothing
-changes.  A pinned or forced cell meets each propagator in turn.  A choice never tries a value that
-a clause's value filter excludes, which settles that clause's instances reading the cell, so it
-meets only the other propagators.  C3's and C5's propagators find some instances among the cells
-that hold the row or the column of the cell just set: for them the search keeps a value index,
-``held[v]`` the determined cells that hold v in the order they were set.  Each write (a pinned cell,
-a choice, a forced cell) appends its cell and each undo or overwrite pops it.  For a set whose
-propagators read no index (BH, Z) the search keeps none.  The pinned cells are propagated first,
-then each choice.  Each choice keeps its own iterator over the values the filter leaves; a backtrack
-undoes the trail down to the choice and resumes that iterator.  Every cell before the current one is
-set, so a forced cell lies after it and the search skips it: only choices count as nodes, and the
-models are those of a search that tries every value.  Once every other cell is set, none can be
-forced: the stream yields the table and the values of the last cell that complete it (the filter's,
-less those a propagator's conflict test rejects) as one family, which a count adds up and an
-emission or a hunt writes into the table value by value.  Models come out in lexicographic order of
-the flattened table, raw tables with no isomorphism rejection, and identical runs are bit-identical.
-A hunt sweeps only the tables that are the least of their relabellings that fix 0; every law follows
-such a relabelling, so each skipped table is isomorphic to one swept earlier without a finding.
-What does not depend on the algebra a hunt builds once, at its first sweep: the Bell(n) partitions,
-their relations bit-sliced over the partitions, and the space of subset pairs.  Per algebra it tests
-every partition for congruence at once, reads a congruence's completeness from its cells where the
-target needs it, and evaluates the one hunted law over all subset pairs of each congruence.  A
-SearchLimitError counts the explored prefix: the models of a count, the algebras a hunt swept to the
-end or skipped as isomorphic copies.
+The model search is one stream of model families.  It reads what ``AxiomId`` derives from each
+axiom's clause.  It fixes the cell that each one-variable axiom pins for each x (``AxiomId.pin``),
+then runs a depth-first search over the other cells in row-major order.  Each other axiom's private
+propagator looks at the instances that read a cell just set, as the watch lists of SEM and Mace4 do:
+a violated one prunes the branch, and a cell that an identity forces is assigned, put on a trail and
+propagated in turn, until nothing changes.  A pinned or forced cell meets each propagator in
+turn.  A choice never tries a value that a clause's value filter excludes, which settles that
+clause's instances reading the cell, so it meets only the other propagators.  C3's and C5's
+propagators find some instances among the cells that hold the row or the column of the cell just
+set: for them the search keeps a value index, ``held[v]`` the determined cells that hold v in the
+order they were set.  Each write (a pinned cell, a choice, a forced cell) appends its cell and each
+undo or overwrite pops it.  For a set whose propagators read no index (BH, Z) the search keeps
+none.  The pinned cells are propagated first, then each choice.  Each choice keeps its own iterator
+over the values the filter leaves; a backtrack undoes the trail down to the choice and resumes that
+iterator.  Every cell before the current one is set, so a forced cell lies after it and the search
+skips it: only choices count as nodes, and the models are those of a search that tries every
+value.  Once every other cell is set, none can be forced: the stream yields the table and the values
+of the last cell that complete it (the filter's, less those a propagator's conflict test rejects) as
+one family, which a count adds up and an emission or a hunt writes into the table value by
+value.  Models come out in lexicographic order of the flattened table, raw tables with no
+isomorphism rejection, and identical runs are bit-identical.  A hunt sweeps only the tables that are
+the least of their relabellings that fix 0; every law follows such a relabelling, so each skipped
+table is isomorphic to one swept earlier without a finding.  What does not depend on the algebra a
+hunt builds once, at its first sweep: the Bell(n) partitions, their relations bit-sliced over the
+partitions, and the space of subset pairs.  Per algebra it tests every partition for congruence at
+once, reads a congruence's completeness from its cells where the target needs it, and evaluates the
+one hunted law over all subset pairs of each congruence.  A SearchLimitError counts the explored
+prefix: the models of a count, the algebras a hunt swept to the end or skipped as isomorphic copies.
 """
 
 import sys
@@ -93,8 +93,8 @@ def _rgs(n: int) -> list[tuple[int, ...]]:
 def all_partitions(n: int) -> Iterator[Partition]:
     """Every partition of {0..n-1}, in lexicographic order of the
     restricted-growth string (single class first, discrete last)."""
-    if n < 1:
-        raise ValidationError(f"carrier size must be at least 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"carrier size must be at least 1, got {n!r}", "n")
     for r in _rgs(n):
         yield Partition._from_rgs(r)
 

@@ -8,9 +8,9 @@ and build a ``Subset`` only for a set they hand back.
 """
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
-from .errors import ValidationError
+from .errors import ValidationError, check_types
 
 
 class Subset:
@@ -21,6 +21,7 @@ class Subset:
     def __init__(self, n: int, mask: int = 0):
         if type(n) is not int or n < 0:
             raise ValidationError(f"carrier size must be a non-negative int, got {n!r}", "n")
+        check_types(int, mask=mask)
         if mask < 0 or mask >> n:
             raise ValidationError(f"mask {bin(mask)} has bits outside carrier 0..{n - 1}")
         self.n = n
@@ -36,11 +37,13 @@ class Subset:
         return obj
 
     @classmethod
-    def from_elements(cls, n: int, elements: Iterable[int]) -> "Subset":
+    def from_elements(cls, n: int, elements: Iterable[int], field: str = "elements") -> "Subset":
+        """The subset of elements, ints in the carrier; a ValidationError names field, their argument."""
+        check_types(Iterable, **{field: elements})
         mask = 0
         for e in elements:
-            if not 0 <= e < n:
-                raise ValidationError(f"element {e} outside carrier 0..{n - 1}")
+            if not isinstance(e, int) or not 0 <= e < n:
+                raise ValidationError(f"element {e!r} outside carrier 0..{n - 1}", field)
             mask |= 1 << e
         return cls(n, mask)
 
@@ -117,7 +120,7 @@ class Subset:
 
 def all_subsets(n: int) -> Iterator[Subset]:
     """All 2^n subsets in mask order (fast iteration order, not canonical)."""
-    for mask in range(1 << n):
+    for mask in range(1 << Subset(n).n):  # Subset(n) refuses a carrier size that is not an int >= 0
         yield Subset(n, mask)
 
 
@@ -129,4 +132,4 @@ def canonical_masks(n: int) -> Iterator[int]:
 
 def canonical_subsets(n: int) -> list[Subset]:
     """All subsets in canonical order: by cardinality, then lexicographically by elements."""
-    return [Subset._raw(n, m) for m in canonical_masks(n)]
+    return [Subset._raw(n, m) for m in canonical_masks(Subset(n).n)]

@@ -21,7 +21,7 @@ from roughalg import (
     product_set,
 )
 from roughalg import search
-from roughalg.algebra import collect_witnesses
+from roughalg.algebra import _clause, collect_witnesses
 
 import oracles
 from conftest import algebras, expanded, subsets
@@ -98,6 +98,33 @@ def test_axiom_arities_and_formulas():
         ("C1", 1, "x*x = 0"), ("C2", 1, "x*0 = x"), ("C3", 3, "(x*y)*z = x*(z*(0*y))"),
         ("C4", 2, "x*y = 0 and y*x = 0 imply x = y"), ("C5", 3, "x*(y*z) = (x*y)*(0*z)"),
         ("C6", 1, "x*x = x"), ("C7", 2, "x*y = y*x for nonzero x, y")]
+
+
+def test_one_variable_axioms_pin_the_cell_their_violations_read():
+    # C1, C2 and C6 each pin, for each x, the cell of their product side to their leaf's value:
+    # with only that cell determined, x violates the axiom exactly where the cell holds another value
+    assert [(a.name, a.pin(1, 0), a.pin(2, 1)) for a in AxiomId if a.pin] == [
+        ("C1", (1, 1, 0), (2, 2, 1)), ("C2", (1, 0, 1), (2, 1, 2)), ("C6", (1, 1, 1), (2, 2, 2))]
+    assert [a.name for a in AxiomId if a._propagate is None] == ["C1", "C2", "C6"]
+    for axiom, zero, x, v in itertools.product([a for a in AxiomId if a.pin], range(3), range(3), range(3)):
+        row, column, value = axiom.pin(x, zero)
+        t = [[-1] * 3 for _ in range(3)]
+        t[row][column] = v
+        assert list(axiom.violations(t, zero)) == ([] if v == value else [(x,)]), (axiom, zero, x, v)
+
+
+@pytest.mark.parametrize("terms", [
+    ((), (("x", ("x", "x")), "0")),  # a product of a product
+    ((), ("x", "0")),  # no product
+    ((), (("x", "x"), ("0", "x"))),  # two products
+    ((), (("x", "x"), "0"), "x"),  # a nonzero variable
+    (((("x", "x"), "0"),), ("x", "0")),  # a premise
+])
+def test_a_one_variable_clause_of_another_shape_is_refused(terms):
+    # a pin sets one cell to a value that no other cell decides: any other one-variable clause
+    # would need a propagator, which the derivation does not make for it
+    with pytest.raises(ValueError, match="^a one-variable axiom equates a product of two leaves with a leaf, not "):
+        _clause(*terms)
 
 
 def test_bo5_satisfies_c5(bo5):

@@ -1,5 +1,6 @@
 """The package's public surface: its exports and the input checks of its entry points."""
 
+import pickle
 import tracemalloc
 import types
 
@@ -11,6 +12,7 @@ from roughalg import (
     AxiomReport,
     CheckResult,
     EquivalenceReport,
+    FiniteAlgebra,
     Finding,
     IdealReport,
     IdentityReport,
@@ -22,7 +24,10 @@ from roughalg import (
     SetValuedMap,
     Subset,
     ValidationError,
+    Z_AXIOM_VARIANTS,
     all_partitions,
+    all_subsets,
+    canonical_subsets,
     check_approx_laws,
     check_axiom,
     check_basic_laws,
@@ -134,7 +139,8 @@ S2, S4, P4 = Subset.empty(2), Subset.empty(4), Partition.discrete(4)
 # a search with no model: a sink is checked before the search starts, not at the first model
 NO_MODELS = SearchSpec(n=2, axiom_set=LABEL_AXIOMS["Z"])
 
-# entry point and argument -> (a call with that argument of the wrong type, the exact message)
+# entry point, argument and which value, where one has two -> (a call with that argument of the wrong
+# type, the exact message); a generator's check runs at its first value
 ARGUMENT_TYPES = {
     "enumerate_algebras-spec": (lambda: enumerate_algebras("x"), "spec must be a SearchSpec, not str"),
     "enumerate_algebras-sink": (lambda: enumerate_algebras(NO_MODELS, 5),
@@ -176,13 +182,26 @@ ARGUMENT_TYPES = {
     "check_basic_laws-a": (lambda: check_basic_laws(P4, 0, S4), "a must be a Subset, not int"),
     "enumerate_ideals-alg": (lambda: enumerate_ideals("x"), "alg must be a FiniteAlgebra, not str"),
     "enumerate_ideals-strong": (lambda: enumerate_ideals(BH4, strong="yes"), "strong must be a bool, not str"),
+    "Subset-mask-str": (lambda: Subset(2, "x"), "mask must be an int, not str"),
+    "Subset-mask-float": (lambda: Subset(2, 2.0), "mask must be an int, not float"),
+    "Subset.from_elements-elements": (lambda: Subset.from_elements(2, "a"), "element 'a' outside carrier 0..1"),
+    "Partition-classes-str": (lambda: Partition(2, "x"), "element 'x' outside carrier 0..1"),
+    "Partition-classes-element": (lambda: Partition(2, [[0], ["a"]]), "element 'a' outside carrier 0..1"),
+    "SetValuedMap-images-int": (lambda: SetValuedMap(2, 2, 5), "images must be an Iterable, not int"),
+    "SetValuedMap-images-element": (lambda: SetValuedMap(2, 2, [[0], ["a"]]), "element 'a' outside carrier 0..1"),
+    "FiniteAlgebra-table": (lambda: FiniteAlgebra(2, 5), "table must be a Sequence, not int"),
+    "all_subsets-n": (lambda: list(all_subsets("x")), "carrier size must be a non-negative int, got 'x'"),
+    "canonical_subsets-n": (lambda: canonical_subsets("x"), "carrier size must be a non-negative int, got 'x'"),
+    "all_partitions-n-float": (lambda: list(all_partitions(2.0)), "carrier size must be at least 1, got 2.0"),
+    "all_partitions-n-str": (lambda: list(all_partitions("x")), "carrier size must be at least 1, got 'x'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ARGUMENT_TYPES))
 def test_argument_types(case):
-    # a public entry point checks the types of its arguments before it reads any of them: a
-    # ValidationError names the argument, where a raw AttributeError or TypeError came from inside
+    # a public entry point, constructor or generator checks the types of its arguments before it
+    # computes with them: a ValidationError names the argument, where a raw AttributeError or
+    # TypeError came from inside
     call, message = ARGUMENT_TYPES[case]
     with pytest.raises(ValidationError) as info:
         call()
@@ -255,3 +274,15 @@ def test_record_and_value_reprs():
     with pytest.raises(PreconditionError) as exc:
         to_partition(rel)
     assert str(exc.value) == f"relation is not an equivalence: {values[4]!r}"
+
+
+def test_axioms_and_the_records_that_hold_them_pickle():
+    # a member's value is its clause's terms, a tuple of strings and tuples, and a member pickles
+    # by it: it comes back as itself, and a record or table that holds members comes back equal
+    values = [SearchSpec(n=4, axiom_set=LABEL_AXIOMS["BH"], model_cap=7), check_axiom(BH4, AxiomId.C3, max_witnesses=2),
+              LABEL_AXIOMS, Z_AXIOM_VARIANTS]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for axiom in AxiomId:
+            assert type(axiom.value) is tuple and pickle.loads(pickle.dumps(axiom, protocol)) is axiom
+        for value in values:
+            assert pickle.loads(pickle.dumps(value, protocol)) == value, (protocol, value)

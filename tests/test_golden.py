@@ -8,6 +8,11 @@ README command on every fixture in text and JSON, the exhaustive law
 sweeps (full and with one pinned partition or ideal), single-pair law
 suites, one hunt per suite and a pinned sweep refused for its order.
 
+Beside them, ``tests/golden/derived/`` holds the source that
+``algebra._clause`` derives from each axiom's terms, one file per
+``AxiomId`` member (``C3.txt`` is ``AxiomId.C3._source`` and a newline):
+a change to the derivation shows up as a diff of the code that runs.
+
 To re-capture after a deliberate change of output, from the repository
 root:
 
@@ -24,10 +29,12 @@ from pathlib import Path
 
 import pytest
 
+from roughalg import AxiomId
 from roughalg.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+DERIVED_DIR = GOLDEN_DIR / "derived"
 STDERR = "stderr:\n"  # the line between a golden's stdout and its stderr
 
 # per fixture: a non-trivial partition, the single class, an ideal for
@@ -139,24 +146,30 @@ def _read_golden(name) -> tuple[str, str, str]:
     return code, out, err
 
 
+def derived_source(axiom) -> str:
+    """The golden text of one member's derived source: the source and a newline."""
+    return axiom._source + "\n"
+
+
 def capture():
-    """Re-capture every golden; print each one created, changed or deleted."""
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    for old in sorted(GOLDEN_DIR.glob("*.out")):
-        if old.stem not in CASES:
+    """Re-capture every golden and derived source; print each one created, changed or deleted."""
+    DERIVED_DIR.mkdir(parents=True, exist_ok=True)
+    files = {GOLDEN_DIR / f"{name}.out": run_case(argv) for name, argv in CASES.items()}
+    files |= {DERIVED_DIR / f"{axiom.name}.txt": derived_source(axiom) for axiom in AxiomId}
+    for old in sorted([*GOLDEN_DIR.glob("*.out"), *DERIVED_DIR.glob("*.txt")]):
+        if old not in files:
             old.unlink()
-            print(f"deleted {old.stem}")
+            print(f"deleted {old.relative_to(GOLDEN_DIR).with_suffix('')}")
     unchanged = 0
-    for name, argv in CASES.items():
-        path = GOLDEN_DIR / f"{name}.out"
-        new = run_case(argv).encode("utf-8")
+    for path, text in files.items():
+        new = text.encode("utf-8")
         old = path.read_bytes() if path.exists() else None
         if old == new:
             unchanged += 1
             continue
         path.write_bytes(new)
-        print(f"{'created' if old is None else 'changed'} {name}")
-    print(f"{unchanged} of {len(CASES)} golden files unchanged in {GOLDEN_DIR}")
+        print(f"{'created' if old is None else 'changed'} {path.relative_to(GOLDEN_DIR).with_suffix('')}")
+    print(f"{unchanged} of {len(files)} golden files unchanged in {GOLDEN_DIR}")
 
 
 CASES = golden_cases()
@@ -187,6 +200,15 @@ def test_exit_code_follows_the_verdict(name):
 
 def test_every_golden_file_has_a_case():
     assert {p.stem for p in GOLDEN_DIR.glob("*.out")} == set(CASES)
+
+
+@pytest.mark.parametrize("axiom", AxiomId, ids=lambda axiom: axiom.name)
+def test_derived_source(axiom):
+    assert (DERIVED_DIR / f"{axiom.name}.txt").read_bytes() == derived_source(axiom).encode("utf-8")
+
+
+def test_every_derived_file_has_a_member():
+    assert {p.name for p in DERIVED_DIR.iterdir()} == {f"{axiom.name}.txt" for axiom in AxiomId}
 
 
 if __name__ == "__main__":

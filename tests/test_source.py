@@ -47,9 +47,10 @@ def _nodes(node, scope):
 
 def test_generated_source_runs_only_in_the_axiom_derivation_on_constants():
     # exec and compile appear once each, and eval never, and only in algebra._clause, which derives
-    # every identity and clause and which only AxiomId's class body calls, on literal terms: no other
-    # module runs generated source, and no input reaches it
-    codegen, derivations = [], []
+    # every axiom from its terms.  Only AxiomId's __init__ calls it, with its own parameters: the
+    # value of a member, which in the class body is a literal.  So no other module runs generated
+    # source, and no input reaches it
+    codegen, derivations, members, init = [], [], [], None
     for path in SOURCES:
         for scope, node in _nodes(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.name):
             if isinstance(node, ast.Name) and node.id in CODEGEN:
@@ -57,22 +58,28 @@ def test_generated_source_runs_only_in_the_axiom_derivation_on_constants():
             elif isinstance(node, ast.Name) and node.id == "_clause":
                 derivations.append(scope)
             elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_clause":
-                for arg in [*node.args, *(k.value for k in node.keywords)]:
-                    ast.literal_eval(arg)  # raises on anything but a constant
+                arguments = [ast.unparse(arg) for arg in [*node.args, *node.keywords]]
+            elif scope == "algebra.py.AxiomId" and isinstance(node, ast.Assign):
+                members += [target.id for target in node.targets]
+                ast.literal_eval(node.value)  # raises on anything but a constant
+            elif scope == "algebra.py.AxiomId" and isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                init = [arg.arg for arg in node.args.args]
     assert sorted(codegen) == [("algebra.py._clause", "compile"), ("algebra.py._clause", "exec")]
-    assert derivations == ["algebra.py.AxiomId"] * 4
+    assert derivations == ["algebra.py.AxiomId.__init__"]
+    assert init == ["self", *arguments]
+    assert members == [axiom.name for axiom in AxiomId] == [f"C{i}" for i in range(1, 8)]
 
 
 def test_derived_source_does_not_depend_on_string_hashing():
-    # the source that _clause derives from C3's, C4's, C5's and C7's terms, in two interpreters
-    # with different hash seeds: a derivation that followed the order of a str-keyed set would
-    # generate other loops, or the same loops in another order, under one of them
-    script = ("import hashlib; from roughalg import AxiomId; print([hashlib.sha256(AxiomId[a]._source.encode())"
-              ".hexdigest() for a in ('C3', 'C4', 'C5', 'C7')])")
+    # the source that _clause derives from each member's terms, in two interpreters with different
+    # hash seeds: a derivation that followed the order of a str-keyed set would generate other
+    # loops, or the same loops in another order, under one of them
+    script = ("import hashlib; from roughalg import AxiomId; "
+              "print([hashlib.sha256(a._source.encode()).hexdigest() for a in AxiomId])")
     digests = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
                               env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}).stdout
                for seed in ("0", "4242")]
-    assert digests[0] == digests[1] and len(set(ast.literal_eval(digests[0]))) == 4
+    assert digests[0] == digests[1] and len(set(ast.literal_eval(digests[0]))) == 7
 
 
 def test_the_search_names_no_axiom():
@@ -92,7 +99,7 @@ def test_derived_source_tests_nothing_the_derivation_knows():
     # that a premise compares with the zero is not tested for -1, which is not the zero.  The line
     # counts pin the derivation, so that no such statement comes back unseen
     lines = {}
-    for axiom in (AxiomId.C3, AxiomId.C4, AxiomId.C5, AxiomId.C7):
+    for axiom in AxiomId:
         source = axiom._source
         lines[axiom.name] = len(source.splitlines())
         for function in source.split("\ndef "):
@@ -101,7 +108,7 @@ def test_derived_source_tests_nothing_the_derivation_knows():
         assert not axiom._reads_held or "held is None" not in source, axiom
         for name in re.findall(r"\b(\w+) == zero\b", source):
             assert f"if {name} >= 0:" not in source, (axiom, name)
-    assert lines == {"C3": 81, "C4": 20, "C5": 81, "C7": 21}
+    assert lines == {"C1": 7, "C2": 7, "C3": 81, "C4": 20, "C5": 81, "C6": 7, "C7": 21}
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
